@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .algorithms import (
     ALGORITHMS,
-    ConsensusConfig,
     RunResult,
     StepsizeSchedule,
     TrackerState,
@@ -42,10 +41,7 @@ from .manifold import (
     StiefelPoint,
     SwarmState,
     TangentVector,
-    consensus_error_sq,
     in_consensus_region,
-    induced_arithmetic_mean,
-    linf_consensus_error,
     perturbed_swarm,
     polar_retract,
     project_to_tangent,
@@ -73,11 +69,8 @@ from .problems import (
     LocalObjective,
     SmoothnessConstants,
     centralized_oracle,
-    eig_egrad,
-    eig_value,
     estimate_xi,
     load_dsv_partition,
     quadratic_constants,
-    stochastic_egrad,
     synthesize_eigengap_data,
 )

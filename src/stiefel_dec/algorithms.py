@@ -1,21 +1,18 @@
 """The three decentralized iteration schemes and their stepsize rules.
 
 All schemes share the same synchronous-round template: every agent mixes its
-neighbors' variables through t rounds of gossip, projects onto its tangent
-space, takes a step, and retracts. The consensus scheme stops there; the
-gradient schemes subtract a (stochastic or tracked) Riemannian gradient before
-retracting. Rounds are barrier-synchronized: agents read the frozen previous
-state and the new state is assembled in agent order, so results do not depend
-on scheduling.
+neighbors' variables through t rounds of gossip (one product with W^t),
+projects onto its tangent space, takes a step, and retracts. The consensus
+scheme stops there; the gradient schemes subtract a (stochastic or tracked)
+Riemannian gradient before retracting. Rounds are barrier-synchronized: agents
+read the frozen previous state and the new state is assembled in agent order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,54 +32,9 @@ from .manifold import (
     riemannian_gradient,
 )
 from .metrics import IterationRecord, average_value, stationarity_measure, subspace_distance
-from .network import MixingMatrix, mix
+from .network import MixingMatrix, matrix_power, mix
 
 ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
-
-_pool = None  # (workers, executor), grown lazily
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("STIEFEL_DEC_THREADS", "").strip()
-    if raw == "":
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
-def _agent_map(fn, n: int) -> list:
-    """Apply fn(0..n-1), honoring the STIEFEL_DEC_THREADS worker cap.
-
-    Per-agent work is independent, so threaded and serial execution produce
-    identical results; outputs always come back in agent order.
-    """
-    global _pool
-    workers = _worker_count()
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    if _pool is None or _pool[0] != workers:
-        _pool = (workers, ThreadPoolExecutor(max_workers=workers))
-    return list(_pool[1].map(fn, range(n)))
-
-
-@dataclass(frozen=True)
-class ConsensusConfig:
-    """Consensus stepsize and communication rounds per iteration."""
-
-    alpha: float
-    t: int
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.t < 1:
-            raise ParameterError(f"need t >= 1, got {self.t}")
-
 
 @dataclass(frozen=True, eq=False)
 class TrackerState:
@@ -214,28 +166,28 @@ def drgta_theoretical_stepsize(
     alpha: float,
     delta1: float,
     r: int,
-    retraction_bound: float = 1.0,
 ) -> float:
     """Full theory cap for the tracking stepsize; heuristic, diagnostic only.
 
     The analysis constant c1 is an existence constant known only up to order
     1/(1-rho)^2; it is substituted by exactly 2/(1-rho)^2 here, so the value
-    is a ballpark rather than a certificate.
+    is a ballpark rather than a certificate. The second-order retraction
+    constant M of the analysis is 1 for the polar retraction, so it drops out.
     """
     _check_rate_inputs(rho_t, alpha, delta1)
     if not (0.0 <= sigma2_t < 1.0):
         raise ParameterError(f"need sigma2^t in [0, 1), got {sigma2_t}")
     if r < 1:
         raise ParameterError(f"need r >= 1, got {r}")
-    lb, db, m = constants.l_big, constants.d_bound, retraction_bound
+    lb, db = constants.l_big, constants.d_bound
     if lb <= 0.0:
         raise ParameterError("need positive l_big")
     c1 = 2.0 / (1.0 - rho_t) ** 2
     c0 = 2.0 / (1.0 - rho_t) ** 2
     c2 = 2.0 / (1.0 - sigma2_t) ** 2
     g0 = 4.0 * r * (lb + 2.0 * db) ** 2 * c1 / lb**2
-    g1 = 1.0 + g0 + (2.0 * db * alpha + 8.0 * m * db * alpha**2) / lb + 13.0 * c1 * delta1**2 * alpha**4
-    g2 = 2.0 * m * db / lb + delta1**2 / 2.0 + 5.0
+    g1 = 1.0 + g0 + (2.0 * db * alpha + 8.0 * db * alpha**2) / lb + 13.0 * c1 * delta1**2 * alpha**4
+    g2 = 2.0 * db / lb + delta1**2 / 2.0 + 5.0
     g3 = g1 * c0 + g0 * c0 + g2
     third = 1.0 / (4.0 * lb * (2.0 * g3 + (8.0 * c0 + 0.5 * c2) * alpha * delta1))
     return min(
@@ -254,7 +206,7 @@ def _check_rate_inputs(rho_t: float, alpha: float, delta1: float):
         raise ParameterError(f"need delta1 > 0, got {delta1}")
 
 
-def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float, rounds: int = 1) -> SwarmState:
+def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
     """One consensus iteration: retract along the tangent part of the mixed point.
 
     x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j)); the tangent part of the
@@ -263,24 +215,16 @@ def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float, rounds: int = 1) ->
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    mixed = mix(s, wt, rounds)
+    mixed = mix(s, wt)
+    return SwarmState(
+        tuple(
+            polar_retract(x, project_to_tangent(x, m).scaled(alpha))
+            for x, m in zip(s.points, mixed)
+        )
+    )
 
-    def step(i):
-        x = s.points[i]
-        direction = project_to_tangent(x, mixed[i]).scaled(alpha)
-        return polar_retract(x, direction)
 
-    return SwarmState(tuple(_agent_map(step, s.n)))
-
-
-def drsgd_step(
-    s: SwarmState,
-    wt: MixingMatrix,
-    alpha: float,
-    beta_k: float,
-    grads,
-    rounds: int = 1,
-) -> SwarmState:
+def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, grads) -> SwarmState:
     """One (stochastic) gradient iteration: consensus pull minus a gradient step.
 
     x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j) - beta_k v_i) where v_i is a
@@ -299,15 +243,15 @@ def drsgd_step(
             raise ContractError(f"gradient {i} is not a TangentVector")
         if g.base is not s.points[i] and not np.array_equal(g.base.data, s.points[i].data):
             raise ContractError(f"gradient {i} is attached to a different point")
-    mixed = mix(s, wt, rounds)
-
-    def step(i):
-        x = s.points[i]
-        consensus = project_to_tangent(x, mixed[i])
-        direction = TangentVector(x, alpha * consensus.data - beta_k * grads[i].data)
-        return polar_retract(x, direction)
-
-    return SwarmState(tuple(_agent_map(step, s.n)))
+    mixed = mix(s, wt)
+    return SwarmState(
+        tuple(
+            polar_retract(
+                x, TangentVector(x, alpha * project_to_tangent(x, m).data - beta_k * g.data)
+            )
+            for x, m, g in zip(s.points, mixed, grads)
+        )
+    )
 
 
 def drgta_init(s: SwarmState, locals_) -> TrackerState:
@@ -315,11 +259,9 @@ def drgta_init(s: SwarmState, locals_) -> TrackerState:
     locals_ = list(locals_)
     if len(locals_) != s.n:
         raise ContractError(f"{len(locals_)} objectives for {s.n} agents")
-    y = _agent_map(
-        lambda i: riemannian_gradient(s.points[i], locals_[i].euclidean_grad(s.points[i])).data,
-        s.n,
+    return TrackerState(
+        tuple(riemannian_gradient(x, o.euclidean_grad(x)).data for x, o in zip(s.points, locals_))
     )
-    return TrackerState(tuple(y))
 
 
 def drgta_step(
@@ -329,7 +271,6 @@ def drgta_step(
     alpha: float,
     beta: float,
     locals_,
-    rounds: int = 1,
 ) -> tuple:
     """One gradient-tracking iteration; returns the new (swarm, tracker) pair.
 
@@ -348,7 +289,7 @@ def drgta_step(
         raise ContractError("swarm, tracker and objectives must agree on agent count")
     if tr.y[0].shape != s.points[0].data.shape:
         raise DimensionError("tracker shape does not match swarm")
-    mixed_x = mix(s, wt, rounds)
+    mixed_x = mix(s, wt)
 
     def move(i):
         x = s.points[i]
@@ -360,8 +301,8 @@ def drgta_step(
         g_new = riemannian_gradient(x_new, locals_[i].euclidean_grad(x_new)).data
         return x_new, g_new - g_old
 
-    moved = _agent_map(move, s.n)
-    mixed_y = mix(tr.y, wt, rounds)
+    moved = [move(i) for i in range(s.n)]
+    mixed_y = mix(tr.y, wt)
     new_points = tuple(m[0] for m in moved)
     new_y = tuple(mixed_y[i] + moved[i][1] for i in range(s.n))
     return SwarmState(new_points), TrackerState(new_y)
@@ -432,8 +373,9 @@ def run(
     per-agent streams derived from the seed). One metrics row is recorded per
     round plus an initial row. Early stop on d_s(mean, oracle) <= tol_ds, on
     ||grad f(mean)|| <= tol_grad, or (consensus runs) on the stacked deviation
-    norm <= tol_consensus; tolerances set to None or 0 are disabled. The same
-    seed and arguments reproduce the exact same records.
+    norm <= tol_consensus; tolerances set to None or 0 are disabled. Each
+    gossip step runs `rounds` rounds of wt, applied as one product with wt^rounds.
+    The same seed and arguments reproduce the exact same records.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
@@ -450,6 +392,10 @@ def run(
             raise ParameterError(f"{algorithm} needs a stepsize schedule")
     if batch_size < 1:
         raise ParameterError(f"need batch_size >= 1, got {batch_size}")
+    if rounds < 1:
+        raise ParameterError(f"need rounds >= 1, got {rounds}")
+    if rounds > 1:
+        wt = matrix_power(wt, rounds)
 
     s = swarm
     tracker = drgta_init(s, locals_) if algorithm == "drgta" else None
@@ -509,31 +455,24 @@ def run(
         for k in range(1, max_rounds + 1):
             beta = None
             if algorithm == "drcs":
-                s = drcs_step(s, wt, alpha, rounds)
+                s = drcs_step(s, wt, alpha)
             elif algorithm == "drdgd":
                 beta = schedule.beta(k - 1)
-                grads = _agent_map(
-                    lambda i: riemannian_gradient(
-                        s.points[i], locals_[i].euclidean_grad(s.points[i])
-                    ),
-                    s.n,
-                )
-                s = drsgd_step(s, wt, alpha, beta, grads, rounds)
+                grads = [
+                    riemannian_gradient(x, o.euclidean_grad(x)) for x, o in zip(s.points, locals_)
+                ]
+                s = drsgd_step(s, wt, alpha, beta, grads)
             elif algorithm == "drgta":
                 beta = schedule.beta(k - 1)
-                s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_, rounds)
+                s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
             else:  # drsgd: one epoch
                 for _ in range(inner_per_epoch):
                     beta = schedule.beta(step_index)
-                    cur = s
-                    grads = _agent_map(
-                        lambda i: riemannian_gradient(
-                            cur.points[i],
-                            locals_[i].stochastic_egrad(cur.points[i], streams[i].next()),
-                        ),
-                        s.n,
-                    )
-                    s = drsgd_step(s, wt, alpha, beta, grads, rounds)
+                    grads = [
+                        riemannian_gradient(x, o.stochastic_egrad(x, st.next()))
+                        for x, o, st in zip(s.points, locals_, streams)
+                    ]
+                    s = drsgd_step(s, wt, alpha, beta, grads)
                     step_index += 1
             snapshot(k, beta)
             reason = stop_reason(records[-1])

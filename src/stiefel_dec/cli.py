@@ -63,7 +63,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol-consensus", dest="tol_consensus", type=float, default=_SUPPRESS, help="consensus runs: stop when the stacked deviation is below this")
     p.add_argument("--init", default=_SUPPRESS, help="shared | independent")
     p.add_argument("--perturb", type=float, default=_SUPPRESS, help="tangent noise on a shared start")
-    p.add_argument("--gossip-rounds", dest="gossip_rounds", action="store_true", default=_SUPPRESS, help="apply W sequentially t times instead of premultiplying W^t")
     p.add_argument("--timing", action="store_true", default=_SUPPRESS, help="record wall-clock ms per row (breaks byte-level log reproducibility)")
     p.add_argument("--out", default=_SUPPRESS, help="CSV log path")
 

@@ -40,7 +40,6 @@ from .network import (
     complete_graph,
     consensus_rate_params,
     erdos_renyi,
-    matrix_power,
     metropolis_weights,
     min_communication_rounds,
     ring_graph,
@@ -100,7 +99,6 @@ class ExperimentConfig:
     perturb: float = 0.0
     delta2: float = 1.0 / 6.0
     delta1: float = 0.0
-    gossip_rounds: bool = False
     timing: bool = False
     out: str | None = None
 
@@ -191,8 +189,9 @@ def validate_config(cfg: ExperimentConfig):
         bad("r", f"must be positive, got {cfg.r}")
     if cfg.divisor == 0.0:
         bad("divisor", "must be nonzero")
-    if cfg.max_iters < 0 or cfg.max_epochs < 0:
-        bad("max_iters", "iteration and epoch caps must be >= 0")
+    for name in ("max_iters", "max_epochs"):
+        if getattr(cfg, name) < 0:
+            bad(name, f"must be >= 0, got {getattr(cfg, name)}")
     if cfg.batch_size < 1:
         bad("batch_size", f"must be positive, got {cfg.batch_size}")
     for name in ("tol_ds", "tol_grad", "tol_consensus"):
@@ -216,17 +215,12 @@ def validate_config(cfg: ExperimentConfig):
         )
 
 
-def config_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 @dataclass(frozen=True)
 class ResolvedExperiment:
     """A config turned into concrete objects, plus the constants for the log header."""
 
     cfg: ExperimentConfig
     graph: object
-    w: MixingMatrix
     t: int
     mix_matrix: MixingMatrix
     mix_rounds: int
@@ -244,17 +238,24 @@ class ResolvedExperiment:
     header: dict
 
 
-def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
+def _resolve_rates(cfg: ExperimentConfig) -> tuple:
+    """Graph, W, t_min, t, region, and the rate reports at alpha_bar and at the
+    configured alpha (clamped to alpha_bar); 0 in t, alpha or delta1 means auto."""
     validate_config(cfg)
-    seed = cfg.seed
     g = _build_graph(cfg)
     w = metropolis_weights(g)
     t_min = min_communication_rounds(w)
     t = cfg.t if cfg.t > 0 else t_min
-    r_cols = cfg.r
-    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else cfg.delta2 / (5.0 * math.sqrt(r_cols))
-    region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=r_cols)
+    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else cfg.delta2 / (5.0 * math.sqrt(cfg.r))
+    region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
     base_rate = consensus_rate_params(w, t, region)
+    alpha = min(cfg.alpha, base_rate.alpha_bar) if cfg.alpha > 0.0 else base_rate.alpha_bar
+    return g, w, t_min, t, region, base_rate, consensus_rate_params(w, t, region, alpha=alpha)
+
+
+def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
+    g, w, t_min, t, region, base_rate, rate = _resolve_rates(cfg)
+    r_cols = cfg.r
     alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
     if alpha > base_rate.alpha_bar:
         warnings.warn(
@@ -263,11 +264,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
             RuntimeWarning,
             stacklevel=2,
         )
-    rate = consensus_rate_params(w, t, region, alpha=min(alpha, base_rate.alpha_bar))
-    if cfg.gossip_rounds:
-        mix_matrix, mix_rounds = w, t
-    else:
-        mix_matrix, mix_rounds = (matrix_power(w, t) if t > 1 else w), 1
 
     header = {
         "sigma2": w.sigma2,
@@ -336,10 +332,9 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     return ResolvedExperiment(
         cfg=cfg,
         graph=g,
-        w=w,
         t=t,
-        mix_matrix=mix_matrix,
-        mix_rounds=mix_rounds,
+        mix_matrix=w,
+        mix_rounds=t,
         region=region,
         alpha=alpha,
         locals_=locals_,
@@ -496,7 +491,7 @@ def _cell(v) -> str:
 def write_csv(path, cfg: ExperimentConfig, header: dict, records):
     lines = [
         f"# stiefel-dec {__version__}",
-        f"# config: {json.dumps(config_dict(cfg), sort_keys=True)}",
+        f"# config: {json.dumps(asdict(cfg), sort_keys=True)}",
         f"# constants: {json.dumps(header, sort_keys=True)}",
         CSV_HEADER,
     ]
@@ -530,15 +525,7 @@ def read_config_echo(path) -> dict:
 
 def spectral_report(cfg: ExperimentConfig) -> str:
     """Graph and mixing diagnostics: the base dump plus the resolved-t constants."""
-    validate_config(cfg)
-    g = _build_graph(cfg)
-    w = metropolis_weights(g)
-    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else cfg.delta2 / (5.0 * math.sqrt(cfg.r))
-    region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
-    t = cfg.t if cfg.t > 0 else min_communication_rounds(w)
-    base = consensus_rate_params(w, t, region)
-    alpha = min(cfg.alpha, base.alpha_bar) if cfg.alpha > 0.0 else base.alpha_bar
-    rate = consensus_rate_params(w, t, region, alpha=alpha)
+    g, w, _, t, region, _, rate = _resolve_rates(cfg)
     lines = [
         spectral_dump(g, w, region),
         f"t {t}",

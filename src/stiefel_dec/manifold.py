@@ -46,7 +46,7 @@ class StiefelPoint:
         if r < 1 or d < r:
             raise DimensionError(f"need d >= r >= 1, got d={d}, r={r}")
         err = np.abs(mat.T @ mat - np.eye(r)).max()
-        if err > ORTHONORMALITY_TOL:
+        if not err <= ORTHONORMALITY_TOL:  # also rejects NaN
             raise ParameterError(
                 f"columns are not orthonormal: max |x.T x - I| = {err:.3e}"
             )
@@ -80,7 +80,7 @@ class TangentVector:
             )
         sym = self.base.data.T @ mat
         err = np.abs(sym + sym.T).max()
-        if err > TANGENCY_TOL:
+        if not err <= TANGENCY_TOL:  # also rejects NaN
             raise ParameterError(f"not tangent: max |x.T v + v.T x| = {err:.3e}")
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
@@ -253,25 +253,6 @@ def polar_retract(x: StiefelPoint, xi: TangentVector) -> StiefelPoint:
 def riemannian_gradient(x: StiefelPoint, egrad) -> TangentVector:
     """Riemannian gradient from a Euclidean one: the tangent projection at x."""
     return project_to_tangent(x, egrad)
-
-
-def induced_arithmetic_mean(s: SwarmState) -> StiefelPoint:
-    """Manifold-valued mean: projection of the Euclidean mean onto St(d, r).
-
-    Raises DegenerateMeanError when the Euclidean mean is rank deficient,
-    which signals the swarm has left the regime where the mean is meaningful.
-    """
-    return s.mean_point
-
-
-def consensus_error_sq(s: SwarmState) -> float:
-    """(1/n) sum_i ||x_i - xbar||_F^2; zero iff all agents agree."""
-    return s.consensus_error_sq
-
-
-def linf_consensus_error(s: SwarmState) -> float:
-    """max_i ||x_i - xbar||_F; zero iff all agents agree."""
-    return s.linf_error
 
 
 def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> RegionCheck:

@@ -2,7 +2,7 @@
 
 The mixing matrix W is symmetric doubly stochastic; its second-largest
 singular value sigma2 governs gossip speed. Running t communication rounds
-per optimization step corresponds to mixing with W^t.
+per optimization step is mixing once with W^t.
 """
 
 from __future__ import annotations
@@ -201,16 +201,12 @@ def matrix_power(w: MixingMatrix, t: int) -> MixingMatrix:
     return MixingMatrix(0.5 * (wt + wt.T))
 
 
-def mix(s, wt: MixingMatrix, rounds: int = 1) -> list:
+def mix(s, wt: MixingMatrix) -> list:
     """Weighted neighborhood averages: output i is sum_j W_ij x_j.
 
     Accepts a SwarmState or a sequence of equally shaped ambient matrices.
-    With rounds > 1 the matrix is applied that many times in sequence
-    (sequential gossip); the result equals mixing once with W^rounds.
     Outputs are convex combinations and generally leave the manifold.
     """
-    if rounds < 1:
-        raise ParameterError(f"need rounds >= 1, got {rounds}")
     if isinstance(s, SwarmState):
         mats = [p.data for p in s.points]
     else:
@@ -219,9 +215,7 @@ def mix(s, wt: MixingMatrix, rounds: int = 1) -> list:
     if wt.n != n:
         raise DimensionError(f"mixing matrix is {wt.n}x{wt.n}, swarm has {n} agents")
     shape = mats[0].shape
-    stacked = np.stack([m.reshape(-1) for m in mats])
-    for _ in range(rounds):
-        stacked = wt.w @ stacked
+    stacked = wt.w @ np.stack([m.reshape(-1) for m in mats])
     return [row.reshape(shape) for row in stacked]
 
 
@@ -246,17 +240,14 @@ class ConsensusRateReport:
 
 
 def consensus_rate_params(
-    w: MixingMatrix,
-    t: int,
-    p: ConsensusRegionParams,
-    alpha: float | None = None,
-    retraction_bound: float = 1.0,
+    w: MixingMatrix, t: int, p: ConsensusRegionParams, alpha: float | None = None
 ) -> ConsensusRateReport:
     """Evaluate the consensus contraction constants for t rounds of W.
 
     alpha defaults to the cap alpha_bar = min(phi / (2 l_t), 1, 1/M) where M
-    is the second-order retraction bound (1 for the polar retraction).
-    Raises StepsizeError when alpha exceeds alpha_bar.
+    is the second-order retraction bound; M = 1 for the polar retraction, so
+    the cap is min(phi / (2 l_t), 1). Raises StepsizeError when alpha exceeds
+    alpha_bar.
     """
     if w.n < 2:
         raise ParameterError("consensus rate needs at least two agents")
@@ -264,7 +255,7 @@ def consensus_rate_params(
     l_t = 1.0 - wt.lambda_min
     mu_t = 1.0 - wt.lambda2
     phi = 2.0 - p.delta2**2
-    alpha_bar = min(phi / (2.0 * l_t), 1.0, 1.0 / retraction_bound)
+    alpha_bar = min(phi / (2.0 * l_t), 1.0)
     if alpha is None:
         alpha = alpha_bar
     if alpha > alpha_bar * (1.0 + 1e-12):
@@ -287,12 +278,10 @@ def consensus_rate_params(
     )
 
 
-def spectral_dump(
-    g: Graph, w: MixingMatrix, p: ConsensusRegionParams, t: int | None = None
-) -> str:
+def spectral_dump(g: Graph, w: MixingMatrix, p: ConsensusRegionParams) -> str:
     """Diagnostic text dump: n, edge list, sigma2, lambda_min, t_min, rho_t at alpha_bar."""
     t_min = min_communication_rounds(w)
-    report = consensus_rate_params(w, t_min if t is None else t, p)
+    report = consensus_rate_params(w, t_min, p)
     edge_text = " ".join(f"{i}-{j}" for i, j in sorted(g.edges))
     lines = [
         f"n {g.n}",

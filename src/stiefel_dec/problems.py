@@ -9,6 +9,7 @@ stepsize rules, and the centralized solution used as an oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,9 +32,7 @@ class LocalObjective(Protocol):
 
     def euclidean_grad(self, x: StiefelPoint) -> np.ndarray: ...
 
-    def stochastic_euclidean_grad(
-        self, x: StiefelPoint, batch: int, rng: np.random.Generator
-    ) -> np.ndarray: ...
+    def stochastic_egrad(self, x: StiefelPoint, batch_indices) -> np.ndarray: ...
 
 
 class EigLocal:
@@ -94,31 +93,8 @@ class EigLocal:
         sub = self.rows[idx]
         return -(self.sample_count / idx.size) * (sub.T @ (sub @ x.data))
 
-    def stochastic_euclidean_grad(
-        self, x: StiefelPoint, batch: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw a uniform without-replacement batch of the given size."""
-        if batch < 1 or batch > self.sample_count:
-            raise ParameterError(
-                f"batch size must be in [1, {self.sample_count}], got {batch}"
-            )
-        idx = rng.choice(self.sample_count, size=batch, replace=False)
-        return self.stochastic_egrad(x, idx)
-
     def __repr__(self):
         return f"EigLocal(m={self.sample_count}, d={self.dim})"
-
-
-def eig_value(o: EigLocal, x: StiefelPoint) -> float:
-    return o.value(x)
-
-
-def eig_egrad(o: EigLocal, x: StiefelPoint) -> np.ndarray:
-    return o.euclidean_grad(x)
-
-
-def stochastic_egrad(o: EigLocal, x: StiefelPoint, batch_indices) -> np.ndarray:
-    return o.stochastic_egrad(x, batch_indices)
 
 
 @dataclass(frozen=True)
@@ -186,7 +162,7 @@ def estimate_xi(
     for o in locals_:
         full = o.euclidean_grad(x)
         for _ in range(draws):
-            v = o.stochastic_euclidean_grad(x, 1, rng)
+            v = o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
             worst = max(worst, float(np.linalg.norm(v - full)))
     return worst
 
@@ -228,7 +204,8 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
     One sample per row, comma- or whitespace-delimited, no header (a single
     leading non-numeric row is skipped). Rows are divided by the divisor and
     split into n contiguous blocks; the first (rows mod n) agents get one
-    extra row each. Parse failures report the 1-based line number.
+    extra row each. Parse failures and non-finite fields (nan, inf) report the
+    1-based line number.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
@@ -251,6 +228,9 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
                     continue
                 bad = next(tok for tok in fields if not _is_number(tok))
                 raise IngestionError(f"line {lineno}: non-numeric field {bad!r}") from None
+            bad = next((tok for tok, v in zip(fields, values) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise IngestionError(f"line {lineno}: non-finite field {bad!r}")
             if width is None:
                 width = len(values)
             elif len(values) != width:

@@ -5,7 +5,6 @@ import pytest
 
 import stiefel_dec as sd
 from stiefel_dec import (
-    ConsensusConfig,
     ConsensusRegionParams,
     ContractError,
     DegenerateMeanError,
@@ -188,13 +187,6 @@ class TestSchedules:
         with pytest.raises(ParameterError):
             StepsizeSchedule(kind="constant", base=0.1).beta(-1)
 
-    def test_consensus_config_validation(self):
-        ConsensusConfig(alpha=0.5, t=2)
-        with pytest.raises(ParameterError):
-            ConsensusConfig(alpha=0.0, t=1)
-        with pytest.raises(ParameterError):
-            ConsensusConfig(alpha=0.5, t=0)
-
 
 class TestDrgtaStepsizes:
     def test_max_stepsize_value(self):
@@ -313,9 +305,9 @@ class TestRegionPersistenceAndDeviation:
         for k in range(300):
             grads = [
                 sd.riemannian_gradient(
-                    s.points[i], locals_[i].stochastic_euclidean_grad(s.points[i], 1, rngs[i])
+                    x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
                 )
-                for i in range(s.n)
+                for x, o, rng in zip(s.points, locals_, rngs)
             ]
             s = drsgd_step(s, wt, rate.alpha, sched.beta(k), grads)
             assert bool(sd.in_consensus_region(s, p))
@@ -331,9 +323,9 @@ class TestRegionPersistenceAndDeviation:
         for k in range(400):
             grads = [
                 sd.riemannian_gradient(
-                    s.points[i], locals_[i].stochastic_euclidean_grad(s.points[i], 1, rngs[i])
+                    x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
                 )
-                for i in range(s.n)
+                for x, o, rng in zip(s.points, locals_, rngs)
             ]
             s = drsgd_step(s, wt, rate.alpha, beta, grads)
             if k >= 300:
@@ -425,18 +417,20 @@ class TestRun:
         with pytest.raises(DegenerateMeanError, match="round 0"):
             run("drcs", SwarmState((plus, minus)), w, alpha=1.0, max_rounds=3)
 
-    def test_worker_threads_reproduce_serial_result(self, monkeypatch):
+    def test_rounds_premultiply_power(self):
+        # t gossip rounds per iteration are one product with W^t
         locals_, xstar, w, s = self._instance(seed=23)
-        kwargs = dict(
-            alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3),
-            oracle=xstar, max_rounds=4, seed=3,
-        )
-        serial = run("drsgd", s, w, **kwargs)
-        monkeypatch.setenv("STIEFEL_DEC_THREADS", "4")
-        threaded = run("drsgd", s, w, **kwargs)
-        assert serial.records == threaded.records
-        for a, b in zip(serial.final.points, threaded.final.points):
-            assert np.array_equal(a.data, b.data)
+        for algo in ("drcs", "drdgd", "drsgd", "drgta"):
+            kwargs = dict(
+                alpha=1.0, oracle=xstar, max_rounds=4, seed=3,
+                locals_=None if algo == "drcs" else locals_,
+                schedule=None if algo == "drcs" else StepsizeSchedule("user", 1e-3),
+            )
+            a = run(algo, s, w, rounds=3, **kwargs)
+            b = run(algo, s, sd.matrix_power(w, 3), **kwargs)
+            assert a.records == b.records
+            for pa, pb in zip(a.final.points, b.final.points):
+                assert np.array_equal(pa.data, pb.data)
 
     def test_argument_validation(self):
         locals_, xstar, w, s = self._instance(seed=22)
@@ -451,3 +445,5 @@ class TestRun:
                 "drsgd", s, w, alpha=1.0, locals_=locals_,
                 schedule=StepsizeSchedule("user", 1e-3), batch_size=0,
             )
+        with pytest.raises(ParameterError, match="rounds"):
+            run("drcs", s, w, alpha=1.0, rounds=0)

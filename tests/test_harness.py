@@ -65,6 +65,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="momentum"):
             parse_config(flags=dict(momentum=0.9))
 
+    def test_gossip_rounds_key_rejected(self):
+        with pytest.raises(ConfigError, match="gossip_rounds"):
+            parse_config(flags={"gossip_rounds": True})
+
     def test_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(algorithm="drdgd", n=4, seed=1)))
@@ -94,6 +98,11 @@ class TestParseConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_config(flags=bad)
+
+    @pytest.mark.parametrize("field", ["max_iters", "max_epochs"])
+    def test_error_names_the_wrong_field(self, field):
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            parse_config(flags={field: -1})
 
 
 class TestResolve:
@@ -130,11 +139,10 @@ class TestResolve:
         res = quiet_resolve(cfg)
         assert res.schedule.base == 3e-3
 
-    def test_gossip_rounds_mode(self):
-        cfg = parse_config(flags=dict(SMALL, t=2, gossip_rounds=True))
-        res = quiet_resolve(cfg)
-        assert res.mix_rounds == 2
-        assert np.allclose(res.mix_matrix.w, res.w.w)
+    def test_mix_rounds_carry_t(self):
+        res = quiet_resolve(parse_config(flags=dict(SMALL, t=2)))
+        assert res.t == res.mix_rounds == 2
+        assert np.array_equal(res.mix_matrix.w, sd.metropolis_weights(res.graph).w)
 
     def test_constant_schedule_estimates_xi(self):
         cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant"))
@@ -281,6 +289,26 @@ class TestCli:
         )
         assert code == EXIT_INGESTION
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_finite_data_is_3(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("1,2\n3,4\n5,nan\n6,7\n")
+        code = main(
+            ["run", "--algorithm", "drdgd", "--problem", "dsv", "--data", str(data),
+             "--n", "2", "--r", "1", "--max-iters", "2"]
+        )
+        assert code == EXIT_INGESTION
+        assert "line 3: non-finite field 'nan'" in capsys.readouterr().err
+
+    def test_gossip_rounds_is_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gossip-rounds"])
+        assert exc.value.code == EXIT_CONFIG
+        # an old config or log echo that still carries the key
+        cfg_file = tmp_path / "old.json"
+        cfg_file.write_text(json.dumps(dict(algorithm="drcs", gossip_rounds=False)))
+        assert main(["run", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert "gossip_rounds" in capsys.readouterr().err
 
     def test_degenerate_mean_is_4(self, capsys):
         # find a seed whose two independent 1-d draws are antipodal

@@ -33,6 +33,10 @@ class TestStiefelPoint:
         with pytest.raises(DimensionError):
             StiefelPoint(np.eye(2, 3))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ParameterError, match="orthonormal"):
+            StiefelPoint(np.full((4, 2), np.nan))
+
     def test_immutable(self):
         x = StiefelPoint(np.eye(3, 1))
         with pytest.raises(ValueError):
@@ -47,6 +51,10 @@ class TestTangentVector:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             TangentVector(E1, np.zeros((3, 1)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ParameterError, match="not tangent"):
+            TangentVector(E1, col(0.0, np.nan))
 
     def test_scaled(self):
         xi = TangentVector(E1, col(0.0, 2.0))
@@ -187,17 +195,17 @@ class TestInducedArithmeticMean:
         rng = np.random.default_rng(10)
         x = sd.random_stiefel(5, 2, rng)
         s = SwarmState((x, x, x))
-        assert np.allclose(sd.induced_arithmetic_mean(s).data, x.data, atol=1e-15)
+        assert np.allclose(s.mean_point.data, x.data, atol=1e-15)
 
     def test_two_point_mean(self):
         s = SwarmState((E1, StiefelPoint(col(0.0, 1.0))))
         expect = col(1.0, 1.0) / np.sqrt(2.0)
-        assert np.allclose(sd.induced_arithmetic_mean(s).data, expect, atol=1e-15)
+        assert np.allclose(s.mean_point.data, expect, atol=1e-15)
 
     def test_antipodal_degenerate(self):
         s = SwarmState((E1, StiefelPoint(col(-1.0, 0.0))))
         with pytest.raises(DegenerateMeanError):
-            sd.induced_arithmetic_mean(s)
+            s.mean_point
 
     def test_iam_vs_euclidean_mean_bound(self):
         # ||xbar - xhat|| <= 2 sqrt(r) ||x - xbar||^2 / n inside the n/2 ball
@@ -235,28 +243,28 @@ class TestConsensusErrors:
         rng = np.random.default_rng(13)
         x = sd.random_stiefel(4, 2, rng)
         s = SwarmState((x, x))
-        assert sd.consensus_error_sq(s) == 0.0
-        assert sd.linf_consensus_error(s) == 0.0
+        assert s.consensus_error_sq == 0.0
+        assert s.linf_error == 0.0
 
     def test_two_point_values(self):
         s = SwarmState((E1, StiefelPoint(col(0.0, 1.0))))
-        assert np.isclose(sd.consensus_error_sq(s), 2.0 - np.sqrt(2.0), atol=1e-14)
+        assert np.isclose(s.consensus_error_sq, 2.0 - np.sqrt(2.0), atol=1e-14)
         assert np.isclose(
-            sd.linf_consensus_error(s), np.sqrt(2.0 - np.sqrt(2.0)), atol=1e-14
+            s.linf_error, np.sqrt(2.0 - np.sqrt(2.0)), atol=1e-14
         )
 
     def test_order_invariance(self):
         rng = np.random.default_rng(14)
         pts = tuple(sd.random_stiefel(5, 2, rng) for _ in range(4))
-        a = sd.consensus_error_sq(SwarmState(pts))
-        b = sd.consensus_error_sq(SwarmState(pts[::-1]))
+        a = SwarmState(pts).consensus_error_sq
+        b = SwarmState(pts[::-1]).consensus_error_sq
         assert np.isclose(a, b, atol=1e-14)
 
     def test_linf_dominates_rms(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             s = sd.perturbed_swarm(sd.random_stiefel(6, 2, rng), 5, 0.3, rng)
-            assert sd.linf_consensus_error(s) >= np.sqrt(sd.consensus_error_sq(s)) - 1e-12
+            assert s.linf_error >= np.sqrt(s.consensus_error_sq) - 1e-12
 
 
 class TestConsensusRegion:

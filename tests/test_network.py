@@ -158,14 +158,6 @@ class TestMix:
         with pytest.raises(DimensionError):
             sd.mix(s, RING4_W)
 
-    def test_sequential_rounds_match_power(self):
-        rng = np.random.default_rng(12)
-        s = SwarmState(tuple(sd.random_stiefel(5, 2, rng) for _ in range(4)))
-        a = sd.mix(s, RING4_W, rounds=3)
-        b = sd.mix(s, sd.matrix_power(RING4_W, 3))
-        for ma, mb in zip(a, b):
-            assert np.allclose(ma, mb, atol=1e-13)
-
     def test_contraction_toward_euclidean_mean(self):
         # ||W^t x - xhat|| <= sigma2^t ||x - xhat|| on the stacked swarm
         rng = np.random.default_rng(13)

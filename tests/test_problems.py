@@ -33,13 +33,13 @@ class TestEigValueAndGrad:
         rng = np.random.default_rng(0)
         o = local_with_gram([1.0] * 6)
         x = sd.random_stiefel(6, 2, rng)
-        assert np.isclose(sd.eig_value(o, x), -1.0, atol=1e-12)  # -r/2
-        assert np.allclose(sd.eig_egrad(o, x), -x.data, atol=1e-12)
+        assert np.isclose(o.value(x), -1.0, atol=1e-12)  # -r/2
+        assert np.allclose(o.euclidean_grad(x), -x.data, atol=1e-12)
 
     def test_diag_2_1(self):
         o = local_with_gram([2.0, 1.0])
-        assert np.isclose(sd.eig_value(o, E1), -1.0, atol=1e-15)
-        assert np.allclose(sd.eig_egrad(o, E1), col(-2.0, 0.0), atol=1e-15)
+        assert np.isclose(o.value(E1), -1.0, atol=1e-15)
+        assert np.allclose(o.euclidean_grad(E1), col(-2.0, 0.0), atol=1e-15)
 
     def test_matches_ambient_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -102,14 +102,6 @@ class TestStochasticGrad:
         o = local_with_gram([1.0, 1.0])
         with pytest.raises(ParameterError):
             o.stochastic_egrad(E1, [5])
-
-    def test_rng_batch_draw(self):
-        rng = np.random.default_rng(4)
-        o = EigLocal(rng.standard_normal((9, 3)))
-        x = sd.random_stiefel(3, 1, rng)
-        v = o.stochastic_euclidean_grad(x, 3, np.random.default_rng(5))
-        w = o.stochastic_euclidean_grad(x, 3, np.random.default_rng(5))
-        assert np.array_equal(v, w)
 
 
 class TestQuadraticConstants:
@@ -241,6 +233,13 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n1,x\n")
         with pytest.raises(IngestionError, match="line 3.*'x'"):
+            sd.load_dsv_partition(path, 1)
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-Infinity"])
+    def test_non_finite_field_names_line(self, tmp_path, tok):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b\n1,2\n3,{tok}\n")
+        with pytest.raises(IngestionError, match=f"line 3: non-finite field '{tok}'"):
             sd.load_dsv_partition(path, 1)
 
     def test_too_few_rows(self, tmp_path):
