@@ -30,6 +30,7 @@ from .errors import (
     DegenerateMeanError,
     DimensionError,
     IngestionError,
+    NumericalError,
     ParameterError,
     StepsizeError,
     StiefelDecError,
@@ -47,7 +48,6 @@ from .manifold import (
     project_to_tangent,
     random_stiefel,
     random_tangent,
-    riemannian_gradient,
 )
 from .metrics import IterationRecord, stationarity_measure, subspace_distance
 from .network import (

@@ -4,8 +4,8 @@ All schemes share the same synchronous-round template: every agent mixes its
 neighbors' variables through t rounds of gossip (one product with W^t),
 projects onto its tangent space, takes a step, and retracts. The consensus
 scheme stops there; the gradient schemes subtract a (stochastic or tracked)
-Riemannian gradient before retracting. Rounds are barrier-synchronized: agents
-read the frozen previous state and the new state is assembled in agent order.
+Riemannian gradient before retracting. Rounds are barrier-synchronized, so a
+round is a few operations on the (n, d, r) stack of all agents' variables.
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateMeanError,
-    DimensionError,
-    ParameterError,
-)
-from .manifold import (
-    StiefelPoint,
-    SwarmState,
-    TangentVector,
-    polar_retract,
-    project_to_tangent,
-    riemannian_gradient,
-)
+from .errors import ContractError, DimensionError, NumericalError, ParameterError
+from .manifold import StiefelPoint, SwarmState, as_stack, polar_retract, project_to_tangent
 from .metrics import IterationRecord, average_value, stationarity_measure, subspace_distance
 from .network import MixingMatrix, matrix_power, mix
 
@@ -38,34 +26,26 @@ ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
 
 @dataclass(frozen=True, eq=False)
 class TrackerState:
-    """Per-agent gradient trackers y_i (ambient matrices, not constrained tangent).
+    """Gradient trackers y_i (ambient, not constrained tangent) and the local
+    Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only (n, d, r)
+    arrays. The tracker average stays equal to the average Riemannian gradient."""
 
-    The defining property is that the tracker average stays equal to the
-    average Riemannian gradient after every step.
-    """
-
-    y: tuple
+    y: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float).copy() for m in self.y)
-        if not mats:
-            raise DimensionError("tracker needs at least one agent")
-        shape = mats[0].shape
-        for i, m in enumerate(mats):
-            if m.shape != shape:
-                raise DimensionError(f"tracker {i} has shape {m.shape}, expected {shape}")
-            m.flags.writeable = False
-        object.__setattr__(self, "y", mats)
+        y, g = as_stack(self.y, "tracker"), as_stack(self.g, "gradient")
+        if g.shape != y.shape:
+            raise DimensionError(f"gradients have shape {g.shape}, trackers {y.shape}")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "g", g)
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return self.y.shape[0]
 
     def average(self) -> np.ndarray:
-        acc = np.zeros_like(self.y[0])
-        for m in self.y:
-            acc += m
-        return acc / self.n
+        return self.y.sum(axis=0) / self.n
 
 
 @dataclass(frozen=True)
@@ -215,43 +195,31 @@ def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    mixed = mix(s, wt)
-    return SwarmState(
-        tuple(
-            polar_retract(x, project_to_tangent(x, m).scaled(alpha))
-            for x, m in zip(s.points, mixed)
-        )
-    )
+    return SwarmState(polar_retract(s.x, alpha * project_to_tangent(s.x, mix(s, wt))))
 
 
 def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, grads) -> SwarmState:
     """One (stochastic) gradient iteration: consensus pull minus a gradient step.
 
-    x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j) - beta_k v_i) where v_i is a
-    tangent vector at x_i (a stochastic Riemannian gradient, or the exact one
-    for the deterministic variant). beta_k = 0 recovers the pure consensus step.
+    x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j) - beta_k v_i) where grads
+    is the (n, d, r) stack of the v_i, tangent vectors at the x_i (stochastic
+    Riemannian gradients, or the exact ones for the deterministic variant).
+    beta_k = 0 recovers the pure consensus step.
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if beta_k < 0.0:
         raise ParameterError(f"beta must be nonnegative, got {beta_k}")
-    grads = list(grads)
-    if len(grads) != s.n:
-        raise ContractError(f"{len(grads)} gradients for {s.n} agents")
-    for i, g in enumerate(grads):
-        if not isinstance(g, TangentVector):
-            raise ContractError(f"gradient {i} is not a TangentVector")
-        if g.base is not s.points[i] and not np.array_equal(g.base.data, s.points[i].data):
-            raise ContractError(f"gradient {i} is attached to a different point")
-    mixed = mix(s, wt)
-    return SwarmState(
-        tuple(
-            polar_retract(
-                x, TangentVector(x, alpha * project_to_tangent(x, m).data - beta_k * g.data)
-            )
-            for x, m, g in zip(s.points, mixed, grads)
-        )
-    )
+    grads = np.asarray(grads, dtype=float)
+    if grads.shape != s.x.shape:
+        raise ContractError(f"gradients of shape {grads.shape} for a swarm of shape {s.x.shape}")
+    consensus = project_to_tangent(s.x, mix(s, wt))
+    return SwarmState(polar_retract(s.x, alpha * consensus - beta_k * grads))
+
+
+def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
+    """The (n, d, r) stack of grad f_i(x_i), one Euclidean gradient per agent."""
+    return project_to_tangent(x, np.stack([o.euclidean_grad(xi) for xi, o in zip(x, locals_)]))
 
 
 def drgta_init(s: SwarmState, locals_) -> TrackerState:
@@ -259,9 +227,8 @@ def drgta_init(s: SwarmState, locals_) -> TrackerState:
     locals_ = list(locals_)
     if len(locals_) != s.n:
         raise ContractError(f"{len(locals_)} objectives for {s.n} agents")
-    return TrackerState(
-        tuple(riemannian_gradient(x, o.euclidean_grad(x)).data for x, o in zip(s.points, locals_))
-    )
+    g = _riemannian_grads(s.x, locals_)
+    return TrackerState(g, g)
 
 
 def drgta_step(
@@ -274,11 +241,12 @@ def drgta_step(
 ) -> tuple:
     """One gradient-tracking iteration; returns the new (swarm, tracker) pair.
 
-    Per agent, in order: project the tracker onto the tangent space,
-    v_i = P_{T_{x_i}} y_i; move x_i <- R_{x_i}(alpha P_{T_{x_i}}(mixed) - beta v_i);
-    refresh the tracker y_i <- sum_j W_ij y_j + grad f_i(x_i+) - grad f_i(x_i).
-    Because W is doubly stochastic the tracker average equals the average
-    Riemannian gradient after every step (the correction telescopes).
+    Per agent: project the tracker onto the tangent space, v_i = P_{T_{x_i}} y_i;
+    move x_i <- R_{x_i}(alpha P_{T_{x_i}}(mixed) - beta v_i); refresh the
+    tracker y_i <- sum_j W_ij y_j + grad f_i(x_i+) - grad f_i(x_i), where
+    grad f_i(x_i) is the one the tracker carries. Because W is doubly
+    stochastic the tracker average equals the average Riemannian gradient
+    after every step (the correction telescopes).
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -287,34 +255,18 @@ def drgta_step(
     locals_ = list(locals_)
     if tr.n != s.n or len(locals_) != s.n:
         raise ContractError("swarm, tracker and objectives must agree on agent count")
-    if tr.y[0].shape != s.points[0].data.shape:
+    if tr.y.shape != s.x.shape:
         raise DimensionError("tracker shape does not match swarm")
-    mixed_x = mix(s, wt)
-
-    def move(i):
-        x = s.points[i]
-        g_old = riemannian_gradient(x, locals_[i].euclidean_grad(x)).data
-        v = project_to_tangent(x, tr.y[i])
-        consensus = project_to_tangent(x, mixed_x[i])
-        direction = TangentVector(x, alpha * consensus.data - beta * v.data)
-        x_new = polar_retract(x, direction)
-        g_new = riemannian_gradient(x_new, locals_[i].euclidean_grad(x_new)).data
-        return x_new, g_new - g_old
-
-    moved = [move(i) for i in range(s.n)]
-    mixed_y = mix(tr.y, wt)
-    new_points = tuple(m[0] for m in moved)
-    new_y = tuple(mixed_y[i] + moved[i][1] for i in range(s.n))
-    return SwarmState(new_points), TrackerState(new_y)
+    consensus = project_to_tangent(s.x, mix(s, wt))
+    moved = SwarmState(polar_retract(s.x, alpha * consensus - beta * project_to_tangent(s.x, tr.y)))
+    g_new = _riemannian_grads(moved.x, locals_)
+    return moved, TrackerState(mix(tr.y, wt) + (g_new - tr.g), g_new)
 
 
 def tracking_residual(tr: TrackerState, s: SwarmState, locals_) -> float:
     """Norm of (tracker average - average Riemannian gradient); zero in exact arithmetic."""
-    locals_ = list(locals_)
-    acc = np.zeros_like(tr.y[0])
-    for i, o in enumerate(locals_):
-        acc += riemannian_gradient(s.points[i], o.euclidean_grad(s.points[i])).data
-    return float(np.linalg.norm(tr.average() - acc / s.n))
+    mean_grad = _riemannian_grads(s.x, list(locals_)).sum(axis=0) / s.n
+    return float(np.linalg.norm(tr.average() - mean_grad))
 
 
 class _EpochStream:
@@ -414,17 +366,14 @@ def run(
     records = []
 
     def snapshot(k: int, beta: float | None):
-        try:
-            ces = s.consensus_error_sq
-            linf = s.linf_error
-            gsq = f_bar = ds = None
-            if with_obj:
-                _, gsq = stationarity_measure(s, locals_)
-                f_bar = average_value(s, locals_)
-            if oracle is not None:
-                ds = subspace_distance(s.mean_point, oracle)
-        except DegenerateMeanError as e:
-            raise DegenerateMeanError(f"round {k}: {e}") from None
+        ces = s.consensus_error_sq
+        linf = s.linf_error
+        gsq = f_bar = ds = None
+        if with_obj:
+            _, gsq = stationarity_measure(s, locals_)
+            f_bar = average_value(s, locals_)
+        if oracle is not None:
+            ds = subspace_distance(s.mean_point, oracle)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None
         records.append(
             IterationRecord(
@@ -448,37 +397,36 @@ def run(
             return "consensus_tol"
         return None
 
-    snapshot(0, None)
-    stop = stop_reason(records[0]) or "max_rounds"
-    step_index = 0
-    if stop == "max_rounds":
-        for k in range(1, max_rounds + 1):
+    k = step_index = 0
+    try:
+        snapshot(0, None)
+        stop = stop_reason(records[0]) or "max_rounds"
+        last = max_rounds if stop == "max_rounds" else 0  # no rounds after an initial stop
+        for k in range(1, last + 1):
             beta = None
             if algorithm == "drcs":
                 s = drcs_step(s, wt, alpha)
             elif algorithm == "drdgd":
                 beta = schedule.beta(k - 1)
-                grads = [
-                    riemannian_gradient(x, o.euclidean_grad(x)) for x, o in zip(s.points, locals_)
-                ]
-                s = drsgd_step(s, wt, alpha, beta, grads)
+                s = drsgd_step(s, wt, alpha, beta, _riemannian_grads(s.x, locals_))
             elif algorithm == "drgta":
                 beta = schedule.beta(k - 1)
                 s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
             else:  # drsgd: one epoch
                 for _ in range(inner_per_epoch):
                     beta = schedule.beta(step_index)
-                    grads = [
-                        riemannian_gradient(x, o.stochastic_egrad(x, st.next()))
-                        for x, o, st in zip(s.points, locals_, streams)
+                    egrads = [
+                        o.stochastic_egrad(x, st.next()) for x, o, st in zip(s.x, locals_, streams)
                     ]
-                    s = drsgd_step(s, wt, alpha, beta, grads)
+                    s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, np.stack(egrads)))
                     step_index += 1
             snapshot(k, beta)
             reason = stop_reason(records[-1])
             if reason:
                 stop = reason
                 break
+    except NumericalError as e:
+        raise type(e)(f"round {k}: {e}") from None
 
     any_tol = bool(tol_ds) or bool(tol_grad) or bool(tol_consensus)
     converged = (stop != "max_rounds") or not any_tol

@@ -2,9 +2,9 @@
 
 Subcommands: run (any algorithm), consensus (pure gossip contraction),
 spectral (graph and mixing-rate report), oracle (centralized solution).
-Exit codes: 0 ok, 2 bad configuration, 3 data ingestion failure,
-4 numerical breakdown (degenerate mean), 5 finished without reaching the
-configured tolerance (the log is still written).
+Exit codes: 0 ok, 2 bad configuration, 3 data ingestion failure, 4 numerical
+breakdown (degenerate mean, non-finite step, failed retraction), 5 finished
+without reaching the configured tolerance (the log is still written).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import sys
 
 from .errors import (
     ConfigError,
-    DegenerateMeanError,
     IngestionError,
+    NumericalError,
     StiefelDecError,
 )
 from .harness import (
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except IngestionError as e:
         print(f"ingestion error: {e}", file=sys.stderr)
         return EXIT_INGESTION
-    except DegenerateMeanError as e:
+    except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except StiefelDecError as e:

@@ -14,10 +14,14 @@ class ParameterError(StiefelDecError, ValueError):
 
 
 class ContractError(StiefelDecError, ValueError):
-    """An input breaks a cross-object contract (e.g. tangent vector at the wrong base point)."""
+    """An input breaks a cross-object contract (e.g. gradients for the wrong number of agents)."""
 
 
-class DegenerateMeanError(StiefelDecError, ArithmeticError):
+class NumericalError(StiefelDecError, ArithmeticError):
+    """A computation broke down: a non-finite step or a failed retraction."""
+
+
+class DegenerateMeanError(NumericalError):
     """The Euclidean mean of the swarm is rank deficient, so the induced mean is undefined."""
 
 

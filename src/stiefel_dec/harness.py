@@ -412,11 +412,9 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
 
 def _build_swarm(cfg, d, r, region) -> SwarmState:
     if cfg.init == "independent":
-        pts = tuple(
-            random_stiefel(d, r, np.random.default_rng([cfg.seed, 1, i]))
-            for i in range(cfg.n)
+        return SwarmState(
+            [random_stiefel(d, r, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.n)]
         )
-        return SwarmState(pts)
     x0 = random_stiefel(d, r, np.random.default_rng([cfg.seed, 1]))
     noise = cfg.perturb
     if noise == 0.0 and cfg.algorithm == "drcs":
@@ -542,7 +540,7 @@ def oracle_report(cfg: ExperimentConfig) -> tuple:
     """Centralized solution of the configured problem and a printable dump."""
     validate_config(cfg)
     locals_, oracle = _build_problem(cfg)
-    total = sum(o.value(oracle) for o in locals_) / len(locals_)
+    total = sum(o.value(oracle.data) for o in locals_) / len(locals_)
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:
         rows.append(" ".join(f"{v:.17g}" for v in row))

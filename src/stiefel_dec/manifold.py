@@ -1,9 +1,10 @@
 """Stiefel manifold primitives.
 
-Points are d x r matrices with orthonormal columns. Everything here is a pure
-function on immutable values: tangent projection, polar retraction, Riemannian
-gradients, the induced arithmetic mean of a swarm of points, the consensus
-error distances built on it, and the consensus-region membership test.
+Points are d x r matrices with orthonormal columns; a swarm of n agents is one
+read-only (n, d, r) array. Tangent projection and polar retraction take
+(..., d, r) arrays, so one call serves one agent or a whole swarm. Invariants
+are checked once, where a StiefelPoint or SwarmState is built. Also here: the
+induced arithmetic mean, the consensus errors and the consensus-region test.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, DegenerateMeanError, DimensionError, ParameterError
+from .errors import DegenerateMeanError, DimensionError, NumericalError, ParameterError
 
 # Construction tolerance for x.T x - I (max-abs entry); an order above
 # double-precision accumulation for d up to ~1000.
 ORTHONORMALITY_TOL = 1e-12
-# Tolerance for the tangent-space constraint x.T v + v.T x = 0.
+# Tolerance for the tangent-space constraint x.T v + v.T x = 0 of a TangentVector.
 TANGENCY_TOL = 1e-10
 # Smallest-to-largest singular value ratio below which the Euclidean mean is
 # treated as rank deficient.
@@ -34,6 +35,28 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return out
 
 
+def as_stack(a, name: str) -> np.ndarray:
+    """A read-only float copy of an (n, d, r) stack given as an array or a sequence of matrices."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise DimensionError(f"{name} is not an (n, d, r) stack: {e}") from None
+    if out.ndim != 3 or out.shape[0] == 0:
+        raise DimensionError(f"{name} must be a nonempty (n, d, r) stack, got shape {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+def _check_orthonormal(x: np.ndarray):
+    """Raise unless every d x r slice of x has orthonormal columns (also rejects NaN and inf)."""
+    d, r = x.shape[-2:]
+    if r < 1 or d < r:
+        raise DimensionError(f"need d >= r >= 1, got d={d}, r={r}")
+    err = np.abs(x.swapaxes(-1, -2) @ x - np.eye(r)).max()
+    if not err <= ORTHONORMALITY_TOL:
+        raise ParameterError(f"columns are not orthonormal: max |x.T x - I| = {err:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
     """A d x r matrix with orthonormal columns (a point on St(d, r))."""
@@ -42,14 +65,7 @@ class StiefelPoint:
 
     def __post_init__(self):
         mat = _as_matrix(self.data, "data").copy()
-        d, r = mat.shape
-        if r < 1 or d < r:
-            raise DimensionError(f"need d >= r >= 1, got d={d}, r={r}")
-        err = np.abs(mat.T @ mat - np.eye(r)).max()
-        if not err <= ORTHONORMALITY_TOL:  # also rejects NaN
-            raise ParameterError(
-                f"columns are not orthonormal: max |x.T x - I| = {err:.3e}"
-            )
+        _check_orthonormal(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
 
@@ -67,7 +83,7 @@ class StiefelPoint:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """A direction attached to a base point, satisfying x.T v + v.T x = 0."""
+    """A direction at a base point with x.T v + v.T x = 0; what random_tangent returns."""
 
     base: StiefelPoint
     data: np.ndarray
@@ -98,70 +114,63 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class SwarmState:
-    """Ordered collection of n agent points, all on the same St(d, r)."""
+    """n agent points on one St(d, r) as a read-only (n, d, r) array x, built from a
+    sequence of StiefelPoints or an array; shape, finiteness and orthonormality
+    are checked once, for the whole stack."""
 
-    points: tuple
+    x: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
-            raise DimensionError("swarm needs at least one agent")
-        d, r = pts[0].d, pts[0].r
-        for i, p in enumerate(pts):
-            if not isinstance(p, StiefelPoint):
-                raise ContractError(f"agent {i} is not a StiefelPoint")
-            if (p.d, p.r) != (d, r):
-                raise DimensionError(
-                    f"agent {i} has shape ({p.d},{p.r}), expected ({d},{r})"
-                )
-        object.__setattr__(self, "points", pts)
+        x = self.x
+        if not isinstance(x, np.ndarray):
+            x = [p.data if isinstance(p, StiefelPoint) else p for p in x]
+        x = as_stack(x, "swarm")
+        _check_orthonormal(x)
+        object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.x.shape[0]
 
     @property
     def d(self) -> int:
-        return self.points[0].d
+        return self.x.shape[1]
 
     @property
     def r(self) -> int:
-        return self.points[0].r
+        return self.x.shape[2]
+
+    @property
+    def points(self) -> tuple:
+        """The agents as StiefelPoints, for callers that want per-agent objects."""
+        return tuple(StiefelPoint(m) for m in self.x)
 
     @cached_property
     def euclidean_mean(self) -> np.ndarray:
         """Plain average (1/n) sum x_i; generally off the manifold."""
-        acc = np.zeros((self.d, self.r))
-        for p in self.points:
-            acc += p.data
-        return acc / self.n
+        return self.x.sum(axis=0) / self.n
 
     @cached_property
     def mean_point(self) -> StiefelPoint:
         """Induced arithmetic mean: the projection of the Euclidean mean onto St(d, r)."""
-        first = self.points[0]
-        if all(p is first or np.array_equal(p.data, first.data) for p in self.points):
-            return first  # exact consensus, no round-off from the projection
+        if (self.x == self.x[0]).all():
+            return StiefelPoint(self.x[0])  # exact consensus, no round-off from the projection
         u, s, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
         if s[-1] <= DEGENERACY_RATIO * s[0]:
-            raise DegenerateMeanError(
-                f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})"
-            )
+            raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})")
         return StiefelPoint(u @ vt)
 
     @cached_property
     def consensus_error_sq(self) -> float:
         """(1/n) sum ||x_i - xbar||_F^2, the squared mean-square distance to consensus."""
         xbar = self.mean_point.data
-        return float(
-            sum(np.linalg.norm(p.data - xbar) ** 2 for p in self.points) / self.n
-        )
+        return float(sum(np.linalg.norm(dev) ** 2 for dev in self.x - xbar) / self.n)
 
     @cached_property
     def linf_error(self) -> float:
         """max_i ||x_i - xbar||_F."""
         xbar = self.mean_point.data
-        return float(max(np.linalg.norm(p.data - xbar) for p in self.points))
+        return float(max(np.linalg.norm(dev) for dev in self.x - xbar))
 
     def stacked_error(self) -> float:
         """Frobenius norm of the stacked deviation, ||x - xbar|| = sqrt(n * mean-square)."""
@@ -222,37 +231,42 @@ class RegionCheck:
         return self.linf_bound - self.linf
 
 
-def project_to_tangent(x: StiefelPoint, y) -> TangentVector:
-    """Orthogonally project an ambient matrix onto the tangent space at x.
+def _same_shape(x, y) -> tuple:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim < 2 or y.shape != x.shape:
+        raise DimensionError(f"shape {y.shape} does not match point {x.shape}")
+    return x, y
 
-    P(y) = y - x (x.T y + y.T x) / 2. Idempotent and self-adjoint.
+
+def project_to_tangent(x, y) -> np.ndarray:
+    """Orthogonally project ambient matrices onto the tangent spaces at x.
+
+    P(y) = y - x (x.T y + y.T x) / 2, slice by slice for (..., d, r) arrays x
+    and y of one shape. Idempotent and self-adjoint.
     """
-    mat = _as_matrix(y, "y")
-    if mat.shape != x.data.shape:
-        raise DimensionError(f"shape {mat.shape} does not match point {x.data.shape}")
-    sym = x.data.T @ mat
-    return TangentVector(x, mat - 0.5 * x.data @ (sym + sym.T))
+    x, y = _same_shape(x, y)
+    sym = x.swapaxes(-1, -2) @ y
+    return y - 0.5 * x @ (sym + sym.swapaxes(-1, -2))
 
 
-def polar_retract(x: StiefelPoint, xi: TangentVector) -> StiefelPoint:
+def polar_retract(x, xi) -> np.ndarray:
     """Polar retraction: the orthogonal projection of x + xi back onto St(d, r).
 
-    Equals (x + xi)(I + xi.T xi)^{-1/2} for tangent xi. The inverse square
-    root comes from a symmetric eigendecomposition of the r x r Gram matrix
-    of x + xi, which is always positive definite.
+    Equals (x + xi)(I + xi.T xi)^{-1/2} for tangent xi, slice by slice for
+    (..., d, r) arrays. The inverse square root comes from a symmetric
+    eigendecomposition of the r x r Gram matrix of x + xi. A step whose Gram
+    matrix is not finite, or not positive definite in floating point, raises
+    NumericalError.
     """
-    if xi.base is not x and not np.array_equal(xi.base.data, x.data):
-        raise ContractError("tangent vector is attached to a different base point")
-    v = x.data + xi.data
-    w, q = np.linalg.eigh(v.T @ v)
-    if w[0] <= 0.0:
-        raise ParameterError("retraction Gram matrix lost positive definiteness")
-    return StiefelPoint(((v @ q) * w**-0.5) @ q.T)
-
-
-def riemannian_gradient(x: StiefelPoint, egrad) -> TangentVector:
-    """Riemannian gradient from a Euclidean one: the tangent projection at x."""
-    return project_to_tangent(x, egrad)
+    x, xi = _same_shape(x, xi)
+    v = x + xi
+    gram = v.swapaxes(-1, -2) @ v
+    if not np.isfinite(gram).all():
+        raise NumericalError("retraction step is not finite")
+    w, q = np.linalg.eigh(gram)
+    if not (w[..., 0] > 0.0).all():
+        raise NumericalError("retraction Gram matrix lost positive definiteness")
+    return ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
 
 
 def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> RegionCheck:
@@ -285,13 +299,13 @@ def random_tangent(
     x: StiefelPoint, rng: np.random.Generator, norm: float | None = None
 ) -> TangentVector:
     """Random tangent direction at x, optionally rescaled to a given norm."""
-    xi = project_to_tangent(x, rng.standard_normal(x.data.shape))
+    xi = project_to_tangent(x.data, rng.standard_normal(x.data.shape))
     if norm is None:
-        return xi
-    cur = xi.norm
+        return TangentVector(x, xi)
+    cur = np.linalg.norm(xi)
     if cur == 0.0:
         raise ParameterError("degenerate random tangent draw")
-    return xi.scaled(norm / cur)
+    return TangentVector(x, (norm / cur) * xi)
 
 
 def perturbed_swarm(
@@ -300,10 +314,7 @@ def perturbed_swarm(
     """Swarm of n copies of x0, each nudged by a tangent step of the given norm."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    pts = []
-    for _ in range(n):
-        if noise == 0.0:
-            pts.append(x0)
-        else:
-            pts.append(polar_retract(x0, random_tangent(x0, rng, noise)))
-    return SwarmState(tuple(pts))
+    if noise == 0.0:
+        return SwarmState((x0,) * n)
+    steps = np.stack([random_tangent(x0, rng, noise).data for _ in range(n)])
+    return SwarmState(polar_retract(np.broadcast_to(x0.data, steps.shape), steps))

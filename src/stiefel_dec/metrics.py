@@ -32,7 +32,7 @@ class IterationRecord:
             raise ParameterError(f"iteration index must be >= 0, got {self.k}")
         for name in ("consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle"):
             v = getattr(self, name)
-            if v is not None and v < 0.0:
+            if v is not None and not v >= 0.0:  # also rejects NaN
                 raise ParameterError(f"{name} must be nonnegative, got {v}")
 
 
@@ -77,16 +77,16 @@ def stationarity_measure(s: SwarmState, locals_) -> tuple:
     locals_ = list(locals_)
     if len(locals_) != s.n:
         raise DimensionError(f"{len(locals_)} objectives for {s.n} agents")
-    xbar = s.mean_point
-    acc = np.zeros_like(xbar.data)
+    xbar = s.mean_point.data
+    acc = np.zeros_like(xbar)
     for o in locals_:
         acc += o.euclidean_grad(xbar)
     grad = project_to_tangent(xbar, acc / s.n)
-    return s.consensus_error_sq, float(grad.norm**2)
+    return s.consensus_error_sq, float(np.linalg.norm(grad)) ** 2
 
 
-def average_value(s_or_point, locals_) -> float:
+def average_value(s: SwarmState, locals_) -> float:
     """f(xbar) = (1/n) sum f_i(xbar), evaluated at the swarm's induced mean."""
     locals_ = list(locals_)
-    point = s_or_point.mean_point if isinstance(s_or_point, SwarmState) else s_or_point
-    return float(sum(o.value(point) for o in locals_) / len(locals_))
+    xbar = s.mean_point.data
+    return float(sum(o.value(xbar) for o in locals_) / len(locals_))

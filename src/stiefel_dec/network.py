@@ -201,22 +201,16 @@ def matrix_power(w: MixingMatrix, t: int) -> MixingMatrix:
     return MixingMatrix(0.5 * (wt + wt.T))
 
 
-def mix(s, wt: MixingMatrix) -> list:
-    """Weighted neighborhood averages: output i is sum_j W_ij x_j.
+def mix(s, wt: MixingMatrix) -> np.ndarray:
+    """Weighted neighborhood averages: slice i of the output is sum_j W_ij x_j.
 
-    Accepts a SwarmState or a sequence of equally shaped ambient matrices.
+    Accepts a SwarmState or an (n, d, r) array and returns an (n, d, r) array.
     Outputs are convex combinations and generally leave the manifold.
     """
-    if isinstance(s, SwarmState):
-        mats = [p.data for p in s.points]
-    else:
-        mats = [np.asarray(m, dtype=float) for m in s]
-    n = len(mats)
-    if wt.n != n:
-        raise DimensionError(f"mixing matrix is {wt.n}x{wt.n}, swarm has {n} agents")
-    shape = mats[0].shape
-    stacked = wt.w @ np.stack([m.reshape(-1) for m in mats])
-    return [row.reshape(shape) for row in stacked]
+    x = s.x if isinstance(s, SwarmState) else np.asarray(s, dtype=float)
+    if x.ndim != 3 or wt.n != x.shape[0]:
+        raise DimensionError(f"mixing matrix is {wt.n}x{wt.n}, swarm has shape {x.shape}")
+    return (wt.w @ x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ class LocalObjective(Protocol):
     @property
     def sample_count(self) -> int: ...
 
-    def value(self, x: StiefelPoint) -> float: ...
+    def value(self, x: np.ndarray) -> float: ...
 
-    def euclidean_grad(self, x: StiefelPoint) -> np.ndarray: ...
+    def euclidean_grad(self, x: np.ndarray) -> np.ndarray: ...
 
-    def stochastic_egrad(self, x: StiefelPoint, batch_indices) -> np.ndarray: ...
+    def stochastic_egrad(self, x: np.ndarray, batch_indices) -> np.ndarray: ...
 
 
 class EigLocal:
@@ -63,26 +63,28 @@ class EigLocal:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    def _check(self, x: StiefelPoint):
-        if x.d != self.dim:
-            raise DimensionError(f"point has d={x.d}, data has d={self.dim}")
+    def _check(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != self.dim:
+            raise DimensionError(f"point has shape {x.shape}, data has d={self.dim}")
+        return x
 
-    def value(self, x: StiefelPoint) -> float:
-        self._check(x)
-        return float(-0.5 * np.sum(x.data * (self.gram @ x.data)))
+    def value(self, x) -> float:
+        x = self._check(x)
+        return float(-0.5 * np.sum(x * (self.gram @ x)))
 
-    def euclidean_grad(self, x: StiefelPoint) -> np.ndarray:
-        self._check(x)
-        return -self.gram @ x.data
+    def euclidean_grad(self, x) -> np.ndarray:
+        x = self._check(x)
+        return -self.gram @ x
 
-    def stochastic_egrad(self, x: StiefelPoint, batch_indices) -> np.ndarray:
+    def stochastic_egrad(self, x, batch_indices) -> np.ndarray:
         """Unbiased gradient estimate from the given sample rows.
 
         Returns -(m/|B|) sum_{s in B} a_s (a_s.T x); averaged over a disjoint
         partition of all rows (weighted by batch size) this telescopes exactly
         to the full gradient.
         """
-        self._check(x)
+        x = self._check(x)
         idx = np.asarray(batch_indices, dtype=int)
         if idx.ndim != 1 or idx.size == 0:
             raise ParameterError("batch must be a nonempty index sequence")
@@ -91,7 +93,7 @@ class EigLocal:
                 f"batch indices out of range [0, {self.sample_count})"
             )
         sub = self.rows[idx]
-        return -(self.sample_count / idx.size) * (sub.T @ (sub @ x.data))
+        return -(self.sample_count / idx.size) * (sub.T @ (sub @ x))
 
     def __repr__(self):
         return f"EigLocal(m={self.sample_count}, d={self.dim})"
@@ -160,9 +162,9 @@ def estimate_xi(
         raise ParameterError(f"need draws >= 1, got {draws}")
     worst = 0.0
     for o in locals_:
-        full = o.euclidean_grad(x)
+        full = o.euclidean_grad(x.data)
         for _ in range(draws):
-            v = o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
+            v = o.stochastic_egrad(x.data, rng.choice(o.sample_count, size=1, replace=False))
             worst = max(worst, float(np.linalg.norm(v - full)))
     return worst
 

@@ -15,7 +15,6 @@ from stiefel_dec import (
     StepsizeSchedule,
     StiefelPoint,
     SwarmState,
-    TangentVector,
     TrackerState,
 )
 from stiefel_dec.algorithms import (
@@ -95,8 +94,7 @@ class TestDrsgdStep:
         rng = np.random.default_rng(2)
         w = sd.metropolis_weights(sd.ring_graph(4))
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(4)))
-        zeros = [TangentVector(p, np.zeros((6, 2))) for p in s.points]
-        a = drsgd_step(s, w, 1.0, 0.0, zeros)
+        a = drsgd_step(s, w, 1.0, 0.0, np.zeros((4, 6, 2)))
         b = drcs_step(s, w, 1.0)
         for pa, pb in zip(a.points, b.points):
             assert np.allclose(pa.data, pb.data, atol=1e-15)
@@ -105,11 +103,11 @@ class TestDrsgdStep:
         rng = np.random.default_rng(3)
         locals_, _ = homogeneous_problem(1, 8, 2, 12, seed=4)
         x = sd.random_stiefel(8, 2, rng)
-        g = sd.riemannian_gradient(x, locals_[0].euclidean_grad(x))
+        g = sd.project_to_tangent(x.data, locals_[0].euclidean_grad(x.data))
         beta = 1e-3
         out = drsgd_step(SwarmState((x,)), SINGLE, 1.0, beta, [g])
-        expect = sd.polar_retract(x, g.scaled(-beta))
-        assert np.allclose(out.points[0].data, expect.data, atol=1e-14)
+        expect = sd.polar_retract(x.data, -beta * g)
+        assert np.allclose(out.points[0].data, expect, atol=1e-14)
 
     def test_stationary_at_oracle_consensus(self):
         # identical data on every agent: grad f_i vanishes at the solution
@@ -117,18 +115,19 @@ class TestDrsgdStep:
         s = SwarmState((xstar,) * 3)
         w = sd.metropolis_weights(sd.ring_graph(3))
         grads = [
-            sd.riemannian_gradient(s.points[i], locals_[i].euclidean_grad(s.points[i]))
+            sd.project_to_tangent(s.x[i], locals_[i].euclidean_grad(s.x[i]))
             for i in range(3)
         ]
         out = drsgd_step(s, w, 1.0, 1e-2, grads)
         for p in out.points:
             assert np.abs(p.data - xstar.data).max() <= 1e-12
 
-    def test_base_mismatch_rejected(self):
+    def test_gradient_count_mismatch_rejected(self):
+        # arrays carry no base point; the contract left is one gradient per agent
         rng = np.random.default_rng(6)
         s = SwarmState(tuple(sd.random_stiefel(5, 2, rng) for _ in range(2)))
         other = sd.random_stiefel(5, 2, rng)
-        bad = [sd.random_tangent(other, rng), sd.random_tangent(other, rng)]
+        bad = [sd.random_tangent(other, rng).data for _ in range(3)]
         with pytest.raises(ContractError):
             drsgd_step(s, HALF2, 1.0, 0.1, bad)
 
@@ -257,7 +256,7 @@ class TestDrgtaInitAndStep:
         locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=13)
         w = sd.metropolis_weights(sd.ring_graph(3))
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
-        tr = TrackerState(tuple(np.zeros((6, 2)) for _ in range(3)))
+        tr = TrackerState(np.zeros((3, 6, 2)), np.zeros((3, 6, 2)))
         stepped, _ = drgta_step(s, tr, w, 1.0, 0.0, locals_)
         reference = drcs_step(s, w, 1.0)
         for pa, pb in zip(stepped.points, reference.points):
@@ -270,19 +269,21 @@ class TestDrgtaInitAndStep:
         s = SwarmState((x,))
         tr = drgta_init(s, locals_)
         beta = 1e-3
-        x_ref = x
+        x_ref = x.data
         for _ in range(20):
             s, tr = drgta_step(s, tr, SINGLE, 1.0, beta, locals_)
-            g = sd.riemannian_gradient(x_ref, o.euclidean_grad(x_ref))
-            x_ref = sd.polar_retract(x_ref, g.scaled(-beta))
-            assert np.allclose(s.points[0].data, x_ref.data, atol=1e-12)
+            g = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref))
+            x_ref = sd.polar_retract(x_ref, -beta * g)
+            assert np.allclose(s.x[0], x_ref, atol=1e-12)
             # tracker telescopes to the current gradient
-            g_now = sd.riemannian_gradient(s.points[0], o.euclidean_grad(s.points[0]))
-            assert np.allclose(tr.y[0], g_now.data, atol=1e-12)
+            g_now = sd.project_to_tangent(s.x[0], o.euclidean_grad(s.x[0]))
+            assert np.allclose(tr.y[0], g_now, atol=1e-12)
 
     def test_tracker_shape_validation(self):
         with pytest.raises(sd.DimensionError):
-            TrackerState((np.zeros((3, 1)), np.zeros((4, 1))))
+            TrackerState((np.zeros((3, 1)), np.zeros((4, 1))), np.zeros((2, 3, 1)))
+        with pytest.raises(sd.DimensionError):
+            TrackerState(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)))
 
 
 class TestRegionPersistenceAndDeviation:
@@ -304,10 +305,10 @@ class TestRegionPersistenceAndDeviation:
         rngs = [np.random.default_rng([16, 2, i]) for i in range(s.n)]
         for k in range(300):
             grads = [
-                sd.riemannian_gradient(
+                sd.project_to_tangent(
                     x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
                 )
-                for x, o, rng in zip(s.points, locals_, rngs)
+                for x, o, rng in zip(s.x, locals_, rngs)
             ]
             s = drsgd_step(s, wt, rate.alpha, sched.beta(k), grads)
             assert bool(sd.in_consensus_region(s, p))
@@ -322,10 +323,10 @@ class TestRegionPersistenceAndDeviation:
         rngs = [np.random.default_rng([17, 2, i]) for i in range(s.n)]
         for k in range(400):
             grads = [
-                sd.riemannian_gradient(
+                sd.project_to_tangent(
                     x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
                 )
-                for x, o, rng in zip(s.points, locals_, rngs)
+                for x, o, rng in zip(s.x, locals_, rngs)
             ]
             s = drsgd_step(s, wt, rate.alpha, beta, grads)
             if k >= 300:

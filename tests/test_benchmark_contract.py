@@ -87,3 +87,24 @@ def test_worker_records_a_capped_execution(name, tmp_path):
     assert rec["failures"] == []
     assert rec["rounds"] == 2
     assert rec["messages"] == 2 * len(res.graph.edges) * res.t * rec["mixes"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_execution_passes_its_checks(name, tmp_path):
+    # the benchmark's --trace 1 wraps every layer; a layer whose kind changed
+    # (say a cached_property turned into a property) breaks only this path
+    spec = WORKLOADS[name]
+    cfg = harness.parse_config(flags=spec.config_flags(0, max_rounds=2))
+    out = tmp_path / "run.csv"
+    spans = tracer.Tracer()
+    spans.install(tracer.layer_table())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res, result, times = worker.execute(cfg, out)
+    finally:
+        spans.uninstall()
+    rec = worker.record(spec, cfg, res, result, times, out, capped=True)
+    assert rec["failures"] == []
+    mixes = spans.phase("algorithms.run")["network.mix"][0]
+    assert mixes == worker.mixes_expected(cfg, res, rec["rounds"])

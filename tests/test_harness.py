@@ -335,6 +335,25 @@ class TestCli:
         )
         assert code == EXIT_NO_CONVERGENCE and out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_is_4(self, capsys):
+        code = main(["run", "--beta-hat", "1e300", "--beta-scale", "raw", "--max-iters", "20"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: round 1: retraction step is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_large_stepsize_runs_to_the_cap(self, tmp_path):
+        # a large but finite step is a poor configuration, not an invalid one
+        out = tmp_path / "big.csv"
+        code = main(
+            ["run", "--beta-hat", "1e5", "--beta-scale", "raw", "--max-iters", "50",
+             "--out", str(out)]
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == CSV_HEADER
+        assert len(rows[1:]) == 51 and rows[-1].startswith("50,")
+
     def test_consensus_subcommand(self, tmp_path):
         out = tmp_path / "cons.csv"
         code = main(

@@ -63,21 +63,21 @@ class TestTangentVector:
 
 class TestProjectToTangent:
     def test_identity_on_tangent(self):
-        out = sd.project_to_tangent(E1, col(0.0, 4.0))
-        assert np.allclose(out.data, col(0.0, 4.0), atol=1e-15)
+        out = sd.project_to_tangent(E1.data, col(0.0, 4.0))
+        assert np.allclose(out, col(0.0, 4.0), atol=1e-15)
 
     def test_r1_matches_complement_projector(self):
         # for r = 1 the projection is (I - x x^T) y
-        out = sd.project_to_tangent(E1, col(3.0, 4.0))
+        out = sd.project_to_tangent(E1.data, col(3.0, 4.0))
         expected = (np.eye(2) - E1.data @ E1.data.T) @ col(3.0, 4.0)
-        assert np.allclose(out.data, expected, atol=1e-15)
-        assert np.allclose(out.data, col(0.0, 4.0), atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
+        assert np.allclose(out, col(0.0, 4.0), atol=1e-15)
 
     def test_point_projects_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = sd.random_stiefel(7, 3, rng)
-            assert sd.project_to_tangent(x, x.data).norm < 1e-14
+            assert np.linalg.norm(sd.project_to_tangent(x.data, x.data)) < 1e-14
 
     def test_idempotent_and_self_adjoint(self):
         rng = np.random.default_rng(2)
@@ -85,35 +85,34 @@ class TestProjectToTangent:
             x = sd.random_stiefel(6, 2, rng)
             y = rng.standard_normal((6, 2))
             z = rng.standard_normal((6, 2))
-            py = sd.project_to_tangent(x, y)
-            assert np.allclose(sd.project_to_tangent(x, py.data).data, py.data, atol=1e-13)
-            pz = sd.project_to_tangent(x, z)
-            assert np.isclose(np.sum(py.data * z), np.sum(y * pz.data), atol=1e-11)
+            py = sd.project_to_tangent(x.data, y)
+            assert np.allclose(sd.project_to_tangent(x.data, py), py, atol=1e-13)
+            pz = sd.project_to_tangent(x.data, z)
+            assert np.isclose(np.sum(py * z), np.sum(y * pz), atol=1e-11)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            sd.project_to_tangent(E1, np.zeros((3, 1)))
+            sd.project_to_tangent(E1.data, np.zeros((3, 1)))
 
 
 class TestPolarRetract:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(3)
         x = sd.random_stiefel(5, 3, rng)
-        out = sd.polar_retract(x, TangentVector(x, np.zeros((5, 3))))
-        assert np.allclose(out.data, x.data, atol=1e-15)
+        out = sd.polar_retract(x.data, np.zeros((5, 3)))
+        assert np.allclose(out, x.data, atol=1e-15)
 
     def test_r1_closed_form(self):
         # polar factor of a single column is the normalized column
-        out = sd.polar_retract(E1, TangentVector(E1, col(0.0, 1.0)))
-        assert np.allclose(out.data, col(1.0, 1.0) / np.sqrt(2.0), atol=1e-15)
+        out = sd.polar_retract(E1.data, col(0.0, 1.0))
+        assert np.allclose(out, col(1.0, 1.0) / np.sqrt(2.0), atol=1e-15)
 
-    def test_wrong_base_rejected(self):
-        rng = np.random.default_rng(4)
-        x = sd.random_stiefel(4, 2, rng)
-        y = sd.random_stiefel(4, 2, rng)
-        xi = sd.random_tangent(x, rng)
-        with pytest.raises(sd.ContractError):
-            sd.polar_retract(y, xi)
+    def test_breakdown_raises_numerical_error(self):
+        x = sd.random_stiefel(4, 2, np.random.default_rng(4))
+        with pytest.raises(sd.NumericalError, match="not finite"):
+            sd.polar_retract(x.data, np.full((4, 2), np.inf))
+        with pytest.raises(sd.NumericalError, match="positive definiteness"):
+            sd.polar_retract(x.data, -x.data)  # x + xi = 0
 
     def test_second_order_bound_1000_trials(self):
         # ||R_x(xi) - (x + xi)|| <= ||xi||^2 whenever ||xi|| <= 1
@@ -123,8 +122,8 @@ class TestPolarRetract:
             r = int(rng.integers(1, d + 1))
             x = sd.random_stiefel(d, r, rng)
             xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 1.0)))
-            out = sd.polar_retract(x, xi)
-            gap = np.linalg.norm(out.data - (x.data + xi.data))
+            out = sd.polar_retract(x.data, xi.data)
+            gap = np.linalg.norm(out - (x.data + xi.data))
             assert gap <= xi.norm**2 + 1e-12
 
     def test_nonexpansive_1000_trials(self):
@@ -136,18 +135,18 @@ class TestPolarRetract:
             x = sd.random_stiefel(d, r, rng)
             y = sd.random_stiefel(d, r, rng)
             xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 3.0)))
-            out = sd.polar_retract(x, xi)
-            lhs = np.linalg.norm(out.data - y.data)
+            out = sd.polar_retract(x.data, xi.data)
+            lhs = np.linalg.norm(out - y.data)
             rhs = np.linalg.norm(x.data + xi.data - y.data)
             assert lhs <= rhs + 1e-12
 
 
 def _sin_objective(b):
     def f(x):
-        return float(np.sin(np.sum(b * x.data)))
+        return float(np.sin(np.sum(b * x)))
 
     def grad(x):
-        return sd.riemannian_gradient(x, np.cos(np.sum(b * x.data)) * b)
+        return sd.project_to_tangent(x, np.cos(np.sum(b * x)) * b)
 
     return f, grad
 
@@ -157,21 +156,21 @@ class TestRiemannianGradient:
         rng = np.random.default_rng(7)
         x = sd.random_stiefel(5, 2, rng)
         xi = sd.random_tangent(x, rng)
-        out = sd.riemannian_gradient(x, xi.data)
-        assert np.allclose(out.data, xi.data, atol=1e-13)
+        out = sd.project_to_tangent(x.data, xi.data)
+        assert np.allclose(out, xi.data, atol=1e-13)
 
     def test_normal_directions_vanish(self):
         rng = np.random.default_rng(8)
         x = sd.random_stiefel(6, 3, rng)
         s = rng.standard_normal((3, 3))
         s = s + s.T
-        assert sd.riemannian_gradient(x, x.data @ s).norm < 1e-13
+        assert np.linalg.norm(sd.project_to_tangent(x.data, x.data @ s)) < 1e-13
 
     def test_eigenvector_is_stationary(self):
         # x = e1 is a leading eigenvector of diag(2, 1), so the gradient vanishes
         egrad = -np.diag([2.0, 1.0]) @ E1.data
-        out = sd.riemannian_gradient(E1, egrad)
-        assert out.norm < 1e-15
+        out = sd.project_to_tangent(E1.data, egrad)
+        assert np.linalg.norm(out) < 1e-15
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -183,10 +182,10 @@ class TestRiemannianGradient:
             b = rng.standard_normal((d, r))
             f, grad = _sin_objective(b)
             xi = sd.random_tangent(x, rng, norm=1.0)
-            forward = f(sd.polar_retract(x, xi.scaled(h)))
-            backward = f(sd.polar_retract(x, xi.scaled(-h)))
+            forward = f(sd.polar_retract(x.data, xi.scaled(h).data))
+            backward = f(sd.polar_retract(x.data, xi.scaled(-h).data))
             numeric = (forward - backward) / (2.0 * h)
-            analytic = float(np.sum(grad(x).data * xi.data))
+            analytic = float(np.sum(grad(x.data) * xi.data))
             assert abs(numeric - analytic) <= 1e-5
 
 
@@ -285,7 +284,7 @@ class TestConsensusRegion:
     def test_large_perturbation_outside(self):
         rng = np.random.default_rng(17)
         x = sd.random_stiefel(6, 1, rng)
-        far = sd.polar_retract(x, sd.random_tangent(x, rng, norm=0.5))
+        far = StiefelPoint(sd.polar_retract(x.data, sd.random_tangent(x, rng, norm=0.5).data))
         chk = sd.in_consensus_region(
             SwarmState((x, x, x, far)), ConsensusRegionParams.tightest(1)
         )

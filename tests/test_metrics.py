@@ -121,6 +121,12 @@ class TestIterationRecord:
         with pytest.raises(ParameterError):
             IterationRecord(k=0, consensus_err_sq=-1.0, linf_err=0.0)
 
+    def test_rejects_nan_metrics(self):
+        with pytest.raises(ParameterError, match="consensus_err_sq"):
+            IterationRecord(k=0, consensus_err_sq=float("nan"), linf_err=float("nan"))
+        with pytest.raises(ParameterError, match="ds_oracle"):
+            IterationRecord(k=0, consensus_err_sq=0.0, linf_err=0.0, ds_oracle=float("nan"))
+
     def test_optional_fields_default_none(self):
         rec = IterationRecord(k=0, consensus_err_sq=0.0, linf_err=0.0)
         assert rec.ds_oracle is None and rec.beta_k is None and rec.elapsed_ms is None

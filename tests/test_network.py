@@ -241,7 +241,7 @@ class TestGradPhiBounds:
             stacked = math.sqrt(sum(np.linalg.norm(p.data - xbar) ** 2 for p in s.points))
             mixed = sd.mix(s, wt)
             grads = [
-                -sd.project_to_tangent(s.points[i], mixed[i]).data for i in range(n)
+                -sd.project_to_tangent(s.x[i], mixed[i]) for i in range(n)
             ]
             stacked_grad = math.sqrt(sum(np.linalg.norm(g_) ** 2 for g_ in grads))
             sum_grad = np.linalg.norm(sum(grads))
