@@ -62,11 +62,9 @@ from .network import (
     min_communication_rounds,
     mix,
     ring_graph,
-    spectral_dump,
 )
 from .problems import (
     EigLocal,
-    LocalObjective,
     SmoothnessConstants,
     centralized_oracle,
     estimate_xi,

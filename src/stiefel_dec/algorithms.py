@@ -269,23 +269,17 @@ def tracking_residual(tr: TrackerState, s: SwarmState, locals_) -> float:
     return float(np.linalg.norm(tr.average() - mean_grad))
 
 
-class _EpochStream:
-    """Per-agent without-replacement sample stream: a fresh shuffle per pass."""
+def steps_per_epoch(locals_, batch_size: int) -> int:
+    """Inner steps of one drsgd epoch: enough batches for the largest local sample set."""
+    return max(math.ceil(o.sample_count / batch_size) for o in locals_)
 
-    def __init__(self, m: int, batch: int, rng: np.random.Generator):
-        self.m = m
-        self.batch = min(batch, m)
-        self.rng = rng
-        self.perm = rng.permutation(m)
-        self.pos = 0
 
-    def next(self) -> np.ndarray:
-        if self.pos >= self.m:
-            self.perm = self.rng.permutation(self.m)
-            self.pos = 0
-        idx = self.perm[self.pos : self.pos + self.batch]
-        self.pos += len(idx)
-        return idx
+def _epoch_batches(m: int, batch: int, rng: np.random.Generator):
+    """One agent's endless without-replacement batches: a fresh shuffle per pass."""
+    while True:
+        perm = rng.permutation(m)
+        for pos in range(0, m, batch):
+            yield perm[pos : pos + batch]
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,8 @@ def run(
     A round is one iteration, except for the stochastic algorithm where it is
     one epoch (a full pass over every agent's samples, shuffled per epoch from
     per-agent streams derived from the seed). One metrics row is recorded per
-    round plus an initial row. Early stop on d_s(mean, oracle) <= tol_ds, on
+    round plus an initial row; a NumericalError carries the rows recorded
+    before it in `records`. Early stop on d_s(mean, oracle) <= tol_ds, on
     ||grad f(mean)|| <= tol_grad, or (consensus runs) on the stacked deviation
     norm <= tol_consensus; tolerances set to None or 0 are disabled. Each
     gossip step runs `rounds` rounds of wt, applied as one product with wt^rounds.
@@ -355,12 +350,10 @@ def run(
     inner_per_epoch = 1
     if algorithm == "drsgd":
         streams = [
-            _EpochStream(o.sample_count, batch_size, np.random.default_rng([seed, 2, i]))
+            _epoch_batches(o.sample_count, batch_size, np.random.default_rng([seed, 2, i]))
             for i, o in enumerate(locals_)
         ]
-        inner_per_epoch = max(
-            math.ceil(o.sample_count / batch_size) for o in locals_
-        )
+        inner_per_epoch = steps_per_epoch(locals_, batch_size)
 
     t_start = time.perf_counter()
     records = []
@@ -398,35 +391,38 @@ def run(
         return None
 
     k = step_index = 0
-    try:
-        snapshot(0, None)
-        stop = stop_reason(records[0]) or "max_rounds"
-        last = max_rounds if stop == "max_rounds" else 0  # no rounds after an initial stop
-        for k in range(1, last + 1):
-            beta = None
-            if algorithm == "drcs":
-                s = drcs_step(s, wt, alpha)
-            elif algorithm == "drdgd":
-                beta = schedule.beta(k - 1)
-                s = drsgd_step(s, wt, alpha, beta, _riemannian_grads(s.x, locals_))
-            elif algorithm == "drgta":
-                beta = schedule.beta(k - 1)
-                s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
-            else:  # drsgd: one epoch
-                for _ in range(inner_per_epoch):
-                    beta = schedule.beta(step_index)
-                    egrads = [
-                        o.stochastic_egrad(x, st.next()) for x, o, st in zip(s.x, locals_, streams)
-                    ]
-                    s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, np.stack(egrads)))
-                    step_index += 1
-            snapshot(k, beta)
-            reason = stop_reason(records[-1])
-            if reason:
-                stop = reason
-                break
-    except NumericalError as e:
-        raise type(e)(f"round {k}: {e}") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # polar_retract reports non-finite steps
+        try:
+            snapshot(0, None)
+            stop = stop_reason(records[0]) or "max_rounds"
+            last = max_rounds if stop == "max_rounds" else 0  # no rounds after an initial stop
+            for k in range(1, last + 1):
+                beta = None
+                if algorithm == "drcs":
+                    s = drcs_step(s, wt, alpha)
+                elif algorithm == "drdgd":
+                    beta = schedule.beta(k - 1)
+                    s = drsgd_step(s, wt, alpha, beta, _riemannian_grads(s.x, locals_))
+                elif algorithm == "drgta":
+                    beta = schedule.beta(k - 1)
+                    s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
+                else:  # drsgd: one epoch
+                    for _ in range(inner_per_epoch):
+                        beta = schedule.beta(step_index)
+                        egrads = [
+                            o.stochastic_egrad(x, next(st)) for x, o, st in zip(s.x, locals_, streams)
+                        ]
+                        s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, np.stack(egrads)))
+                        step_index += 1
+                snapshot(k, beta)
+                reason = stop_reason(records[-1])
+                if reason:
+                    stop = reason
+                    break
+        except NumericalError as e:
+            err = type(e)(f"round {k}: {e}")
+            err.records = tuple(records)  # the rows recorded before the failure
+            raise err from None
 
     any_tol = bool(tol_ds) or bool(tol_grad) or bool(tol_consensus)
     converged = (stop != "max_rounds") or not any_tol

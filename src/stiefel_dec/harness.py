@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,9 @@ from .algorithms import (
     drsgd_constant_schedule,
     drsgd_diminishing_schedule,
     run,
+    steps_per_epoch,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError
 from .manifold import (
     ConsensusRegionParams,
     StiefelPoint,
@@ -35,6 +36,7 @@ from .manifold import (
     perturbed_swarm,
     random_stiefel,
 )
+from .metrics import IterationRecord
 from .network import (
     MixingMatrix,
     complete_graph,
@@ -43,7 +45,6 @@ from .network import (
     metropolis_weights,
     min_communication_rounds,
     ring_graph,
-    spectral_dump,
 )
 from .problems import (
     centralized_oracle,
@@ -53,7 +54,7 @@ from .problems import (
     synthesize_eigengap_data,
 )
 
-CSV_HEADER = "k,consensus_err_sq,linf_err,grad_norm_sq,f_bar,ds_oracle,beta_k,elapsed_ms"
+CSV_HEADER = ",".join(f.name for f in fields(IterationRecord))
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +71,7 @@ _INITS = ("shared", "independent")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; 0 means "resolve automatically" for t and alpha."""
+    """Everything a run needs, checked when built; 0 means "resolve automatically" for t and alpha."""
 
     algorithm: str = "drgta"
     graph: str = "ring"
@@ -102,6 +103,9 @@ class ExperimentConfig:
     timing: bool = False
     out: str | None = None
 
+    def __post_init__(self):
+        validate_config(self)
+
 
 _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
 
@@ -130,11 +134,9 @@ def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
     if "graph" in merged:
         merged.update(_parse_graph_choice(merged["graph"], merged.get("er_p")))
     try:
-        cfg = ExperimentConfig(**merged)
+        return ExperimentConfig(**merged)
     except TypeError as e:
         raise ConfigError(str(e)) from None
-    validate_config(cfg)
-    return cfg
 
 
 def _parse_graph_choice(value, er_p) -> dict:
@@ -211,7 +213,7 @@ def validate_config(cfg: ExperimentConfig):
             "gradient tracking is designed for a constant stepsize; "
             "a diminishing schedule defeats its purpose",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=4,  # the code that built the config
         )
 
 
@@ -239,24 +241,24 @@ class ResolvedExperiment:
 
 
 def _resolve_rates(cfg: ExperimentConfig) -> tuple:
-    """Graph, W, t_min, t, region, and the rate reports at alpha_bar and at the
-    configured alpha (clamped to alpha_bar); 0 in t, alpha or delta1 means auto."""
-    validate_config(cfg)
+    """Graph, W, t_min, t, region, alpha, and the W^t rate reports at alpha_bar and at
+    alpha clamped to alpha_bar (the same one unless alpha < alpha_bar); 0 means auto."""
     g = _build_graph(cfg)
     w = metropolis_weights(g)
     t_min = min_communication_rounds(w)
     t = cfg.t if cfg.t > 0 else t_min
     delta1 = cfg.delta1 if cfg.delta1 > 0.0 else cfg.delta2 / (5.0 * math.sqrt(cfg.r))
     region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
-    base_rate = consensus_rate_params(w, t, region)
-    alpha = min(cfg.alpha, base_rate.alpha_bar) if cfg.alpha > 0.0 else base_rate.alpha_bar
-    return g, w, t_min, t, region, base_rate, consensus_rate_params(w, t, region, alpha=alpha)
+    base_rate = rate = consensus_rate_params(w, t, region)
+    alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
+    if alpha < base_rate.alpha_bar:
+        rate = consensus_rate_params(w, t, region, alpha=alpha)
+    return g, w, t_min, t, region, alpha, base_rate, rate
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
-    g, w, t_min, t, region, base_rate, rate = _resolve_rates(cfg)
+    g, w, t_min, t, region, alpha, base_rate, rate = _resolve_rates(cfg)
     r_cols = cfg.r
-    alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
     if alpha > base_rate.alpha_bar:
         warnings.warn(
             f"alpha = {alpha:.6g} exceeds the theoretical cap "
@@ -400,8 +402,7 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
     xi = estimate_xi(locals_, x0, np.random.default_rng([cfg.seed, 3]))
     constants = constants.with_xi(xi, estimate=True)
     if cfg.algorithm == "drsgd":
-        inner = max(math.ceil(o.sample_count / cfg.batch_size) for o in locals_)
-        k_total = cfg.max_epochs * inner
+        k_total = cfg.max_epochs * steps_per_epoch(locals_, cfg.batch_size)
     else:
         k_total = cfg.max_iters
     schedule = drsgd_constant_schedule(
@@ -436,25 +437,31 @@ class ExperimentOutcome:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    """Resolve, run, write the CSV log, and report a one-line summary."""
+    """Resolve, run, write the CSV log, and report a one-line summary. A run that
+    breaks down numerically still writes the rows recorded before the failure."""
     res = resolve(cfg)
-    result = run(
-        cfg.algorithm,
-        res.swarm0,
-        res.mix_matrix,
-        alpha=res.alpha,
-        locals_=res.locals_,
-        schedule=res.schedule,
-        oracle=res.oracle,
-        max_rounds=res.max_rounds,
-        batch_size=cfg.batch_size,
-        tol_ds=res.tol_ds,
-        tol_grad=res.tol_grad,
-        tol_consensus=res.tol_consensus,
-        seed=cfg.seed,
-        rounds=res.mix_rounds,
-        timing=cfg.timing,
-    )
+    try:
+        result = run(
+            cfg.algorithm,
+            res.swarm0,
+            res.mix_matrix,
+            alpha=res.alpha,
+            locals_=res.locals_,
+            schedule=res.schedule,
+            oracle=res.oracle,
+            max_rounds=res.max_rounds,
+            batch_size=cfg.batch_size,
+            tol_ds=res.tol_ds,
+            tol_grad=res.tol_grad,
+            tol_consensus=res.tol_consensus,
+            seed=cfg.seed,
+            rounds=res.mix_rounds,
+            timing=cfg.timing,
+        )
+    except NumericalError as e:
+        if cfg.out:
+            write_csv(cfg.out, cfg, res.header, e.records)
+        raise
     csv_path = None
     if cfg.out:
         write_csv(cfg.out, cfg, res.header, result.records)
@@ -493,22 +500,8 @@ def write_csv(path, cfg: ExperimentConfig, header: dict, records):
         f"# constants: {json.dumps(header, sort_keys=True)}",
         CSV_HEADER,
     ]
-    for rec in records:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    rec.k,
-                    rec.consensus_err_sq,
-                    rec.linf_err,
-                    rec.grad_norm_sq,
-                    rec.f_bar,
-                    rec.ds_oracle,
-                    rec.beta_k,
-                    rec.elapsed_ms,
-                )
-            )
-        )
+    # vars() keeps the field order of CSV_HEADER; dataclasses.astuple would deep-copy each row
+    lines += (",".join(_cell(v) for v in vars(rec).values()) for rec in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -522,10 +515,17 @@ def read_config_echo(path) -> dict:
 
 
 def spectral_report(cfg: ExperimentConfig) -> str:
-    """Graph and mixing diagnostics: the base dump plus the resolved-t constants."""
-    g, w, _, t, region, _, rate = _resolve_rates(cfg)
+    """Graph and mixing diagnostics: n, the edge list, sigma2, lambda_min, t_min
+    and rho_t at alpha_bar for t_min rounds, then the constants of the resolved t."""
+    g, w, t_min, t, region, _, base_rate, rate = _resolve_rates(cfg)
+    at_t_min = base_rate if t == t_min else consensus_rate_params(w, t_min, region)
     lines = [
-        spectral_dump(g, w, region),
+        f"n {g.n}",
+        f"edges {' '.join(f'{i}-{j}' for i, j in sorted(g.edges))}",
+        f"sigma2 {w.sigma2:.12g}",
+        f"lambda_min {w.lambda_min:.12g}",
+        f"t_min {t_min}",
+        f"rho_t {at_t_min.rho_t:.12g}",
         f"t {t}",
         f"L_t {rate.l_t:.12g}",
         f"mu_t {rate.mu_t:.12g}",
@@ -538,7 +538,6 @@ def spectral_report(cfg: ExperimentConfig) -> str:
 
 def oracle_report(cfg: ExperimentConfig) -> tuple:
     """Centralized solution of the configured problem and a printable dump."""
-    validate_config(cfg)
     locals_, oracle = _build_problem(cfg)
     total = sum(o.value(oracle.data) for o in locals_) / len(locals_)
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]

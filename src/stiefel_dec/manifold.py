@@ -161,16 +161,19 @@ class SwarmState:
         return StiefelPoint(u @ vt)
 
     @cached_property
+    def _deviation_norms(self) -> tuple:
+        """||x_i - xbar||_F per agent, in agent order."""
+        return tuple(np.linalg.norm(dev) for dev in self.x - self.mean_point.data)
+
+    @cached_property
     def consensus_error_sq(self) -> float:
         """(1/n) sum ||x_i - xbar||_F^2, the squared mean-square distance to consensus."""
-        xbar = self.mean_point.data
-        return float(sum(np.linalg.norm(dev) ** 2 for dev in self.x - xbar) / self.n)
+        return float(sum(v**2 for v in self._deviation_norms) / self.n)
 
     @cached_property
     def linf_error(self) -> float:
         """max_i ||x_i - xbar||_F."""
-        xbar = self.mean_point.data
-        return float(max(np.linalg.norm(dev) for dev in self.x - xbar))
+        return float(max(self._deviation_norms))
 
     def stacked_error(self) -> float:
         """Frobenius norm of the stacked deviation, ||x - xbar|| = sqrt(n * mean-square)."""

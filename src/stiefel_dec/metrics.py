@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .manifold import StiefelPoint, SwarmState, project_to_tangent
+from .manifold import StiefelPoint, SwarmState, _as_matrix, project_to_tangent
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ class IterationRecord:
 def _orthonormal_basis(x) -> np.ndarray:
     if isinstance(x, StiefelPoint):
         return x.data
-    mat = np.asarray(x, dtype=float)
-    if mat.ndim == 1:
-        mat = mat.reshape(-1, 1)
-    if mat.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={mat.ndim}")
-    q, _ = np.linalg.qr(mat)
+    q, _ = np.linalg.qr(_as_matrix(x, "point"))
     return q
 
 

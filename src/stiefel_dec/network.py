@@ -271,18 +271,3 @@ def consensus_rate_params(
         rho_t=float(np.sqrt(rho_sq)),
     )
 
-
-def spectral_dump(g: Graph, w: MixingMatrix, p: ConsensusRegionParams) -> str:
-    """Diagnostic text dump: n, edge list, sigma2, lambda_min, t_min, rho_t at alpha_bar."""
-    t_min = min_communication_rounds(w)
-    report = consensus_rate_params(w, t_min, p)
-    edge_text = " ".join(f"{i}-{j}" for i, j in sorted(g.edges))
-    lines = [
-        f"n {g.n}",
-        f"edges {edge_text}",
-        f"sigma2 {w.sigma2:.12g}",
-        f"lambda_min {w.lambda_min:.12g}",
-        f"t_min {t_min}",
-        f"rho_t {report.rho_t:.12g}",
-    ]
-    return "\n".join(lines)

@@ -13,26 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import DimensionError, IngestionError, ParameterError
 from .manifold import StiefelPoint
-
-
-@runtime_checkable
-class LocalObjective(Protocol):
-    """What an agent-local objective must provide to the algorithms."""
-
-    @property
-    def sample_count(self) -> int: ...
-
-    def value(self, x: np.ndarray) -> float: ...
-
-    def euclidean_grad(self, x: np.ndarray) -> np.ndarray: ...
-
-    def stochastic_egrad(self, x: np.ndarray, batch_indices) -> np.ndarray: ...
 
 
 class EigLocal:

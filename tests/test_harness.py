@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,13 @@ class TestRunExperiment:
         assert outcome.code == EXIT_NO_CONVERGENCE
         assert out.exists() and len(out.read_text().splitlines()) == 4 + 4
 
+    def test_diminishing_tracking_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(parse_config(flags=dict(SMALL, schedule="diminishing", max_iters=2)))
+        texts = [str(w.message) for w in caught]
+        assert sum("designed for a constant stepsize" in t for t in texts) == 1
+
     def test_monotone_consensus_decrease(self, tmp_path):
         cfg = parse_config(
             flags=dict(algorithm="drcs", graph="ring", n=4, d=10, r=2, max_iters=100, seed=2)
@@ -235,6 +246,13 @@ class TestSpectralReport:
         cfg = parse_config(flags=dict(graph="ring", n=4, r=1))
         text = spectral_report(cfg)
         lines = dict(l.split(" ", 1) for l in text.splitlines())
+        assert [l.split(" ", 1)[0] for l in text.splitlines()] == [
+            "n", "edges", "sigma2", "lambda_min", "t_min", "rho_t",  # rho_t at t_min, alpha_bar
+            "t", "L_t", "mu_t", "alpha_bar", "gamma_t", "rho_t",
+        ]
+        assert lines["n"] == "4"
+        assert lines["edges"] == "0-1 0-3 1-2 2-3"
+        assert lines["lambda_min"] == "-0.333333333333"
         assert lines["sigma2"] == "0.333333333333"
         assert lines["t_min"] == "2"
         assert lines["t"] == "2"
@@ -340,6 +358,27 @@ class TestCli:
         code = main(["run", "--beta-hat", "1e300", "--beta-scale", "raw", "--max-iters", "20"])
         assert code == EXIT_NUMERICAL
         assert "numerical error: round 1: retraction step is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_writes_partial_log(self, tmp_path):
+        out = tmp_path / "nf.csv"
+        code = main(["run", "--beta-hat", "1e300", "--beta-scale", "raw", "--max-iters", "20",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4 + 1 and lines[3] == CSV_HEADER and lines[4].startswith("0,")
+
+    def test_non_finite_step_prints_no_overflow_warning(self, tmp_path):
+        # numpy's warnings reach stderr only outside pytest's capture, so run the CLI itself
+        env = dict(os.environ, PYTHONPATH=str(Path(sd.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stiefel_dec.cli", "run", "--beta-hat", "1e300",
+             "--beta-scale", "raw", "--max-iters", "20"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "round 1: retraction step is not finite" in proc.stderr
+        assert "overflow" not in proc.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_large_stepsize_runs_to_the_cap(self, tmp_path):

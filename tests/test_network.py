@@ -248,14 +248,3 @@ class TestGradPhiBounds:
             assert stacked_grad <= l_t * stacked + 1e-10
             assert sum_grad <= l_t * stacked**2 + 1e-10
 
-
-class TestSpectralDump:
-    def test_ring4_format(self):
-        g = sd.ring_graph(4)
-        text = sd.spectral_dump(g, RING4_W, ConsensusRegionParams.tightest(1))
-        lines = dict(line.split(" ", 1) for line in text.splitlines())
-        assert lines["n"] == "4"
-        assert lines["sigma2"] == "0.333333333333"
-        assert lines["t_min"] == "2"
-        assert set(lines) == {"n", "edges", "sigma2", "lambda_min", "t_min", "rho_t"}
-        assert 0.0 < float(lines["rho_t"]) < 1.0

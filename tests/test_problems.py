@@ -8,7 +8,6 @@ from stiefel_dec import (
     DimensionError,
     EigLocal,
     IngestionError,
-    LocalObjective,
     ParameterError,
     SmoothnessConstants,
     StiefelPoint,
@@ -61,9 +60,6 @@ class TestEigValueAndGrad:
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.raises(DimensionError):
             o.value(E1.data)
-
-    def test_protocol_conformance(self):
-        assert isinstance(local_with_gram([1.0, 2.0]), LocalObjective)
 
 
 class TestStochasticGrad:
