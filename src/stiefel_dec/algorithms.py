@@ -165,7 +165,12 @@ def drgta_theoretical_stepsize(
     c1 = 2.0 / (1.0 - rho_t) ** 2
     c0 = 2.0 / (1.0 - rho_t) ** 2
     c2 = 2.0 / (1.0 - sigma2_t) ** 2
-    g0 = 4.0 * r * (lb + 2.0 * db) ** 2 * c1 / lb**2
+    # g0 is scale-free, so where its squares would leave the normal range (data near
+    # 1e80 overflow them) it is evaluated on lb and db scaled by a power of two. Not
+    # everywhere: ** rounds through libm pow, which can move a last bit under scaling.
+    e = 0 if 1e-150 < lb < 1e150 else math.frexp(lb)[1]
+    ls, ds = math.ldexp(lb, -e), math.ldexp(db, -e)
+    g0 = 4.0 * r * (ls + 2.0 * ds) ** 2 * c1 / ls**2
     g1 = 1.0 + g0 + (2.0 * db * alpha + 8.0 * db * alpha**2) / lb + 13.0 * c1 * delta1**2 * alpha**4
     g2 = 2.0 * db / lb + delta1**2 / 2.0 + 5.0
     g3 = g1 * c0 + g0 * c0 + g2
@@ -363,8 +368,10 @@ def run(
         linf = s.linf_error
         gsq = f_bar = ds = None
         if with_obj:
-            _, gsq = stationarity_measure(s, locals_)
-            f_bar = average_value(s, locals_)
+            xbar = s.mean_point.data
+            egrads = [o.euclidean_grad(xbar) for o in locals_]
+            gsq = stationarity_measure(xbar, egrads)
+            f_bar = average_value(xbar, egrads)
         if oracle is not None:
             ds = subspace_distance(s.mean_point, oracle)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None

@@ -3,8 +3,8 @@
 Subcommands: run (any algorithm), consensus (pure gossip contraction),
 spectral (graph and mixing-rate report), oracle (centralized solution).
 Exit codes: 0 ok, 2 bad configuration, 3 data ingestion failure, 4 numerical
-breakdown (degenerate mean, non-finite step, failed retraction), 5 finished
-without reaching the configured tolerance (the log is still written).
+breakdown (degenerate mean, non-finite step or metric, failed retraction), 5
+finished without reaching the configured tolerance (the log is still written).
 """
 
 from __future__ import annotations

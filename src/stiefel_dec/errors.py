@@ -18,7 +18,7 @@ class ContractError(StiefelDecError, ValueError):
 
 
 class NumericalError(StiefelDecError, ArithmeticError):
-    """A computation broke down: a non-finite step or a failed retraction."""
+    """A computation broke down: a non-finite step or metric, or a failed retraction."""
 
 
 class DegenerateMeanError(NumericalError):

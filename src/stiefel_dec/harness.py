@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -36,7 +37,7 @@ from .manifold import (
     perturbed_swarm,
     random_stiefel,
 )
-from .metrics import IterationRecord
+from .metrics import IterationRecord, average_value
 from .network import (
     MixingMatrix,
     complete_graph,
@@ -113,8 +114,8 @@ _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
 def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
     """Build a config from a JSON file and/or a flat dict of overrides.
 
-    Flag values override file values. Unknown keys, bad ranges and
-    inconsistent combinations raise ConfigError with the field name.
+    Flag values override file values. Unknown keys, wrongly typed values, bad
+    ranges and inconsistent combinations raise ConfigError with the field name.
     """
     merged = {}
     if file is not None:
@@ -133,10 +134,7 @@ def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "graph" in merged:
         merged.update(_parse_graph_choice(merged["graph"], merged.get("er_p")))
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
+    return ExperimentConfig(**merged)
 
 
 def _parse_graph_choice(value, er_p) -> dict:
@@ -154,10 +152,27 @@ def _parse_graph_choice(value, er_p) -> dict:
     return out
 
 
+# annotation -> (accepted type, noun for errors); a bool is an int in Python but not here
+_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "a boolean"),
+}
+
+
 def validate_config(cfg: ExperimentConfig):
     def bad(field, msg):
         raise ConfigError(f"{field}: {msg}")
 
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        accepted, noun = _KINDS[kind]
+        if v is None and optional:
+            continue
+        if not isinstance(v, accepted) or isinstance(v, bool) != (kind == "bool"):
+            bad(f.name, f"must be {noun}, got {v!r}")
     if cfg.algorithm not in ALGORITHMS:
         bad("algorithm", f"must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
     if cfg.graph not in _GRAPHS:
@@ -539,7 +554,7 @@ def spectral_report(cfg: ExperimentConfig) -> str:
 def oracle_report(cfg: ExperimentConfig) -> tuple:
     """Centralized solution of the configured problem and a printable dump."""
     locals_, oracle = _build_problem(cfg)
-    total = sum(o.value(oracle.data) for o in locals_) / len(locals_)
+    total = average_value(oracle.data, [o.euclidean_grad(oracle.data) for o in locals_])
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:
         rows.append(" ".join(f"{v:.17g}" for v in row))

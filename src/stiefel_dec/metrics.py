@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .manifold import StiefelPoint, SwarmState, _as_matrix, project_to_tangent
+from .errors import DimensionError, NumericalError, ParameterError
+from .manifold import StiefelPoint, _as_matrix, project_to_tangent
+
+
+_NONNEGATIVE = ("k", "consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle")
 
 
 @dataclass(frozen=True)
@@ -15,7 +19,8 @@ class IterationRecord:
     """One metrics row of a run; k counts iterations (epochs for stochastic runs).
 
     Fields without a meaning for a given algorithm are None (e.g. no objective
-    values in a pure consensus run, no oracle distance without an oracle).
+    values in a pure consensus run, no oracle distance without an oracle). A
+    non-finite value raises NumericalError, a negative norm ParameterError.
     """
 
     k: int
@@ -28,11 +33,12 @@ class IterationRecord:
     elapsed_ms: float | None = None
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ParameterError(f"iteration index must be >= 0, got {self.k}")
-        for name in ("consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle"):
-            v = getattr(self, name)
-            if v is not None and not v >= 0.0:  # also rejects NaN
+        for name, v in vars(self).items():
+            if v is None:
+                continue
+            if not math.isfinite(v):
+                raise NumericalError(f"{name} is not finite: {v}")
+            if v < 0 and name in _NONNEGATIVE:
                 raise ParameterError(f"{name} must be nonnegative, got {v}")
 
 
@@ -62,26 +68,26 @@ def subspace_distance(x, y) -> float:
     return float(np.linalg.norm(u @ (p @ qt) - v))
 
 
-def stationarity_measure(s: SwarmState, locals_) -> tuple:
-    """The two quantities defining an epsilon-stationary swarm.
-
-    Returns ((1/n) sum ||x_i - xbar||^2, ||grad f(xbar)||^2) where f is the
-    average objective and the gradient is projected to the tangent space at
-    the induced mean.
-    """
-    locals_ = list(locals_)
-    if len(locals_) != s.n:
-        raise DimensionError(f"{len(locals_)} objectives for {s.n} agents")
-    xbar = s.mean_point.data
+def stationarity_measure(xbar: np.ndarray, egrads) -> float:
+    """||grad f(xbar)||^2 for the average objective f, from the agents' Euclidean
+    gradients egrads, each taken at xbar and summed in agent order; the average
+    is projected to the tangent space at xbar. One gradient per agent: an empty
+    list, or a gradient not shaped like xbar, raises DimensionError."""
+    if len(egrads) == 0:
+        raise DimensionError("need one gradient per agent, got none")
     acc = np.zeros_like(xbar)
-    for o in locals_:
-        acc += o.euclidean_grad(xbar)
-    grad = project_to_tangent(xbar, acc / s.n)
-    return s.consensus_error_sq, float(np.linalg.norm(grad)) ** 2
+    for g in egrads:
+        if np.shape(g) != xbar.shape:
+            raise DimensionError(f"gradient has shape {np.shape(g)}, point {xbar.shape}")
+        acc += g
+    grad = project_to_tangent(xbar, acc / len(egrads))
+    return float(np.linalg.norm(grad)) ** 2
 
 
-def average_value(s: SwarmState, locals_) -> float:
-    """f(xbar) = (1/n) sum f_i(xbar), evaluated at the swarm's induced mean."""
-    locals_ = list(locals_)
-    xbar = s.mean_point.data
-    return float(sum(o.value(xbar) for o in locals_) / len(locals_))
+def average_value(xbar: np.ndarray, egrads) -> float:
+    """f(xbar) = (1/n) sum f_i(xbar), from the same Euclidean gradients at xbar.
+
+    Each f_i(x) = -tr(x.T G_i x)/2 is quadratic, so f_i(x) = <x, grad f_i(x)>/2
+    with grad f_i(x) = -G_i x; the inner product gives exactly EigLocal.value.
+    """
+    return float(sum(0.5 * np.sum(xbar * g) for g in egrads) / len(egrads))

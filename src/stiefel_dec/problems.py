@@ -34,8 +34,11 @@ class EigLocal:
             raise DimensionError(f"data block must be a nonempty matrix, got {rows.shape}")
         rows = rows.copy()
         rows.flags.writeable = False
-        gram = rows.T @ rows
-        gram = 0.5 * (gram + gram.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            gram = rows.T @ rows
+            gram = 0.5 * (gram + gram.T)
+        if not np.isfinite(gram).all():
+            raise ParameterError("Gram matrix of the data block is not finite (values too large)")
         gram.flags.writeable = False
         self.rows = rows
         self.gram = gram
@@ -60,7 +63,7 @@ class EigLocal:
 
     def euclidean_grad(self, x) -> np.ndarray:
         x = self._check(x)
-        return -self.gram @ x
+        return -(self.gram @ x)
 
     def stochastic_egrad(self, x, batch_indices) -> np.ndarray:
         """Unbiased gradient estimate from the given sample rows.
@@ -192,7 +195,7 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
     leading non-numeric row is skipped). Rows are divided by the divisor and
     split into n contiguous blocks; the first (rows mod n) agents get one
     extra row each. Parse failures and non-finite fields (nan, inf) report the
-    1-based line number.
+    1-based line number; a block whose Gram matrix overflows names its agent.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
@@ -235,7 +238,10 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
     start = 0
     for i in range(n):
         size = base + (1 if i < extra else 0)
-        blocks.append(EigLocal(data[start : start + size]))
+        try:
+            blocks.append(EigLocal(data[start : start + size]))
+        except ParameterError as e:
+            raise IngestionError(f"agent {i}: {e}; scale the data down with --divisor") from None
         start += size
     return blocks
 

@@ -213,6 +213,20 @@ class TestDrgtaStepsizes:
         assert 0.0 < theory <= beta_bar
         assert theory <= 1.0 / (8.0 * REFERENCE_CONSTANTS.l_big)
 
+    def test_theoretical_cap_on_extreme_constants(self):
+        # data near 1e80 gives l_big near 1e160, whose square overflows a float, and
+        # near 1e-160 one whose square underflows to 0; the cap scales as 1/l_big, so
+        # scaling the constants by 2^100 scales it by 2^-100
+        c = REFERENCE_CONSTANTS
+
+        def cap(e):
+            scaled = SmoothnessConstants(*(math.ldexp(v, e) for v in (c.l, c.l_n, c.l_g, c.l_big, c.d_bound)))
+            return drgta_theoretical_stepsize(scaled, 0.5, 0.25, 1.0, 0.02, r=2)
+
+        for e in (600, -700):
+            assert 0.0 < cap(e) < math.inf
+            assert cap(e + 100) == math.ldexp(cap(e), -100)
+
 
 class TestDrgtaInitAndStep:
     def test_init_tracker_identity_exact(self):
@@ -433,6 +447,19 @@ class TestRun:
             for pa, pb in zip(a.final.points, b.final.points):
                 assert np.array_equal(pa.data, pb.data)
 
+    def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
+        # f(xbar) and ||grad f(xbar)||^2 share one Euclidean gradient per agent
+        locals_, xstar, w, s = self._instance(seed=23)
+        calls = {"euclidean_grad": 0, "value": 0}
+        for name in calls:
+            def counted(self, x, _orig=getattr(EigLocal, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, x)
+            monkeypatch.setattr(EigLocal, name, counted)
+        run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3),
+            oracle=xstar, max_rounds=0)
+        assert calls == {"euclidean_grad": len(locals_), "value": 0}
+
     def test_argument_validation(self):
         locals_, xstar, w, s = self._instance(seed=22)
         with pytest.raises(ParameterError):
@@ -448,3 +475,5 @@ class TestRun:
             )
         with pytest.raises(ParameterError, match="rounds"):
             run("drcs", s, w, alpha=1.0, rounds=0)
+        with pytest.raises(ContractError):
+            run("drdgd", s, w, alpha=1.0, locals_=locals_[:-1], schedule=StepsizeSchedule("user", 1e-3))

@@ -44,6 +44,12 @@ def quiet_run(cfg):
         return run_experiment(cfg)
 
 
+def write_rows(path, scale):
+    """25 comma-separated Gaussian rows of width 6, times scale."""
+    rows = np.random.default_rng(31).standard_normal((25, 6)) * scale
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+
+
 class TestParseConfig:
     def test_paper_style_flags_accepted(self):
         cfg = parse_config(
@@ -107,6 +113,24 @@ class TestParseConfig:
     def test_error_names_the_wrong_field(self, field):
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             parse_config(flags={field: -1})
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (dict(n=8.0), "n: must be an integer, got 8.0"),
+            (dict(n=True), "n: must be an integer, got True"),
+            (dict(alpha="1"), "alpha: must be a number, got '1'"),
+            (dict(timing=1), "timing: must be a boolean, got 1"),
+            (dict(out=3), "out: must be a string, got 3"),
+        ],
+    )
+    def test_mistyped_value_names_its_field(self, flags, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(flags=flags)
+
+    def test_optional_fields_take_none_and_floats_take_ints(self):
+        cfg = parse_config(flags=dict(out=None, tol_ds=None, alpha=1, er_p=1))
+        assert cfg.out is None and cfg.tol_ds is None and cfg.alpha == 1
 
 
 class TestResolve:
@@ -317,6 +341,47 @@ class TestCli:
         )
         assert code == EXIT_INGESTION
         assert "line 3: non-finite field 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ({"n": 8.0}, "n: must be an integer, got 8.0"),
+            ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+            ({"t": "1"}, "t: must be an integer, got '1'"),
+        ],
+    )
+    def test_mistyped_config_file_value_is_2(self, tmp_path, capsys, value, message):
+        cfg_file = tmp_path / "f.json"
+        cfg_file.write_text(json.dumps(value))
+        assert main(["run", "--config", str(cfg_file), "--max-iters", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("scale,divisor", [(1e154, "1"), (1.0, "1e-300")])
+    def test_gram_overflow_is_3(self, tmp_path, capsys, scale, divisor):
+        data = tmp_path / "big.csv"
+        write_rows(data, scale)
+        for command in (["run", "--algorithm", "drdgd", "--max-iters", "2"], ["oracle"]):
+            code = main(command + ["--problem", "dsv", "--data", str(data), "--n", "3", "--r", "2",
+                                   "--divisor", divisor])
+            err = capsys.readouterr().err
+            assert code == EXIT_INGESTION and "not finite" in err and "--divisor" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm,scale", [("drgta", 1e80), ("drdgd", 1e100)])
+    def test_non_finite_metric_row_is_4(self, tmp_path, capsys, algorithm, scale):
+        # the gradient norm at the start overflows; near 1e80 the drgta header
+        # heuristic squares l_big, which must not overflow first
+        data, out = tmp_path / "big.csv", tmp_path / "big_log.csv"
+        write_rows(data, scale)
+        code = main(["run", "--algorithm", algorithm, "--problem", "dsv", "--data", str(data),
+                     "--n", "4", "--r", "2", "--max-iters", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: round 0: grad_norm_sq is not finite: inf" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4 and lines[3] == CSV_HEADER
+        if algorithm == "drgta":
+            constants = json.loads(lines[2][len("# constants: "):])
+            assert 0.0 < constants["beta_theory_heuristic"] < float("inf")
 
     def test_gossip_rounds_is_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

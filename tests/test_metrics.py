@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import stiefel_dec as sd
-from stiefel_dec import DimensionError, IterationRecord, ParameterError, StiefelPoint, SwarmState
+from stiefel_dec import (
+    DimensionError,
+    IterationRecord,
+    NumericalError,
+    ParameterError,
+    StiefelPoint,
+    SwarmState,
+)
 
 
 def col(*vals):
@@ -81,35 +88,37 @@ class TestSubspaceDistance:
 
 
 class TestStationarityMeasure:
-    def _consensus_swarm(self, point, n):
-        return SwarmState((point,) * n)
+    def _measure(self, xbar, locals_):
+        return sd.stationarity_measure(xbar.data, [o.euclidean_grad(xbar.data) for o in locals_])
 
     def test_zero_at_oracle(self):
         locals_, xstar = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
-        ces, gsq = sd.stationarity_measure(self._consensus_swarm(xstar, 4), locals_)
-        assert ces == 0.0
-        assert gsq <= 1e-20
+        assert self._measure(xstar, locals_) <= 1e-20
 
     def test_positive_off_critical(self):
         rng = np.random.default_rng(10)
         locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=11)
         x = sd.random_stiefel(8, 2, rng)
-        ces, gsq = sd.stationarity_measure(self._consensus_swarm(x, 4), locals_)
-        assert ces == 0.0
-        assert gsq > 1e-6
+        assert self._measure(x, locals_) > 1e-6
 
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
         locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=13)
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
-        ces, gsq = sd.stationarity_measure(s, locals_)
-        assert ces >= 0.0 and gsq >= 0.0
+        assert s.consensus_error_sq >= 0.0 and self._measure(s.mean_point, locals_) >= 0.0
 
     def test_agent_count_mismatch(self):
+        # The agent count is the number of gradients: none, or one from a
+        # problem of another dimension, cannot be averaged at xbar.
         locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=14)
-        s = SwarmState((sd.random_stiefel(6, 2, np.random.default_rng(15)),))
+        x = sd.random_stiefel(6, 2, np.random.default_rng(15)).data
         with pytest.raises(DimensionError):
-            sd.stationarity_measure(s, locals_)
+            sd.stationarity_measure(x, [])
+        others, _ = sd.synthesize_eigengap_data(1, 10, 5, 2, 0.7, seed=16)
+        z = sd.random_stiefel(5, 2, np.random.default_rng(17)).data
+        grads = [o.euclidean_grad(x) for o in locals_] + [others[0].euclidean_grad(z)]
+        with pytest.raises(DimensionError):
+            sd.stationarity_measure(x, grads)
 
 
 class TestIterationRecord:
@@ -122,10 +131,19 @@ class TestIterationRecord:
             IterationRecord(k=0, consensus_err_sq=-1.0, linf_err=0.0)
 
     def test_rejects_nan_metrics(self):
-        with pytest.raises(ParameterError, match="consensus_err_sq"):
+        with pytest.raises(NumericalError, match="consensus_err_sq"):
             IterationRecord(k=0, consensus_err_sq=float("nan"), linf_err=float("nan"))
-        with pytest.raises(ParameterError, match="ds_oracle"):
+        with pytest.raises(NumericalError, match="ds_oracle"):
             IterationRecord(k=0, consensus_err_sq=0.0, linf_err=0.0, ds_oracle=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field", ["consensus_err_sq", "linf_err", "grad_norm_sq", "f_bar", "ds_oracle", "beta_k", "elapsed_ms"]
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_rejects_infinite_metrics(self, field, value):
+        row = dict(k=0, consensus_err_sq=0.0, linf_err=0.0)
+        with pytest.raises(NumericalError, match=f"^{field} is not finite"):
+            IterationRecord(**dict(row, **{field: value}))
 
     def test_optional_fields_default_none(self):
         rec = IterationRecord(k=0, consensus_err_sq=0.0, linf_err=0.0)

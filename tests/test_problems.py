@@ -56,6 +56,10 @@ class TestEigValueAndGrad:
                 numeric = (fp - fm) / (2.0 * h)
                 assert abs(numeric - float(np.sum(grad * e))) <= 1e-6
 
+    def test_non_finite_gram_rejected(self):
+        with pytest.raises(ParameterError, match="Gram matrix"):
+            EigLocal(np.full((3, 2), 1e160))
+
     def test_shape_mismatch(self):
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.raises(DimensionError):
@@ -243,6 +247,13 @@ class TestLoadDsvPartition:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(IngestionError):
             sd.load_dsv_partition(path, 3)
+
+    @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
+    def test_gram_overflow_names_the_divisor(self, tmp_path, text, divisor):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError, match="agent 0: Gram matrix .* not finite.*--divisor"):
+            sd.load_dsv_partition(path, 1, normalize_divisor=divisor)
 
 
 class TestCentralizedOracle:

@@ -1,4 +1,5 @@
-"""Property-based checks of the batched manifold kernels and of gradient tracking.
+"""Property-based checks of the batched manifold kernels, of gradient tracking and
+of the metrics computed from shared gradients.
 
 Shapes are drawn over n in 1..6, d up to 120 and r in 1..d, with the edge
 cases r = 1 and r = d drawn on purpose.
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stiefel_dec as sd
+from stiefel_dec.metrics import average_value
 
 EPS = np.finfo(float).eps
 
@@ -95,3 +97,21 @@ def test_drgta_step_equals_per_agent_loop(shape, seed):
         g_new = sd.project_to_tangent(x_new, o.euclidean_grad(x_new))
         assert np.array_equal(s_new.x[i], x_new)
         assert np.array_equal(tr_new.y[i], mixed_y[i] + (g_new - g_old))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes(max_d=60), seed=st.integers(0, 2**32 - 1))
+def test_metrics_from_shared_gradients_equal_per_objective_formulas(shape, seed):
+    # one Euclidean gradient per agent gives f(xbar) and ||grad f(xbar)||^2 exactly
+    # as evaluating each objective and the gradient expression (-G) @ x separately
+    n, d, r = shape
+    m = max(2, -(-d // n))
+    locals_, _ = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=seed)
+    x = random_stack(np.random.default_rng(seed), 1, d, r)[0]
+    egrads = [o.euclidean_grad(x) for o in locals_]
+    assert average_value(x, egrads) == float(sum(o.value(x) for o in locals_) / n)
+    acc = np.zeros_like(x)
+    for o in locals_:
+        acc += -o.gram @ x
+    expected = float(np.linalg.norm(sd.project_to_tangent(x, acc / n))) ** 2
+    assert sd.stationarity_measure(x, egrads) == expected
