@@ -98,6 +98,10 @@ CONFIGS = [
     ("dsv-header-ragged", "run --algorithm drgta --problem dsv --data header.csv --n 4 --r 2 --max-iters 100"),
     ("dsv-divisor", "run --algorithm drdgd --problem dsv --data counts.txt --divisor 255 --n 3 --r 2 --max-iters 100"),
     ("oracle-dsv", "oracle --problem dsv --data header.csv --n 4 --r 3"),
+    # batches of 3 over blocks of 11, 11, 11, 10: every fourth step has batches 2, 2, 2, 1
+    ("dsv-drsgd-ragged-batch3", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --max-epochs 4"),
+    ("dsv-drsgd-ragged-constant", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --schedule constant --max-epochs 3"),
+    ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
     # failures: each should exit with its documented code and an error line
     ("config-n-float", "run --config n-float.json --max-iters 5"),
     ("config-t-str", "run --config t-str.json --max-iters 5"),

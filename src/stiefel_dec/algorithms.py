@@ -223,15 +223,12 @@ def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, gra
 
 
 def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
-    """The (n, d, r) stack of grad f_i(x_i), one Euclidean gradient per agent."""
-    return project_to_tangent(x, np.stack([o.euclidean_grad(xi) for xi, o in zip(x, locals_)]))
+    """The (n, d, r) stack of grad f_i(x_i)."""
+    return project_to_tangent(x, locals_.euclidean_grad(x))
 
 
 def drgta_init(s: SwarmState, locals_) -> TrackerState:
     """Start the trackers at the local Riemannian gradients, y_i = grad f_i(x_i)."""
-    locals_ = list(locals_)
-    if len(locals_) != s.n:
-        raise ContractError(f"{len(locals_)} objectives for {s.n} agents")
     g = _riemannian_grads(s.x, locals_)
     return TrackerState(g, g)
 
@@ -257,11 +254,8 @@ def drgta_step(
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if beta < 0.0:
         raise ParameterError(f"beta must be nonnegative, got {beta}")
-    locals_ = list(locals_)
-    if tr.n != s.n or len(locals_) != s.n:
-        raise ContractError("swarm, tracker and objectives must agree on agent count")
     if tr.y.shape != s.x.shape:
-        raise DimensionError("tracker shape does not match swarm")
+        raise ContractError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
     consensus = project_to_tangent(s.x, mix(s, wt))
     moved = SwarmState(polar_retract(s.x, alpha * consensus - beta * project_to_tangent(s.x, tr.y)))
     g_new = _riemannian_grads(moved.x, locals_)
@@ -270,13 +264,13 @@ def drgta_step(
 
 def tracking_residual(tr: TrackerState, s: SwarmState, locals_) -> float:
     """Norm of (tracker average - average Riemannian gradient); zero in exact arithmetic."""
-    mean_grad = _riemannian_grads(s.x, list(locals_)).sum(axis=0) / s.n
+    mean_grad = _riemannian_grads(s.x, locals_).sum(axis=0) / s.n
     return float(np.linalg.norm(tr.average() - mean_grad))
 
 
 def steps_per_epoch(locals_, batch_size: int) -> int:
     """Inner steps of one drsgd epoch: enough batches for the largest local sample set."""
-    return max(math.ceil(o.sample_count / batch_size) for o in locals_)
+    return math.ceil(locals_.sample_count / batch_size)
 
 
 def _epoch_batches(m: int, batch: int, rng: np.random.Generator):
@@ -322,24 +316,25 @@ def run(
     A round is one iteration, except for the stochastic algorithm where it is
     one epoch (a full pass over every agent's samples, shuffled per epoch from
     per-agent streams derived from the seed). One metrics row is recorded per
-    round plus an initial row; a NumericalError carries the rows recorded
-    before it in `records`. Early stop on d_s(mean, oracle) <= tol_ds, on
-    ||grad f(mean)|| <= tol_grad, or (consensus runs) on the stacked deviation
-    norm <= tol_consensus; tolerances set to None or 0 are disabled. Each
-    gossip step runs `rounds` rounds of wt, applied as one product with wt^rounds.
-    The same seed and arguments reproduce the exact same records.
+    round plus an initial row. A breakdown in the loop (a non-finite value, an
+    iterate that lost orthonormality) raises NumericalError naming its round,
+    with the rows recorded before it in `records`. Early stop on d_s(mean,
+    oracle) <= tol_ds, on ||grad f(mean)|| <= tol_grad, or (consensus runs) on
+    the stacked deviation norm <= tol_consensus; tolerances set to None or 0
+    are disabled. Each gossip step runs `rounds` rounds of wt, applied as one
+    product with wt^rounds. The same seed and arguments give identical records.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
     if max_rounds < 0:
         raise ParameterError(f"need max_rounds >= 0, got {max_rounds}")
+    if not alpha > 0.0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     with_obj = algorithm != "drcs"
     if with_obj:
         if locals_ is None:
             raise ParameterError(f"{algorithm} needs local objectives")
-        locals_ = list(locals_)
-        if len(locals_) != swarm.n:
-            raise ContractError(f"{len(locals_)} objectives for {swarm.n} agents")
+        locals_._check(swarm.x)  # one objective per agent
         if schedule is None:
             raise ParameterError(f"{algorithm} needs a stepsize schedule")
     if batch_size < 1:
@@ -355,8 +350,8 @@ def run(
     inner_per_epoch = 1
     if algorithm == "drsgd":
         streams = [
-            _epoch_batches(o.sample_count, batch_size, np.random.default_rng([seed, 2, i]))
-            for i, o in enumerate(locals_)
+            _epoch_batches(m, batch_size, np.random.default_rng([seed, 2, i]))
+            for i, m in enumerate(locals_.counts.tolist())
         ]
         inner_per_epoch = steps_per_epoch(locals_, batch_size)
 
@@ -369,7 +364,7 @@ def run(
         gsq = f_bar = ds = None
         if with_obj:
             xbar = s.mean_point.data
-            egrads = [o.euclidean_grad(xbar) for o in locals_]
+            egrads = locals_.euclidean_grad(xbar)
             gsq = stationarity_measure(xbar, egrads)
             f_bar = average_value(xbar, egrads)
         if oracle is not None:
@@ -416,18 +411,17 @@ def run(
                 else:  # drsgd: one epoch
                     for _ in range(inner_per_epoch):
                         beta = schedule.beta(step_index)
-                        egrads = [
-                            o.stochastic_egrad(x, next(st)) for x, o, st in zip(s.x, locals_, streams)
-                        ]
-                        s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, np.stack(egrads)))
+                        egrads = locals_.stochastic_egrad(s.x, [next(st) for st in streams])
+                        s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, egrads))
                         step_index += 1
                 snapshot(k, beta)
                 reason = stop_reason(records[-1])
                 if reason:
                     stop = reason
                     break
-        except NumericalError as e:
-            err = type(e)(f"round {k}: {e}")
+        except (NumericalError, ParameterError) as e:
+            # the arguments were checked above: a broken invariant here is a breakdown
+            err = (type(e) if isinstance(e, NumericalError) else NumericalError)(f"round {k}: {e}")
             err.records = tuple(records)  # the rows recorded before the failure
             raise err from None
 

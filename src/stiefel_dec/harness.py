@@ -48,6 +48,7 @@ from .network import (
     ring_graph,
 )
 from .problems import (
+    EigLocal,
     centralized_oracle,
     estimate_xi,
     load_dsv_partition,
@@ -243,7 +244,7 @@ class ResolvedExperiment:
     mix_rounds: int
     region: ConsensusRegionParams
     alpha: float
-    locals_: list | None
+    locals_: EigLocal | None
     oracle: StiefelPoint | None
     constants: object | None
     schedule: StepsizeSchedule | None
@@ -304,7 +305,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     else:
         locals_, oracle = _build_problem(cfg)
         constants = quadratic_constants(locals_, r_cols)
-        mean_m = sum(o.sample_count for o in locals_) / len(locals_)
+        mean_m = locals_.rows.shape[0] / locals_.n
         header.update(
             {
                 "l_g": constants.l_g,
@@ -344,7 +345,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         tol_grad = None if stochastic else _default_tol(cfg.tol_grad, 1e-8)
         tol_consensus = None
 
-    d_cols = locals_[0].dim if locals_ else cfg.d
+    d_cols = cfg.d if locals_ is None else locals_.dim
     swarm0 = _build_swarm(cfg, d_cols, r_cols, region)
     return ResolvedExperiment(
         cfg=cfg,
@@ -383,13 +384,10 @@ def _build_graph(cfg: ExperimentConfig):
 
 def _build_problem(cfg: ExperimentConfig):
     if cfg.problem == "synthetic":
-        locals_, oracle = synthesize_eigengap_data(
-            cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0]
-        )
-        return list(locals_), oracle
+        return synthesize_eigengap_data(cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0])
     locals_ = load_dsv_partition(cfg.data_path, cfg.n, cfg.divisor)
-    if cfg.r > locals_[0].dim:
-        raise ConfigError(f"r: data has d={locals_[0].dim} < r={cfg.r}")
+    if cfg.r > locals_.dim:
+        raise ConfigError(f"r: data has d={locals_.dim} < r={cfg.r}")
     return locals_, centralized_oracle(locals_, cfg.r)
 
 
@@ -413,7 +411,7 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
         )
     # Constant rule: needs the stochastic deviation bound, estimated at the
     # shared starting point from single-sample draws.
-    x0 = random_stiefel(locals_[0].dim, cfg.r, np.random.default_rng([cfg.seed, 1]))
+    x0 = random_stiefel(locals_.dim, cfg.r, np.random.default_rng([cfg.seed, 1]))
     xi = estimate_xi(locals_, x0, np.random.default_rng([cfg.seed, 3]))
     constants = constants.with_xi(xi, estimate=True)
     if cfg.algorithm == "drsgd":
@@ -554,7 +552,7 @@ def spectral_report(cfg: ExperimentConfig) -> str:
 def oracle_report(cfg: ExperimentConfig) -> tuple:
     """Centralized solution of the configured problem and a printable dump."""
     locals_, oracle = _build_problem(cfg)
-    total = average_value(oracle.data, [o.euclidean_grad(oracle.data) for o in locals_])
+    total = average_value(oracle.data, locals_.euclidean_grad(oracle.data))
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:
         rows.append(" ".join(f"{v:.17g}" for v in row))

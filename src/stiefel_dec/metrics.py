@@ -69,18 +69,15 @@ def subspace_distance(x, y) -> float:
 
 
 def stationarity_measure(xbar: np.ndarray, egrads) -> float:
-    """||grad f(xbar)||^2 for the average objective f, from the agents' Euclidean
-    gradients egrads, each taken at xbar and summed in agent order; the average
-    is projected to the tangent space at xbar. One gradient per agent: an empty
-    list, or a gradient not shaped like xbar, raises DimensionError."""
-    if len(egrads) == 0:
-        raise DimensionError("need one gradient per agent, got none")
-    acc = np.zeros_like(xbar)
-    for g in egrads:
-        if np.shape(g) != xbar.shape:
-            raise DimensionError(f"gradient has shape {np.shape(g)}, point {xbar.shape}")
-        acc += g
-    grad = project_to_tangent(xbar, acc / len(egrads))
+    """||grad f(xbar)||^2 for the average objective f, from the (n, d, r) stack of
+    the agents' Euclidean gradients at xbar: their average, projected to the
+    tangent space at xbar. A stack of no gradients, or of gradients not shaped
+    like xbar, raises DimensionError."""
+    egrads = np.asarray(egrads, dtype=float)
+    if egrads.ndim != 3 or egrads.shape[0] == 0 or egrads.shape[1:] != xbar.shape:
+        raise DimensionError(f"need an (n, d, r) stack of gradients at a {xbar.shape} point, got {egrads.shape}")
+    # agents summed in order (pairwise only for d = r = 1, whose tangent space is {0})
+    grad = project_to_tangent(xbar, egrads.sum(axis=0) / len(egrads))
     return float(np.linalg.norm(grad)) ** 2
 
 
@@ -89,5 +86,6 @@ def average_value(xbar: np.ndarray, egrads) -> float:
 
     Each f_i(x) = -tr(x.T G_i x)/2 is quadratic, so f_i(x) = <x, grad f_i(x)>/2
     with grad f_i(x) = -G_i x; the inner product gives exactly EigLocal.value.
+    The n values are summed in agent order.
     """
-    return float(sum(0.5 * np.sum(xbar * g) for g in egrads) / len(egrads))
+    return float(sum(0.5 * np.sum(xbar * egrads, axis=(1, 2))) / len(egrads))

@@ -16,36 +16,58 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, IngestionError, ParameterError
+from .errors import ContractError, DimensionError, IngestionError, ParameterError
 from .manifold import StiefelPoint
 
 
 class EigLocal:
-    """One agent's share of the eigenvector problem.
+    """The eigenvector problem of a whole swarm, held as stacked arrays.
 
-    Holds the m_i x d data block and its precomputed d x d Gram matrix.
-    f(x) = -tr(x.T G x)/2 with G = A.T A; no 1/m normalization is applied here,
-    the experiment harness folds it into the stepsize instead.
+    The M x d data rows are split into n contiguous blocks A_i, the first
+    (M mod n) one row longer; agent i minimizes f_i(x) = -tr(x.T G_i x)/2 with
+    G_i = A_i.T A_i. Holds the rows, the sample counts m_i and the (n, d, d)
+    Gram stack; no 1/m normalization is applied here, the experiment harness
+    folds it into the stepsize instead. A point is one d x r array, evaluated
+    by every agent, or an (n, d, r) stack with one slice per agent; results
+    have one slice (or value) per agent. Iterating yields one-agent problems.
     """
 
-    def __init__(self, rows):
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise DimensionError(f"data block must be a nonempty matrix, got {rows.shape}")
-        rows = rows.copy()
-        rows.flags.writeable = False
+    def __init__(self, data, n: int = 1):
+        rows = np.array(data, dtype=float)
+        if rows.ndim != 2 or not 1 <= n <= rows.shape[0]:
+            raise DimensionError(f"need a matrix of at least n={n} rows, got shape {rows.shape}")
+        blocks = np.array_split(rows, n)  # views; the first (M mod n) one row longer
+        d = rows.shape[1]
+        gram = np.empty((n, d, d))
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            gram = rows.T @ rows
-            gram = 0.5 * (gram + gram.T)
-        if not np.isfinite(gram).all():
-            raise ParameterError("Gram matrix of the data block is not finite (values too large)")
-        gram.flags.writeable = False
-        self.rows = rows
-        self.gram = gram
+            for i, block in enumerate(blocks):
+                g = block.T @ block
+                np.multiply(0.5, g + g.T, out=gram[i])  # filled in place: no second stack
+        bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
+        if bad.size:
+            raise ParameterError(f"agent {bad[0]}: Gram matrix of the data block is not finite (values too large)")
+        self._adopt(rows, np.array([len(b) for b in blocks]), gram)
+
+    def _adopt(self, rows, counts, gram):
+        for a in (rows, counts, gram):
+            a.flags.writeable = False
+        self.rows, self.counts, self.gram = rows, counts, gram
+        self.starts = np.cumsum(counts) - counts  # first row of each block
+
+    def __iter__(self):
+        for i, (start, m) in enumerate(zip(self.starts, self.counts)):
+            agent = object.__new__(EigLocal)
+            agent._adopt(self.rows[start : start + m], self.counts[i : i + 1], self.gram[i : i + 1])
+            yield agent
+
+    @property
+    def n(self) -> int:
+        return self.counts.size
 
     @property
     def sample_count(self) -> int:
-        return self.rows.shape[0]
+        """The largest m_i: an epoch of batches of b rows takes ceil(sample_count / b) steps."""
+        return int(self.counts.max())
 
     @property
     def dim(self) -> int:
@@ -53,38 +75,46 @@ class EigLocal:
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.dim:
+        if x.ndim not in (2, 3) or x.shape[-2] != self.dim:
             raise DimensionError(f"point has shape {x.shape}, data has d={self.dim}")
+        if x.ndim == 3 and x.shape[0] != self.n:
+            raise ContractError(f"{self.n} objectives for {x.shape[0]} agents")
         return x
 
-    def value(self, x) -> float:
+    def value(self, x) -> np.ndarray:
+        """The n values f_i(x_i)."""
         x = self._check(x)
-        return float(-0.5 * np.sum(x * (self.gram @ x)))
+        return -0.5 * np.sum(x * (self.gram @ x), axis=(-2, -1))
 
     def euclidean_grad(self, x) -> np.ndarray:
-        x = self._check(x)
-        return -(self.gram @ x)
+        """The (n, d, r) stack of gradients -G_i x_i."""
+        return -(self.gram @ self._check(x))
 
-    def stochastic_egrad(self, x, batch_indices) -> np.ndarray:
-        """Unbiased gradient estimate from the given sample rows.
+    def stochastic_egrad(self, x, batches) -> np.ndarray:
+        """Unbiased gradient estimates from each agent's sample rows batches[i]
+        (numbered within its block), as an (n, d, r) stack.
 
-        Returns -(m/|B|) sum_{s in B} a_s (a_s.T x); averaged over a disjoint
-        partition of all rows (weighted by batch size) this telescopes exactly
-        to the full gradient.
+        Returns -(m_i/|B_i|) sum_{s in B_i} a_s (a_s.T x_i); averaged over a
+        disjoint partition of all rows (weighted by batch size) this telescopes
+        exactly to the full gradient. Agents whose batches have one length share
+        one batched product: one per step, unless passes end at different steps.
         """
         x = self._check(x)
-        idx = np.asarray(batch_indices, dtype=int)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ParameterError("batch must be a nonempty index sequence")
-        if idx.min() < 0 or idx.max() >= self.sample_count:
-            raise ParameterError(
-                f"batch indices out of range [0, {self.sample_count})"
-            )
-        sub = self.rows[idx]
-        return -(self.sample_count / idx.size) * (sub.T @ (sub @ x))
-
-    def __repr__(self):
-        return f"EigLocal(m={self.sample_count}, d={self.dim})"
+        x = np.broadcast_to(x, (self.n, *x.shape[-2:]))  # a single point serves every agent
+        if len(batches) != self.n:
+            raise ContractError(f"{len(batches)} batches for {self.n} agents")
+        sizes = [len(b) for b in batches]
+        grads = np.empty(x.shape)
+        for size in set(sizes):
+            group = [i for i, s in enumerate(sizes) if s == size]
+            agents = slice(None) if len(group) == self.n else group  # a slice copies nothing
+            idx = np.array([batches[i] for i in group], dtype=int)  # (k, size)
+            m = self.counts[agents]
+            if size == 0 or idx.min() < 0 or (idx.max(axis=1) >= m).any():
+                raise ParameterError(f"need nonempty batches of indices in [0, m_i) for m_i in {m.tolist()}")
+            a = self.rows[self.starts[agents, None] + idx]  # (k, size, d): the drawn rows
+            grads[agents] = -(m / size)[:, None, None] * (a.swapaxes(1, 2) @ (a @ x[agents]))
+        return grads
 
 
 @dataclass(frozen=True)
@@ -125,13 +155,9 @@ def quadratic_constants(locals_, r: int) -> SmoothnessConstants:
     agents; the Frobenius bound uses the provable sqrt(r) * l_n rather than a
     sampled supremum, so stepsizes derived from it stay on the safe side.
     """
-    locals_ = list(locals_)
-    if not locals_:
-        raise ParameterError("need at least one local objective")
     if r < 1:
         raise ParameterError(f"need r >= 1, got {r}")
-    l_n = max(float(np.linalg.eigvalsh(o.gram)[-1]) for o in locals_)
-    l_n = max(l_n, 0.0)
+    l_n = max(float(np.linalg.eigvalsh(locals_.gram)[:, -1].max()), 0.0)
     return SmoothnessConstants(
         l=l_n,
         l_n=l_n,
@@ -148,12 +174,14 @@ def estimate_xi(
     for single-sample stochastic gradients v drawn at the given point."""
     if draws < 1:
         raise ParameterError(f"need draws >= 1, got {draws}")
+    # the rng serves agent 0's draws, then agent 1's, ...; the gradients go a draw at a time
+    picks = [[rng.choice(m, size=1, replace=False) for _ in range(draws)] for m in locals_.counts.tolist()]
+    full = locals_.euclidean_grad(x.data)
     worst = 0.0
-    for o in locals_:
-        full = o.euclidean_grad(x.data)
-        for _ in range(draws):
-            v = o.stochastic_egrad(x.data, rng.choice(o.sample_count, size=1, replace=False))
-            worst = max(worst, float(np.linalg.norm(v - full)))
+    for batches in zip(*picks):
+        dev = (locals_.stochastic_egrad(x.data, batches) - full).reshape(locals_.n, 1, -1)
+        # (1, K) @ (K, 1) is the dot product np.linalg.norm takes; fmax, like max(), skips NaN
+        worst = max(worst, float(np.fmax.reduce(np.sqrt(dev @ dev.swapaxes(1, 2)), axis=None)))
     return worst
 
 
@@ -163,9 +191,9 @@ def synthesize_eigengap_data(
     """Gaussian data reshaped to a geometric singular-value profile.
 
     Draws an (n * m_per_node) x d standard Gaussian matrix, replaces its
-    singular values by s_0 * gap^(i/2), splits the rows evenly across n agents,
-    and also returns the exact leading-eigenvector solution for use as an
-    oracle. Larger gap means slower spectral decay and a harder problem.
+    singular values by s_0 * gap^(i/2), splits the rows evenly across n agents
+    (one EigLocal), and also returns the exact leading-eigenvector solution for
+    use as an oracle. Larger gap means slower spectral decay and a harder problem.
     """
     if n < 1 or m_per_node < 1:
         raise ParameterError("need n >= 1 and m_per_node >= 1")
@@ -182,23 +210,18 @@ def synthesize_eigengap_data(
     u, s, vt = np.linalg.svd(a0, full_matrices=False)
     s_new = s[0] * gap ** (np.arange(d) / 2.0)
     a = (u * s_new) @ vt
-    blocks = [
-        EigLocal(a[i * m_per_node : (i + 1) * m_per_node]) for i in range(n)
-    ]
-    return blocks, StiefelPoint(vt[:r].T)
+    return EigLocal(a, n), StiefelPoint(vt[:r].T)
 
 
-def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
+def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal:
     """Read a delimiter-separated sample matrix and split it across n agents.
 
     One sample per row, comma- or whitespace-delimited, no header (a single
     leading non-numeric row is skipped). Rows are divided by the divisor and
-    split into n contiguous blocks; the first (rows mod n) agents get one
-    extra row each. Parse failures and non-finite fields (nan, inf) report the
-    1-based line number; a block whose Gram matrix overflows names its agent.
+    split as EigLocal splits them. Parse failures and non-finite fields (nan,
+    inf) report the 1-based line number; a block whose Gram matrix overflows
+    names its agent.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
     if normalize_divisor == 0.0:
         raise ParameterError("divisor must be nonzero")
     rows = []
@@ -232,18 +255,10 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> list:
     total = len(rows)
     if total < n:
         raise IngestionError(f"only {total} data rows for {n} agents")
-    data = np.asarray(rows, dtype=float) / normalize_divisor
-    base, extra = divmod(total, n)
-    blocks = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        try:
-            blocks.append(EigLocal(data[start : start + size]))
-        except ParameterError as e:
-            raise IngestionError(f"agent {i}: {e}; scale the data down with --divisor") from None
-        start += size
-    return blocks
+    try:
+        return EigLocal(np.asarray(rows, dtype=float) / normalize_divisor, n)
+    except ParameterError as e:
+        raise IngestionError(f"{e}; scale the data down with --divisor") from None
 
 
 def _is_number(tok: str) -> bool:
@@ -260,18 +275,10 @@ def centralized_oracle(locals_, r: int) -> StiefelPoint:
     Warns when the eigengap between positions r and r+1 vanishes, since the
     optimal subspace is then ill-defined.
     """
-    locals_ = list(locals_)
-    if not locals_:
-        raise ParameterError("need at least one local objective")
-    d = locals_[0].dim
+    d = locals_.dim
     if not (1 <= r <= d):
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    total = np.zeros((d, d))
-    for o in locals_:
-        if o.dim != d:
-            raise DimensionError("local objectives have mismatched dimensions")
-        total += o.gram
-    evals, evecs = np.linalg.eigh(total)
+    evals, evecs = np.linalg.eigh(locals_.gram.sum(axis=0))
     if r < d and evals[-r] - evals[-(r + 1)] < 1e-12:
         warnings.warn(
             "eigengap below 1e-12: the optimal subspace is ill-defined",

@@ -174,10 +174,10 @@ def test_criterion_07_lipschitz_suite():
     rng = np.random.default_rng(25)
 
     def f(x):
-        return sum(o.value(x.data) for o in locals_) / len(locals_)
+        return float(np.sum(locals_.value(x.data))) / locals_.n
 
     def grad(x):
-        acc = sum(o.euclidean_grad(x.data) for o in locals_) / len(locals_)
+        acc = locals_.euclidean_grad(x.data).sum(axis=0) / locals_.n
         return sd.project_to_tangent(x.data, acc)
 
     bad = 0
@@ -222,10 +222,10 @@ def test_criterion_09_gradient_vs_finite_differences():
         o = sd.EigLocal(rows)
         x = sd.random_stiefel(d, r, rng)
         xi = sd.random_tangent(x, rng, norm=1.0)
-        analytic = float(np.sum(sd.project_to_tangent(x.data, o.euclidean_grad(x.data)) * xi.data))
+        analytic = float(np.sum(sd.project_to_tangent(x.data, o.euclidean_grad(x.data)[0]) * xi.data))
         numeric = (
-            o.value(sd.polar_retract(x.data, xi.scaled(h).data))
-            - o.value(sd.polar_retract(x.data, xi.scaled(-h).data))
+            o.value(sd.polar_retract(x.data, xi.scaled(h).data))[0]
+            - o.value(sd.polar_retract(x.data, xi.scaled(-h).data))[0]
         ) / (2.0 * h)
         worst = max(worst, abs(numeric - analytic))
     _verdict(9, "gradient matches finite differences", worst <= 1e-5, f"max gap {worst:.3e} <= 1e-5")

@@ -43,7 +43,7 @@ REFERENCE_CONSTANTS = SmoothnessConstants(l=1.0, l_n=1.0, l_g=2.0, l_big=3.0, d_
 def homogeneous_problem(n, d, r, m, seed):
     """All agents share the same data block, so every local optimum coincides."""
     rows = np.random.default_rng(seed).standard_normal((m, d))
-    locals_ = [EigLocal(rows) for _ in range(n)]
+    locals_ = EigLocal(np.tile(rows, (n, 1)), n)
     return locals_, sd.centralized_oracle(locals_, r)
 
 
@@ -103,7 +103,7 @@ class TestDrsgdStep:
         rng = np.random.default_rng(3)
         locals_, _ = homogeneous_problem(1, 8, 2, 12, seed=4)
         x = sd.random_stiefel(8, 2, rng)
-        g = sd.project_to_tangent(x.data, locals_[0].euclidean_grad(x.data))
+        g = sd.project_to_tangent(x.data, locals_.euclidean_grad(x.data)[0])
         beta = 1e-3
         out = drsgd_step(SwarmState((x,)), SINGLE, 1.0, beta, [g])
         expect = sd.polar_retract(x.data, -beta * g)
@@ -114,10 +114,7 @@ class TestDrsgdStep:
         locals_, xstar = homogeneous_problem(3, 8, 2, 15, seed=5)
         s = SwarmState((xstar,) * 3)
         w = sd.metropolis_weights(sd.ring_graph(3))
-        grads = [
-            sd.project_to_tangent(s.x[i], locals_[i].euclidean_grad(s.x[i]))
-            for i in range(3)
-        ]
+        grads = sd.project_to_tangent(s.x, locals_.euclidean_grad(s.x))
         out = drsgd_step(s, w, 1.0, 1e-2, grads)
         for p in out.points:
             assert np.abs(p.data - xstar.data).max() <= 1e-12
@@ -245,7 +242,7 @@ class TestDrgtaInitAndStep:
 
     def test_init_zero_for_identity_gram(self):
         rng = np.random.default_rng(10)
-        locals_ = [EigLocal(np.eye(6)) for _ in range(3)]
+        locals_ = EigLocal(np.tile(np.eye(6), (3, 1)), 3)
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
         tr = drgta_init(s, locals_)
         for y in tr.y:
@@ -278,7 +275,7 @@ class TestDrgtaInitAndStep:
 
     def test_single_agent_is_centralized_gradient_descent(self):
         locals_, _ = homogeneous_problem(1, 7, 2, 10, seed=14)
-        o = locals_[0]
+        o = locals_
         x = sd.random_stiefel(7, 2, np.random.default_rng(15))
         s = SwarmState((x,))
         tr = drgta_init(s, locals_)
@@ -286,11 +283,11 @@ class TestDrgtaInitAndStep:
         x_ref = x.data
         for _ in range(20):
             s, tr = drgta_step(s, tr, SINGLE, 1.0, beta, locals_)
-            g = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref))
+            g = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref)[0])
             x_ref = sd.polar_retract(x_ref, -beta * g)
             assert np.allclose(s.x[0], x_ref, atol=1e-12)
             # tracker telescopes to the current gradient
-            g_now = sd.project_to_tangent(s.x[0], o.euclidean_grad(s.x[0]))
+            g_now = sd.project_to_tangent(s.x[0], o.euclidean_grad(s.x[0])[0])
             assert np.allclose(tr.y[0], g_now, atol=1e-12)
 
     def test_tracker_shape_validation(self):
@@ -318,12 +315,8 @@ class TestRegionPersistenceAndDeviation:
         sched = drsgd_diminishing_schedule(constants, rate.rho_t, rate.alpha, p.delta1)
         rngs = [np.random.default_rng([16, 2, i]) for i in range(s.n)]
         for k in range(300):
-            grads = [
-                sd.project_to_tangent(
-                    x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
-                )
-                for x, o, rng in zip(s.x, locals_, rngs)
-            ]
+            batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
+            grads = sd.project_to_tangent(s.x, locals_.stochastic_egrad(s.x, batches))
             s = drsgd_step(s, wt, rate.alpha, sched.beta(k), grads)
             assert bool(sd.in_consensus_region(s, p))
 
@@ -336,12 +329,8 @@ class TestRegionPersistenceAndDeviation:
         bound = math.sqrt(s.n) * constants.d_bound * beta / (1.0 - rate.rho_t)
         rngs = [np.random.default_rng([17, 2, i]) for i in range(s.n)]
         for k in range(400):
-            grads = [
-                sd.project_to_tangent(
-                    x, o.stochastic_egrad(x, rng.choice(o.sample_count, size=1, replace=False))
-                )
-                for x, o, rng in zip(s.x, locals_, rngs)
-            ]
+            batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
+            grads = sd.project_to_tangent(s.x, locals_.stochastic_egrad(s.x, batches))
             s = drsgd_step(s, wt, rate.alpha, beta, grads)
             if k >= 300:
                 assert math.sqrt(s.consensus_error_sq) <= bound + 1e-12
@@ -448,7 +437,7 @@ class TestRun:
                 assert np.array_equal(pa.data, pb.data)
 
     def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
-        # f(xbar) and ||grad f(xbar)||^2 share one Euclidean gradient per agent
+        # f(xbar) and ||grad f(xbar)||^2 share one batched Euclidean gradient
         locals_, xstar, w, s = self._instance(seed=23)
         calls = {"euclidean_grad": 0, "value": 0}
         for name in calls:
@@ -458,7 +447,7 @@ class TestRun:
             monkeypatch.setattr(EigLocal, name, counted)
         run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3),
             oracle=xstar, max_rounds=0)
-        assert calls == {"euclidean_grad": len(locals_), "value": 0}
+        assert calls == {"euclidean_grad": 1, "value": 0}
 
     def test_argument_validation(self):
         locals_, xstar, w, s = self._instance(seed=22)
@@ -476,4 +465,7 @@ class TestRun:
         with pytest.raises(ParameterError, match="rounds"):
             run("drcs", s, w, alpha=1.0, rounds=0)
         with pytest.raises(ContractError):
-            run("drdgd", s, w, alpha=1.0, locals_=locals_[:-1], schedule=StepsizeSchedule("user", 1e-3))
+            short = EigLocal(locals_.rows, locals_.n - 1)
+            run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule("user", 1e-3))
+        with pytest.raises(ParameterError, match="alpha"):
+            run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3))

@@ -108,3 +108,21 @@ def test_traced_execution_passes_its_checks(name, tmp_path):
     assert rec["failures"] == []
     mixes = spans.phase("algorithms.run")["network.mix"][0]
     assert mixes == worker.mixes_expected(cfg, res, rec["rounds"])
+
+
+def test_worker_epoch_length_matches_steps_per_epoch(tmp_path):
+    # worker.mixes_expected keeps its own copy of the drsgd epoch-length rule; 41 rows
+    # over 4 agents are blocks of 11, 10, 10, 10, so with batches of 5 only agent 0
+    # needs 3 steps per pass and the epoch is the maximum, 3 steps
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(",".join(str((7 * i + j) % 11) for j in range(4)) for i in range(41)) + "\n")
+    cfg = harness.parse_config(
+        flags=dict(algorithm="drsgd", problem="dsv", data_path=str(path), n=4, r=2, batch_size=5, max_epochs=2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = harness.resolve(cfg)
+    assert res.locals_.counts.tolist() == [11, 10, 10, 10]
+    for rounds in (1, 2, 7):
+        expected = rounds * algorithms.steps_per_epoch(res.locals_, cfg.batch_size)
+        assert worker.mixes_expected(cfg, res, rounds) == expected == 3 * rounds

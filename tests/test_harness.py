@@ -433,6 +433,23 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 4 + 1 and lines[3] == CSV_HEADER and lines[4].startswith("0,")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lost_orthonormality_is_4_and_writes_partial_log(self, tmp_path, capsys, monkeypatch):
+        # from its third call the retraction returns columns off the manifold by 1e-11
+        calls = []
+
+        def drifting(x, xi, _orig=sd.algorithms.polar_retract):
+            calls.append(None)
+            return _orig(x, xi) * (1.0 + 1e-11 * (len(calls) >= 3))
+
+        monkeypatch.setattr(sd.algorithms, "polar_retract", drifting)
+        out = tmp_path / "o.csv"
+        code = main(["run", "--algorithm", "drdgd", "--max-iters", "10", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: round 3: columns are not orthonormal" in capsys.readouterr().err
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+
     def test_non_finite_step_prints_no_overflow_warning(self, tmp_path):
         # numpy's warnings reach stderr only outside pytest's capture, so run the CLI itself
         env = dict(os.environ, PYTHONPATH=str(Path(sd.__file__).resolve().parent.parent))

@@ -89,7 +89,7 @@ class TestSubspaceDistance:
 
 class TestStationarityMeasure:
     def _measure(self, xbar, locals_):
-        return sd.stationarity_measure(xbar.data, [o.euclidean_grad(xbar.data) for o in locals_])
+        return sd.stationarity_measure(xbar.data, locals_.euclidean_grad(xbar.data))
 
     def test_zero_at_oracle(self):
         locals_, xstar = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
@@ -108,17 +108,15 @@ class TestStationarityMeasure:
         assert s.consensus_error_sq >= 0.0 and self._measure(s.mean_point, locals_) >= 0.0
 
     def test_agent_count_mismatch(self):
-        # The agent count is the number of gradients: none, or one from a
-        # problem of another dimension, cannot be averaged at xbar.
-        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=14)
+        # The agent count is the length of the gradient stack: an empty stack,
+        # or gradients from a problem of another dimension, cannot be averaged at xbar.
         x = sd.random_stiefel(6, 2, np.random.default_rng(15)).data
         with pytest.raises(DimensionError):
-            sd.stationarity_measure(x, [])
+            sd.stationarity_measure(x, np.empty((0, 6, 2)))
         others, _ = sd.synthesize_eigengap_data(1, 10, 5, 2, 0.7, seed=16)
         z = sd.random_stiefel(5, 2, np.random.default_rng(17)).data
-        grads = [o.euclidean_grad(x) for o in locals_] + [others[0].euclidean_grad(z)]
         with pytest.raises(DimensionError):
-            sd.stationarity_measure(x, grads)
+            sd.stationarity_measure(x, others.euclidean_grad(z))
 
 
 class TestIterationRecord:

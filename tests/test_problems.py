@@ -71,7 +71,7 @@ class TestStochasticGrad:
         rng = np.random.default_rng(2)
         o = EigLocal(rng.standard_normal((7, 4)))
         x = sd.random_stiefel(4, 2, rng)
-        out = o.stochastic_egrad(x.data, np.arange(7))
+        out = o.stochastic_egrad(x.data, [np.arange(7)])
         assert np.allclose(out, o.euclidean_grad(x.data), atol=1e-12)
 
     def test_epoch_partition_telescopes(self):
@@ -82,13 +82,13 @@ class TestStochasticGrad:
         perm = rng.permutation(10)
         acc = np.zeros((5, 2))
         for chunk in (perm[:4], perm[4:7], perm[7:]):
-            acc += (len(chunk) / 10.0) * o.stochastic_egrad(x.data, chunk)
-        assert np.abs(acc - o.euclidean_grad(x.data)).max() <= 1e-12
+            acc += (len(chunk) / 10.0) * o.stochastic_egrad(x.data, [chunk])[0]
+        assert np.abs(acc - o.euclidean_grad(x.data)[0]).max() <= 1e-12
 
     def test_two_row_enumeration(self):
         o = EigLocal(np.eye(2))
-        g1 = o.stochastic_egrad(E1.data, [0])
-        g2 = o.stochastic_egrad(E1.data, [1])
+        g1 = o.stochastic_egrad(E1.data, [[0]])
+        g2 = o.stochastic_egrad(E1.data, [[1]])
         assert np.allclose(g1, col(-2.0, 0.0), atol=1e-15)
         assert np.allclose(g2, col(0.0, 0.0), atol=1e-15)
         assert np.allclose((g1 + g2) / 2.0, o.euclidean_grad(E1.data), atol=1e-15)
@@ -96,21 +96,21 @@ class TestStochasticGrad:
     def test_empty_batch(self):
         o = local_with_gram([1.0, 1.0])
         with pytest.raises(ParameterError):
-            o.stochastic_egrad(E1.data, [])
+            o.stochastic_egrad(E1.data, [[]])
 
     def test_out_of_range_batch(self):
         o = local_with_gram([1.0, 1.0])
         with pytest.raises(ParameterError):
-            o.stochastic_egrad(E1.data, [5])
+            o.stochastic_egrad(E1.data, [[5]])
 
 
 class TestQuadraticConstants:
     def test_identity(self):
-        c = sd.quadratic_constants([local_with_gram([1.0, 1.0])], r=1)
+        c = sd.quadratic_constants(local_with_gram([1.0, 1.0]), r=1)
         assert (c.l, c.l_n, c.l_g, c.l_big, c.d_bound) == (1.0, 1.0, 2.0, 3.0, 1.0)
 
     def test_diag_4_1(self):
-        c = sd.quadratic_constants([local_with_gram([4.0, 1.0])], r=1)
+        c = sd.quadratic_constants(local_with_gram([4.0, 1.0]), r=1)
         assert c.l == 4.0 and c.d_bound == 4.0
 
     def test_bound_dominates_sampled_sup(self):
@@ -118,7 +118,7 @@ class TestQuadraticConstants:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((12, 6))
         o = EigLocal(a)
-        c = sd.quadratic_constants([o], r=2)
+        c = sd.quadratic_constants(o, r=2)
         sup = max(
             float(np.linalg.norm(o.euclidean_grad(sd.random_stiefel(6, 2, rng).data)))
             for _ in range(10000)
@@ -128,8 +128,8 @@ class TestQuadraticConstants:
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((8, 4))
-        c1 = sd.quadratic_constants([EigLocal(a)], r=2)
-        c3 = sd.quadratic_constants([EigLocal(3.0 * a)], r=2)
+        c1 = sd.quadratic_constants(EigLocal(a), r=2)
+        c3 = sd.quadratic_constants(EigLocal(3.0 * a), r=2)
         for name in ("l", "l_n", "d_bound"):
             assert np.isclose(getattr(c3, name), 9.0 * getattr(c1, name), rtol=1e-12)
 
@@ -149,10 +149,10 @@ class TestLipschitzInequalities:
         self.rng = rng
 
     def _f(self, x):
-        return sum(o.value(x.data) for o in self.locals_) / len(self.locals_)
+        return float(np.sum(self.locals_.value(x.data))) / self.locals_.n
 
     def _grad(self, x):
-        acc = sum(o.euclidean_grad(x.data) for o in self.locals_) / len(self.locals_)
+        acc = self.locals_.euclidean_grad(x.data).sum(axis=0) / self.locals_.n
         return sd.project_to_tangent(x.data, acc)
 
     def test_function_inequality_1000_pairs(self):
@@ -176,7 +176,7 @@ class TestLipschitzInequalities:
 class TestSynthesizeEigengapData:
     def test_singular_value_ratios(self):
         locals_, _ = sd.synthesize_eigengap_data(4, 10, 12, 3, 0.8, seed=123)
-        a = np.vstack([o.rows for o in locals_])
+        a = locals_.rows
         s = np.linalg.svd(a, compute_uv=False)
         ratios = s[1:] / s[:-1]
         assert np.abs(ratios - math.sqrt(0.8)).max() <= 1e-10
@@ -189,8 +189,8 @@ class TestSynthesizeEigengapData:
 
     def test_paper_scale_accepted(self):
         locals_, xstar = sd.synthesize_eigengap_data(32, 1000, 100, 5, 0.8, seed=10)
-        assert len(locals_) == 32
-        assert locals_[0].rows.shape == (1000, 100)
+        assert locals_.n == 32
+        assert locals_.rows.shape == (32000, 100) and set(locals_.counts.tolist()) == {1000}
         assert (xstar.d, xstar.r) == (100, 5)
 
     def test_block_split(self):
@@ -215,13 +215,13 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         path.write_text("255,510\n255,255\n")
         blocks = sd.load_dsv_partition(path, 1, normalize_divisor=255.0)
-        assert np.allclose(blocks[0].rows, [[1.0, 2.0], [1.0, 1.0]])
+        assert np.allclose(blocks.rows, [[1.0, 2.0], [1.0, 1.0]])
 
     def test_whitespace_delimited_and_header(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("colA colB\n1 2\n3 4\n")
         blocks = sd.load_dsv_partition(path, 1)
-        assert blocks[0].sample_count == 2
+        assert blocks.sample_count == 2
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -259,7 +259,7 @@ class TestLoadDsvPartition:
 class TestCentralizedOracle:
     def test_diag_spectrum(self):
         o = local_with_gram([3.0, 2.0, 1.0])
-        oracle = sd.centralized_oracle([o], 2)
+        oracle = sd.centralized_oracle(o, 2)
         target = np.eye(3)[:, :2]
         assert sd.subspace_distance(oracle, StiefelPoint(target)) <= 1e-12
 
@@ -267,19 +267,19 @@ class TestCentralizedOracle:
         rng = np.random.default_rng(12)
         locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=13)
         oracle = sd.centralized_oracle(locals_, 2)
-        f_star = sum(o.value(oracle.data) for o in locals_)
+        f_star = np.sum(locals_.value(oracle.data))
         for _ in range(100):
             x = sd.random_stiefel(8, 2, rng)
-            assert f_star <= sum(o.value(x.data) for o in locals_) + 1e-10
+            assert f_star <= np.sum(locals_.value(x.data)) + 1e-10
 
     def test_flat_spectrum_warns(self):
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.warns(RuntimeWarning):
-            sd.centralized_oracle([o], 1)
+            sd.centralized_oracle(o, 1)
 
     def test_bad_r(self):
         with pytest.raises(ParameterError):
-            sd.centralized_oracle([local_with_gram([1.0, 2.0])], 3)
+            sd.centralized_oracle(local_with_gram([1.0, 2.0]), 3)
 
 
 class TestEstimateXi:
@@ -295,7 +295,7 @@ class TestEstimateXi:
         locals_, _ = sd.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=17)
         x = sd.random_stiefel(6, 2, np.random.default_rng(18))
         xi = sd.estimate_xi(locals_, x, np.random.default_rng(19), draws=256)
-        o = locals_[0]
+        o = next(iter(locals_))
         # any single draw it saw is within the reported bound
-        v = o.stochastic_egrad(x.data, [0])
+        v = o.stochastic_egrad(x.data, [[0]])
         assert np.linalg.norm(v - o.euclidean_grad(x.data)) <= xi + 1e-9
