@@ -19,6 +19,25 @@ every log, summary, report and exit code byte-identical:
     python3 scripts/cli_digests.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
+A change that moves last bits on purpose (a reassociated sum, a fused
+projection) is checked with --against instead, which runs every configuration
+under both trees and prints one PASS or FAIL line per configuration, with the
+worst |a - b| / S per float column, then exits 1 on any FAIL:
+
+    python3 scripts/cli_digests.py --against ../parent/src
+
+PASS needs the same exit code, error line and row count; k and beta_k
+identical; the lines above the CSV header byte-identical, except the oracle
+report's `# f(x*) =` value, which is compared like f_bar; stdout identical
+once its numbers are masked (the run summary repeats the last row, rounded);
+and every other float within |a - b| <= 1e-12 S in natural units: the _sq
+columns are compared as square roots, S = 2 sqrt(r) (the Frobenius diameter of
+St(d, r)) for consensus_err_sq, linf_err and ds_oracle, and S = the largest
+|f_bar| in either output for f_bar and grad_norm_sq. elapsed_ms is wall time
+and is not compared. A flat per-entry relative bound would fail working code:
+near convergence grad_norm_sq is a cancellation, pure round-off where the
+true gradient is 0.
+
 BLAS is pinned to one thread, so the digests do not depend on the core count.
 """
 
@@ -26,8 +45,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +57,9 @@ from pathlib import Path
 
 OUT = "out.csv"
 ERROR_PREFIXES = ("config error: ", "ingestion error: ", "numerical error: ", "error: ")
+TOL = 1e-12  # --against: the largest |a - b| / S that passes
+ORACLE_VALUE = "# f(x*) = "
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
 def sample_rows(count: int, width: int, scale: float = 1.0, header: bool = False,
@@ -125,8 +150,8 @@ def error_line(stderr: bytes) -> str:
     return errors[-1] if errors else "-"
 
 
-def digest(args: list, src: Path) -> tuple:
-    """(exit code, stdout digest, file digest or '-', error line) of one CLI run in a
+def run_cli(args: list, src: Path) -> tuple:
+    """(exit code, stdout, written file or None, error line) of one CLI run in a
     fresh directory holding the files the arguments name."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -136,23 +161,113 @@ def digest(args: list, src: Path) -> tuple:
         proc = subprocess.run([sys.executable, "-m", "stiefel_dec.cli", *args],
                               cwd=tmp, env=env, capture_output=True)
         out = Path(tmp) / OUT
-        written = sha(out.read_bytes()) if out.exists() else "-"
-        return proc.returncode, sha(proc.stdout), written, error_line(proc.stderr)
+        written = out.read_bytes() if out.exists() else None
+        return proc.returncode, proc.stdout, written, error_line(proc.stderr)
+
+
+def digest(outcome: tuple) -> str:
+    code, out, written, err = outcome
+    return f"{code} {sha(out)} {'-' if written is None else sha(written)} {err}"
+
+
+def _split_log(text: str) -> tuple:
+    """(lines above the CSV header, CSV header or None, CSV rows as dicts)."""
+    lines = text.splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith("k,")), len(lines))
+    if at == len(lines):
+        return lines, None, []
+    names = lines[at].split(",")
+    return lines[:at], lines[at], [dict(zip(names, row.split(","))) for row in lines[at + 1 :]]
+
+
+def _ratio(a: str, b: str, scale: float, root: bool) -> float:
+    """|a - b| / scale of two cells (as square roots when root), inf when only one is empty."""
+    if not a or not b:
+        return 0.0 if a == b else math.inf
+    x, y = float(a), float(b)
+    if root:
+        x, y = math.sqrt(x), math.sqrt(y)
+    if x == y:
+        return 0.0
+    return abs(x - y) / scale if scale > 0.0 else math.inf
+
+
+def _compare_files(a: str, b: str, worst: dict) -> list:
+    """Differences between two written files; fills worst with |a - b| / S per float column."""
+    head_a, csv_a, rows_a = _split_log(a)
+    head_b, csv_b, rows_b = _split_log(b)
+    if len(head_a) != len(head_b) or csv_a != csv_b:
+        return ["header lines differ"]
+    if len(rows_a) != len(rows_b):
+        return [f"{len(rows_a)} rows vs {len(rows_b)}"]
+    oracle = []  # the (a, b) values of `# f(x*) =` lines
+    for x, y in zip(head_a, head_b):
+        if x.startswith(ORACLE_VALUE) and y.startswith(ORACLE_VALUE):
+            oracle.append((x[len(ORACLE_VALUE):], y[len(ORACLE_VALUE):]))
+        elif x != y:
+            return ["header lines differ"]
+    values = [v for pair in oracle for v in pair] + [row["f_bar"] for row in rows_a + rows_b if row.get("f_bar")]
+    f_scale = max((abs(float(v)) for v in values), default=0.0)
+    config = next((x for x in head_a if x.startswith("# config: ")), None)
+    diameter = 2.0 * math.sqrt(json.loads(config[len("# config: "):])["r"]) if config else 0.0
+    for x, y in oracle:
+        worst["f(x*)"] = max(worst.get("f(x*)", 0.0), _ratio(x, y, f_scale, False))
+    problems = set()
+    for ra, rb in zip(rows_a, rows_b):
+        for col, x in ra.items():
+            if col in ("k", "beta_k"):
+                if x != rb[col]:
+                    problems.add(f"{col} differs")
+            elif col != "elapsed_ms":  # wall time
+                scale = f_scale if col in ("grad_norm_sq", "f_bar") else diameter
+                worst[col] = max(worst.get(col, 0.0), _ratio(x, rb[col], scale, col.endswith("_sq")))
+    return sorted(problems)
+
+
+def compare(a: tuple, b: tuple) -> tuple:
+    """(differences, worst |a - b| / S per float column) of two run_cli outcomes of one
+    configuration; PASS when the differences are empty."""
+    (code_a, out_a, file_a, err_a), (code_b, out_b, file_b, err_b) = a, b
+    worst, problems = {}, []
+    if code_a != code_b:
+        problems.append(f"exit {code_a} vs {code_b}")
+    if err_a != err_b:
+        problems.append("error lines differ")
+    if NUMBER.sub("#", out_a.decode()) != NUMBER.sub("#", out_b.decode()):
+        problems.append("stdout differs")
+    if (file_a is None) != (file_b is None):
+        problems.append("only one run wrote a file")
+    elif file_a is not None:
+        problems += _compare_files(file_a.decode(), file_b.decode(), worst)
+    problems += [f"{col} off by {v:.1e} S" for col, v in worst.items() if v > TOL]
+    return problems, worst
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the stiefel_dec package (default: this checkout)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="another stiefel_dec source directory: compare every output within 1e-12 S")
     ns = parser.parse_args(argv)
     src = ns.src.resolve()
+    passed = 0
     for name, line in CONFIGS:
         args = line.split()
         if args[0] != "spectral":  # spectral prints its report and writes nothing
             args += ["--out", OUT]
-        code, out, written, err = digest(args, src)
-        print(f"{name} {code} {out} {written} {err}", flush=True)
-    return 0
+        outcome = run_cli(args, src)
+        if ns.against is None:
+            print(f"{name} {digest(outcome)}", flush=True)
+            continue
+        problems, worst = compare(run_cli(args, ns.against.resolve()), outcome)
+        passed += not problems
+        ratios = " ".join(f"{col}={v:.1e}" for col, v in worst.items())
+        print(f"{'FAIL' if problems else 'PASS'} {name} {ratios} {'; '.join(problems)}".rstrip(), flush=True)
+    if ns.against is None:
+        return 0
+    print(f"{passed}/{len(CONFIGS)} PASS")
+    return 0 if passed == len(CONFIGS) else 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 All schemes share the same synchronous-round template: every agent mixes its
 neighbors' variables through t rounds of gossip (one product with W^t),
-projects onto its tangent space, takes a step, and retracts. The consensus
-scheme stops there; the gradient schemes subtract a (stochastic or tracked)
-Riemannian gradient before retracting. Rounds are barrier-synchronized, so a
-round is a few operations on the (n, d, r) stack of all agents' variables.
+projects once onto its tangent space, steps, and retracts. The consensus
+scheme projects the mixed point; the gradient schemes project the mixed point
+minus a (stochastic, exact or tracked) gradient step, which by linearity of
+the projection equals the difference of the two projections. Rounds are
+barrier-synchronized, so a round is a few operations on the (n, d, r) stack
+of all agents' variables.
 """
 
 from __future__ import annotations
@@ -203,27 +205,26 @@ def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
     return SwarmState(polar_retract(s.x, alpha * project_to_tangent(s.x, mix(s, wt))))
 
 
-def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, grads) -> SwarmState:
+def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, egrads) -> SwarmState:
     """One (stochastic) gradient iteration: consensus pull minus a gradient step.
 
-    x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j) - beta_k v_i) where grads
-    is the (n, d, r) stack of the v_i, tangent vectors at the x_i (stochastic
-    Riemannian gradients, or the exact ones for the deterministic variant).
-    beta_k = 0 recovers the pure consensus step.
+    x_i <- R_{x_i}(P_{T_{x_i}}(alpha sum_j W_ij x_j - beta_k e_i)) where egrads
+    is the (n, d, r) stack of the e_i: Euclidean gradients at the x_i, stochastic
+    or exact. The one projection equals alpha P(mixed) - beta_k grad_i with grad_i
+    the Riemannian gradient; beta_k = 0 recovers the pure consensus step.
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if beta_k < 0.0:
         raise ParameterError(f"beta must be nonnegative, got {beta_k}")
-    grads = np.asarray(grads, dtype=float)
-    if grads.shape != s.x.shape:
-        raise ContractError(f"gradients of shape {grads.shape} for a swarm of shape {s.x.shape}")
-    consensus = project_to_tangent(s.x, mix(s, wt))
-    return SwarmState(polar_retract(s.x, alpha * consensus - beta_k * grads))
+    egrads = np.asarray(egrads, dtype=float)
+    if egrads.shape != s.x.shape:
+        raise ContractError(f"gradients of shape {egrads.shape} for a swarm of shape {s.x.shape}")
+    return SwarmState(polar_retract(s.x, project_to_tangent(s.x, alpha * mix(s, wt) - beta_k * egrads)))
 
 
 def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
-    """The (n, d, r) stack of grad f_i(x_i)."""
+    """The (n, d, r) stack of grad f_i(x_i), which the trackers carry."""
     return project_to_tangent(x, locals_.euclidean_grad(x))
 
 
@@ -233,19 +234,12 @@ def drgta_init(s: SwarmState, locals_) -> TrackerState:
     return TrackerState(g, g)
 
 
-def drgta_step(
-    s: SwarmState,
-    tr: TrackerState,
-    wt: MixingMatrix,
-    alpha: float,
-    beta: float,
-    locals_,
-) -> tuple:
+def drgta_step(s: SwarmState, tr: TrackerState, wt: MixingMatrix, alpha: float, beta: float, locals_) -> tuple:
     """One gradient-tracking iteration; returns the new (swarm, tracker) pair.
 
-    Per agent: project the tracker onto the tangent space, v_i = P_{T_{x_i}} y_i;
-    move x_i <- R_{x_i}(alpha P_{T_{x_i}}(mixed) - beta v_i); refresh the
-    tracker y_i <- sum_j W_ij y_j + grad f_i(x_i+) - grad f_i(x_i), where
+    Per agent: move x_i <- R_{x_i}(P_{T_{x_i}}(alpha mixed - beta y_i)), one
+    projection for alpha P(mixed) - beta P(y_i); refresh the tracker
+    y_i <- sum_j W_ij y_j + grad f_i(x_i+) - grad f_i(x_i), where
     grad f_i(x_i) is the one the tracker carries. Because W is doubly
     stochastic the tracker average equals the average Riemannian gradient
     after every step (the correction telescopes).
@@ -256,8 +250,7 @@ def drgta_step(
         raise ParameterError(f"beta must be nonnegative, got {beta}")
     if tr.y.shape != s.x.shape:
         raise ContractError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
-    consensus = project_to_tangent(s.x, mix(s, wt))
-    moved = SwarmState(polar_retract(s.x, alpha * consensus - beta * project_to_tangent(s.x, tr.y)))
+    moved = SwarmState(polar_retract(s.x, project_to_tangent(s.x, alpha * mix(s, wt) - beta * tr.y)))
     g_new = _riemannian_grads(moved.x, locals_)
     return moved, TrackerState(mix(tr.y, wt) + (g_new - tr.g), g_new)
 
@@ -364,9 +357,9 @@ def run(
         gsq = f_bar = ds = None
         if with_obj:
             xbar = s.mean_point.data
-            egrads = locals_.euclidean_grad(xbar)
-            gsq = stationarity_measure(xbar, egrads)
-            f_bar = average_value(xbar, egrads)
+            egrad = locals_.mean_grad(xbar)
+            gsq = stationarity_measure(xbar, egrad)
+            f_bar = average_value(xbar, egrad)
         if oracle is not None:
             ds = subspace_distance(s.mean_point, oracle)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None
@@ -404,7 +397,7 @@ def run(
                     s = drcs_step(s, wt, alpha)
                 elif algorithm == "drdgd":
                     beta = schedule.beta(k - 1)
-                    s = drsgd_step(s, wt, alpha, beta, _riemannian_grads(s.x, locals_))
+                    s = drsgd_step(s, wt, alpha, beta, locals_.euclidean_grad(s.x))
                 elif algorithm == "drgta":
                     beta = schedule.beta(k - 1)
                     s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
@@ -412,7 +405,7 @@ def run(
                     for _ in range(inner_per_epoch):
                         beta = schedule.beta(step_index)
                         egrads = locals_.stochastic_egrad(s.x, [next(st) for st in streams])
-                        s = drsgd_step(s, wt, alpha, beta, project_to_tangent(s.x, egrads))
+                        s = drsgd_step(s, wt, alpha, beta, egrads)
                         step_index += 1
                 snapshot(k, beta)
                 reason = stop_reason(records[-1])

@@ -552,7 +552,7 @@ def spectral_report(cfg: ExperimentConfig) -> str:
 def oracle_report(cfg: ExperimentConfig) -> tuple:
     """Centralized solution of the configured problem and a printable dump."""
     locals_, oracle = _build_problem(cfg)
-    total = average_value(oracle.data, locals_.euclidean_grad(oracle.data))
+    total = average_value(oracle.data, locals_.mean_grad(oracle.data))
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:
         rows.append(" ".join(f"{v:.17g}" for v in row))

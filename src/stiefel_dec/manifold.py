@@ -249,7 +249,7 @@ def project_to_tangent(x, y) -> np.ndarray:
     """
     x, y = _same_shape(x, y)
     sym = x.swapaxes(-1, -2) @ y
-    return y - 0.5 * x @ (sym + sym.swapaxes(-1, -2))
+    return y - x @ (0.5 * (sym + sym.swapaxes(-1, -2)))
 
 
 def polar_retract(x, xi) -> np.ndarray:

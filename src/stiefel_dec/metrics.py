@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
-from .manifold import StiefelPoint, _as_matrix, project_to_tangent
+from .manifold import StiefelPoint, _as_matrix, _same_shape, project_to_tangent
 
 
 _NONNEGATIVE = ("k", "consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle")
@@ -68,24 +68,19 @@ def subspace_distance(x, y) -> float:
     return float(np.linalg.norm(u @ (p @ qt) - v))
 
 
-def stationarity_measure(xbar: np.ndarray, egrads) -> float:
-    """||grad f(xbar)||^2 for the average objective f, from the (n, d, r) stack of
-    the agents' Euclidean gradients at xbar: their average, projected to the
-    tangent space at xbar. A stack of no gradients, or of gradients not shaped
-    like xbar, raises DimensionError."""
-    egrads = np.asarray(egrads, dtype=float)
-    if egrads.ndim != 3 or egrads.shape[0] == 0 or egrads.shape[1:] != xbar.shape:
-        raise DimensionError(f"need an (n, d, r) stack of gradients at a {xbar.shape} point, got {egrads.shape}")
-    # agents summed in order (pairwise only for d = r = 1, whose tangent space is {0})
-    grad = project_to_tangent(xbar, egrads.sum(axis=0) / len(egrads))
-    return float(np.linalg.norm(grad)) ** 2
+def stationarity_measure(xbar: np.ndarray, egrad) -> float:
+    """||grad f(xbar)||^2 for the average objective f, from its Euclidean gradient
+    at xbar (EigLocal.mean_grad), projected to the tangent space at xbar. A
+    gradient not shaped like xbar raises DimensionError."""
+    return float(np.linalg.norm(project_to_tangent(xbar, egrad))) ** 2
 
 
-def average_value(xbar: np.ndarray, egrads) -> float:
-    """f(xbar) = (1/n) sum f_i(xbar), from the same Euclidean gradients at xbar.
+def average_value(xbar: np.ndarray, egrad) -> float:
+    """f(xbar) = (1/n) sum f_i(xbar), from the same Euclidean gradient at xbar.
 
-    Each f_i(x) = -tr(x.T G_i x)/2 is quadratic, so f_i(x) = <x, grad f_i(x)>/2
-    with grad f_i(x) = -G_i x; the inner product gives exactly EigLocal.value.
-    The n values are summed in agent order.
+    Each f_i(x) = -tr(x.T G_i x)/2 is quadratic, so f(x) = <x, grad f(x)>/2
+    with grad f(x) = -(sum_i G_i) x / n. A gradient not shaped like xbar
+    raises DimensionError.
     """
-    return float(sum(0.5 * np.sum(xbar * egrads, axis=(1, 2))) / len(egrads))
+    xbar, egrad = _same_shape(xbar, egrad)
+    return float(0.5 * np.sum(xbar * egrad))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,13 @@ class EigLocal:
     def dim(self) -> int:
         return self.rows.shape[1]
 
+    @cached_property
+    def gram_sum(self) -> np.ndarray:
+        """sum_i G_i, the Gram matrix of all the rows, formed on first use."""
+        total = self.gram.sum(axis=0)
+        total.flags.writeable = False
+        return total
+
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-2] != self.dim:
@@ -89,6 +97,10 @@ class EigLocal:
     def euclidean_grad(self, x) -> np.ndarray:
         """The (n, d, r) stack of gradients -G_i x_i."""
         return -(self.gram @ self._check(x))
+
+    def mean_grad(self, x) -> np.ndarray:
+        """The gradient of the average objective at one d x r point, -(sum_i G_i) x / n."""
+        return -(self.gram_sum @ self._check(x)) / self.n
 
     def stochastic_egrad(self, x, batches) -> np.ndarray:
         """Unbiased gradient estimates from each agent's sample rows batches[i]
@@ -278,7 +290,7 @@ def centralized_oracle(locals_, r: int) -> StiefelPoint:
     d = locals_.dim
     if not (1 <= r <= d):
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    evals, evecs = np.linalg.eigh(locals_.gram.sum(axis=0))
+    evals, evecs = np.linalg.eigh(locals_.gram_sum)
     if r < d and evals[-r] - evals[-(r + 1)] < 1e-12:
         warnings.warn(
             "eigengap below 1e-12: the optimal subspace is ill-defined",

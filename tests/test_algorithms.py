@@ -103,9 +103,10 @@ class TestDrsgdStep:
         rng = np.random.default_rng(3)
         locals_, _ = homogeneous_problem(1, 8, 2, 12, seed=4)
         x = sd.random_stiefel(8, 2, rng)
-        g = sd.project_to_tangent(x.data, locals_.euclidean_grad(x.data)[0])
+        egrad = locals_.euclidean_grad(x.data)[0]  # drsgd_step projects it
+        g = sd.project_to_tangent(x.data, egrad)
         beta = 1e-3
-        out = drsgd_step(SwarmState((x,)), SINGLE, 1.0, beta, [g])
+        out = drsgd_step(SwarmState((x,)), SINGLE, 1.0, beta, [egrad])
         expect = sd.polar_retract(x.data, -beta * g)
         assert np.allclose(out.points[0].data, expect, atol=1e-14)
 
@@ -114,8 +115,7 @@ class TestDrsgdStep:
         locals_, xstar = homogeneous_problem(3, 8, 2, 15, seed=5)
         s = SwarmState((xstar,) * 3)
         w = sd.metropolis_weights(sd.ring_graph(3))
-        grads = sd.project_to_tangent(s.x, locals_.euclidean_grad(s.x))
-        out = drsgd_step(s, w, 1.0, 1e-2, grads)
+        out = drsgd_step(s, w, 1.0, 1e-2, locals_.euclidean_grad(s.x))
         for p in out.points:
             assert np.abs(p.data - xstar.data).max() <= 1e-12
 
@@ -316,8 +316,7 @@ class TestRegionPersistenceAndDeviation:
         rngs = [np.random.default_rng([16, 2, i]) for i in range(s.n)]
         for k in range(300):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            grads = sd.project_to_tangent(s.x, locals_.stochastic_egrad(s.x, batches))
-            s = drsgd_step(s, wt, rate.alpha, sched.beta(k), grads)
+            s = drsgd_step(s, wt, rate.alpha, sched.beta(k), locals_.stochastic_egrad(s.x, batches))
             assert bool(sd.in_consensus_region(s, p))
 
     def test_bounded_deviation_with_constant_stepsize(self):
@@ -330,8 +329,7 @@ class TestRegionPersistenceAndDeviation:
         rngs = [np.random.default_rng([17, 2, i]) for i in range(s.n)]
         for k in range(400):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            grads = sd.project_to_tangent(s.x, locals_.stochastic_egrad(s.x, batches))
-            s = drsgd_step(s, wt, rate.alpha, beta, grads)
+            s = drsgd_step(s, wt, rate.alpha, beta, locals_.stochastic_egrad(s.x, batches))
             if k >= 300:
                 assert math.sqrt(s.consensus_error_sq) <= bound + 1e-12
 
@@ -437,9 +435,10 @@ class TestRun:
                 assert np.array_equal(pa.data, pb.data)
 
     def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
-        # f(xbar) and ||grad f(xbar)||^2 share one batched Euclidean gradient
+        # f(xbar) and ||grad f(xbar)||^2 share one gradient of the average
+        # objective, one product with sum_i G_i; no per-agent gradient
         locals_, xstar, w, s = self._instance(seed=23)
-        calls = {"euclidean_grad": 0, "value": 0}
+        calls = {"euclidean_grad": 0, "mean_grad": 0, "value": 0}
         for name in calls:
             def counted(self, x, _orig=getattr(EigLocal, name), _name=name):
                 calls[_name] += 1
@@ -447,7 +446,7 @@ class TestRun:
             monkeypatch.setattr(EigLocal, name, counted)
         run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3),
             oracle=xstar, max_rounds=0)
-        assert calls == {"euclidean_grad": 1, "value": 0}
+        assert calls == {"euclidean_grad": 0, "mean_grad": 1, "value": 0}
 
     def test_argument_validation(self):
         locals_, xstar, w, s = self._instance(seed=22)

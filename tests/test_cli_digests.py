@@ -1,0 +1,79 @@
+"""The --against comparator of scripts/cli_digests.py, on logs held in memory."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digests.py"
+spec = importlib.util.spec_from_file_location("cli_digests", SCRIPT)
+cli_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_digests)
+
+R = 2
+DIAMETER = 2.0 * math.sqrt(R)
+HEADER = "k,consensus_err_sq,linf_err,grad_norm_sq,f_bar,ds_oracle,beta_k,elapsed_ms"
+# (consensus_err_sq, linf_err, grad_norm_sq, f_bar, ds_oracle) per row
+ROWS = [
+    (0.0, 0.0, 5025.446184621523, -52.85542468474226, 2.5986607251530494),
+    (1.5085002934308708e-4, 0.014265307764518767, 1.8654e-14, -55.40331034400456, 2.578295435763635),
+    (8.112690705661617e-06, 0.00334609626706245, 6.3e-14, -58.10108106579622, 2.5573394875254136),
+]
+F_SCALE = max(abs(row[3]) for row in ROWS)
+
+
+def outcome(rows=ROWS, code=5, stop="max_rounds"):
+    """A run_cli outcome: exit code, stdout summary, log bytes, error line."""
+    lines = ["# stiefel-dec 0.1.0", f'# config: {{"algorithm": "drgta", "r": {R}}}',
+             '# constants: {"alpha": 1.0}', HEADER]
+    for k, row in enumerate(rows):
+        lines.append(",".join([str(k), *map(repr, row), "" if k == 0 else "0.0005", ""]))
+    summary = f"drgta: {len(rows) - 1} rounds, stop={stop}  ds={rows[-1][4]:.3e}  log=out.csv\n"
+    return code, summary.encode(), ("\n".join(lines) + "\n").encode(), "-"
+
+
+def perturbed(col, delta, rows=ROWS):
+    """ROWS with delta added to column col of every row after the first."""
+    return [row if k == 0 else tuple(v + delta * (j == col) for j, v in enumerate(row))
+            for k, row in enumerate(rows)]
+
+
+def test_identical_logs_pass():
+    problems, worst = cli_digests.compare(outcome(), outcome())
+    assert problems == [] and set(worst.values()) == {0.0}
+
+
+@pytest.mark.parametrize("col, scale", [(1, DIAMETER), (3, F_SCALE), (4, DIAMETER)])
+def test_perturbation_of_1e_14_scale_passes(col, scale):
+    problems, worst = cli_digests.compare(outcome(), outcome(perturbed(col, 1e-14 * scale)))
+    assert problems == []
+    assert 0.0 < max(worst.values()) <= 1e-12
+
+
+def test_ds_oracle_change_of_1e_9_fails():
+    problems, _ = cli_digests.compare(outcome(), outcome(perturbed(4, 1e-9)))
+    assert problems == [f"ds_oracle off by {1e-9 / DIAMETER:.1e} S"]
+
+
+def test_extra_row_fails():
+    problems, _ = cli_digests.compare(outcome(), outcome(ROWS + [ROWS[-1]]))
+    assert "3 rows vs 4" in problems
+
+
+def test_different_exit_code_fails():
+    problems, _ = cli_digests.compare(outcome(), outcome(code=0))
+    assert problems == ["exit 5 vs 0"]
+
+
+def test_different_stop_fails():
+    problems, _ = cli_digests.compare(outcome(), outcome(stop="ds_tol"))
+    assert problems == ["stdout differs"]
+
+
+def test_oracle_value_is_compared_like_f_bar():
+    def report(value):
+        return 0, b"wrote out.csv\n", f"# centralized solution\n# f(x*) = {value!r}\n0.6 0.8\n".encode(), "-"
+
+    assert cli_digests.compare(report(-16.17528168831654), report(-16.175281688316543))[0] == []
+    assert cli_digests.compare(report(-16.17528168831654), report(-16.1752816883))[0] != []

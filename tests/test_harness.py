@@ -45,9 +45,10 @@ def quiet_run(cfg):
 
 
 def write_rows(path, scale):
-    """25 comma-separated Gaussian rows of width 6, times scale."""
+    """Write 25 comma-separated Gaussian rows of width 6, times scale; return them."""
     rows = np.random.default_rng(31).standard_normal((25, 6)) * scale
     path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    return rows
 
 
 class TestParseConfig:
@@ -500,6 +501,24 @@ class TestCli:
         mat = np.loadtxt(dest, comments="#")
         assert mat.shape == (8, 2)
         assert np.abs(mat.T @ mat - np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("problem", ["synthetic", "dsv"])
+    def test_oracle_value_is_minus_the_top_eigenvalues_over_2n(self, tmp_path, problem):
+        # f(x*) = -(sum of the r largest eigenvalues of sum_i G_i) / (2n); the
+        # sum of the blocks' Gram matrices is the Gram matrix of all the rows
+        n, r = 3, 2
+        if problem == "synthetic":  # the harness seeds its synthetic data with [seed, 0]
+            args = ["--d", "8", "--m", "10", "--seed", "1"]
+            rows = sd.synthesize_eigengap_data(n, 10, 8, r, 0.8, seed=[1, 0])[0].rows
+        else:  # 25 rows over 3 agents: blocks of 9, 8 and 8
+            data = tmp_path / "rows.csv"
+            rows = write_rows(data, 1.0)
+            args = ["--problem", "dsv", "--data", str(data)]
+        dest = tmp_path / "oracle.txt"
+        assert main(["oracle", "--n", str(n), "--r", str(r), *args, "--out", str(dest)]) == EXIT_OK
+        line = next(x for x in dest.read_text().splitlines() if x.startswith("# f(x*) = "))
+        expected = -np.linalg.eigvalsh(rows.T @ rows)[-r:].sum() / (2 * n)
+        assert abs(float(line.split("= ")[1]) - expected) <= 1e-12 * abs(expected)
 
     def test_dsv_problem_end_to_end(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -10,6 +10,7 @@ from stiefel_dec import (
     StiefelPoint,
     SwarmState,
 )
+from stiefel_dec.metrics import average_value
 
 
 def col(*vals):
@@ -89,7 +90,7 @@ class TestSubspaceDistance:
 
 class TestStationarityMeasure:
     def _measure(self, xbar, locals_):
-        return sd.stationarity_measure(xbar.data, locals_.euclidean_grad(xbar.data))
+        return sd.stationarity_measure(xbar.data, locals_.mean_grad(xbar.data))
 
     def test_zero_at_oracle(self):
         locals_, xstar = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
@@ -108,15 +109,23 @@ class TestStationarityMeasure:
         assert s.consensus_error_sq >= 0.0 and self._measure(s.mean_point, locals_) >= 0.0
 
     def test_agent_count_mismatch(self):
-        # The agent count is the length of the gradient stack: an empty stack,
-        # or gradients from a problem of another dimension, cannot be averaged at xbar.
+        # An empty stack, or the gradient of a problem of another dimension,
+        # is not a gradient at xbar.
         x = sd.random_stiefel(6, 2, np.random.default_rng(15)).data
         with pytest.raises(DimensionError):
             sd.stationarity_measure(x, np.empty((0, 6, 2)))
         others, _ = sd.synthesize_eigengap_data(1, 10, 5, 2, 0.7, seed=16)
         z = sd.random_stiefel(5, 2, np.random.default_rng(17)).data
         with pytest.raises(DimensionError):
-            sd.stationarity_measure(x, others.euclidean_grad(z))
+            sd.stationarity_measure(x, others.mean_grad(z))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 6, 2)])
+    def test_gradient_not_shaped_like_the_point(self, shape):
+        # a (1, r) row or an (n, d, r) stack would broadcast against the (d, r) point
+        x = sd.random_stiefel(6, 2, np.random.default_rng(18)).data
+        for measure in (sd.stationarity_measure, average_value):
+            with pytest.raises(DimensionError):
+                measure(x, np.ones(shape))
 
 
 class TestIterationRecord:
