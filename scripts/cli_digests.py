@@ -127,6 +127,10 @@ CONFIGS = [
     ("dsv-drsgd-ragged-batch3", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --max-epochs 4"),
     ("dsv-drsgd-ragged-constant", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --schedule constant --max-epochs 3"),
     ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
+    # xi is estimated at the shared x0 while the swarm starts from independent points
+    ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),
+    # a tangent nudge of norm 1e7 from one shared point
+    ("consensus-perturb-1e7", "consensus --perturb 1e7 --max-iters 5"),
     # failures: each should exit with its documented code and an error line
     ("config-n-float", "run --config n-float.json --max-iters 5"),
     ("config-t-str", "run --config t-str.json --max-iters 5"),

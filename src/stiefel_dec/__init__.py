@@ -38,7 +38,6 @@ from .errors import (
 )
 from .manifold import (
     ConsensusRegionParams,
-    RegionCheck,
     StiefelPoint,
     SwarmState,
     TangentVector,

@@ -381,7 +381,7 @@ def run(
             return "ds_tol"
         if tol_grad and rec.grad_norm_sq is not None and math.sqrt(rec.grad_norm_sq) <= tol_grad:
             return "grad_tol"
-        if tol_consensus and math.sqrt(swarm.n * rec.consensus_err_sq) <= tol_consensus:
+        if tol_consensus and s.stacked_error() <= tol_consensus:
             return "consensus_tol"
         return None
 

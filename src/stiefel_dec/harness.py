@@ -263,7 +263,7 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
     w = metropolis_weights(g)
     t_min = min_communication_rounds(w)
     t = cfg.t if cfg.t > 0 else t_min
-    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else cfg.delta2 / (5.0 * math.sqrt(cfg.r))
+    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else ConsensusRegionParams.delta1_cap(cfg.r, cfg.delta2)
     region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
     base_rate = rate = consensus_rate_params(w, t, region)
     alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
@@ -274,7 +274,6 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     g, w, t_min, t, region, alpha, base_rate, rate = _resolve_rates(cfg)
-    r_cols = cfg.r
     if alpha > base_rate.alpha_bar:
         warnings.warn(
             f"alpha = {alpha:.6g} exceeds the theoretical cap "
@@ -297,14 +296,17 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         "delta2": region.delta2,
     }
 
-    locals_ = oracle = constants = schedule = None
+    constants = schedule = None
+    locals_, oracle = (None, None) if cfg.algorithm == "drcs" else _build_problem(cfg)
+    # the shared start: the swarm's common point, and where xi is estimated
+    d_cols = cfg.d if locals_ is None else locals_.dim
+    x0 = random_stiefel(d_cols, cfg.r, np.random.default_rng([cfg.seed, 1]))
     if cfg.algorithm == "drcs":
         max_rounds = cfg.max_iters
         tol_ds = tol_grad = None
         tol_consensus = cfg.tol_consensus
     else:
-        locals_, oracle = _build_problem(cfg)
-        constants = quadratic_constants(locals_, r_cols)
+        constants = quadratic_constants(locals_, cfg.r)
         mean_m = locals_.rows.shape[0] / locals_.n
         header.update(
             {
@@ -317,7 +319,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         stochastic = cfg.algorithm == "drsgd"
         max_rounds = cfg.max_epochs if stochastic else cfg.max_iters
         schedule, constants = _build_schedule(
-            cfg, constants, rate, region, alpha, mean_m, locals_
+            cfg, constants, rate, region, alpha, mean_m, locals_, x0
         )
         header["beta"] = schedule.base
         header["schedule"] = schedule.kind
@@ -332,7 +334,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
                 w.sigma2**t,
                 rate.alpha,
                 region.delta1,
-                r_cols,
+                cfg.r,
             )
             if schedule.base > beta_bar:
                 warnings.warn(
@@ -345,8 +347,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         tol_grad = None if stochastic else _default_tol(cfg.tol_grad, 1e-8)
         tol_consensus = None
 
-    d_cols = cfg.d if locals_ is None else locals_.dim
-    swarm0 = _build_swarm(cfg, d_cols, r_cols, region)
+    swarm0 = _build_swarm(cfg, x0, region)
     return ResolvedExperiment(
         cfg=cfg,
         graph=g,
@@ -391,7 +392,7 @@ def _build_problem(cfg: ExperimentConfig):
     return locals_, centralized_oracle(locals_, cfg.r)
 
 
-def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
+def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_, x0):
     if cfg.schedule == "user":
         if cfg.beta_scale == "raw":
             beta = cfg.beta_hat
@@ -411,7 +412,6 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
         )
     # Constant rule: needs the stochastic deviation bound, estimated at the
     # shared starting point from single-sample draws.
-    x0 = random_stiefel(locals_.dim, cfg.r, np.random.default_rng([cfg.seed, 1]))
     xi = estimate_xi(locals_, x0, np.random.default_rng([cfg.seed, 3]))
     constants = constants.with_xi(xi, estimate=True)
     if cfg.algorithm == "drsgd":
@@ -424,20 +424,17 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_):
     return schedule, constants
 
 
-def _build_swarm(cfg, d, r, region) -> SwarmState:
+def _build_swarm(cfg, x0, region) -> SwarmState:
     if cfg.init == "independent":
         return SwarmState(
-            [random_stiefel(d, r, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.n)]
+            [random_stiefel(x0.d, x0.r, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.n)]
         )
-    x0 = random_stiefel(d, r, np.random.default_rng([cfg.seed, 1]))
     noise = cfg.perturb
     if noise == 0.0 and cfg.algorithm == "drcs":
         # Pure consensus from an exactly shared point is a no-op; nudge each
         # agent inside the contraction region instead.
         noise = region.delta1 / 2.0
-    if noise > 0.0:
-        return perturbed_swarm(x0, cfg.n, noise, np.random.default_rng([cfg.seed, 5]))
-    return SwarmState((x0,) * cfg.n)
+    return perturbed_swarm(x0, cfg.n, noise, np.random.default_rng([cfg.seed, 5]))
 
 
 @dataclass(frozen=True)

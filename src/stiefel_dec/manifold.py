@@ -47,6 +47,14 @@ def as_stack(a, name: str) -> np.ndarray:
     return out
 
 
+def frobenius_norms(a) -> np.ndarray:
+    """||a_i||_F of every slice of an (n, ...) stack, as one batched (1, K) @ (K, 1)
+    product over C-ordered rows: the dot product np.linalg.norm takes, so each equals
+    np.linalg.norm(a_i) bit for bit (a strided view would fall back to another sum)."""
+    flat = np.ascontiguousarray(a, dtype=float).reshape(len(a), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
+
+
 def _check_orthonormal(x: np.ndarray):
     """Raise unless every d x r slice of x has orthonormal columns (also rejects NaN and inf)."""
     d, r = x.shape[-2:]
@@ -161,9 +169,9 @@ class SwarmState:
         return StiefelPoint(u @ vt)
 
     @cached_property
-    def _deviation_norms(self) -> tuple:
+    def _deviation_norms(self) -> np.ndarray:
         """||x_i - xbar||_F per agent, in agent order."""
-        return tuple(np.linalg.norm(dev) for dev in self.x - self.mean_point.data)
+        return frobenius_norms(self.x - self.mean_point.data)
 
     @cached_property
     def consensus_error_sq(self) -> float:
@@ -173,7 +181,7 @@ class SwarmState:
     @cached_property
     def linf_error(self) -> float:
         """max_i ||x_i - xbar||_F."""
-        return float(max(self._deviation_norms))
+        return float(self._deviation_norms.max())
 
     def stacked_error(self) -> float:
         """Frobenius norm of the stacked deviation, ||x - xbar|| = sqrt(n * mean-square)."""
@@ -200,38 +208,21 @@ class ConsensusRegionParams:
             raise ParameterError(f"r must be >= 1, got {self.r}")
         if not (0.0 < self.delta2 <= 1.0 / 6.0 + 1e-15):
             raise ParameterError(f"need 0 < delta2 <= 1/6, got {self.delta2}")
-        cap = self.delta2 / (5.0 * np.sqrt(self.r))
+        cap = self.delta1_cap(self.r, self.delta2)
         if not (0.0 < self.delta1 <= cap * (1.0 + 1e-12)):
             raise ParameterError(
                 f"need 0 < delta1 <= delta2/(5 sqrt(r)) = {cap:.6g}, got {self.delta1}"
             )
 
+    @staticmethod
+    def delta1_cap(r: int, delta2: float) -> float:
+        """The largest admissible delta1, delta2 / (5 sqrt(r))."""
+        return float(delta2 / (5.0 * np.sqrt(r)))
+
     @classmethod
     def tightest(cls, r: int, delta2: float = 1.0 / 6.0) -> "ConsensusRegionParams":
         """Largest admissible radii for a given column count."""
-        return cls(delta1=delta2 / (5.0 * np.sqrt(r)), delta2=delta2, r=r)
-
-
-@dataclass(frozen=True)
-class RegionCheck:
-    """Outcome of the consensus-region test with both margins (bound - value)."""
-
-    in_region: bool
-    stacked_sq: float
-    stacked_sq_bound: float
-    linf: float
-    linf_bound: float
-
-    def __bool__(self) -> bool:
-        return self.in_region
-
-    @property
-    def stacked_sq_margin(self) -> float:
-        return self.stacked_sq_bound - self.stacked_sq
-
-    @property
-    def linf_margin(self) -> float:
-        return self.linf_bound - self.linf
+        return cls(delta1=cls.delta1_cap(r, delta2), delta2=delta2, r=r)
 
 
 def _same_shape(x, y) -> tuple:
@@ -272,20 +263,11 @@ def polar_retract(x, xi) -> np.ndarray:
     return ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
 
 
-def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> RegionCheck:
-    """Test ||x - xbar||^2 <= n delta1^2 and max_i ||x_i - xbar|| <= delta2."""
+def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:
+    """Whether ||x - xbar||^2 <= n delta1^2 and max_i ||x_i - xbar|| <= delta2."""
     if p.r != s.r:
         raise ParameterError(f"region params are for r={p.r}, swarm has r={s.r}")
-    stacked_sq = s.n * s.consensus_error_sq
-    bound_sq = s.n * p.delta1**2
-    linf = s.linf_error
-    return RegionCheck(
-        in_region=bool(stacked_sq <= bound_sq and linf <= p.delta2),
-        stacked_sq=stacked_sq,
-        stacked_sq_bound=bound_sq,
-        linf=linf,
-        linf_bound=p.delta2,
-    )
+    return bool(s.n * s.consensus_error_sq <= s.n * p.delta1**2 and s.linf_error <= p.delta2)
 
 
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> StiefelPoint:
@@ -314,10 +296,15 @@ def random_tangent(
 def perturbed_swarm(
     x0: StiefelPoint, n: int, noise: float, rng: np.random.Generator
 ) -> SwarmState:
-    """Swarm of n copies of x0, each nudged by a tangent step of the given norm."""
+    """Swarm of n copies of x0, each nudged by a tangent step of the given norm, built as
+    one (n, d, r) stack from the draws n random_tangent(x0, rng, noise) calls would take."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     if noise == 0.0:
         return SwarmState((x0,) * n)
-    steps = np.stack([random_tangent(x0, rng, noise).data for _ in range(n)])
-    return SwarmState(polar_retract(np.broadcast_to(x0.data, steps.shape), steps))
+    base = np.broadcast_to(x0.data, (n, *x0.data.shape))
+    xi = project_to_tangent(base, rng.standard_normal(base.shape))
+    norms = frobenius_norms(xi)
+    if not norms.all():
+        raise ParameterError("degenerate random tangent draw")
+    return SwarmState(polar_retract(base, (noise / norms)[:, None, None] * xi))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DimensionError, IngestionError, ParameterError
-from .manifold import StiefelPoint
+from .manifold import StiefelPoint, frobenius_norms
 
 
 class EigLocal:
@@ -191,9 +191,8 @@ def estimate_xi(
     full = locals_.euclidean_grad(x.data)
     worst = 0.0
     for batches in zip(*picks):
-        dev = (locals_.stochastic_egrad(x.data, batches) - full).reshape(locals_.n, 1, -1)
-        # (1, K) @ (K, 1) is the dot product np.linalg.norm takes; fmax, like max(), skips NaN
-        worst = max(worst, float(np.fmax.reduce(np.sqrt(dev @ dev.swapaxes(1, 2)), axis=None)))
+        dev = locals_.stochastic_egrad(x.data, batches) - full
+        worst = max(worst, float(np.fmax.reduce(frobenius_norms(dev))))  # fmax, like max(), skips NaN
     return worst
 
 
@@ -284,17 +283,14 @@ def _is_number(tok: str) -> bool:
 def centralized_oracle(locals_, r: int) -> StiefelPoint:
     """Leading r eigenvectors of the summed Gram matrix, by descending eigenvalue.
 
-    Warns when the eigengap between positions r and r+1 vanishes, since the
-    optimal subspace is then ill-defined.
+    Warns when the gap between eigenvalues r and r+1 is at most 1e-12 of the largest
+    (an exact tie, an all-zero spectrum): the optimal subspace is then ill-defined.
     """
     d = locals_.dim
     if not (1 <= r <= d):
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
     evals, evecs = np.linalg.eigh(locals_.gram_sum)
-    if r < d and evals[-r] - evals[-(r + 1)] < 1e-12:
-        warnings.warn(
-            "eigengap below 1e-12: the optimal subspace is ill-defined",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if r < d and evals[-r] - evals[-(r + 1)] <= 1e-12 * evals[-1]:
+        warnings.warn("eigengap below 1e-12 of the largest eigenvalue: the optimal subspace is "
+                      "ill-defined", RuntimeWarning, stacklevel=2)
     return StiefelPoint(evecs[:, ::-1][:, :r])

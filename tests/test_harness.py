@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stiefel_dec as sd
+from stiefel_dec import harness
 from stiefel_dec.cli import main
 from stiefel_dec.errors import ConfigError
 from stiefel_dec.harness import (
@@ -188,6 +189,27 @@ class TestResolve:
         cfg = parse_config(flags=dict(SMALL, init="independent"))
         res = quiet_resolve(cfg)
         assert res.swarm0.consensus_error_sq > 1e-3
+
+    @pytest.mark.parametrize("init", ["shared", "independent"])
+    def test_shared_start_is_drawn_once(self, init, monkeypatch):
+        entropies = []
+
+        def counting(d, r, rng):
+            entropies.append(rng.bit_generator.seed_seq.entropy)
+            return sd.random_stiefel(d, r, rng)
+
+        monkeypatch.setattr(harness, "random_stiefel", counting)
+        cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant", init=init))
+        res = quiet_resolve(cfg)
+        shared = [cfg.seed, 1]
+        assert entropies.count(shared) == 1
+        assert len(entropies) == 1 + (cfg.n if init == "independent" else 0)
+        # xi is estimated at the shared point, wherever the swarm starts
+        x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng(shared))
+        assert res.constants.xi == sd.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
+        # agent 0 is not compared: numpy's SeedSequence zero-pads its entropy, so the
+        # stream [seed, 1, 0] of an independent agent 0 is the shared stream [seed, 1]
+        assert np.array_equal(res.swarm0.x[1], x0.data) == (init == "shared")
 
 
 class TestRunExperiment:
@@ -484,6 +506,13 @@ class TestCli:
         )
         assert code == EXIT_OK
         assert read_config_echo(out)["algorithm"] == "drcs"
+
+    def test_huge_perturbation_runs(self, tmp_path):
+        # a tangent nudge of norm 1e7 is built as a stack, with no absolute tangency check
+        out = tmp_path / "cons.csv"
+        code = main(["consensus", "--perturb", "1e7", "--max-iters", "3", "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert len(out.read_text().splitlines()) == 4 + 4  # three comment lines, the header, k = 0..3
 
     def test_spectral_subcommand(self, capsys):
         code = main(["spectral", "--graph", "ring", "--n", "4", "--r", "1"])

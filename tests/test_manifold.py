@@ -277,19 +277,17 @@ class TestConsensusRegion:
     def test_identical_points_inside(self):
         rng = np.random.default_rng(16)
         x = sd.random_stiefel(5, 2, rng)
-        chk = sd.in_consensus_region(SwarmState((x, x, x)), ConsensusRegionParams.tightest(2))
-        assert bool(chk)
-        assert chk.stacked_sq_margin > 0 and chk.linf_margin > 0
+        s, p = SwarmState((x, x, x)), ConsensusRegionParams.tightest(2)
+        assert sd.in_consensus_region(s, p) is True
+        assert s.consensus_error_sq < p.delta1**2 and s.linf_error < p.delta2
 
     def test_large_perturbation_outside(self):
         rng = np.random.default_rng(17)
         x = sd.random_stiefel(6, 1, rng)
         far = StiefelPoint(sd.polar_retract(x.data, sd.random_tangent(x, rng, norm=0.5).data))
-        chk = sd.in_consensus_region(
-            SwarmState((x, x, x, far)), ConsensusRegionParams.tightest(1)
-        )
-        assert not bool(chk)
-        assert chk.linf > chk.linf_bound
+        s, p = SwarmState((x, x, x, far)), ConsensusRegionParams.tightest(1)
+        assert sd.in_consensus_region(s, p) is False
+        assert s.linf_error > p.delta2
 
     def test_r_mismatch(self):
         rng = np.random.default_rng(18)

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +278,22 @@ class TestCentralizedOracle:
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.warns(RuntimeWarning):
             sd.centralized_oracle(o, 1)
+
+    @pytest.mark.parametrize("scale", [2.0**k for k in range(-240, 241, 40)] + [1e-7])
+    def test_clear_gap_never_warns_at_any_scale(self, scale):
+        # the 25 x 6 rows of the digest script's data files (e80.csv without its 1e80);
+        # at r = 2 the gap is 0.36 of the largest eigenvalue. 1e-7 stands for `--divisor 1e7`.
+        rng = random.Random(7)
+        rows = np.array([[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(25)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sd.centralized_oracle(EigLocal(rows * scale, 3), 2)
+
+    @pytest.mark.parametrize("scale", [4.0**k for k in range(-240, 241, 40)] + [0.0])
+    def test_tied_spectrum_warns_at_every_scale(self, scale):
+        # an exact tie at positions 1 and 2; scale 0 is the all-zero spectrum
+        with pytest.warns(RuntimeWarning, match="eigengap"):
+            sd.centralized_oracle(local_with_gram(np.array([4.0, 4.0, 1.0]) * scale), 1)
 
     def test_bad_r(self):
         with pytest.raises(ParameterError):

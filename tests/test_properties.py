@@ -1,16 +1,18 @@
-"""Property-based checks of the batched manifold kernels, of the one-projection
-gradient steps, of the metrics computed from the mean gradient and of the
-stacked problem's gradients.
+"""Property-based checks of the batched manifold kernels, of the per-agent norm
+kernel and the stacked perturbed start, of the one-projection gradient steps,
+of the metrics computed from the mean gradient and of the stacked problem's
+gradients.
 
 Shapes are drawn over n in 1..6, d up to 120 and r in 1..d, with the edge
 cases r = 1 and r = d drawn on purpose.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stiefel_dec as sd
+from stiefel_dec.manifold import frobenius_norms
 from stiefel_dec.metrics import average_value
 
 EPS = np.finfo(float).eps
@@ -55,6 +57,40 @@ def test_stack_equals_slices_bit_for_bit(shape, seed, scale):
     for i in range(shape[0]):
         assert np.array_equal(proj[i], sd.project_to_tangent(x[i], y[i]))
         assert np.array_equal(ret[i], sd.polar_retract(x[i], xi[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=shapes(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-7, 1.0, 1e7]),
+    strided=st.booleans(),
+)
+@example(shape=(1, 1, 1), seed=0, scale=1.0, strided=False)  # n = 1 and K = d r = 1
+@example(shape=(1, 1, 1), seed=0, scale=1.0, strided=True)
+def test_norm_kernel_equals_per_slice_norm_bit_for_bit(shape, seed, scale, strided):
+    # the deviation norms behind the consensus errors and the region test; a numpy
+    # whose np.linalg.norm stops summing like a (1, K) @ (K, 1) product fails here
+    n, d, r = shape
+    a = np.random.default_rng(seed).standard_normal((2 * n, d, r + 1)) * scale
+    a = a[::2, :, :r] if strided else np.ascontiguousarray(a[:n, :, :r])  # a view, or a copy
+    norms = frobenius_norms(a)
+    assert norms.shape == (n,)
+    assert np.array_equal(norms, [np.linalg.norm(s) for s in a])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes(max_d=40), seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([1e-3, 0.05, 1.0]))
+def test_perturbed_swarm_equals_per_agent_tangents(shape, seed, noise):
+    n, d, r = shape
+    assume(d > 1)  # St(1, 1) = {-1, 1} has no nonzero tangent direction
+    x0 = sd.random_stiefel(d, r, np.random.default_rng(seed))
+    ref_rng, rng = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+    # the per-agent construction: one validated random_tangent per agent, retracted alone
+    expected = [sd.polar_retract(x0.data, sd.random_tangent(x0, ref_rng, noise).data) for _ in range(n)]
+    s = sd.perturbed_swarm(x0, n, noise, rng)
+    assert np.array_equal(s.x, np.stack(expected))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
