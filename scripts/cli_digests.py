@@ -77,6 +77,7 @@ def sample_rows(count: int, width: int, scale: float = 1.0, header: bool = False
 # Files a configuration may name; each is written before the run that names it.
 FILES = {
     "header.csv": sample_rows(43, 6, header=True),  # 43 rows over 4 agents: blocks 11, 11, 11, 10
+    "wrap.csv": sample_rows(41, 6),  # 41 rows over 4 agents: blocks 11, 10, 10, 10
     "counts.txt": sample_rows(30, 5, sep=" ", integers=True),
     "e154.csv": sample_rows(25, 6, scale=1e154),  # the Gram matrix overflows
     "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big**2 in the drgta header overflows
@@ -126,6 +127,9 @@ CONFIGS = [
     # batches of 3 over blocks of 11, 11, 11, 10: every fourth step has batches 2, 2, 2, 1
     ("dsv-drsgd-ragged-batch3", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --max-epochs 4"),
     ("dsv-drsgd-ragged-constant", "run --algorithm drsgd --problem dsv --data header.csv --n 4 --r 2 --batch-size 3 --schedule constant --max-epochs 3"),
+    # batches of 5 over blocks of 11, 10, 10, 10: an epoch is 3 steps, so the 10-row agents
+    # start a fresh shuffle inside every epoch and its last step has batches 1, 5, 5, 5
+    ("dsv-drsgd-wrap-batch5", "run --algorithm drsgd --problem dsv --data wrap.csv --n 4 --r 2 --batch-size 5 --max-epochs 3"),
     ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
     # xi is estimated at the shared x0 while the swarm starts from independent points
     ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),

@@ -266,12 +266,19 @@ def steps_per_epoch(locals_, batch_size: int) -> int:
     return math.ceil(locals_.sample_count / batch_size)
 
 
-def _epoch_batches(m: int, batch: int, rng: np.random.Generator):
-    """One agent's endless without-replacement batches: a fresh shuffle per pass."""
+def _epoch_batches(m: int, batch: int, steps: int, rng: np.random.Generator):
+    """One agent's batches, an epoch of `steps` at a time: their row numbers back to
+    back and their lengths. Batches of `batch` rows walk a shuffle of the m rows, the
+    last one of a pass takes what is left, and each pass is a fresh shuffle."""
+    one_pass = [batch] * (m // batch) + ([m % batch] if m % batch else [])
+    rows, sizes = np.empty(0, dtype=int), []
     while True:
-        perm = rng.permutation(m)
-        for pos in range(0, m, batch):
-            yield perm[pos : pos + batch]
+        while len(sizes) < steps:
+            rows = np.concatenate([rows, rng.permutation(m)])
+            sizes += one_pass
+        taken = sum(sizes[:steps])
+        yield rows[:taken], sizes[:steps]
+        rows, sizes = rows[taken:], sizes[steps:]
 
 
 @dataclass(frozen=True)
@@ -308,7 +315,8 @@ def run(
 
     A round is one iteration, except for the stochastic algorithm where it is
     one epoch (a full pass over every agent's samples, shuffled per epoch from
-    per-agent streams derived from the seed). One metrics row is recorded per
+    per-agent streams derived from the seed, whose batches are drawn, checked and
+    gathered when the epoch starts). One metrics row is recorded per
     round plus an initial row. A breakdown in the loop (a non-finite value, an
     iterate that lost orthonormality) raises NumericalError naming its round,
     with the rows recorded before it in `records`. Early stop on d_s(mean,
@@ -340,13 +348,12 @@ def run(
     s = swarm
     tracker = drgta_init(s, locals_) if algorithm == "drgta" else None
     streams = None
-    inner_per_epoch = 1
     if algorithm == "drsgd":
+        steps = steps_per_epoch(locals_, batch_size)
         streams = [
-            _epoch_batches(m, batch_size, np.random.default_rng([seed, 2, i]))
+            _epoch_batches(m, batch_size, steps, np.random.default_rng([seed, 2, i]))
             for i, m in enumerate(locals_.counts.tolist())
         ]
-        inner_per_epoch = steps_per_epoch(locals_, batch_size)
 
     t_start = time.perf_counter()
     records = []
@@ -401,11 +408,11 @@ def run(
                 elif algorithm == "drgta":
                     beta = schedule.beta(k - 1)
                     s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
-                else:  # drsgd: one epoch
-                    for _ in range(inner_per_epoch):
+                else:  # drsgd: one epoch, its batches drawn, checked and gathered at once
+                    rows, sizes = zip(*map(next, streams))
+                    for step in locals_.gather(rows, np.transpose(sizes)):
                         beta = schedule.beta(step_index)
-                        egrads = locals_.stochastic_egrad(s.x, [next(st) for st in streams])
-                        s = drsgd_step(s, wt, alpha, beta, egrads)
+                        s = drsgd_step(s, wt, alpha, beta, locals_.batch_egrad(s.x, step))
                         step_index += 1
                 snapshot(k, beta)
                 reason = stop_reason(records[-1])

@@ -116,12 +116,14 @@ class MixingMatrix:
     sigma2 is the second-largest singular value (largest non-unit absolute
     eigenvalue); lambda_min and lambda2 are the smallest and second-largest
     eigenvalues. All are computed once by a dense symmetric eigendecomposition.
+    The powers W^t that matrix_power builds are kept here, so a run builds each once.
     """
 
     w: np.ndarray
     sigma2: float = field(init=False)
     lambda_min: float = field(init=False)
     lambda2: float = field(init=False)
+    _powers: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).copy()
@@ -194,11 +196,14 @@ def min_communication_rounds(w: MixingMatrix, n: int | None = None) -> int:
 
 
 def matrix_power(w: MixingMatrix, t: int) -> MixingMatrix:
-    """W^t; stays symmetric doubly stochastic, with sigma2(W^t) = sigma2(W)^t."""
+    """W^t; stays symmetric doubly stochastic, with sigma2(W^t) = sigma2(W)^t.
+    Built once per W and t: later calls return the same object."""
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
-    wt = np.linalg.matrix_power(w.w, t)
-    return MixingMatrix(0.5 * (wt + wt.T))
+    if t not in w._powers:
+        wt = np.linalg.matrix_power(w.w, t)
+        w._powers[t] = MixingMatrix(0.5 * (wt + wt.T))
+    return w._powers[t]
 
 
 def mix(s, wt: MixingMatrix) -> np.ndarray:

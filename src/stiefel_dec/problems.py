@@ -108,24 +108,84 @@ class EigLocal:
 
         Returns -(m_i/|B_i|) sum_{s in B_i} a_s (a_s.T x_i); averaged over a
         disjoint partition of all rows (weighted by batch size) this telescopes
-        exactly to the full gradient. Agents whose batches have one length share
-        one batched product: one per step, unless passes end at different steps.
+        exactly to the full gradient. The one-step case of gather and batch_egrad.
         """
         x = self._check(x)
-        x = np.broadcast_to(x, (self.n, *x.shape[-2:]))  # a single point serves every agent
-        if len(batches) != self.n:
-            raise ContractError(f"{len(batches)} batches for {self.n} agents")
-        sizes = [len(b) for b in batches]
+        (step,) = self.gather(batches, [[len(b) for b in batches]])
+        return self.batch_egrad(np.broadcast_to(x, (self.n, *x.shape[-2:])), step)
+
+    def gather(self, rows, sizes) -> list:
+        """Check the batches of several steps at once and copy their sample rows once.
+
+        rows[i] holds agent i's row numbers (within its block) for all the steps,
+        batch after batch, and sizes[s][i] is the length of its batch at step s.
+        The rows land in one C-contiguous block, step after step; within a step the
+        agents whose batches have one length b (in agent order) form one (k, b, d)
+        slice, so each group is one batched product on a contiguous operand and no
+        batch is padded. Returns, per step, the (agents, a, coef) groups batch_egrad
+        takes, coef holding -(m_i/b) per agent.
+        """
+        n = self.n
+        if len(rows) != n:
+            raise ContractError(f"{len(rows)} batches for {n} agents")
+        rows = [np.asarray(r) for r in rows]
+        sizes = np.asarray(sizes, dtype=int).reshape(-1, n)
+        order = np.argsort(sizes, axis=1, kind="stable")  # per step, the agents by batch length
+        by_length = np.arange(len(sizes))[:, None], order
+        lens = sizes[by_length]
+        if lens.size and lens[:, 0].min() == 0:
+            self._bad_batch(lens, order, np.argmin(lens[:, 0]) * n)
+        for r in rows:
+            if r.ndim != 1 or r.dtype.kind not in "iu":
+                raise ParameterError(f"need 1-D integer batch indices, got {r.dtype} of shape {r.shape}")
+        per_agent = sizes.sum(axis=0)
+        if per_agent.tolist() != [r.size for r in rows]:
+            raise ContractError(f"batch lengths add up to {per_agent.tolist()} rows per agent, "
+                                f"got {[r.size for r in rows]}")
+        # where each batch starts among the agents' rows back to back; then the batches
+        # step after step, sorted by length within a step
+        first = (np.cumsum(sizes, axis=0) - sizes + (np.cumsum(per_agent) - per_agent))[by_length]
+        flat = lens.ravel()
+        pick = np.repeat(first.ravel() - (np.cumsum(flat) - flat), flat) + np.arange(flat.sum())
+        idx = np.concatenate(rows, dtype=int)[pick]
+        agent = np.repeat(order.ravel(), flat)
+        out = (idx < 0) | (idx >= self.counts[agent])
+        if out.any():
+            self._bad_batch(lens, order, np.searchsorted(np.cumsum(flat), np.argmax(out), side="right"))
+        block = self.rows[self.starts[agent] + idx]  # (total, d), C-contiguous
+        plans, groups_of, pos, d = [], {}, 0, self.dim
+        for row, agents in zip(lens.tolist(), order.tolist()):
+            key = (*row, *agents)
+            if key not in groups_of:  # the agents, shape and coef of each group
+                groups, lo = [], 0
+                while lo < n:
+                    b = row[lo]
+                    hi = lo + row[lo:].count(b)  # the row is sorted: equal lengths are adjacent
+                    who = slice(None) if hi - lo == n else np.array(agents[lo:hi])
+                    groups.append((who, (hi - lo, b, d), -(self.counts[who] / b)[:, None, None]))
+                    lo = hi
+                groups_of[key] = groups
+            step = []
+            for who, shape, coef in groups_of[key]:
+                end = pos + shape[0] * shape[1]
+                step.append((who, block[pos:end].reshape(shape), coef))
+                pos = end
+            plans.append(step)
+        return plans
+
+    def _bad_batch(self, lens, order, j):
+        """Raise for the group of batch j, counted step after step in length order."""
+        step, pos = divmod(int(j), self.n)
+        m = self.counts[np.sort(order[step][lens[step] == lens[step][pos]])]
+        raise ParameterError(f"need nonempty batches of indices in [0, m_i) for m_i in {m.tolist()}")
+
+    @staticmethod
+    def batch_egrad(x, step) -> np.ndarray:
+        """The (n, d, r) gradient estimates at an (n, d, r) stack x from one gathered
+        step: -(m_i/b) a.T (a x_i) for each group of a slice a."""
         grads = np.empty(x.shape)
-        for size in set(sizes):
-            group = [i for i, s in enumerate(sizes) if s == size]
-            agents = slice(None) if len(group) == self.n else group  # a slice copies nothing
-            idx = np.array([batches[i] for i in group], dtype=int)  # (k, size)
-            m = self.counts[agents]
-            if size == 0 or idx.min() < 0 or (idx.max(axis=1) >= m).any():
-                raise ParameterError(f"need nonempty batches of indices in [0, m_i) for m_i in {m.tolist()}")
-            a = self.rows[self.starts[agents, None] + idx]  # (k, size, d): the drawn rows
-            grads[agents] = -(m / size)[:, None, None] * (a.swapaxes(1, 2) @ (a @ x[agents]))
+        for agents, a, coef in step:
+            grads[agents] = coef * (a.swapaxes(1, 2) @ (a @ x[agents]))
         return grads
 
 

@@ -507,6 +507,39 @@ class TestCli:
         assert code == EXIT_OK
         assert read_config_echo(out)["algorithm"] == "drcs"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drsgd_non_finite_step_is_4_and_writes_partial_log(self, tmp_path, capsys):
+        out = tmp_path / "nf.csv"
+        code = main(["run", "--algorithm", "drsgd", "--beta-hat", "1e300", "--beta-scale", "raw",
+                     "--max-epochs", "3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: round 1: retraction step is not finite" in capsys.readouterr().err
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0"]
+
+    @pytest.mark.parametrize(
+        "argv, powers",
+        [
+            (["run", "--algorithm", "drcs", "--t", "3", "--max-iters", "2"], [3]),
+            (["run", "--algorithm", "drsgd", "--t", "2", "--max-epochs", "1"], [2]),
+            (["spectral", "--t", "3", "--alpha", "0.5"], [3, 8]),  # t_min = 8 on the ring of 8
+        ],
+        ids=["drcs-t3", "drsgd-t2", "spectral-alpha"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_each_power_of_w_is_built_once(self, argv, powers, monkeypatch, tmp_path):
+        # the rate reports and the run share one W^t
+        calls = []
+
+        def counting(a, t, _orig=np.linalg.matrix_power):
+            calls.append(t)
+            return _orig(a, t)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        out = [] if argv[0] == "spectral" else ["--out", str(tmp_path / "o.csv")]
+        assert main(argv + out) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert calls == powers
+
     def test_huge_perturbation_runs(self, tmp_path):
         # a tangent nudge of norm 1e7 is built as a stack, with no absolute tangency check
         out = tmp_path / "cons.csv"

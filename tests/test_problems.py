@@ -105,6 +105,34 @@ class TestStochasticGrad:
         with pytest.raises(ParameterError):
             o.stochastic_egrad(E1.data, [[5]])
 
+    @pytest.mark.parametrize(
+        "batches, dtype",
+        [
+            ([np.array([1.7]), np.array([0.2])], "float64"),
+            ([np.array([True]), np.array([0])], "bool"),
+            ([[0], np.array([[0]])], "int64"),
+        ],
+        ids=["float", "bool", "2-d"],
+    )
+    def test_non_integer_indices_rejected(self, batches, dtype):
+        # converting with dtype=int would truncate 1.7 to row 1 and read True as row 1
+        o = EigLocal(np.eye(4), 2)
+        with pytest.raises(ParameterError, match=f"integer batch indices, got {dtype}"):
+            o.stochastic_egrad(np.eye(4)[:, :1], batches)
+
+    def test_out_of_range_names_its_group(self):
+        # blocks of 4, 3, 3 rows; the agents with batches of one length are one group
+        o = EigLocal(np.arange(40.0).reshape(10, 4) % 7, 3)
+        with pytest.raises(ParameterError, match=r"for m_i in \[4, 3\]$"):
+            o.stochastic_egrad(np.eye(4)[:, :1], [[0], [1, 2], [3]])
+        with pytest.raises(ParameterError, match=r"for m_i in \[3\]$"):
+            o.stochastic_egrad(np.eye(4)[:, :1], [[0, 1], [], [1]])
+
+    def test_gather_checks_the_lengths(self):
+        o = EigLocal(np.eye(4), 2)
+        with pytest.raises(sd.ContractError, match="add up to"):
+            o.gather([[0, 1], [1]], [[1, 1]])
+
 
 class TestQuadraticConstants:
     def test_identity(self):

@@ -1,7 +1,7 @@
 """Property-based checks of the batched manifold kernels, of the per-agent norm
 kernel and the stacked perturbed start, of the one-projection gradient steps,
-of the metrics computed from the mean gradient and of the stacked problem's
-gradients.
+of the metrics computed from the mean gradient, of the stacked problem's
+gradients and of the drsgd epochs whose batches are gathered at once.
 
 Shapes are drawn over n in 1..6, d up to 120 and r in 1..d, with the edge
 cases r = 1 and r = d drawn on purpose.
@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stiefel_dec as sd
+from stiefel_dec.algorithms import _epoch_batches, steps_per_epoch
 from stiefel_dec.manifold import frobenius_norms
 from stiefel_dec.metrics import average_value
 
@@ -239,3 +240,100 @@ def test_stacked_problem_equals_one_agent_problems_bit_for_bit(part, seed):
         sub = data[starts[i] + batches[i]]
         scale = -(counts[i] / len(batches[i]))
         assert np.array_equal(sgrads[i], scale * (sub.T @ (sub @ x[i])))
+
+
+def stepwise_egrad(locals_, x, batches):
+    """The stochastic gradients as the step-by-step loop formed them: each group of
+    agents with one batch length gathers its rows and takes one batched product."""
+    x = np.broadcast_to(x, (locals_.n, *x.shape[-2:]))
+    sizes = [len(b) for b in batches]
+    grads = np.empty(x.shape)
+    for size in set(sizes):
+        group = [i for i, b in enumerate(sizes) if b == size]
+        agents = slice(None) if len(group) == locals_.n else group
+        a = locals_.rows[locals_.starts[agents, None] + np.array([batches[i] for i in group])]
+        grads[agents] = -(locals_.counts[agents] / size)[:, None, None] * (a.swapaxes(1, 2) @ (a @ x[agents]))
+    return grads
+
+
+def batch_stream(m, batch, rng):
+    """The batches of the step-by-step loop, one per call: a fresh shuffle per pass."""
+    while True:
+        perm = rng.permutation(m)
+        for pos in range(0, m, batch):
+            yield perm[pos : pos + batch]
+
+
+@st.composite
+def ragged_epochs(draw):
+    """(M, n, d, r, batch, epochs): blocks of unequal length, batches that often do not
+    divide m_i, and agents whose pass ends inside an epoch."""
+    big, n, d, r = draw(partitions())
+    return big, n, d, r, draw(st.integers(1, big // n + 2)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ragged_epochs(), seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+@example(case=(41, 4, 6, 2, 5, 3), seed=0, strided=False)  # blocks 11, 10, 10, 10: sizes 1 and 5 mix
+@example(case=(12, 3, 5, 5, 4, 2), seed=1, strided=True)  # uniform, r = d
+def test_gathered_epochs_equal_step_by_step_bit_for_bit(case, seed, strided):
+    big, n, d, r, batch, epochs = case
+    rng = np.random.default_rng(seed)
+    locals_ = sd.EigLocal(rng.standard_normal((big, d)), n)
+    steps = steps_per_epoch(locals_, batch)
+    counts = locals_.counts.tolist()
+    new_rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    old_rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    new = [_epoch_batches(m, batch, steps, g) for m, g in zip(counts, new_rngs)]
+    old = [batch_stream(m, batch, g) for m, g in zip(counts, old_rngs)]
+    for _ in range(epochs):
+        rows, sizes = zip(*map(next, new))
+        plans = locals_.gather(rows, np.transpose(sizes))
+        assert len(plans) == steps
+        for step in plans:
+            for agents, a, coef in step:
+                assert a.flags.c_contiguous  # a strided operand would leave BLAS
+            x = random_stack(rng, n, d, 2 * r if strided else r)
+            x = x[:, :, ::2] if strided else x
+            batches = [next(g) for g in old]
+            want = stepwise_egrad(locals_, x, batches)
+            assert np.array_equal(locals_.batch_egrad(x, step), want)
+            assert np.array_equal(locals_.stochastic_egrad(x, batches), want)
+    assert [g.bit_generator.state for g in new_rngs] == [g.bit_generator.state for g in old_rngs]
+
+
+def reference_drsgd(locals_, s, wt, alpha, schedule, epochs, batch, seed):
+    """The step-by-step drsgd loop: batches drawn and gathered one step at a time.
+    Returns the swarm and the last beta after every epoch, the start first."""
+    streams = [batch_stream(m, batch, np.random.default_rng([seed, 2, i]))
+               for i, m in enumerate(locals_.counts.tolist())]
+    out, k, beta = [(s, None)], 0, None
+    for _ in range(epochs):
+        for _ in range(steps_per_epoch(locals_, batch)):
+            beta = schedule.beta(k)
+            s = sd.drsgd_step(s, wt, alpha, beta, stepwise_egrad(locals_, s.x, [next(g) for g in streams]))
+            k += 1
+        out.append((s, beta))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=ragged_epochs(), seed=st.integers(0, 2**32 - 1))
+@example(case=(41, 4, 6, 2, 5, 3), seed=0)  # blocks 11, 10, 10, 10 in batches of 5
+def test_drsgd_run_equals_step_by_step_loop_bit_for_bit(case, seed):
+    big, n, d, r, batch, epochs = case
+    rng = np.random.default_rng(seed)
+    locals_ = sd.EigLocal(rng.standard_normal((big, d)), n)
+    s = sd.SwarmState(random_stack(rng, n, d, r))
+    wt = sd.metropolis_weights(sd.ring_graph(n)) if n > 1 else sd.MixingMatrix(np.ones((1, 1)))
+    schedule = sd.StepsizeSchedule("diminishing", 0.3 / locals_.sample_count)
+    result = sd.run("drsgd", s, wt, alpha=0.9, locals_=locals_, schedule=schedule,
+                    max_rounds=epochs, batch_size=batch, seed=seed)
+    want = reference_drsgd(locals_, s, wt, 0.9, schedule, epochs, batch, seed)
+    assert len(result.records) == len(want) == epochs + 1
+    for rec, (ref, beta) in zip(result.records, want):
+        xbar = ref.mean_point.data
+        egrad = locals_.mean_grad(xbar)
+        assert (rec.consensus_err_sq, rec.linf_err, rec.beta_k) == (ref.consensus_error_sq, ref.linf_error, beta)
+        assert (rec.grad_norm_sq, rec.f_bar) == (sd.stationarity_measure(xbar, egrad), average_value(xbar, egrad))
+    assert np.array_equal(result.final.x, want[-1][0].x)
