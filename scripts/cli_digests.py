@@ -82,6 +82,7 @@ FILES = {
     "e154.csv": sample_rows(25, 6, scale=1e154),  # the Gram matrix overflows
     "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big**2 in the drgta header overflows
     "e100.csv": sample_rows(25, 6, scale=1e100),  # ||grad f||^2 of the first row overflows
+    "latin1.csv": "1,2\n3,4\n5,\u00e9\n".encode("latin-1"),  # bytes: not UTF-8 text
     "n-float.json": '{"n": 8.0}',
     "t-str.json": '{"t": "1"}',
 }
@@ -142,6 +143,16 @@ CONFIGS = [
     ("dsv-divisor-tiny", "oracle --problem dsv --data header.csv --n 4 --r 2 --divisor 1e-300"),
     ("dsv-1e80-drgta", "run --algorithm drgta --problem dsv --data e80.csv --n 4 --r 2 --max-iters 5"),
     ("dsv-1e100-drdgd", "run --algorithm drdgd --problem dsv --data e100.csv --n 4 --r 2 --max-iters 5"),
+    # a non-finite float field exits 2: nan fails no range test, so a run would go on with it
+    ("config-alpha-nan", "run --alpha nan --max-iters 5"),
+    ("config-tol-ds-nan", "run --tol-ds nan --max-iters 5"),
+    ("config-tol-grad-nan", "run --tol-grad nan --max-iters 5"),
+    ("config-beta-hat-nan", "run --beta-hat nan --max-iters 5"),
+    ("config-beta-hat-inf", "run --beta-hat inf --max-iters 5"),
+    # a data path that cannot be read: no such file, a directory (the run's own), not UTF-8
+    ("dsv-missing", "run --algorithm drgta --problem dsv --data missing.csv --n 3 --r 2 --max-iters 5"),
+    ("dsv-directory", "run --algorithm drgta --problem dsv --data . --n 3 --r 2 --max-iters 5"),
+    ("dsv-not-utf8", "run --algorithm drgta --problem dsv --data latin1.csv --n 2 --r 1 --max-iters 5"),
 ]
 
 
@@ -165,7 +176,8 @@ def run_cli(args: list, src: Path) -> tuple:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         for name in set(args) & set(FILES):
-            (Path(tmp) / name).write_text(FILES[name], encoding="utf-8")
+            data = FILES[name]
+            (Path(tmp) / name).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         proc = subprocess.run([sys.executable, "-m", "stiefel_dec.cli", *args],
                               cwd=tmp, env=env, capture_output=True)
         out = Path(tmp) / OUT

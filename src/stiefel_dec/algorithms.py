@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -30,13 +30,15 @@ ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
 class TrackerState:
     """Gradient trackers y_i (ambient, not constrained tangent) and the local
     Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only (n, d, r)
-    arrays. The tracker average stays equal to the average Riemannian gradient."""
+    arrays, copied unless copy=False (a step's own fresh stacks). The tracker
+    average stays equal to the average Riemannian gradient."""
 
     y: np.ndarray
     g: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        y, g = as_stack(self.y, "tracker"), as_stack(self.g, "gradient")
+    def __post_init__(self, copy):
+        y, g = as_stack(self.y, "tracker", copy), as_stack(self.g, "gradient", copy)
         if g.shape != y.shape:
             raise DimensionError(f"gradients have shape {g.shape}, trackers {y.shape}")
         object.__setattr__(self, "y", y)
@@ -202,7 +204,17 @@ def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    return SwarmState(polar_retract(s.x, alpha * project_to_tangent(s.x, mix(s, wt))))
+    xi = project_to_tangent(s.x, mix(s, wt))
+    xi *= alpha
+    return SwarmState(polar_retract(s.x, xi), copy=False)
+
+
+def _pull(s: SwarmState, wt: MixingMatrix, alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
+    """alpha mix(x) - beta v, in place on the fresh mixed stack (same bits as the expression)."""
+    out = mix(s, wt)
+    out *= alpha
+    out -= beta * v
+    return out
 
 
 def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, egrads) -> SwarmState:
@@ -220,7 +232,8 @@ def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, egr
     egrads = np.asarray(egrads, dtype=float)
     if egrads.shape != s.x.shape:
         raise ContractError(f"gradients of shape {egrads.shape} for a swarm of shape {s.x.shape}")
-    return SwarmState(polar_retract(s.x, project_to_tangent(s.x, alpha * mix(s, wt) - beta_k * egrads)))
+    xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta_k, egrads))
+    return SwarmState(polar_retract(s.x, xi), copy=False)
 
 
 def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
@@ -250,9 +263,12 @@ def drgta_step(s: SwarmState, tr: TrackerState, wt: MixingMatrix, alpha: float, 
         raise ParameterError(f"beta must be nonnegative, got {beta}")
     if tr.y.shape != s.x.shape:
         raise ContractError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
-    moved = SwarmState(polar_retract(s.x, project_to_tangent(s.x, alpha * mix(s, wt) - beta * tr.y)))
+    xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta, tr.y))
+    moved = SwarmState(polar_retract(s.x, xi), copy=False)
     g_new = _riemannian_grads(moved.x, locals_)
-    return moved, TrackerState(mix(tr.y, wt) + (g_new - tr.g), g_new)
+    y = mix(tr.y, wt)
+    y += g_new - tr.g
+    return moved, TrackerState(y, g_new, copy=False)
 
 
 def tracking_residual(tr: TrackerState, s: SwarmState, locals_) -> float:

@@ -174,6 +174,8 @@ def validate_config(cfg: ExperimentConfig):
             continue
         if not isinstance(v, accepted) or isinstance(v, bool) != (kind == "bool"):
             bad(f.name, f"must be {noun}, got {v!r}")
+        if kind == "float" and not -math.inf < v < math.inf:  # nan passes every range test below
+            bad(f.name, f"must be finite, got {v!r}")
     if cfg.algorithm not in ALGORITHMS:
         bad("algorithm", f"must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
     if cfg.graph not in _GRAPHS:

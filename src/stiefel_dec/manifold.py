@@ -9,7 +9,7 @@ induced arithmetic mean, the consensus errors and the consensus-region test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,10 +35,12 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return out
 
 
-def as_stack(a, name: str) -> np.ndarray:
-    """A read-only float copy of an (n, d, r) stack given as an array or a sequence of matrices."""
+def as_stack(a, name: str, copy: bool = True) -> np.ndarray:
+    """A read-only float copy of an (n, d, r) stack given as an array or a sequence of
+    matrices; with copy=False a float array is frozen and kept as it is, for a stack
+    its caller has just made and hands over."""
     try:
-        out = np.array(a, dtype=float)
+        out = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     except (TypeError, ValueError) as e:
         raise DimensionError(f"{name} is not an (n, d, r) stack: {e}") from None
     if out.ndim != 3 or out.shape[0] == 0:
@@ -124,15 +126,17 @@ class TangentVector:
 class SwarmState:
     """n agent points on one St(d, r) as a read-only (n, d, r) array x, built from a
     sequence of StiefelPoints or an array; shape, finiteness and orthonormality
-    are checked once, for the whole stack."""
+    are checked once, for the whole stack. The array is copied unless copy=False,
+    which a step passes for the stack it has just computed."""
 
     x: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy):
         x = self.x
         if not isinstance(x, np.ndarray):
             x = [p.data if isinstance(p, StiefelPoint) else p for p in x]
-        x = as_stack(x, "swarm")
+        x = as_stack(x, "swarm", copy)
         _check_orthonormal(x)
         object.__setattr__(self, "x", x)
 
@@ -161,8 +165,9 @@ class SwarmState:
     @cached_property
     def mean_point(self) -> StiefelPoint:
         """Induced arithmetic mean: the projection of the Euclidean mean onto St(d, r)."""
-        if (self.x == self.x[0]).all():
-            return StiefelPoint(self.x[0])  # exact consensus, no round-off from the projection
+        x = self.x
+        if (x[-1] == x[0]).all() and (x == x[0]).all():  # one slice rules most swarms out
+            return StiefelPoint(x[0])  # exact consensus, no round-off from the projection
         u, s, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
         if s[-1] <= DEGENERACY_RATIO * s[0]:
             raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})")
@@ -240,7 +245,8 @@ def project_to_tangent(x, y) -> np.ndarray:
     """
     x, y = _same_shape(x, y)
     sym = x.swapaxes(-1, -2) @ y
-    return y - x @ (0.5 * (sym + sym.swapaxes(-1, -2)))
+    out = x @ (0.5 * (sym + sym.swapaxes(-1, -2)))
+    return np.subtract(y, out, out=out)
 
 
 def polar_retract(x, xi) -> np.ndarray:
@@ -248,9 +254,10 @@ def polar_retract(x, xi) -> np.ndarray:
 
     Equals (x + xi)(I + xi.T xi)^{-1/2} for tangent xi, slice by slice for
     (..., d, r) arrays. The inverse square root comes from a symmetric
-    eigendecomposition of the r x r Gram matrix of x + xi. A step whose Gram
-    matrix is not finite, or not positive definite in floating point, raises
-    NumericalError.
+    eigendecomposition G = Q diag(w) Q.T of the r x r Gram matrix of v = x + xi,
+    formed as the r x r factor Z = Q diag(w^{-1/2}) Q.T, so v is read once more,
+    for v @ Z. A step whose Gram matrix is not finite, or not positive definite
+    in floating point, raises NumericalError.
     """
     x, xi = _same_shape(x, xi)
     v = x + xi
@@ -260,7 +267,7 @@ def polar_retract(x, xi) -> np.ndarray:
     w, q = np.linalg.eigh(gram)
     if not (w[..., 0] > 0.0).all():
         raise NumericalError("retraction Gram matrix lost positive definiteness")
-    return ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
+    return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
 
 
 def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:

@@ -96,7 +96,8 @@ class EigLocal:
 
     def euclidean_grad(self, x) -> np.ndarray:
         """The (n, d, r) stack of gradients -G_i x_i."""
-        return -(self.gram @ self._check(x))
+        g = self.gram @ self._check(x)
+        return np.negative(g, out=g)
 
     def mean_grad(self, x) -> np.ndarray:
         """The gradient of the average objective at one d x r point, -(sum_i G_i) x / n."""
@@ -246,12 +247,15 @@ def estimate_xi(
     for single-sample stochastic gradients v drawn at the given point."""
     if draws < 1:
         raise ParameterError(f"need draws >= 1, got {draws}")
-    # the rng serves agent 0's draws, then agent 1's, ...; the gradients go a draw at a time
-    picks = [[rng.choice(m, size=1, replace=False) for _ in range(draws)] for m in locals_.counts.tolist()]
+    # the rng serves agent 0's draws, then agent 1's, ...; all are gathered at once and
+    # the gradients go a draw at a time
+    rows = [np.concatenate([rng.choice(m, size=1, replace=False) for _ in range(draws)])
+            for m in locals_.counts.tolist()]
+    at = np.broadcast_to(x.data, (locals_.n, *x.data.shape))
     full = locals_.euclidean_grad(x.data)
     worst = 0.0
-    for batches in zip(*picks):
-        dev = locals_.stochastic_egrad(x.data, batches) - full
+    for step in locals_.gather(rows, np.ones((draws, locals_.n), dtype=int)):
+        dev = locals_.batch_egrad(at, step) - full
         worst = max(worst, float(np.fmax.reduce(frobenius_norms(dev))))  # fmax, like max(), skips NaN
     return worst
 
@@ -289,40 +293,45 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
 
     One sample per row, comma- or whitespace-delimited, no header (a single
     leading non-numeric row is skipped). Rows are divided by the divisor and
-    split as EigLocal splits them. Parse failures and non-finite fields (nan,
-    inf) report the 1-based line number; a block whose Gram matrix overflows
-    names its agent.
+    split as EigLocal splits them. A file that cannot be read as UTF-8 text is
+    named; parse failures and non-finite fields (nan, inf) report the 1-based line
+    number; a block whose Gram matrix overflows names its agent.
     """
     if normalize_divisor == 0.0:
         raise ParameterError("divisor must be nonzero")
     rows = []
     width = None
     header_allowed = True
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    try:
+        text = Path(path).read_text(encoding="utf-8")  # universal newlines, as iterating the file
+    except OSError as e:
+        raise IngestionError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise IngestionError(f"cannot read {path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",") if "," in line else line.split()
+        try:
+            values = [float(tok) for tok in fields]
+        except ValueError:
+            if header_allowed:
+                header_allowed = False  # only the first row may be a header
                 continue
-            fields = line.split(",") if "," in line else line.split()
-            try:
-                values = [float(tok) for tok in fields]
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False  # only the first row may be a header
-                    continue
-                bad = next(tok for tok in fields if not _is_number(tok))
-                raise IngestionError(f"line {lineno}: non-numeric field {bad!r}") from None
-            bad = next((tok for tok, v in zip(fields, values) if not math.isfinite(v)), None)
-            if bad is not None:
-                raise IngestionError(f"line {lineno}: non-finite field {bad!r}")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise IngestionError(
-                    f"line {lineno}: expected {width} fields, got {len(values)}"
-                )
-            header_allowed = False
-            rows.append(values)
+            bad = next(tok for tok in fields if not _is_number(tok))
+            raise IngestionError(f"line {lineno}: non-numeric field {bad!r}") from None
+        bad = next((tok for tok, v in zip(fields, values) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise IngestionError(f"line {lineno}: non-finite field {bad!r}")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise IngestionError(
+                f"line {lineno}: expected {width} fields, got {len(values)}"
+            )
+        header_allowed = False
+        rows.append(values)
     total = len(rows)
     if total < n:
         raise IngestionError(f"only {total} data rows for {n} agents")

@@ -290,6 +290,17 @@ class TestDrgtaInitAndStep:
             g_now = sd.project_to_tangent(s.x[0], o.euclidean_grad(s.x[0])[0])
             assert np.allclose(tr.y[0], g_now, atol=1e-12)
 
+    def test_caller_arrays_are_copied_and_steps_freeze_theirs(self):
+        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=16)
+        s = SwarmState(tuple(sd.random_stiefel(6, 2, np.random.default_rng(17)) for _ in range(3)))
+        y, g = np.ones((3, 6, 2)), np.zeros((3, 6, 2))
+        tr = TrackerState(y, g)
+        y[0, 0, 0] = g[0, 0, 0] = 5.0  # the caller's arrays stay theirs
+        assert tr.y[0, 0, 0] == 1.0 and tr.g[0, 0, 0] == 0.0
+        moved, tr_new = drgta_step(s, tr, sd.metropolis_weights(sd.ring_graph(3)), 1.0, 1e-3, locals_)
+        for a in (moved.x, tr_new.y, tr_new.g):
+            assert not a.flags.writeable
+
     def test_tracker_shape_validation(self):
         with pytest.raises(sd.DimensionError):
             TrackerState((np.zeros((3, 1)), np.zeros((4, 1))), np.zeros((2, 3, 1)))

@@ -371,6 +371,7 @@ class TestCli:
             ({"n": 8.0}, "n: must be an integer, got 8.0"),
             ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
             ({"t": "1"}, "t: must be an integer, got '1'"),
+            ({"perturb": float("nan")}, "perturb: must be finite, got nan"),  # json writes NaN
         ],
     )
     def test_mistyped_config_file_value_is_2(self, tmp_path, capsys, value, message):
@@ -378,6 +379,29 @@ class TestCli:
         cfg_file.write_text(json.dumps(value))
         assert main(["run", "--config", str(cfg_file), "--max-iters", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--alpha", "nan"), ("--tol-ds", "nan"), ("--tol-grad", "nan"), ("--beta-hat", "nan"),
+         ("--beta-hat", "inf"), ("--er-p", "inf"), ("--divisor", "nan")],
+    )
+    def test_non_finite_float_is_2(self, tmp_path, capsys, flag, value):
+        # nan fails no range test: --alpha nan would run at alpha_bar, --tol-ds nan never stop
+        out = tmp_path / "o.csv"
+        assert main(["run", flag, value, "--max-iters", "3", "--out", str(out)]) == EXIT_CONFIG
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"config error: {field}: must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("target", ["missing.csv", ".", "latin1.csv"])
+    def test_unreadable_data_is_3(self, tmp_path, capsys, monkeypatch, command, target):
+        monkeypatch.chdir(tmp_path)  # "." is a directory, missing.csv is not there
+        (tmp_path / "latin1.csv").write_bytes("1,2\n3,4\n5,\u00e9\n".encode("latin-1"))
+        code = main([command, "--problem", "dsv", "--data", target, "--n", "3", "--r", "2"])
+        assert code == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert err.startswith(f"ingestion error: cannot read {target}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("scale,divisor", [(1e154, "1"), (1.0, "1e-300")])
     def test_gram_overflow_is_3(self, tmp_path, capsys, scale, divisor):

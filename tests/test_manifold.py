@@ -321,6 +321,21 @@ class TestSwarmState:
         with pytest.raises(DimensionError):
             SwarmState(())
 
+    def test_caller_array_is_copied(self):
+        x = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+        s = SwarmState(x)
+        x[0, 0, 0] = 5.0  # the caller's array stays writable and is not the state's
+        assert s.x is not x and s.x[0, 0, 0] == 1.0 and not s.x.flags.writeable
+
+    def test_fresh_stack_is_kept_and_still_checked(self):
+        x = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+        s = SwarmState(x, copy=False)
+        assert s.x is x and not x.flags.writeable
+        with pytest.raises(ParameterError, match="not orthonormal"):
+            SwarmState(2.0 * np.stack([np.eye(3)[:, :2]] * 2), copy=False)
+        with pytest.raises(DimensionError):
+            SwarmState(np.eye(3)[:, :2], copy=False)
+
     def test_perturbed_swarm_size_and_spread(self):
         rng = np.random.default_rng(23)
         x0 = sd.random_stiefel(6, 2, rng)

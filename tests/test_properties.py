@@ -105,6 +105,23 @@ def test_retraction_is_orthonormal(shape, seed, scale):
     assert err <= 16 * EPS * (d + r)
 
 
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
+def test_retraction_factor_matches_three_pass_formula(shape, seed, scale):
+    # polar_retract forms the r x r factor Q diag(w^-1/2) Q.T first and returns v @ Z;
+    # the reference is the formula it replaced, two more passes over the (n, d, r) stack
+    n, d, r = shape
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, n, d, r)
+    xi = tangent_stack(rng, x, scale)
+    out = sd.polar_retract(x, xi)
+    v = x + xi
+    w, q = np.linalg.eigh(v.swapaxes(-1, -2) @ v)
+    reference = ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
+    assert np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max() <= 16 * EPS * (d + r)
+    assert np.abs(out - reference).max() <= 4 * EPS * (d + r)
+
+
 @settings(max_examples=25, deadline=None)
 @given(shape=shapes(max_d=40), seed=st.integers(0, 2**32 - 1))
 def test_tracking_residual_stays_at_round_off(shape, seed):
