@@ -153,6 +153,8 @@ CONFIGS = [
     ("dsv-missing", "run --algorithm drgta --problem dsv --data missing.csv --n 3 --r 2 --max-iters 5"),
     ("dsv-directory", "run --algorithm drgta --problem dsv --data . --n 3 --r 2 --max-iters 5"),
     ("dsv-not-utf8", "run --algorithm drgta --problem dsv --data latin1.csv --n 2 --r 1 --max-iters 5"),
+    # W^t by repeated squaring drifts from doubly stochastic by about t * eps: exits 2 naming t
+    ("spectral-t1e6", "spectral --t 1000000"),
 ]
 
 

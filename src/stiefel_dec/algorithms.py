@@ -375,16 +375,14 @@ def run(
     records = []
 
     def snapshot(k: int, beta: float | None):
-        ces = s.consensus_error_sq
-        linf = s.linf_error
+        mean, ces, linf = s.consensus  # the mean point, checked once, and the two errors
         gsq = f_bar = ds = None
         if with_obj:
-            xbar = s.mean_point.data
-            egrad = locals_.mean_grad(xbar)
-            gsq = stationarity_measure(xbar, egrad)
-            f_bar = average_value(xbar, egrad)
+            egrad = locals_.mean_grad(mean.data)
+            gsq = stationarity_measure(mean.data, egrad)
+            f_bar = average_value(mean.data, egrad)
         if oracle is not None:
-            ds = subspace_distance(s.mean_point, oracle)
+            ds = subspace_distance(mean, oracle)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None
         records.append(
             IterationRecord(

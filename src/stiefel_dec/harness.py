@@ -43,6 +43,7 @@ from .network import (
     complete_graph,
     consensus_rate_params,
     erdos_renyi,
+    matrix_power,
     metropolis_weights,
     min_communication_rounds,
     ring_graph,
@@ -265,6 +266,12 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
     w = metropolis_weights(g)
     t_min = min_communication_rounds(w)
     t = cfg.t if cfg.t > 0 else t_min
+    try:
+        matrix_power(w, t)  # kept on w: the rate reports and the run reuse this W^t
+    except ParameterError as e:  # repeated squaring drifts by about t * eps
+        raise ConfigError(
+            f"t: W^{t} is not doubly stochastic in floating point ({e}); use a smaller t"
+        ) from None
     delta1 = cfg.delta1 if cfg.delta1 > 0.0 else ConsensusRegionParams.delta1_cap(cfg.r, cfg.delta2)
     region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
     base_rate = rate = consensus_rate_params(w, t, region)

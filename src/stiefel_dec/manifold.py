@@ -19,11 +19,13 @@ from .errors import DegenerateMeanError, DimensionError, NumericalError, Paramet
 # Construction tolerance for x.T x - I (max-abs entry); an order above
 # double-precision accumulation for d up to ~1000.
 ORTHONORMALITY_TOL = 1e-12
-# Tolerance for the tangent-space constraint x.T v + v.T x = 0 of a TangentVector.
+# Tolerance for the tangent-space constraint x.T v + v.T x = 0 of a TangentVector,
+# relative to ||v||_F: the constraint is linear in v, so its round-off scales with v.
 TANGENCY_TOL = 1e-10
 # Smallest-to-largest singular value ratio below which the Euclidean mean is
 # treated as rank deficient.
 DEGENERACY_RATIO = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -106,8 +108,11 @@ class TangentVector:
             )
         sym = self.base.data.T @ mat
         err = np.abs(sym + sym.T).max()
-        if not err <= TANGENCY_TOL:  # also rejects NaN
-            raise ParameterError(f"not tangent: max |x.T v + v.T x| = {err:.3e}")
+        norm = np.linalg.norm(mat)
+        if not (err <= TANGENCY_TOL * norm and np.isfinite(norm)):  # also rejects NaN and inf
+            raise ParameterError(
+                f"not tangent: max |x.T v + v.T x| = {err:.3e} for ||v||_F = {norm:.3e}"
+            )
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
 
@@ -157,36 +162,37 @@ class SwarmState:
         """The agents as StiefelPoints, for callers that want per-agent objects."""
         return tuple(StiefelPoint(m) for m in self.x)
 
-    @cached_property
+    @property
     def euclidean_mean(self) -> np.ndarray:
         """Plain average (1/n) sum x_i; generally off the manifold."""
         return self.x.sum(axis=0) / self.n
 
     @cached_property
-    def mean_point(self) -> StiefelPoint:
-        """Induced arithmetic mean: the projection of the Euclidean mean onto St(d, r)."""
+    def consensus(self) -> tuple:
+        """(mean_point, consensus_error_sq, linf_error), from one pass over the swarm:
+        the induced mean and the deviations ||x_i - xbar||_F in agent order."""
         x = self.x
-        if (x[-1] == x[0]).all() and (x == x[0]).all():  # one slice rules most swarms out
-            return StiefelPoint(x[0])  # exact consensus, no round-off from the projection
-        u, s, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
-        if s[-1] <= DEGENERACY_RATIO * s[0]:
-            raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})")
-        return StiefelPoint(u @ vt)
+        if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
+            point = StiefelPoint(x[0])  # exact consensus, no round-off from the projection
+        else:
+            point = _polar_factor(self.euclidean_mean)
+        norms = frobenius_norms(x - point.data)
+        return point, float(norms @ norms / self.n), float(norms.max())
 
     @cached_property
-    def _deviation_norms(self) -> np.ndarray:
-        """||x_i - xbar||_F per agent, in agent order."""
-        return frobenius_norms(self.x - self.mean_point.data)
+    def mean_point(self) -> StiefelPoint:
+        """Induced arithmetic mean: the projection of the Euclidean mean onto St(d, r)."""
+        return self.consensus[0]
 
     @cached_property
     def consensus_error_sq(self) -> float:
         """(1/n) sum ||x_i - xbar||_F^2, the squared mean-square distance to consensus."""
-        return float(sum(v**2 for v in self._deviation_norms) / self.n)
+        return self.consensus[1]
 
     @cached_property
     def linf_error(self) -> float:
         """max_i ||x_i - xbar||_F."""
-        return float(self._deviation_norms.max())
+        return self.consensus[2]
 
     def stacked_error(self) -> float:
         """Frobenius norm of the stacked deviation, ||x - xbar|| = sqrt(n * mean-square)."""
@@ -267,7 +273,35 @@ def polar_retract(x, xi) -> np.ndarray:
     w, q = np.linalg.eigh(gram)
     if not (w[..., 0] > 0.0).all():
         raise NumericalError("retraction Gram matrix lost positive definiteness")
-    return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
+    return v @ _inv_sqrt(w, q)
+
+
+def _inv_sqrt(w, q) -> np.ndarray:
+    """The r x r factor G^{-1/2} = Q diag(w^{-1/2}) Q.T from the eigendecomposition
+    G = Q diag(w) Q.T of a positive definite Gram matrix G = v.T v; v @ G^{-1/2} is
+    the polar factor of v."""
+    return (q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
+
+
+def _polar_factor(m: np.ndarray) -> StiefelPoint:
+    """The orthonormal polar factor of a d x r matrix m, its nearest point on St(d, r).
+
+    Taken as m (m.T m)^{-1/2} through the retraction's r x r factor. That result is
+    off orthonormality by about eps * cond(m)^2, so the route is taken only where
+    this stays below ORTHONORMALITY_TOL, and its result must still pass
+    StiefelPoint's check. Elsewhere the thin SVD m = u diag(s) vt gives u @ vt, and
+    DegenerateMeanError when m is rank deficient.
+    """
+    w, q = np.linalg.eigh(m.T @ m)
+    if w[0] * ORTHONORMALITY_TOL > w[-1] * _EPS:
+        try:
+            return StiefelPoint(m @ _inv_sqrt(w, q))
+        except ParameterError:
+            pass  # not orthonormal to the tolerance: the SVD decides
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if s[-1] <= DEGENERACY_RATIO * s[0]:
+        raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})")
+    return StiefelPoint(u @ vt)
 
 
 def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:

@@ -445,6 +445,29 @@ class TestRun:
             for pa, pb in zip(a.final.points, b.final.points):
                 assert np.array_equal(pa.data, pb.data)
 
+    def test_records_match_svd_mean_reference(self):
+        # each row's consensus errors and d_s, against the same iterates measured at the
+        # induced mean taken by a thin SVD, within 1e-12 of St(d, r)'s diameter 2 sqrt(r)
+        locals_, xstar, w, s = self._instance(seed=24, n=6, d=12, r=3)
+        s = sd.perturbed_swarm(s.points[0], s.n, 0.3, np.random.default_rng(24))
+        beta, rounds = 2e-3, 25
+        out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", beta),
+                  oracle=xstar, max_rounds=rounds)
+        swarms, tracker = [s], drgta_init(s, locals_)
+        for _ in range(rounds):
+            s, tracker = drgta_step(s, tracker, w, 1.0, beta, locals_)
+            swarms.append(s)
+        bound = 1e-12 * 2.0 * np.sqrt(s.r)
+        assert len(out.records) == len(swarms)
+        for rec, ref in zip(out.records, swarms):
+            u, _, vt = np.linalg.svd(ref.euclidean_mean, full_matrices=False)
+            mean = u @ vt
+            dev = np.array([np.linalg.norm(xi - mean) for xi in ref.x])
+            assert abs(np.sqrt(rec.consensus_err_sq) - np.sqrt(np.mean(dev**2))) <= bound
+            assert abs(rec.linf_err - dev.max()) <= bound
+            assert abs(rec.ds_oracle - sd.subspace_distance(StiefelPoint(mean), xstar)) <= bound
+        assert np.array_equal(out.final.x, swarms[-1].x)
+
     def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
         # f(xbar) and ||grad f(xbar)||^2 share one gradient of the average
         # objective, one product with sum_i G_i; no per-agent gradient

@@ -393,6 +393,21 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {field}: must be finite, got {float(value)!r}\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_t_is_2_naming_t(self, tmp_path, capsys):
+        # W^t by repeated squaring drifts from doubly stochastic by about t * eps; on the
+        # default ring t = 3e5 still stays within the 1e-12 row-sum check and 1e6 does not
+        assert main(["spectral", "--t", "300000"]) == EXIT_OK
+        assert "t 300000" in capsys.readouterr().out.splitlines()
+        out = tmp_path / "o.csv"
+        for command in (["spectral"], ["run", "--max-iters", "3", "--out", str(out)]):
+            assert main(command + ["--t", "1000000"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: t: W^1000000 is not doubly stochastic in floating point "
+                "(mixing matrix rows do not sum to 1); use a smaller t\n"
+            )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     @pytest.mark.parametrize("target", ["missing.csv", ".", "latin1.csv"])
     def test_unreadable_data_is_3(self, tmp_path, capsys, monkeypatch, command, target):
