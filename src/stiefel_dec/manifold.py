@@ -25,7 +25,6 @@ TANGENCY_TOL = 1e-10
 # Smallest-to-largest singular value ratio below which the Euclidean mean is
 # treated as rank deficient.
 DEGENERACY_RATIO = 1e-12
-_EPS = np.finfo(float).eps
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -175,7 +174,10 @@ class SwarmState:
         if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
             point = StiefelPoint(x[0])  # exact consensus, no round-off from the projection
         else:
-            point = _polar_factor(self.euclidean_mean)
+            u, sv, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
+            if sv[-1] <= DEGENERACY_RATIO * sv[0]:
+                raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
+            point = StiefelPoint(u @ vt)
         norms = frobenius_norms(x - point.data)
         return point, float(norms @ norms / self.n), float(norms.max())
 
@@ -273,35 +275,7 @@ def polar_retract(x, xi) -> np.ndarray:
     w, q = np.linalg.eigh(gram)
     if not (w[..., 0] > 0.0).all():
         raise NumericalError("retraction Gram matrix lost positive definiteness")
-    return v @ _inv_sqrt(w, q)
-
-
-def _inv_sqrt(w, q) -> np.ndarray:
-    """The r x r factor G^{-1/2} = Q diag(w^{-1/2}) Q.T from the eigendecomposition
-    G = Q diag(w) Q.T of a positive definite Gram matrix G = v.T v; v @ G^{-1/2} is
-    the polar factor of v."""
-    return (q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
-
-
-def _polar_factor(m: np.ndarray) -> StiefelPoint:
-    """The orthonormal polar factor of a d x r matrix m, its nearest point on St(d, r).
-
-    Taken as m (m.T m)^{-1/2} through the retraction's r x r factor. That result is
-    off orthonormality by about eps * cond(m)^2, so the route is taken only where
-    this stays below ORTHONORMALITY_TOL, and its result must still pass
-    StiefelPoint's check. Elsewhere the thin SVD m = u diag(s) vt gives u @ vt, and
-    DegenerateMeanError when m is rank deficient.
-    """
-    w, q = np.linalg.eigh(m.T @ m)
-    if w[0] * ORTHONORMALITY_TOL > w[-1] * _EPS:
-        try:
-            return StiefelPoint(m @ _inv_sqrt(w, q))
-        except ParameterError:
-            pass  # not orthonormal to the tolerance: the SVD decides
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[-1] <= DEGENERACY_RATIO * s[0]:
-        raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {s[-1]:.3e})")
-    return StiefelPoint(u @ vt)
+    return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
 
 
 def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:
