@@ -10,7 +10,8 @@ bytes. One line is printed per configuration:
     name  exit-code  sha256(stdout)  sha256(written file) or -  stderr
 
 where stderr is the CLI's error line, `traceback` for an uncaught exception,
-or - when the run reported no error.
+or - when the run reported no error. The script exits 1 when any
+configuration's run of the --src tree prints a traceback, and 0 otherwise.
 
 Run it on two checkouts and diff the outputs to see whether a change kept
 every log, summary, report and exit code byte-identical:
@@ -22,7 +23,7 @@ every log, summary, report and exit code byte-identical:
 A change that moves last bits on purpose (a reassociated sum, a fused
 projection) is checked with --against instead, which runs every configuration
 under both trees and prints one PASS or FAIL line per configuration, with the
-worst |a - b| / S per float column, then exits 1 on any FAIL:
+worst |a - b| / S per float column, then exits 1 on any FAIL or traceback:
 
     python3 scripts/cli_digests.py --against ../parent/src
 
@@ -155,6 +156,8 @@ CONFIGS = [
     ("dsv-not-utf8", "run --algorithm drgta --problem dsv --data latin1.csv --n 2 --r 1 --max-iters 5"),
     # W^t by repeated squaring drifts from doubly stochastic by about t * eps: exits 2 naming t
     ("spectral-t1e6", "spectral --t 1000000"),
+    # the gradient tolerance, not d_s, ends the run
+    ("drgta-grad-tol", "run --algorithm drgta --t 1 --tol-ds 0 --tol-grad 1e-3 --max-iters 3000"),
 ]
 
 
@@ -273,12 +276,15 @@ def main(argv=None) -> int:
                         help="another stiefel_dec source directory: compare every output within 1e-12 S")
     ns = parser.parse_args(argv)
     src = ns.src.resolve()
-    passed = 0
+    passed = tracebacks = 0
     for name, line in CONFIGS:
         args = line.split()
         if args[0] != "spectral":  # spectral prints its report and writes nothing
             args += ["--out", OUT]
         outcome = run_cli(args, src)
+        if outcome[3] == "traceback":  # an uncaught exception is a failure in either mode
+            tracebacks += 1
+            print(f"traceback: {name}", file=sys.stderr)
         if ns.against is None:
             print(f"{name} {digest(outcome)}", flush=True)
             continue
@@ -286,10 +292,11 @@ def main(argv=None) -> int:
         passed += not problems
         ratios = " ".join(f"{col}={v:.1e}" for col, v in worst.items())
         print(f"{'FAIL' if problems else 'PASS'} {name} {ratios} {'; '.join(problems)}".rstrip(), flush=True)
-    if ns.against is None:
-        return 0
-    print(f"{passed}/{len(CONFIGS)} PASS")
-    return 0 if passed == len(CONFIGS) else 1
+    failed = tracebacks > 0
+    if ns.against is not None:
+        print(f"{passed}/{len(CONFIGS)} PASS")
+        failed = failed or passed < len(CONFIGS)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

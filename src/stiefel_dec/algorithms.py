@@ -44,12 +44,8 @@ class TrackerState:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "g", g)
 
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
     def average(self) -> np.ndarray:
-        return self.y.sum(axis=0) / self.n
+        return self.y.sum(axis=0) / len(self.y)
 
 
 @dataclass(frozen=True)
@@ -204,14 +200,14 @@ def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    xi = project_to_tangent(s.x, mix(s, wt))
+    xi = project_to_tangent(s.x, mix(s.x, wt))
     xi *= alpha
     return SwarmState(polar_retract(s.x, xi), copy=False)
 
 
 def _pull(s: SwarmState, wt: MixingMatrix, alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
     """alpha mix(x) - beta v, in place on the fresh mixed stack (same bits as the expression)."""
-    out = mix(s, wt)
+    out = mix(s.x, wt)
     out *= alpha
     out -= beta * v
     return out

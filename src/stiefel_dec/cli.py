@@ -19,6 +19,7 @@ from .errors import (
     StiefelDecError,
 )
 from .harness import (
+    CHOICES,
     EXIT_CONFIG,
     EXIT_INGESTION,
     EXIT_NUMERICAL,
@@ -34,7 +35,7 @@ _SUPPRESS = argparse.SUPPRESS
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--graph", default=_SUPPRESS, help="ring | complete | er | er(p)")
+    p.add_argument("--graph", default=_SUPPRESS, help=" | ".join(CHOICES["graph"]) + " | er(p)")
     p.add_argument("--er-p", dest="er_p", type=float, default=_SUPPRESS, help="ER edge probability")
     p.add_argument("--n", type=int, default=_SUPPRESS, help="number of agents")
     p.add_argument("--t", type=int, default=_SUPPRESS, help="gossip rounds per iteration (0 = auto minimum)")
@@ -43,7 +44,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--d", type=int, default=_SUPPRESS, help="ambient dimension (synthetic problem)")
     p.add_argument("--m", type=int, default=_SUPPRESS, help="samples per agent (synthetic problem)")
     p.add_argument("--gap", type=float, default=_SUPPRESS, help="eigengap of the synthetic spectrum, in (0,1)")
-    p.add_argument("--problem", default=_SUPPRESS, help="synthetic | dsv")
+    p.add_argument("--problem", default=_SUPPRESS, help=" | ".join(CHOICES["problem"]))
     p.add_argument("--data", dest="data_path", default=_SUPPRESS, help="delimiter-separated data file (dsv problem)")
     p.add_argument("--divisor", type=float, default=_SUPPRESS, help="divide data values by this on load")
     p.add_argument("--seed", type=int, default=_SUPPRESS, help="master seed")
@@ -52,16 +53,16 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--schedule", default=_SUPPRESS, help="diminishing | constant | user")
+    p.add_argument("--schedule", default=_SUPPRESS, help=" | ".join(CHOICES["schedule"]))
     p.add_argument("--beta-hat", dest="beta_hat", type=float, default=_SUPPRESS, help="practical stepsize before rescaling")
-    p.add_argument("--beta-scale", dest="beta_scale", default=_SUPPRESS, help="default | speedup | raw")
+    p.add_argument("--beta-scale", dest="beta_scale", default=_SUPPRESS, help=" | ".join(CHOICES["beta_scale"]))
     p.add_argument("--max-iters", dest="max_iters", type=int, default=_SUPPRESS)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=_SUPPRESS)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=_SUPPRESS)
     p.add_argument("--tol-ds", dest="tol_ds", type=float, default=_SUPPRESS, help="stop when d_s(mean, oracle) is below this (0 disables)")
     p.add_argument("--tol-grad", dest="tol_grad", type=float, default=_SUPPRESS, help="stop when ||grad f(mean)|| is below this (0 disables)")
     p.add_argument("--tol-consensus", dest="tol_consensus", type=float, default=_SUPPRESS, help="consensus runs: stop when the stacked deviation is below this")
-    p.add_argument("--init", default=_SUPPRESS, help="shared | independent")
+    p.add_argument("--init", default=_SUPPRESS, help=" | ".join(CHOICES["init"]))
     p.add_argument("--perturb", type=float, default=_SUPPRESS, help="tangent noise on a shared start")
     p.add_argument("--timing", action="store_true", default=_SUPPRESS, help="record wall-clock ms per row (breaks byte-level log reproducibility)")
     p.add_argument("--out", default=_SUPPRESS, help="CSV log path")
@@ -74,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment (drcs | drsgd | drdgd | drgta)")
-    run_p.add_argument("--algorithm", default=_SUPPRESS, help="drcs | drsgd | drdgd | drgta")
+    run_p = sub.add_parser("run", help=f"run an experiment ({' | '.join(CHOICES['algorithm'])})")
+    run_p.add_argument("--algorithm", default=_SUPPRESS, help=" | ".join(CHOICES["algorithm"]))
     _add_common(run_p)
     _add_run_flags(run_p)
 
@@ -93,15 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_from(ns: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
-    return {k: v for k, v in vars(ns).items() if k not in skip}
-
-
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        flags = _flags_from(ns)
+        flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
         out_override = flags.pop("out", None) if ns.command == "oracle" else None
         if ns.command == "consensus":
             flags["algorithm"] = "drcs"

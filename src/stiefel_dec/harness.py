@@ -65,11 +65,15 @@ EXIT_INGESTION = 3
 EXIT_NUMERICAL = 4
 EXIT_NO_CONVERGENCE = 5
 
-_GRAPHS = ("ring", "complete", "er")
-_SCHEDULES = ("diminishing", "constant", "user")
-_PROBLEMS = ("synthetic", "dsv")
-_BETA_SCALES = ("default", "speedup", "raw")
-_INITS = ("shared", "independent")
+# the allowed values of each enumerated config field
+CHOICES = {
+    "algorithm": ALGORITHMS,
+    "graph": ("ring", "complete", "er"),
+    "schedule": ("diminishing", "constant", "user"),
+    "beta_scale": ("default", "speedup", "raw"),
+    "problem": ("synthetic", "dsv"),
+    "init": ("shared", "independent"),
+}
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,9 @@ def validate_config(cfg: ExperimentConfig):
             bad(f.name, f"must be {noun}, got {v!r}")
         if kind == "float" and not -math.inf < v < math.inf:  # nan passes every range test below
             bad(f.name, f"must be finite, got {v!r}")
-    if cfg.algorithm not in ALGORITHMS:
-        bad("algorithm", f"must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    if cfg.graph not in _GRAPHS:
-        bad("graph", f"must be one of {_GRAPHS}, got {cfg.graph!r}")
+    for name, choices in CHOICES.items():
+        if getattr(cfg, name) not in choices:
+            bad(name, f"must be one of {choices}, got {getattr(cfg, name)!r}")
     if cfg.graph == "er" and not (0.0 < cfg.er_p <= 1.0):
         bad("er_p", f"must be in (0, 1], got {cfg.er_p}")
     if cfg.n < 2:
@@ -189,14 +192,8 @@ def validate_config(cfg: ExperimentConfig):
         bad("t", f"must be >= 0 (0 = auto), got {cfg.t}")
     if cfg.alpha < 0.0:
         bad("alpha", f"must be >= 0 (0 = auto), got {cfg.alpha}")
-    if cfg.schedule not in _SCHEDULES:
-        bad("schedule", f"must be one of {_SCHEDULES}, got {cfg.schedule!r}")
     if cfg.schedule == "user" and cfg.beta_hat <= 0.0:
         bad("beta_hat", f"must be positive, got {cfg.beta_hat}")
-    if cfg.beta_scale not in _BETA_SCALES:
-        bad("beta_scale", f"must be one of {_BETA_SCALES}, got {cfg.beta_scale!r}")
-    if cfg.problem not in _PROBLEMS:
-        bad("problem", f"must be one of {_PROBLEMS}, got {cfg.problem!r}")
     if cfg.problem == "dsv" and not cfg.data_path:
         bad("data_path", "required for the dsv problem")
     if cfg.problem == "synthetic":
@@ -219,8 +216,6 @@ def validate_config(cfg: ExperimentConfig):
         v = getattr(cfg, name)
         if v is not None and v < 0.0:
             bad(name, f"must be >= 0, got {v}")
-    if cfg.init not in _INITS:
-        bad("init", f"must be one of {_INITS}, got {cfg.init!r}")
     if cfg.perturb < 0.0:
         bad("perturb", f"must be >= 0, got {cfg.perturb}")
     if not (0.0 < cfg.delta2 <= 1.0 / 6.0 + 1e-15):
@@ -240,12 +235,10 @@ def validate_config(cfg: ExperimentConfig):
 class ResolvedExperiment:
     """A config turned into concrete objects, plus the constants for the log header."""
 
-    cfg: ExperimentConfig
     graph: object
     t: int
     mix_matrix: MixingMatrix
     mix_rounds: int
-    region: ConsensusRegionParams
     alpha: float
     locals_: EigLocal | None
     oracle: StiefelPoint | None
@@ -358,12 +351,10 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
 
     swarm0 = _build_swarm(cfg, x0, region)
     return ResolvedExperiment(
-        cfg=cfg,
         graph=g,
         t=t,
         mix_matrix=w,
         mix_rounds=t,
-        region=region,
         alpha=alpha,
         locals_=locals_,
         oracle=oracle,
@@ -435,8 +426,9 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_, x0):
 
 def _build_swarm(cfg, x0, region) -> SwarmState:
     if cfg.init == "independent":
+        # a stream id of their own: SeedSequence zero-pads, so [seed, 1, 0] is the shared [seed, 1]
         return SwarmState(
-            [random_stiefel(x0.d, x0.r, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.n)]
+            [random_stiefel(x0.d, x0.r, np.random.default_rng([cfg.seed, 6, i])) for i in range(cfg.n)]
         )
     noise = cfg.perturb
     if noise == 0.0 and cfg.algorithm == "drcs":
@@ -451,8 +443,6 @@ class ExperimentOutcome:
     code: int
     summary: str
     result: RunResult
-    csv_path: str | None
-    resolved: ResolvedExperiment
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
@@ -481,10 +471,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         if cfg.out:
             write_csv(cfg.out, cfg, res.header, e.records)
         raise
-    csv_path = None
     if cfg.out:
         write_csv(cfg.out, cfg, res.header, result.records)
-        csv_path = cfg.out
     last = result.records[-1]
     parts = [f"{cfg.algorithm}: {last.k} rounds, stop={result.stop}"]
     if last.ds_oracle is not None:
@@ -492,16 +480,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     if last.grad_norm_sq is not None:
         parts.append(f"|grad|={math.sqrt(last.grad_norm_sq):.3e}")
     parts.append(f"consensus_err_sq={last.consensus_err_sq:.3e}")
-    if csv_path:
-        parts.append(f"log={csv_path}")
+    if cfg.out:
+        parts.append(f"log={cfg.out}")
     code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    return ExperimentOutcome(
-        code=code,
-        summary="  ".join(parts),
-        result=result,
-        csv_path=csv_path,
-        resolved=res,
-    )
+    return ExperimentOutcome(code=code, summary="  ".join(parts), result=result)
 
 
 def _cell(v) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StepsizeError, TopologyError
-from .manifold import ConsensusRegionParams, SwarmState
+from .manifold import ConsensusRegionParams
 
 _SYM_TOL = 1e-12
 _ROWSUM_TOL = 1e-12
@@ -52,7 +52,10 @@ class Graph:
     def _connected(self) -> bool:
         if self.n == 1:
             return True
-        adj = self.neighbors()
+        adj = [[] for _ in range(self.n)]
+        for i, j in sorted(self.edges):
+            adj[i].append(j)
+            adj[j].append(i)
         seen = {0}
         queue = deque([0])
         while queue:
@@ -62,13 +65,6 @@ class Graph:
                     seen.add(v)
                     queue.append(v)
         return len(seen) == self.n
-
-    def neighbors(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for i, j in sorted(self.edges):
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=int)
@@ -206,13 +202,13 @@ def matrix_power(w: MixingMatrix, t: int) -> MixingMatrix:
     return w._powers[t]
 
 
-def mix(s, wt: MixingMatrix) -> np.ndarray:
+def mix(x, wt: MixingMatrix) -> np.ndarray:
     """Weighted neighborhood averages: slice i of the output is sum_j W_ij x_j.
 
-    Accepts a SwarmState or an (n, d, r) array and returns an (n, d, r) array.
-    Outputs are convex combinations and generally leave the manifold.
+    Takes an (n, d, r) array and returns a fresh (n, d, r) array. Outputs are
+    convex combinations and generally leave the manifold.
     """
-    x = s.x if isinstance(s, SwarmState) else np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.ndim != 3 or wt.n != x.shape[0]:
         raise DimensionError(f"mixing matrix is {wt.n}x{wt.n}, swarm has shape {x.shape}")
     return (wt.w @ x.reshape(x.shape[0], -1)).reshape(x.shape)
@@ -228,7 +224,6 @@ class ConsensusRateReport:
     is the contraction factor at the evaluated alpha.
     """
 
-    t: int
     l_t: float
     mu_t: float
     phi: float
@@ -266,7 +261,6 @@ def consensus_rate_params(
     if not (0.0 < rho_sq < 1.0):
         raise ParameterError(f"contraction factor out of range: rho^2 = {rho_sq:.6g}")
     return ConsensusRateReport(
-        t=t,
         l_t=l_t,
         mu_t=mu_t,
         phi=phi,

@@ -77,3 +77,13 @@ def test_oracle_value_is_compared_like_f_bar():
 
     assert cli_digests.compare(report(-16.17528168831654), report(-16.175281688316543))[0] == []
     assert cli_digests.compare(report(-16.17528168831654), report(-16.1752816883))[0] != []
+
+
+@pytest.mark.parametrize("argv", [[], ["--against", "other-src"]])
+@pytest.mark.parametrize("error, code", [("traceback", 1), ("-", 0)])
+def test_traceback_exits_1_in_both_modes(monkeypatch, capsys, argv, error, code):
+    # both trees print the same traceback, so the --against comparison alone would PASS
+    monkeypatch.setattr(cli_digests, "CONFIGS", [("one", "run --max-iters 1")])
+    monkeypatch.setattr(cli_digests, "run_cli", lambda args, src: (1, b"", None, error))
+    assert cli_digests.main(argv) == code
+    assert ("traceback: one" in capsys.readouterr().err) == (error == "traceback")

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -111,6 +113,12 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(flags=bad)
 
+    @pytest.mark.parametrize("field", sorted(harness.CHOICES))
+    def test_value_outside_its_choices_is_rejected(self, field):
+        message = f"{field}: must be one of {harness.CHOICES[field]}, got 'bogus'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(flags={field: "bogus"})
+
     @pytest.mark.parametrize("field", ["max_iters", "max_epochs"])
     def test_error_names_the_wrong_field(self, field):
         with pytest.raises(ConfigError, match=rf"^{field}: "):
@@ -207,9 +215,16 @@ class TestResolve:
         # xi is estimated at the shared point, wherever the swarm starts
         x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng(shared))
         assert res.constants.xi == sd.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
-        # agent 0 is not compared: numpy's SeedSequence zero-pads its entropy, so the
-        # stream [seed, 1, 0] of an independent agent 0 is the shared stream [seed, 1]
-        assert np.array_equal(res.swarm0.x[1], x0.data) == (init == "shared")
+        assert all(np.array_equal(x, x0.data) == (init == "shared") for x in res.swarm0.x)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_independent_starts_are_distinct(self, seed):
+        # SeedSequence zero-pads its entropy: an agent stream [seed, 1, 0] would be the shared [seed, 1]
+        cfg = parse_config(flags=dict(SMALL, init="independent", seed=seed))
+        x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng([seed, 1]))
+        starts = [*quiet_resolve(cfg).swarm0.x, x0.data]
+        assert len(starts) == cfg.n + 1
+        assert not any(np.array_equal(a, b) for a, b in itertools.combinations(starts, 2))
 
 
 class TestRunExperiment:
@@ -459,8 +474,8 @@ class TestCli:
         # find a seed whose two independent 1-d draws are antipodal
         seed = next(
             s for s in range(100)
-            if sd.random_stiefel(1, 1, np.random.default_rng([s, 1, 0])).data[0, 0]
-            != sd.random_stiefel(1, 1, np.random.default_rng([s, 1, 1])).data[0, 0]
+            if sd.random_stiefel(1, 1, np.random.default_rng([s, 6, 0])).data[0, 0]
+            != sd.random_stiefel(1, 1, np.random.default_rng([s, 6, 1])).data[0, 0]
         )
         code = main(
             ["run", "--algorithm", "drcs", "--graph", "ring", "--n", "2",

@@ -141,14 +141,14 @@ class TestMix:
     def test_identical_points_fixed(self):
         rng = np.random.default_rng(10)
         x = sd.random_stiefel(5, 2, rng)
-        out = sd.mix(SwarmState((x,) * 4), RING4_W)
+        out = sd.mix(SwarmState((x,) * 4).x, RING4_W)
         for m in out:
             assert np.allclose(m, x.data, atol=1e-15)
 
     def test_half_half(self):
         w = MixingMatrix(np.full((2, 2), 0.5))
         s = SwarmState((sd.StiefelPoint(col(1.0, 0.0)), sd.StiefelPoint(col(0.0, 1.0))))
-        out = sd.mix(s, w)
+        out = sd.mix(s.x, w)
         assert np.allclose(out[0], col(0.5, 0.5), atol=1e-15)
         assert np.allclose(out[1], col(0.5, 0.5), atol=1e-15)
 
@@ -156,7 +156,7 @@ class TestMix:
         rng = np.random.default_rng(11)
         s = SwarmState(tuple(sd.random_stiefel(4, 2, rng) for _ in range(3)))
         with pytest.raises(DimensionError):
-            sd.mix(s, RING4_W)
+            sd.mix(s.x, RING4_W)
 
     def test_contraction_toward_euclidean_mean(self):
         # ||W^t x - xhat|| <= sigma2^t ||x - xhat|| on the stacked swarm
@@ -168,7 +168,7 @@ class TestMix:
             t = int(rng.integers(1, 4))
             s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(n)))
             xhat = s.euclidean_mean
-            mixed = sd.mix(s, sd.matrix_power(w, t))
+            mixed = sd.mix(s.x, sd.matrix_power(w, t))
             before = math.sqrt(sum(np.linalg.norm(p.data - xhat) ** 2 for p in s.points))
             after = math.sqrt(sum(np.linalg.norm(m - xhat) ** 2 for m in mixed))
             assert after <= w.sigma2**t * before + 1e-12
@@ -239,7 +239,7 @@ class TestGradPhiBounds:
             s = SwarmState(tuple(sd.random_stiefel(7, 2, rng) for _ in range(n)))
             xbar = s.mean_point.data
             stacked = math.sqrt(sum(np.linalg.norm(p.data - xbar) ** 2 for p in s.points))
-            mixed = sd.mix(s, wt)
+            mixed = sd.mix(s.x, wt)
             grads = [
                 -sd.project_to_tangent(s.x[i], mixed[i]) for i in range(n)
             ]

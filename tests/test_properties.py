@@ -156,7 +156,7 @@ def test_drgta_step_equals_per_agent_loop(shape, seed):
     tr = sd.drgta_init(s, locals_)
     alpha = 1.0
     s_new, tr_new = sd.drgta_step(s, tr, w, alpha, beta, locals_)
-    mixed_x, mixed_y = sd.mix(s, w), sd.mix(tr.y, w)
+    mixed_x, mixed_y = sd.mix(s.x, w), sd.mix(tr.y, w)
     for i, (x, o) in enumerate(zip(s.x, locals_)):
         g_old = sd.project_to_tangent(x, o.euclidean_grad(x)[0])
         x_new = sd.polar_retract(x, sd.project_to_tangent(x, alpha * mixed_x[i] - beta * tr.y[i]))
@@ -173,7 +173,7 @@ def test_drsgd_step_equals_per_agent_loop(shape, seed):
     alpha = 0.75
     egrads = locals_.euclidean_grad(s.x)
     out = sd.drsgd_step(s, w, alpha, beta, egrads)
-    mixed = sd.mix(s, w)
+    mixed = sd.mix(s.x, w)
     for i, x in enumerate(s.x):
         expected = sd.polar_retract(x, sd.project_to_tangent(x, alpha * mixed[i] - beta * egrads[i]))
         assert np.array_equal(out.x[i], expected)
