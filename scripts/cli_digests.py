@@ -88,7 +88,8 @@ FILES = {
     "t-str.json": '{"t": "1"}',
 }
 
-# (name, CLI arguments); every subcommand but spectral also gets --out OUT.
+# (name, CLI arguments); every subcommand but spectral also gets --out OUT, unless the
+# arguments name an --out of their own.
 CONFIGS = [
     ("drgta-ring8", "run --algorithm drgta --t 1 --max-iters 300"),
     ("drdgd-ring8", "run --algorithm drdgd --max-iters 200"),
@@ -133,6 +134,8 @@ CONFIGS = [
     # start a fresh shuffle inside every epoch and its last step has batches 1, 5, 5, 5
     ("dsv-drsgd-wrap-batch5", "run --algorithm drsgd --problem dsv --data wrap.csv --n 4 --r 2 --batch-size 5 --max-epochs 3"),
     ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
+    # the constant rule for gradient tracking: pins beta_theory_heuristic next to an xi estimate
+    ("drgta-constant", "run --algorithm drgta --schedule constant --max-iters 50"),
     # xi is estimated at the shared x0 while the swarm starts from independent points
     ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),
     # a tangent nudge of norm 1e7 from one shared point
@@ -279,7 +282,7 @@ def main(argv=None) -> int:
     passed = tracebacks = 0
     for name, line in CONFIGS:
         args = line.split()
-        if args[0] != "spectral":  # spectral prints its report and writes nothing
+        if args[0] != "spectral" and "--out" not in args:  # spectral prints its report and writes nothing
             args += ["--out", OUT]
         outcome = run_cli(args, src)
         if outcome[3] == "traceback":  # an uncaught exception is a failure in either mode
