@@ -161,6 +161,11 @@ CONFIGS = [
     ("spectral-t1e6", "spectral --t 1000000"),
     # the gradient tolerance, not d_s, ends the run
     ("drgta-grad-tol", "run --algorithm drgta --t 1 --tol-ds 0 --tol-grad 1e-3 --max-iters 3000"),
+    # a zero-epoch drsgd run writes row 0 and exits 5, like every other zero-round run
+    ("drsgd-epochs0", "run --algorithm drsgd --max-epochs 0"),
+    # an --out path that cannot be written exits 2 naming it: a directory, a missing directory
+    ("out-directory", "run --max-iters 1 --out ."),
+    ("oracle-out-missing-dir", "oracle --out nodir/x.txt"),
 ]
 
 

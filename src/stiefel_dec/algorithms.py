@@ -50,26 +50,19 @@ class TrackerState:
 
 @dataclass(frozen=True)
 class StepsizeSchedule:
-    """Gradient stepsize sequence: diminishing base/sqrt(k+1) or a constant.
+    """Gradient stepsize sequence: diminishing base/sqrt(k+1) or the constant base."""
 
-    kind "user" marks a constant chosen by the caller rather than a rule;
-    min_rounds, when set, is the horizon the constant-stepsize rule assumes.
-    """
-
-    kind: str
     base: float
-    min_rounds: int | None = None
+    diminishing: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("diminishing", "constant", "user"):
-            raise ParameterError(f"unknown schedule kind {self.kind!r}")
         if self.base <= 0.0:
             raise ParameterError(f"stepsize base must be positive, got {self.base}")
 
     def beta(self, k: int) -> float:
         if k < 0:
             raise ParameterError(f"need k >= 0, got {k}")
-        if self.kind == "diminishing":
+        if self.diminishing:
             return self.base / math.sqrt(k + 1.0)
         return self.base
 
@@ -84,49 +77,37 @@ def drsgd_diminishing_schedule(constants, rho_t: float, alpha: float, delta1: fl
         alpha * delta1 / (5.0 * constants.d_bound),
         (1.0 - rho_t) * delta1 / constants.d_bound,
     )
-    return StepsizeSchedule(kind="diminishing", base=base)
+    return StepsizeSchedule(base, diminishing=True)
 
 
 def drsgd_constant_schedule(
-    k_max: int,
-    n: int,
-    constants,
-    alpha: float | None = None,
-    delta1: float | None = None,
-    rho_t: float | None = None,
+    k_max: int, n: int, constants, alpha: float, delta1: float, rho_t: float
 ) -> StepsizeSchedule:
     """Constant stepsize 1/(2 l_big + xi sqrt((K+1)/n)) for a K-iteration run.
 
-    The rule is only guaranteed for K above a minimal horizon; the computable
-    part of that horizon is reported in min_rounds (and a warning is emitted
-    when K falls short). The horizon terms needing alpha, delta1 or rho_t are
-    included only when those are supplied; with xi = 0 the stepsize degrades
-    gracefully to 1/(2 l_big) and no horizon is known.
+    The rule is only guaranteed for K at or above the horizon
+    n (max(3 l_big, 5 D/(alpha d1), D/((1-rho) d1)) / xi)^2 - 1; a warning is
+    emitted when K falls short. With xi = 0 the stepsize degrades gracefully to
+    1/(2 l_big) and no horizon is known.
     """
+    _check_rate_inputs(rho_t, alpha, delta1)
     if k_max < 0:
         raise ParameterError(f"need K >= 0, got {k_max}")
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    lb = constants.l_big
+    lb, db, xi = constants.l_big, constants.d_bound, constants.xi
     if lb <= 0.0:
         raise ParameterError("need positive l_big")
-    xi = constants.xi
-    base = 1.0 / (2.0 * lb + xi * math.sqrt((k_max + 1.0) / n))
-    min_rounds = None
     if xi > 0.0:
-        terms = [3.0 * lb]
-        if alpha is not None and delta1 is not None:
-            terms.append(5.0 * constants.d_bound / (alpha * delta1))
-            if rho_t is not None:
-                terms.append(constants.d_bound / ((1.0 - rho_t) * delta1))
-        min_rounds = max(0, math.ceil(n * (max(terms) / xi) ** 2 - 1.0))
-        if k_max < min_rounds:
+        worst = max(3.0 * lb, 5.0 * db / (alpha * delta1), db / ((1.0 - rho_t) * delta1))
+        horizon = math.ceil(n * (worst / xi) ** 2 - 1.0)
+        if k_max < horizon:
             warnings.warn(
-                f"constant-stepsize rule assumes K >= {min_rounds}, got {k_max}",
+                f"constant-stepsize rule assumes K >= {horizon}, got {k_max}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return StepsizeSchedule(kind="constant", base=base, min_rounds=min_rounds)
+    return StepsizeSchedule(1.0 / (2.0 * lb + xi * math.sqrt((k_max + 1.0) / n)))
 
 
 def drgta_max_stepsize(constants, rho_t: float, alpha: float, delta1: float) -> float:
@@ -139,14 +120,7 @@ def drgta_max_stepsize(constants, rho_t: float, alpha: float, delta1: float) -> 
     return min((1.0 - rho_t) * delta1, alpha * delta1 / 5.0) / denom
 
 
-def drgta_theoretical_stepsize(
-    constants,
-    rho_t: float,
-    sigma2_t: float,
-    alpha: float,
-    delta1: float,
-    r: int,
-) -> float:
+def drgta_theoretical_stepsize(constants, rho_t: float, sigma2_t: float, alpha: float, delta1: float) -> float:
     """Full theory cap for the tracking stepsize; heuristic, diagnostic only.
 
     The analysis constant c1 is an existence constant known only up to order
@@ -157,8 +131,6 @@ def drgta_theoretical_stepsize(
     _check_rate_inputs(rho_t, alpha, delta1)
     if not (0.0 <= sigma2_t < 1.0):
         raise ParameterError(f"need sigma2^t in [0, 1), got {sigma2_t}")
-    if r < 1:
-        raise ParameterError(f"need r >= 1, got {r}")
     lb, db = constants.l_big, constants.d_bound
     if lb <= 0.0:
         raise ParameterError("need positive l_big")
@@ -170,7 +142,7 @@ def drgta_theoretical_stepsize(
     # everywhere: ** rounds through libm pow, which can move a last bit under scaling.
     e = 0 if 1e-150 < lb < 1e150 else math.frexp(lb)[1]
     ls, ds = math.ldexp(lb, -e), math.ldexp(db, -e)
-    g0 = 4.0 * r * (ls + 2.0 * ds) ** 2 * c1 / ls**2
+    g0 = 4.0 * constants.r * (ls + 2.0 * ds) ** 2 * c1 / ls**2
     g1 = 1.0 + g0 + (2.0 * db * alpha + 8.0 * db * alpha**2) / lb + 13.0 * c1 * delta1**2 * alpha**4
     g2 = 2.0 * db / lb + delta1**2 / 2.0 + 5.0
     g3 = g1 * c0 + g0 * c0 + g2

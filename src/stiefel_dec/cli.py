@@ -2,9 +2,10 @@
 
 Subcommands: run (any algorithm), consensus (pure gossip contraction),
 spectral (graph and mixing-rate report), oracle (centralized solution).
-Exit codes: 0 ok, 2 bad configuration, 3 data ingestion failure, 4 numerical
-breakdown (degenerate mean, non-finite step or metric, failed retraction), 5
-finished without reaching the configured tolerance (the log is still written).
+Exit codes: 0 ok, 2 bad configuration (an --out path that cannot be written
+included), 3 data ingestion failure, 4 numerical breakdown (degenerate mean,
+non-finite step or metric, failed retraction), 5 finished without reaching the
+configured tolerance (the log is still written).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .harness import (
     parse_config,
     run_experiment,
     spectral_report,
+    write_out,
 )
 
 _SUPPRESS = argparse.SUPPRESS
@@ -113,8 +115,7 @@ def main(argv=None) -> int:
         # oracle
         _, text = oracle_report(cfg)
         if out_override:
-            with open(out_override, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            write_out(out_override, text + "\n")
             print(f"wrote {out_override}")
         else:
             print(text)

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +242,6 @@ class ResolvedExperiment:
     alpha: float
     locals_: EigLocal | None
     oracle: StiefelPoint | None
-    constants: object | None
     schedule: StepsizeSchedule | None
     swarm0: SwarmState
     max_rounds: int
@@ -298,7 +297,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         "delta2": region.delta2,
     }
 
-    constants = schedule = None
+    schedule = None
     locals_, oracle = (None, None) if cfg.algorithm == "drcs" else _build_problem(cfg)
     # the shared start: the swarm's common point, and where xi is estimated
     d_cols = cfg.d if locals_ is None else locals_.dim
@@ -320,23 +319,16 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         )
         stochastic = cfg.algorithm == "drsgd"
         max_rounds = cfg.max_epochs if stochastic else cfg.max_iters
-        schedule, constants = _build_schedule(
-            cfg, constants, rate, region, alpha, mean_m, locals_, x0
-        )
+        schedule, constants = _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0)
         header["beta"] = schedule.base
-        header["schedule"] = schedule.kind
-        if constants.xi_is_estimate and constants.xi > 0.0:
+        header["schedule"] = cfg.schedule
+        if constants.xi > 0.0:
             header["xi_estimate"] = constants.xi
         if cfg.algorithm == "drgta":
             beta_bar = drgta_max_stepsize(constants, rate.rho_t, rate.alpha, region.delta1)
             header["beta_bar"] = beta_bar
             header["beta_theory_heuristic"] = drgta_theoretical_stepsize(
-                constants,
-                rate.rho_t,
-                w.sigma2**t,
-                rate.alpha,
-                region.delta1,
-                cfg.r,
+                constants, rate.rho_t, w.sigma2**t, rate.alpha, region.delta1
             )
             if schedule.base > beta_bar:
                 warnings.warn(
@@ -358,7 +350,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         alpha=alpha,
         locals_=locals_,
         oracle=oracle,
-        constants=constants,
         schedule=schedule,
         swarm0=swarm0,
         max_rounds=max_rounds,
@@ -392,7 +383,7 @@ def _build_problem(cfg: ExperimentConfig):
     return locals_, centralized_oracle(locals_, cfg.r)
 
 
-def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_, x0):
+def _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0):
     if cfg.schedule == "user":
         if cfg.beta_scale == "raw":
             beta = cfg.beta_hat
@@ -400,11 +391,12 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_, x0):
             beta = cfg.beta_hat * math.sqrt(cfg.n) / (10000.0 * math.sqrt(300.0) * mean_m)
         elif cfg.algorithm == "drsgd":
             # Stochastic gradients here carry the m_i sample scaling, so the
-            # per-epoch-horizon rule is divided by the mean sample count too.
-            beta = cfg.beta_hat / (math.sqrt(cfg.max_epochs) * mean_m)
+            # per-epoch-horizon rule is divided by the mean sample count too; a
+            # zero-epoch run takes the one-epoch stepsize.
+            beta = cfg.beta_hat / (math.sqrt(max(cfg.max_epochs, 1)) * mean_m)
         else:
             beta = cfg.beta_hat / mean_m
-        return StepsizeSchedule(kind="user", base=beta), constants
+        return StepsizeSchedule(beta), constants
     if cfg.schedule == "diminishing":
         return (
             drsgd_diminishing_schedule(constants, rate.rho_t, rate.alpha, region.delta1),
@@ -412,8 +404,7 @@ def _build_schedule(cfg, constants, rate, region, alpha, mean_m, locals_, x0):
         )
     # Constant rule: needs the stochastic deviation bound, estimated at the
     # shared starting point from single-sample draws.
-    xi = estimate_xi(locals_, x0, np.random.default_rng([cfg.seed, 3]))
-    constants = constants.with_xi(xi, estimate=True)
+    constants = replace(constants, xi=estimate_xi(locals_, x0, np.random.default_rng([cfg.seed, 3])))
     if cfg.algorithm == "drsgd":
         k_total = cfg.max_epochs * steps_per_epoch(locals_, cfg.batch_size)
     else:
@@ -503,7 +494,15 @@ def write_csv(path, cfg: ExperimentConfig, header: dict, records):
     ]
     # vars() keeps the field order of CSV_HEADER; dataclasses.astuple would deep-copy each row
     lines += (",".join(_cell(v) for v in vars(rec).values()) for rec in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_out(path, "\n".join(lines) + "\n")
+
+
+def write_out(path, text: str):
+    """Write a run's log or the oracle's solution; a path that cannot be written is a config error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"out: cannot write {path}: {e.strerror or e}") from None
 
 
 def read_config_echo(path) -> dict:

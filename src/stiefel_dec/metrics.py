@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
-from .manifold import StiefelPoint, _as_matrix, _same_shape, project_to_tangent
+from .manifold import StiefelPoint, _same_shape, project_to_tangent
 
 
 _NONNEGATIVE = ("k", "consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle")
@@ -42,26 +42,17 @@ class IterationRecord:
                 raise ParameterError(f"{name} must be nonnegative, got {v}")
 
 
-def _orthonormal_basis(x) -> np.ndarray:
-    if isinstance(x, StiefelPoint):
-        return x.data
-    q, _ = np.linalg.qr(_as_matrix(x, "point"))
-    return q
+def subspace_distance(x: StiefelPoint, y: StiefelPoint) -> float:
+    """Rotation-aligned Frobenius distance between the column spaces of two points.
 
-
-def subspace_distance(x, y) -> float:
-    """Rotation-aligned Frobenius distance between column spaces.
-
-    With orthonormal bases u, v this is min over orthogonal Q of ||u Q - v||_F,
+    With the orthonormal bases u, v this is min over orthogonal Q of ||u Q - v||_F,
     solved by the orthogonal Procrustes alignment: for u.T v = P S Q.T the
     optimal rotation is P Q.T and the value equals sqrt(max(0, 2r - 2 trace(S))).
     The norm is evaluated directly on u (P Q.T) - v, which avoids the
     cancellation the trace expression suffers near zero distance. Zero iff the
-    column spaces coincide; raw (non-orthonormal) inputs are orthonormalized
-    by QR first.
+    column spaces coincide.
     """
-    u = _orthonormal_basis(x)
-    v = _orthonormal_basis(y)
+    u, v = x.data, y.data
     if u.shape != v.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
     p, _, qt = np.linalg.svd(u.T @ v)

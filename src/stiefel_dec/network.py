@@ -88,13 +88,16 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def erdos_renyi(n: int, p: float, rng: np.random.Generator, max_tries: int = 1000) -> Graph:
+_ER_TRIES = 1000  # samples erdos_renyi draws before it gives up on a connected one
+
+
+def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
     """ER(n, p): each pair kept independently with probability p, resampled until connected."""
     if n < 2:
         raise ParameterError(f"ER graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"need p in (0, 1], got {p}")
-    for _ in range(max_tries):
+    for _ in range(_ER_TRIES):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
@@ -102,7 +105,7 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator, max_tries: int = 100
             return Graph.from_edges(n, edges)
         except TopologyError:
             continue
-    raise TopologyError(f"no connected ER({n}, {p}) sample in {max_tries} tries")
+    raise TopologyError(f"no connected ER({n}, {p}) sample in {_ER_TRIES} tries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,17 +172,14 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     return MixingMatrix(w)
 
 
-def min_communication_rounds(w: MixingMatrix, n: int | None = None) -> int:
+def min_communication_rounds(w: MixingMatrix) -> int:
     """Smallest t with sigma2^t <= 1/(2 sqrt(n)), the per-step rounds the theory asks for."""
-    n = w.n if n is None else n
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
     sigma2 = w.sigma2
     if sigma2 >= 1.0:
         raise ParameterError(f"sigma2 = {sigma2} must be < 1")
     if sigma2 <= 0.0:
         return 1
-    target = 1.0 / (2.0 * math.sqrt(n))
+    target = 1.0 / (2.0 * math.sqrt(w.n))
     if sigma2 <= target:
         return 1
     t = max(1, math.ceil(math.log(target) / math.log(sigma2)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -192,32 +192,37 @@ class EigLocal:
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
-    """Constants used by the stepsize rules and diagnostics.
+    """Constants of the quadratic objective used by the stepsize rules and diagnostics.
 
-    l is the Euclidean gradient Lipschitz constant, l_n the largest operator
-    norm of the gradient over the manifold, l_g = l + l_n and l_big = l + 2 l_n
-    the two Lipschitz-type constants on the manifold, d_bound the Frobenius
-    gradient bound, and xi the stochastic-gradient deviation bound (an
-    empirical estimate unless supplied by the caller).
+    l_n is the largest Gram eigenvalue over the agents: both the Euclidean
+    gradient Lipschitz constant and the largest operator norm of the gradient
+    over the manifold. From it follow l_g = 2 l_n and l_big = 3 l_n, the two
+    Lipschitz-type constants on the manifold, and d_bound = sqrt(r) l_n, the
+    Frobenius gradient bound on St(d, r). xi is the stochastic-gradient
+    deviation bound, 0 where no rule needs it.
     """
 
-    l: float
     l_n: float
-    l_g: float
-    l_big: float
-    d_bound: float
+    r: int
     xi: float = 0.0
-    xi_is_estimate: bool = False
 
     def __post_init__(self):
-        vals = (self.l, self.l_n, self.l_g, self.l_big, self.d_bound, self.xi)
-        if any(v < 0.0 for v in vals):
+        if self.l_n < 0.0 or self.xi < 0.0:
             raise ParameterError("smoothness constants must be nonnegative")
-        if self.l_g > self.l_big + 1e-15:
-            raise ParameterError("need l_g <= l_big")
+        if self.r < 1:
+            raise ParameterError(f"need r >= 1, got {self.r}")
 
-    def with_xi(self, xi: float, estimate: bool = True) -> "SmoothnessConstants":
-        return replace(self, xi=xi, xi_is_estimate=estimate)
+    @property
+    def l_g(self) -> float:
+        return 2.0 * self.l_n
+
+    @property
+    def l_big(self) -> float:
+        return 3.0 * self.l_n
+
+    @property
+    def d_bound(self) -> float:
+        return float(np.sqrt(self.r)) * self.l_n
 
 
 def quadratic_constants(locals_, r: int) -> SmoothnessConstants:
@@ -228,33 +233,23 @@ def quadratic_constants(locals_, r: int) -> SmoothnessConstants:
     agents; the Frobenius bound uses the provable sqrt(r) * l_n rather than a
     sampled supremum, so stepsizes derived from it stay on the safe side.
     """
-    if r < 1:
-        raise ParameterError(f"need r >= 1, got {r}")
-    l_n = max(float(np.linalg.eigvalsh(locals_.gram)[:, -1].max()), 0.0)
-    return SmoothnessConstants(
-        l=l_n,
-        l_n=l_n,
-        l_g=2.0 * l_n,
-        l_big=3.0 * l_n,
-        d_bound=float(np.sqrt(r)) * l_n,
-    )
+    return SmoothnessConstants(max(float(np.linalg.eigvalsh(locals_.gram)[:, -1].max()), 0.0), r)
 
 
-def estimate_xi(
-    locals_, x: StiefelPoint, rng: np.random.Generator, draws: int = 256
-) -> float:
-    """Empirical deviation bound: max over agents and draws of ||v - grad f_i(x)||_F
+_XI_DRAWS = 256  # single-sample gradients per agent behind an xi estimate
+
+
+def estimate_xi(locals_, x: StiefelPoint, rng: np.random.Generator) -> float:
+    """Empirical deviation bound: max over agents and 256 draws of ||v - grad f_i(x)||_F
     for single-sample stochastic gradients v drawn at the given point."""
-    if draws < 1:
-        raise ParameterError(f"need draws >= 1, got {draws}")
     # the rng serves agent 0's draws, then agent 1's, ...; all are gathered at once and
     # the gradients go a draw at a time
-    rows = [np.concatenate([rng.choice(m, size=1, replace=False) for _ in range(draws)])
+    rows = [np.concatenate([rng.choice(m, size=1, replace=False) for _ in range(_XI_DRAWS)])
             for m in locals_.counts.tolist()]
     at = np.broadcast_to(x.data, (locals_.n, *x.data.shape))
     full = locals_.euclidean_grad(x.data)
     worst = 0.0
-    for step in locals_.gather(rows, np.ones((draws, locals_.n), dtype=int)):
+    for step in locals_.gather(rows, np.ones((_XI_DRAWS, locals_.n), dtype=int)):
         dev = locals_.batch_egrad(at, step) - full
         worst = max(worst, float(np.fmax.reduce(frobenius_norms(dev))))  # fmax, like max(), skips NaN
     return worst

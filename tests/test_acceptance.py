@@ -44,7 +44,7 @@ def drgta_run(convergence_instance):
     start = time.perf_counter()
     result = run(
         "drgta", s0, w, alpha=1.0, locals_=locals_,
-        schedule=StepsizeSchedule("user", 0.05 / 100.0), oracle=xstar,
+        schedule=StepsizeSchedule(0.05 / 100.0), oracle=xstar,
         max_rounds=10_000, tol_ds=1e-8,
     )
     return result, time.perf_counter() - start
@@ -55,7 +55,7 @@ def drdgd_run(convergence_instance):
     locals_, xstar, w, s0 = convergence_instance
     return run(
         "drdgd", s0, w, alpha=1.0, locals_=locals_,
-        schedule=StepsizeSchedule("user", 0.05 / 100.0), oracle=xstar,
+        schedule=StepsizeSchedule(0.05 / 100.0), oracle=xstar,
         max_rounds=10_000, tol_ds=1e-8,
     )
 
@@ -134,7 +134,7 @@ def test_criterion_05_drsgd_stepsize_accuracy(convergence_instance):
             x0 = sd.random_stiefel(30, 5, np.random.default_rng([seed, 1]))
             result = run(
                 "drsgd", SwarmState((x0,) * 8), w, alpha=1.0, locals_=locals_,
-                schedule=StepsizeSchedule("user", beta), oracle=xstar,
+                schedule=StepsizeSchedule(beta), oracle=xstar,
                 max_rounds=200, batch_size=1, tol_ds=1e-5, seed=seed,
             )
             finals.append(result.records[-1].ds_oracle)
@@ -262,7 +262,7 @@ def test_criterion_11_spectral_values():
     rho = math.sqrt(1.0 - gamma * alpha_bar)
     ok = (
         abs(w.sigma2 - 1.0 / 3.0) <= 1e-12
-        and sd.min_communication_rounds(w, 4) == 2
+        and sd.min_communication_rounds(w) == 2
         and abs(rep.l_t - l_t) <= 1e-12
         and abs(rep.mu_t - mu_t) <= 1e-12
         and abs(rep.alpha_bar - alpha_bar) <= 1e-12

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +39,8 @@ def col(*vals):
 
 HALF2 = MixingMatrix(np.full((2, 2), 0.5))
 SINGLE = MixingMatrix(np.array([[1.0]]))
-REFERENCE_CONSTANTS = SmoothnessConstants(l=1.0, l_n=1.0, l_g=2.0, l_big=3.0, d_bound=1.0)
+REFERENCE_CONSTANTS = SmoothnessConstants(1.0, r=1)  # l_g = 2, l_big = 3, d_bound = 1
+TWO_COLUMNS = SmoothnessConstants(1.0, r=2)
 
 
 def homogeneous_problem(n, d, r, m, seed):
@@ -146,42 +149,45 @@ class TestSchedules:
         assert np.isclose(sched.beta(9), sched.beta(0) / math.sqrt(10.0), atol=1e-15)
 
     def test_constant_value(self):
-        constants = REFERENCE_CONSTANTS.with_xi(1.0)
-        with pytest.warns(RuntimeWarning):  # K below the rule's horizon
-            sched = drsgd_constant_schedule(99, 4, constants)
+        constants = replace(REFERENCE_CONSTANTS, xi=1.0)
+        with pytest.warns(RuntimeWarning, match="got 99"):  # K below the rule's horizon
+            sched = drsgd_constant_schedule(99, 4, constants, 1.0, 0.02, 0.5)
         assert np.isclose(sched.base, 1.0 / 11.0, atol=1e-15)
-        assert sched.min_rounds is not None
+        assert not sched.diminishing
 
     def test_constant_zero_xi_guarded(self):
-        sched = drsgd_constant_schedule(99, 4, REFERENCE_CONSTANTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # xi = 0: no horizon is known, so even K = 0 draws no warning
+            sched = drsgd_constant_schedule(0, 4, REFERENCE_CONSTANTS, 1.0, 0.02, 0.5)
         assert np.isclose(sched.base, 1.0 / 6.0, atol=1e-15)
-        assert sched.min_rounds is None
 
     def test_constant_monotone_in_horizon(self):
-        constants = REFERENCE_CONSTANTS.with_xi(0.5)
+        constants = replace(REFERENCE_CONSTANTS, xi=0.5)
         last = math.inf
         for k in (10_000, 40_000, 160_000):
-            beta = drsgd_constant_schedule(k, 4, constants).base
+            beta = drsgd_constant_schedule(k, 4, constants, 1.0, 1.0, 0.5).base
             assert beta < last
             last = beta
 
-    def test_constant_min_horizon_includes_rate_terms(self):
-        constants = REFERENCE_CONSTANTS.with_xi(1.0)
-        loose = drsgd_constant_schedule(10**7, 4, constants)
-        tight = drsgd_constant_schedule(
-            10**7, 4, constants, alpha=1.0, delta1=0.02, rho_t=0.5
-        )
-        # the 5 D/(alpha delta1) and D/((1-rho) delta1) terms dominate 3 l_big here
-        assert tight.min_rounds > loose.min_rounds
-        assert tight.min_rounds == math.ceil(4 * (5.0 / 0.02) ** 2 - 1.0)
+    @pytest.mark.parametrize("alpha, delta1, rho_t, worst", [
+        (1.0, 0.02, 0.5, 5.0 / 0.02),  # 5 D/(alpha delta1) dominates
+        (1.0, 0.02, 0.9, 1.0 / ((1.0 - 0.9) * 0.02)),  # D/((1-rho) delta1) dominates
+        (1.0, 10.0, 0.5, 9.0),  # 3 l_big dominates
+    ], ids=["alpha-delta1-term", "rho-term", "l_big-term"])
+    def test_constant_horizon_takes_the_largest_term(self, alpha, delta1, rho_t, worst):
+        constants = replace(REFERENCE_CONSTANTS, xi=1.0)
+        horizon = math.ceil(4 * worst**2 - 1.0)
+        with pytest.warns(RuntimeWarning, match=f"assumes K >= {horizon}, got {horizon - 1}$"):
+            drsgd_constant_schedule(horizon - 1, 4, constants, alpha, delta1, rho_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # K at the horizon
+            drsgd_constant_schedule(horizon, 4, constants, alpha, delta1, rho_t)
 
     def test_schedule_validation(self):
         with pytest.raises(ParameterError):
-            StepsizeSchedule(kind="nope", base=0.1)
+            StepsizeSchedule(0.0)
         with pytest.raises(ParameterError):
-            StepsizeSchedule(kind="constant", base=0.0)
-        with pytest.raises(ParameterError):
-            StepsizeSchedule(kind="constant", base=0.1).beta(-1)
+            StepsizeSchedule(0.1).beta(-1)
 
 
 class TestDrgtaStepsizes:
@@ -203,22 +209,17 @@ class TestDrgtaStepsizes:
         assert small < ref / 100.0
 
     def test_theoretical_cap_is_conservative(self):
-        beta_bar = drgta_max_stepsize(REFERENCE_CONSTANTS, 0.5, 1.0, 0.02)
-        theory = drgta_theoretical_stepsize(
-            REFERENCE_CONSTANTS, 0.5, 0.25, 1.0, 0.02, r=2
-        )
+        beta_bar = drgta_max_stepsize(TWO_COLUMNS, 0.5, 1.0, 0.02)
+        theory = drgta_theoretical_stepsize(TWO_COLUMNS, 0.5, 0.25, 1.0, 0.02)
         assert 0.0 < theory <= beta_bar
-        assert theory <= 1.0 / (8.0 * REFERENCE_CONSTANTS.l_big)
+        assert theory <= 1.0 / (8.0 * TWO_COLUMNS.l_big)
 
     def test_theoretical_cap_on_extreme_constants(self):
         # data near 1e80 gives l_big near 1e160, whose square overflows a float, and
         # near 1e-160 one whose square underflows to 0; the cap scales as 1/l_big, so
         # scaling the constants by 2^100 scales it by 2^-100
-        c = REFERENCE_CONSTANTS
-
         def cap(e):
-            scaled = SmoothnessConstants(*(math.ldexp(v, e) for v in (c.l, c.l_n, c.l_g, c.l_big, c.d_bound)))
-            return drgta_theoretical_stepsize(scaled, 0.5, 0.25, 1.0, 0.02, r=2)
+            return drgta_theoretical_stepsize(SmoothnessConstants(math.ldexp(1.0, e), r=2), 0.5, 0.25, 1.0, 0.02)
 
         for e in (600, -700):
             assert 0.0 < cap(e) < math.inf
@@ -356,14 +357,14 @@ class TestRun:
         locals_, xstar, w, s = self._instance()
         out = run(
             "drgta", s, w, alpha=1.0, locals_=locals_,
-            schedule=StepsizeSchedule("user", 1e-3), oracle=xstar, max_rounds=0,
+            schedule=StepsizeSchedule(1e-3), oracle=xstar, max_rounds=0,
         )
         assert len(out.records) == 1 and out.records[0].k == 0
 
     def test_deterministic_records(self):
         locals_, xstar, w, s = self._instance()
         kwargs = dict(
-            alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 2e-3),
+            alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(2e-3),
             oracle=xstar, max_rounds=5, seed=7,
         )
         a = run("drsgd", s, w, **kwargs)
@@ -374,7 +375,7 @@ class TestRun:
         locals_, xstar, w, s = self._instance()
         out = run(
             "drgta", s, w, alpha=1.0, locals_=locals_,
-            schedule=StepsizeSchedule("user", 0.05 / 20.0), oracle=xstar,
+            schedule=StepsizeSchedule(0.05 / 20.0), oracle=xstar,
             max_rounds=5000, tol_ds=1e-9,
         )
         assert out.converged and out.stop == "ds_tol"
@@ -386,7 +387,7 @@ class TestRun:
         locals_, xstar, w, s = self._instance(seed=19, d=12, m=30)
         beta = 0.05 / 30.0
         shared = dict(
-            alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", beta),
+            alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(beta),
             oracle=xstar, max_rounds=2500,
         )
         gta = run("drgta", s, w, tol_ds=1e-9, **shared)
@@ -417,7 +418,7 @@ class TestRun:
             out = run(
                 algo, s, w, alpha=1.0,
                 locals_=None if algo == "drcs" else locals_,
-                schedule=None if algo == "drcs" else StepsizeSchedule("user", 1e-3),
+                schedule=None if algo == "drcs" else StepsizeSchedule(1e-3),
                 max_rounds=3,
             )
             for point in out.final.points:
@@ -437,7 +438,7 @@ class TestRun:
             kwargs = dict(
                 alpha=1.0, oracle=xstar, max_rounds=4, seed=3,
                 locals_=None if algo == "drcs" else locals_,
-                schedule=None if algo == "drcs" else StepsizeSchedule("user", 1e-3),
+                schedule=None if algo == "drcs" else StepsizeSchedule(1e-3),
             )
             a = run(algo, s, w, rounds=3, **kwargs)
             b = run(algo, s, sd.matrix_power(w, 3), **kwargs)
@@ -451,7 +452,7 @@ class TestRun:
         locals_, xstar, w, s = self._instance(seed=24, n=6, d=12, r=3)
         s = sd.perturbed_swarm(s.points[0], s.n, 0.3, np.random.default_rng(24))
         beta, rounds = 2e-3, 25
-        out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", beta),
+        out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(beta),
                   oracle=xstar, max_rounds=rounds)
         swarms, tracker = [s], drgta_init(s, locals_)
         for _ in range(rounds):
@@ -478,7 +479,7 @@ class TestRun:
                 calls[_name] += 1
                 return _orig(self, x)
             monkeypatch.setattr(EigLocal, name, counted)
-        run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3),
+        run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3),
             oracle=xstar, max_rounds=0)
         assert calls == {"euclidean_grad": 0, "mean_grad": 1, "value": 0}
 
@@ -489,16 +490,16 @@ class TestRun:
         with pytest.raises(ParameterError):
             run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=None)
         with pytest.raises(ParameterError):
-            run("drgta", s, w, alpha=1.0, schedule=StepsizeSchedule("user", 1e-3))
+            run("drgta", s, w, alpha=1.0, schedule=StepsizeSchedule(1e-3))
         with pytest.raises(ParameterError):
             run(
                 "drsgd", s, w, alpha=1.0, locals_=locals_,
-                schedule=StepsizeSchedule("user", 1e-3), batch_size=0,
+                schedule=StepsizeSchedule(1e-3), batch_size=0,
             )
         with pytest.raises(ParameterError, match="rounds"):
             run("drcs", s, w, alpha=1.0, rounds=0)
         with pytest.raises(ContractError):
             short = EigLocal(locals_.rows, locals_.n - 1)
-            run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule("user", 1e-3))
+            run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule(1e-3))
         with pytest.raises(ParameterError, match="alpha"):
-            run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule("user", 1e-3))
+            run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule(1e-3))

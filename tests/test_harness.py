@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -185,8 +186,7 @@ class TestResolve:
     def test_constant_schedule_estimates_xi(self):
         cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant"))
         res = quiet_resolve(cfg)
-        assert res.constants.xi > 0.0 and res.constants.xi_is_estimate
-        assert "xi_estimate" in res.header
+        assert res.header["xi_estimate"] > 0.0
 
     def test_shared_init_is_exact_consensus(self):
         cfg = parse_config(flags=dict(SMALL))
@@ -214,7 +214,7 @@ class TestResolve:
         assert len(entropies) == 1 + (cfg.n if init == "independent" else 0)
         # xi is estimated at the shared point, wherever the swarm starts
         x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng(shared))
-        assert res.constants.xi == sd.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
+        assert res.header["xi_estimate"] == sd.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
         assert all(np.array_equal(x, x0.data) == (init == "shared") for x in res.swarm0.x)
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -432,6 +432,30 @@ class TestCli:
         assert code == EXIT_INGESTION
         err = capsys.readouterr().err
         assert err.startswith(f"ingestion error: cannot read {target}: ") and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,target", [
+        (["run", "--max-iters", "1"], "."),
+        (["run", "--max-iters", "1"], "nodir/x.csv"),
+        (["oracle"], "nodir/x.txt"),
+    ])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, monkeypatch, command, target):
+        monkeypatch.chdir(tmp_path)  # "." is a directory, nodir is not there
+        code = main(command + ["--n", "3", "--d", "8", "--r", "2", "--m", "10", "--out", target])
+        assert code == EXIT_CONFIG
+        reason = os.strerror(errno.EISDIR if target == "." else errno.ENOENT)
+        assert capsys.readouterr().err == f"config error: out: cannot write {target}: {reason}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drsgd_zero_epochs_writes_row_0(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        code = main(["run", "--algorithm", "drsgd", "--max-epochs", "0", "--n", "3", "--d", "8",
+                     "--r", "2", "--m", "10", "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE and capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[3] == CSV_HEADER and [line.split(",")[0] for line in lines[4:]] == ["0"]
+        # the default drsgd stepsize of a one-epoch run: beta_hat / (sqrt(1) mean_m)
+        assert json.loads(lines[2][len("# constants: "):])["beta"] == 0.05 / 10.0
 
     @pytest.mark.parametrize("scale,divisor", [(1e154, "1"), (1.0, "1e-300")])
     def test_gram_overflow_is_3(self, tmp_path, capsys, scale, divisor):

@@ -100,19 +100,20 @@ class TestMixingMatrixValidation:
 
 class TestMinCommunicationRounds:
     def test_ring4(self):
-        assert sd.min_communication_rounds(RING4_W, 4) == 2
+        assert sd.min_communication_rounds(RING4_W) == 2
 
     def test_equal_weight_matrix(self):
         for n in (2, 5, 17):
             w = MixingMatrix(np.full((n, n), 1.0 / n))
             assert abs(w.sigma2) <= 1e-12
-            assert sd.min_communication_rounds(w, n) == 1
+            assert sd.min_communication_rounds(w) == 1
 
     def test_slow_chain(self):
-        # sigma2 = 0.9 with n = 32: smallest t with 0.9^t <= 1/(2 sqrt(32)) is 24
-        w = MixingMatrix(np.array([[0.95, 0.05], [0.05, 0.95]]))
+        # 0.9 I + 0.1 J/32 has sigma2 = 0.9 with n = 32: smallest t with
+        # 0.9^t <= 1/(2 sqrt(32)) is 24
+        w = MixingMatrix(0.9 * np.eye(32) + 0.1 / 32)
         assert abs(w.sigma2 - 0.9) <= 1e-12
-        assert sd.min_communication_rounds(w, 32) == 24
+        assert sd.min_communication_rounds(w) == 24
 
 
 class TestMatrixPower:

@@ -187,7 +187,7 @@ def test_snapshot_is_one_projection_of_the_mean_gradient(shape, seed):
     n, d, r = shape
     s = sd.SwarmState(np.repeat(random_stack(np.random.default_rng(seed), 1, d, r), n, axis=0))
     rec = sd.run("drdgd", s, w, alpha=1.0, locals_=locals_,
-                 schedule=sd.StepsizeSchedule("user", beta), max_rounds=0).records[0]
+                 schedule=sd.StepsizeSchedule(beta), max_rounds=0).records[0]
     xbar = s.mean_point.data
     egrad = -(locals_.gram_sum @ xbar) / n
     assert rec.grad_norm_sq == float(np.linalg.norm(sd.project_to_tangent(xbar, egrad))) ** 2
@@ -343,7 +343,7 @@ def test_drsgd_run_equals_step_by_step_loop_bit_for_bit(case, seed):
     locals_ = sd.EigLocal(rng.standard_normal((big, d)), n)
     s = sd.SwarmState(random_stack(rng, n, d, r))
     wt = sd.metropolis_weights(sd.ring_graph(n)) if n > 1 else sd.MixingMatrix(np.ones((1, 1)))
-    schedule = sd.StepsizeSchedule("diminishing", 0.3 / locals_.sample_count)
+    schedule = sd.StepsizeSchedule(0.3 / locals_.sample_count, diminishing=True)
     result = sd.run("drsgd", s, wt, alpha=0.9, locals_=locals_, schedule=schedule,
                     max_rounds=epochs, batch_size=batch, seed=seed)
     want = reference_drsgd(locals_, s, wt, 0.9, schedule, epochs, batch, seed)
