@@ -166,6 +166,12 @@ CONFIGS = [
     # an --out path that cannot be written exits 2 naming it: a directory, a missing directory
     ("out-directory", "run --max-iters 1 --out ."),
     ("oracle-out-missing-dir", "oracle --out nodir/x.txt"),
+    # no connected ER sample in the fixed number of tries exits 2
+    ("er-no-connected-sample", "spectral --graph er(0.01) --n 20"),
+    # a mean-square radius above its cap exits 2 naming the cap
+    ("delta1-above-cap", "spectral --delta1 0.5"),
+    # two antipodal independent starts on St(1, 1): the Euclidean mean is 0, so round 0 exits 4
+    ("degenerate-mean", "run --algorithm drcs --graph ring --n 2 --d 1 --r 1 --init independent --delta2 0.1666 --max-iters 3 --seed 0"),
 ]
 
 
