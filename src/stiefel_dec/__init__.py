@@ -26,15 +26,10 @@ from .algorithms import (
 )
 from .errors import (
     ConfigError,
-    ContractError,
-    DegenerateMeanError,
-    DimensionError,
     IngestionError,
     NumericalError,
     ParameterError,
-    StepsizeError,
     StiefelDecError,
-    TopologyError,
 )
 from .manifold import (
     ConsensusRegionParams,

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .manifold import StiefelPoint, SwarmState, as_stack, polar_retract, project_to_tangent
 from .metrics import IterationRecord, average_value, stationarity_measure, subspace_distance
 from .network import MixingMatrix, matrix_power, mix
@@ -40,7 +40,7 @@ class TrackerState:
     def __post_init__(self, copy):
         y, g = as_stack(self.y, "tracker", copy), as_stack(self.g, "gradient", copy)
         if g.shape != y.shape:
-            raise DimensionError(f"gradients have shape {g.shape}, trackers {y.shape}")
+            raise ParameterError(f"gradients have shape {g.shape}, trackers {y.shape}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "g", g)
 
@@ -199,7 +199,7 @@ def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, egr
         raise ParameterError(f"beta must be nonnegative, got {beta_k}")
     egrads = np.asarray(egrads, dtype=float)
     if egrads.shape != s.x.shape:
-        raise ContractError(f"gradients of shape {egrads.shape} for a swarm of shape {s.x.shape}")
+        raise ParameterError(f"gradients of shape {egrads.shape} for a swarm of shape {s.x.shape}")
     xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta_k, egrads))
     return SwarmState(polar_retract(s.x, xi), copy=False)
 
@@ -230,7 +230,7 @@ def drgta_step(s: SwarmState, tr: TrackerState, wt: MixingMatrix, alpha: float, 
     if beta < 0.0:
         raise ParameterError(f"beta must be nonnegative, got {beta}")
     if tr.y.shape != s.x.shape:
-        raise ContractError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
+        raise ParameterError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
     xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta, tr.y))
     moved = SwarmState(polar_retract(s.x, xi), copy=False)
     g_new = _riemannian_grads(moved.x, locals_)
@@ -322,6 +322,10 @@ def run(
         locals_._check(swarm.x)  # one objective per agent
         if schedule is None:
             raise ParameterError(f"{algorithm} needs a stepsize schedule")
+    if wt.n != swarm.n:
+        raise ParameterError(f"mixing matrix is {wt.n}x{wt.n}, swarm has shape {swarm.x.shape}")
+    if oracle is not None and oracle.data.shape != swarm.x.shape[1:]:
+        raise ParameterError(f"oracle has shape {oracle.data.shape}, swarm has shape {swarm.x.shape}")
     if batch_size < 1:
         raise ParameterError(f"need batch_size >= 1, got {batch_size}")
     if rounds < 1:
@@ -403,7 +407,7 @@ def run(
                     break
         except (NumericalError, ParameterError) as e:
             # the arguments were checked above: a broken invariant here is a breakdown
-            err = (type(e) if isinstance(e, NumericalError) else NumericalError)(f"round {k}: {e}")
+            err = NumericalError(f"round {k}: {e}")
             err.records = tuple(records)  # the rows recorded before the failure
             raise err from None
 

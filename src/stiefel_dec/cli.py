@@ -2,10 +2,12 @@
 
 Subcommands: run (any algorithm), consensus (pure gossip contraction),
 spectral (graph and mixing-rate report), oracle (centralized solution).
-Exit codes: 0 ok, 2 bad configuration (an --out path that cannot be written
-included), 3 data ingestion failure, 4 numerical breakdown (degenerate mean,
-non-finite step or metric, failed retraction), 5 finished without reaching the
-configured tolerance (the log is still written).
+Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError, or
+ParameterError printed as `error:`; an --out path that cannot be written is
+found before the first round), 3 data ingestion failure (IngestionError), 4
+numerical breakdown (NumericalError: degenerate mean, non-finite step or
+metric, failed retraction), 5 finished without reaching the configured
+tolerance (the log is still written).
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ConfigError,
-    IngestionError,
-    NumericalError,
-    StiefelDecError,
-)
+from .errors import ConfigError, IngestionError, NumericalError, StiefelDecError
 from .harness import (
     CHOICES,
     EXIT_CONFIG,

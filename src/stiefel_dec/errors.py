@@ -1,36 +1,18 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per CLI outcome."""
 
 
 class StiefelDecError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(StiefelDecError, ValueError):
-    """Matrix shapes or dimensions violate an operation's contract."""
-
-
 class ParameterError(StiefelDecError, ValueError):
-    """A parameter value is outside its valid range."""
-
-
-class ContractError(StiefelDecError, ValueError):
-    """An input breaks a cross-object contract (e.g. gradients for the wrong number of agents)."""
+    """A value, a shape or a combination that a library caller passed is invalid, such as
+    mismatched shapes, a disconnected graph or a stepsize above its admissible bound."""
 
 
 class NumericalError(StiefelDecError, ArithmeticError):
-    """A computation broke down: a non-finite step or metric, or a failed retraction."""
-
-
-class DegenerateMeanError(NumericalError):
-    """The Euclidean mean of the swarm is rank deficient, so the induced mean is undefined."""
-
-
-class TopologyError(StiefelDecError, RuntimeError):
-    """A graph is disconnected or could not be sampled connected."""
-
-
-class StepsizeError(StiefelDecError, ValueError):
-    """A stepsize exceeds the admissible bound."""
+    """A computation broke down: a rank-deficient Euclidean mean, a non-finite
+    step or metric, or a failed retraction."""
 
 
 class IngestionError(StiefelDecError, ValueError):

@@ -440,6 +440,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Resolve, run, write the CSV log, and report a one-line summary. A run that
     breaks down numerically still writes the rows recorded before the failure."""
     res = resolve(cfg)
+    if cfg.out:
+        write_out(cfg.out)  # an unwritable path fails now, not after the last round
     try:
         result = run(
             cfg.algorithm,
@@ -497,10 +499,12 @@ def write_csv(path, cfg: ExperimentConfig, header: dict, records):
     write_out(path, "\n".join(lines) + "\n")
 
 
-def write_out(path, text: str):
-    """Write a run's log or the oracle's solution; a path that cannot be written is a config error."""
+def write_out(path, text: str = ""):
+    """Write a run's log or the oracle's solution; a path that cannot be written is a
+    config error. With no text the path is only probed: opened to append, not truncated."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w" if text else "a", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as e:
         raise ConfigError(f"out: cannot write {path}: {e.strerror or e}") from None
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMeanError, DimensionError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 
 # Construction tolerance for x.T x - I (max-abs entry); an order above
 # double-precision accumulation for d up to ~1000.
@@ -32,7 +32,7 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != 2:
-        raise DimensionError(f"{name} must be a matrix, got ndim={out.ndim}")
+        raise ParameterError(f"{name} must be a matrix, got ndim={out.ndim}")
     return out
 
 
@@ -43,9 +43,9 @@ def as_stack(a, name: str, copy: bool = True) -> np.ndarray:
     try:
         out = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     except (TypeError, ValueError) as e:
-        raise DimensionError(f"{name} is not an (n, d, r) stack: {e}") from None
+        raise ParameterError(f"{name} is not an (n, d, r) stack: {e}") from None
     if out.ndim != 3 or out.shape[0] == 0:
-        raise DimensionError(f"{name} must be a nonempty (n, d, r) stack, got shape {out.shape}")
+        raise ParameterError(f"{name} must be a nonempty (n, d, r) stack, got shape {out.shape}")
     out.flags.writeable = False
     return out
 
@@ -62,7 +62,7 @@ def _check_orthonormal(x: np.ndarray):
     """Raise unless every d x r slice of x has orthonormal columns (also rejects NaN and inf)."""
     d, r = x.shape[-2:]
     if r < 1 or d < r:
-        raise DimensionError(f"need d >= r >= 1, got d={d}, r={r}")
+        raise ParameterError(f"need d >= r >= 1, got d={d}, r={r}")
     err = np.abs(x.swapaxes(-1, -2) @ x - np.eye(r)).max()
     if not err <= ORTHONORMALITY_TOL:
         raise ParameterError(f"columns are not orthonormal: max |x.T x - I| = {err:.3e}")
@@ -102,7 +102,7 @@ class TangentVector:
     def __post_init__(self):
         mat = _as_matrix(self.data, "data").copy()
         if mat.shape != self.base.data.shape:
-            raise DimensionError(
+            raise ParameterError(
                 f"tangent shape {mat.shape} does not match base {self.base.data.shape}"
             )
         sym = self.base.data.T @ mat
@@ -176,7 +176,7 @@ class SwarmState:
         else:
             u, sv, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
             if sv[-1] <= DEGENERACY_RATIO * sv[0]:
-                raise DegenerateMeanError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
+                raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
             point = StiefelPoint(u @ vt)
         norms = frobenius_norms(x - point.data)
         return point, float(norms @ norms / self.n), float(norms.max())
@@ -241,7 +241,7 @@ class ConsensusRegionParams:
 def _same_shape(x, y) -> tuple:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim < 2 or y.shape != x.shape:
-        raise DimensionError(f"shape {y.shape} does not match point {x.shape}")
+        raise ParameterError(f"shape {y.shape} does not match point {x.shape}")
     return x, y
 
 
@@ -288,7 +288,7 @@ def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> StiefelPoint:
     """Uniform random point: QR of a Gaussian matrix with sign-fixed diagonal."""
     if r < 1 or d < r:
-        raise DimensionError(f"need d >= r >= 1, got d={d}, r={r}")
+        raise ParameterError(f"need d >= r >= 1, got d={d}, r={r}")
     q, rr = np.linalg.qr(rng.standard_normal((d, r)))
     sign = np.sign(np.diag(rr))
     sign[sign == 0.0] = 1.0

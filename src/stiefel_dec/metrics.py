@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .manifold import StiefelPoint, _same_shape, project_to_tangent
 
 
@@ -54,7 +54,7 @@ def subspace_distance(x: StiefelPoint, y: StiefelPoint) -> float:
     """
     u, v = x.data, y.data
     if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
+        raise ParameterError(f"shape mismatch: {u.shape} vs {v.shape}")
     p, _, qt = np.linalg.svd(u.T @ v)
     return float(np.linalg.norm(u @ (p @ qt) - v))
 
@@ -62,7 +62,7 @@ def subspace_distance(x: StiefelPoint, y: StiefelPoint) -> float:
 def stationarity_measure(xbar: np.ndarray, egrad) -> float:
     """||grad f(xbar)||^2 for the average objective f, from its Euclidean gradient
     at xbar (EigLocal.mean_grad), projected to the tangent space at xbar. A
-    gradient not shaped like xbar raises DimensionError."""
+    gradient not shaped like xbar raises ParameterError."""
     return float(np.linalg.norm(project_to_tangent(xbar, egrad))) ** 2
 
 
@@ -71,7 +71,7 @@ def average_value(xbar: np.ndarray, egrad) -> float:
 
     Each f_i(x) = -tr(x.T G_i x)/2 is quadratic, so f(x) = <x, grad f(x)>/2
     with grad f(x) = -(sum_i G_i) x / n. A gradient not shaped like xbar
-    raises DimensionError.
+    raises ParameterError.
     """
     xbar, egrad = _same_shape(xbar, egrad)
     return float(0.5 * (xbar * egrad).sum())  # np.sum's bits, without its wrapper

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StepsizeError, TopologyError
+from .errors import ParameterError
 from .manifold import ConsensusRegionParams
 
 _SYM_TOL = 1e-12
@@ -37,7 +37,7 @@ class Graph:
                 raise ParameterError(f"bad edge {e}: need 0 <= i < j < n")
         object.__setattr__(self, "edges", edges)
         if not self._connected():
-            raise TopologyError("graph is not connected")
+            raise ParameterError("graph is not connected")
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
@@ -103,9 +103,9 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
         ]
         try:
             return Graph.from_edges(n, edges)
-        except TopologyError:
+        except ParameterError:  # the pairs are valid edges, so the sample is disconnected
             continue
-    raise TopologyError(f"no connected ER({n}, {p}) sample in {_ER_TRIES} tries")
+    raise ParameterError(f"no connected ER({n}, {p}) sample in {_ER_TRIES} tries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +127,7 @@ class MixingMatrix:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).copy()
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"mixing matrix must be square, got {w.shape}")
+            raise ParameterError(f"mixing matrix must be square, got {w.shape}")
         n = w.shape[0]
         if np.abs(w - w.T).max() > _SYM_TOL:
             raise ParameterError("mixing matrix is not symmetric")
@@ -210,7 +210,7 @@ def mix(x, wt: MixingMatrix) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or wt.n != x.shape[0]:
-        raise DimensionError(f"mixing matrix is {wt.n}x{wt.n}, swarm has shape {x.shape}")
+        raise ParameterError(f"mixing matrix is {wt.n}x{wt.n}, swarm has shape {x.shape}")
     return (wt.w @ x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
@@ -240,7 +240,7 @@ def consensus_rate_params(
 
     alpha defaults to the cap alpha_bar = min(phi / (2 l_t), 1, 1/M) where M
     is the second-order retraction bound; M = 1 for the polar retraction, so
-    the cap is min(phi / (2 l_t), 1). Raises StepsizeError when alpha exceeds
+    the cap is min(phi / (2 l_t), 1). Raises ParameterError when alpha exceeds
     alpha_bar.
     """
     if w.n < 2:
@@ -253,9 +253,9 @@ def consensus_rate_params(
     if alpha is None:
         alpha = alpha_bar
     if alpha > alpha_bar * (1.0 + 1e-12):
-        raise StepsizeError(f"alpha = {alpha} exceeds alpha_bar = {alpha_bar:.6g}")
+        raise ParameterError(f"alpha = {alpha} exceeds alpha_bar = {alpha_bar:.6g}")
     if alpha <= 0.0:
-        raise StepsizeError(f"alpha must be positive, got {alpha}")
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     gamma_t = float((1.0 - 4.0 * p.r * p.delta1**2) * (1.0 - p.delta2**2 / 2.0) * mu_t)
     rho_sq = 1.0 - gamma_t * alpha
     if not (0.0 < rho_sq < 1.0):

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, IngestionError, ParameterError
+from .errors import IngestionError, ParameterError
 from .manifold import StiefelPoint, frobenius_norms
+
+_BAD_BATCH = "need nonempty batches of indices in [0, m_i)"
 
 
 class EigLocal:
@@ -36,7 +38,7 @@ class EigLocal:
     def __init__(self, data, n: int = 1):
         rows = np.array(data, dtype=float)
         if rows.ndim != 2 or not 1 <= n <= rows.shape[0]:
-            raise DimensionError(f"need a matrix of at least n={n} rows, got shape {rows.shape}")
+            raise ParameterError(f"need a matrix of at least n={n} rows, got shape {rows.shape}")
         blocks = np.array_split(rows, n)  # views; the first (M mod n) one row longer
         d = rows.shape[1]
         gram = np.empty((n, d, d))
@@ -84,9 +86,9 @@ class EigLocal:
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-2] != self.dim:
-            raise DimensionError(f"point has shape {x.shape}, data has d={self.dim}")
+            raise ParameterError(f"point has shape {x.shape}, data has d={self.dim}")
         if x.ndim == 3 and x.shape[0] != self.n:
-            raise ContractError(f"{self.n} objectives for {x.shape[0]} agents")
+            raise ParameterError(f"{self.n} objectives for {x.shape[0]} agents")
         return x
 
     def value(self, x) -> np.ndarray:
@@ -124,36 +126,38 @@ class EigLocal:
         agents whose batches have one length b (in agent order) form one (k, b, d)
         slice, so each group is one batched product on a contiguous operand and no
         batch is padded. Returns, per step, the (agents, a, coef) groups batch_egrad
-        takes, coef holding -(m_i/b) per agent.
+        takes, coef holding -(m_i/b) per agent. An empty batch, or else an index
+        outside [0, m_i), raises ParameterError naming the first agent that has one.
         """
         n = self.n
         if len(rows) != n:
-            raise ContractError(f"{len(rows)} batches for {n} agents")
-        rows = [np.asarray(r) for r in rows]
+            raise ParameterError(f"{len(rows)} batches for {n} agents")
         sizes = np.asarray(sizes, dtype=int).reshape(-1, n)
-        order = np.argsort(sizes, axis=1, kind="stable")  # per step, the agents by batch length
-        by_length = np.arange(len(sizes))[:, None], order
-        lens = sizes[by_length]
-        if lens.size and lens[:, 0].min() == 0:
-            self._bad_batch(lens, order, np.argmin(lens[:, 0]) * n)
+        empty = (sizes < 1).any(axis=0)
+        if empty.any():
+            raise ParameterError(f"agent {np.argmax(empty)}: {_BAD_BATCH}")
+        rows = [np.asarray(r) for r in rows]
         for r in rows:
             if r.ndim != 1 or r.dtype.kind not in "iu":
                 raise ParameterError(f"need 1-D integer batch indices, got {r.dtype} of shape {r.shape}")
         per_agent = sizes.sum(axis=0)
         if per_agent.tolist() != [r.size for r in rows]:
-            raise ContractError(f"batch lengths add up to {per_agent.tolist()} rows per agent, "
-                                f"got {[r.size for r in rows]}")
+            raise ParameterError(f"batch lengths add up to {per_agent.tolist()} rows per agent, "
+                                 f"got {[r.size for r in rows]}")
+        idx = np.concatenate(rows, dtype=int)  # agent after agent
+        owner = np.repeat(np.arange(n), per_agent)
+        out = owner[(idx < 0) | (idx >= self.counts[owner])]
+        if out.size:
+            raise ParameterError(f"agent {out[0]}: {_BAD_BATCH}")
+        order = np.argsort(sizes, axis=1, kind="stable")  # per step, the agents by batch length
+        by_length = np.arange(len(sizes))[:, None], order
+        lens = sizes[by_length]
         # where each batch starts among the agents' rows back to back; then the batches
         # step after step, sorted by length within a step
         first = (np.cumsum(sizes, axis=0) - sizes + (np.cumsum(per_agent) - per_agent))[by_length]
         flat = lens.ravel()
         pick = np.repeat(first.ravel() - (np.cumsum(flat) - flat), flat) + np.arange(flat.sum())
-        idx = np.concatenate(rows, dtype=int)[pick]
-        agent = np.repeat(order.ravel(), flat)
-        out = (idx < 0) | (idx >= self.counts[agent])
-        if out.any():
-            self._bad_batch(lens, order, np.searchsorted(np.cumsum(flat), np.argmax(out), side="right"))
-        block = self.rows[self.starts[agent] + idx]  # (total, d), C-contiguous
+        block = self.rows[(self.starts[owner] + idx)[pick]]  # (total, d), C-contiguous
         plans, groups_of, pos, d = [], {}, 0, self.dim
         for row, agents in zip(lens.tolist(), order.tolist()):
             key = (*row, *agents)
@@ -173,12 +177,6 @@ class EigLocal:
                 pos = end
             plans.append(step)
         return plans
-
-    def _bad_batch(self, lens, order, j):
-        """Raise for the group of batch j, counted step after step in length order."""
-        step, pos = divmod(int(j), self.n)
-        m = self.counts[np.sort(order[step][lens[step] == lens[step][pos]])]
-        raise ParameterError(f"need nonempty batches of indices in [0, m_i) for m_i in {m.tolist()}")
 
     @staticmethod
     def batch_egrad(x, step) -> np.ndarray:
@@ -294,6 +292,8 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
     """
     if normalize_divisor == 0.0:
         raise ParameterError("divisor must be nonzero")
+    if n < 1:  # checked here: EigLocal's own errors below mean the data overflowed
+        raise ParameterError(f"need n >= 1, got {n}")
     rows = []
     width = None
     header_allowed = True

@@ -8,10 +8,9 @@ import pytest
 import stiefel_dec as sd
 from stiefel_dec import (
     ConsensusRegionParams,
-    ContractError,
-    DegenerateMeanError,
     EigLocal,
     MixingMatrix,
+    NumericalError,
     ParameterError,
     SmoothnessConstants,
     StepsizeSchedule,
@@ -128,7 +127,7 @@ class TestDrsgdStep:
         s = SwarmState(tuple(sd.random_stiefel(5, 2, rng) for _ in range(2)))
         other = sd.random_stiefel(5, 2, rng)
         bad = [sd.random_tangent(other, rng).data for _ in range(3)]
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError, match=r"^gradients of shape \(3, 5, 2\) for a swarm of shape \(2, 5, 2\)$"):
             drsgd_step(s, HALF2, 1.0, 0.1, bad)
 
 
@@ -303,9 +302,9 @@ class TestDrgtaInitAndStep:
             assert not a.flags.writeable
 
     def test_tracker_shape_validation(self):
-        with pytest.raises(sd.DimensionError):
+        with pytest.raises(ParameterError, match="^tracker is not an \\(n, d, r\\) stack"):
             TrackerState((np.zeros((3, 1)), np.zeros((4, 1))), np.zeros((2, 3, 1)))
-        with pytest.raises(sd.DimensionError):
+        with pytest.raises(ParameterError, match=r"^gradients have shape \(2, 4, 1\), trackers \(2, 3, 1\)$"):
             TrackerState(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)))
 
 
@@ -428,7 +427,7 @@ class TestRun:
         plus = StiefelPoint(np.array([[1.0]]))
         minus = StiefelPoint(np.array([[-1.0]]))
         w = MixingMatrix(np.full((2, 2), 0.5))
-        with pytest.raises(DegenerateMeanError, match="round 0"):
+        with pytest.raises(NumericalError, match=r"^round 0: euclidean mean is rank deficient"):
             run("drcs", SwarmState((plus, minus)), w, alpha=1.0, max_rounds=3)
 
     def test_rounds_premultiply_power(self):
@@ -498,8 +497,16 @@ class TestRun:
             )
         with pytest.raises(ParameterError, match="rounds"):
             run("drcs", s, w, alpha=1.0, rounds=0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError, match="objectives for"):
             short = EigLocal(locals_.rows, locals_.n - 1)
             run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule(1e-3))
         with pytest.raises(ParameterError, match="alpha"):
             run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule(1e-3))
+        # argument errors, not breakdowns of round 1 or round 0 with the rows before them
+        with pytest.raises(ParameterError, match=r"^mixing matrix is 2x2, swarm has shape \(4, 10, 2\)$") as e:
+            run("drcs", s, HALF2, alpha=1.0, max_rounds=3)
+        assert not hasattr(e.value, "records")
+        other = sd.random_stiefel(10, 3, np.random.default_rng(23))
+        with pytest.raises(ParameterError, match=r"^oracle has shape \(10, 3\), swarm has shape \(4, 10, 2\)$") as e:
+            run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3), oracle=other)
+        assert not hasattr(e.value, "records")

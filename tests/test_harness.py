@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stiefel_dec as sd
-from stiefel_dec import harness
+from stiefel_dec import cli, errors, harness
 from stiefel_dec.cli import main
 from stiefel_dec.errors import ConfigError
 from stiefel_dec.harness import (
@@ -34,6 +34,15 @@ SMALL = dict(
     algorithm="drgta", graph="ring", n=3, t=1, alpha=1.0, schedule="user",
     beta_hat=0.05, d=8, r=2, m=10, gap=0.8, max_iters=20, tol_ds=0, tol_grad=0, seed=5,
 )
+
+# the exit code and stderr prefix of each error class raised from a run
+CLI_OUTCOMES = {
+    errors.StiefelDecError: (EXIT_CONFIG, "error: "),
+    errors.ParameterError: (EXIT_CONFIG, "error: "),
+    errors.ConfigError: (EXIT_CONFIG, "config error: "),
+    errors.IngestionError: (EXIT_INGESTION, "ingestion error: "),
+    errors.NumericalError: (EXIT_NUMERICAL, "numerical error: "),
+}
 
 
 def quiet_resolve(cfg):
@@ -445,6 +454,39 @@ class TestCli:
         assert code == EXIT_CONFIG
         reason = os.strerror(errno.EISDIR if target == "." else errno.ENOENT)
         assert capsys.readouterr().err == f"config error: out: cannot write {target}: {reason}\n"
+
+    def test_unwritable_out_fails_before_the_first_round(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("ran with an unwritable --out"))
+        target = tmp_path / "nodir" / "x.csv"
+        code = main(["run", "--n", "3", "--d", "8", "--r", "2", "--m", "10", "--out", str(target)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_out_probe_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        out.write_text("keep\n")
+
+        def stop(*args, **kwargs):
+            raise sd.ParameterError(f"run sees {out.read_text()!r}")
+
+        monkeypatch.setattr(harness, "run", stop)
+        code = main(["run", "--n", "3", "--d", "8", "--r", "2", "--m", "10", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: run sees 'keep\\n'\n"
+        assert out.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("error", list(CLI_OUTCOMES), ids=lambda e: e.__name__)
+    def test_each_error_class_exits_with_its_code(self, capsys, monkeypatch, error):
+        def fail(cfg):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code, prefix = CLI_OUTCOMES[error]
+        assert main(["run"]) == code
+        assert capsys.readouterr().err == f"{prefix}boom\n"
+
+    def test_one_error_class_per_outcome(self):
+        assert {v for v in vars(errors).values() if isinstance(v, type)} == set(CLI_OUTCOMES)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_drsgd_zero_epochs_writes_row_0(self, tmp_path, capsys):

@@ -4,8 +4,7 @@ import pytest
 import stiefel_dec as sd
 from stiefel_dec import (
     ConsensusRegionParams,
-    DegenerateMeanError,
-    DimensionError,
+    NumericalError,
     ParameterError,
     StiefelPoint,
     SwarmState,
@@ -30,7 +29,7 @@ class TestStiefelPoint:
             StiefelPoint(np.ones((3, 2)))
 
     def test_rejects_wide(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^need d >= r >= 1, got d=2, r=3$"):
             StiefelPoint(np.eye(2, 3))
 
     def test_rejects_nan(self):
@@ -49,7 +48,7 @@ class TestTangentVector:
             TangentVector(E1, col(1.0, 0.0))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^tangent shape \(3, 1\) does not match base \(2, 1\)$"):
             TangentVector(E1, np.zeros((3, 1)))
 
     def test_rejects_nan(self):
@@ -117,7 +116,7 @@ class TestProjectToTangent:
             assert np.isclose(np.sum(py * z), np.sum(y * pz), atol=1e-11)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^shape \(3, 1\) does not match point \(2, 1\)$"):
             sd.project_to_tangent(E1.data, np.zeros((3, 1)))
 
 
@@ -229,7 +228,7 @@ class TestInducedArithmeticMean:
 
     def test_antipodal_degenerate(self):
         s = SwarmState((E1, StiefelPoint(col(-1.0, 0.0))))
-        with pytest.raises(DegenerateMeanError):
+        with pytest.raises(NumericalError, match="^euclidean mean is rank deficient"):
             s.mean_point
 
     def test_ill_conditioned_mean_is_orthonormal(self):
@@ -254,7 +253,7 @@ class TestInducedArithmeticMean:
     ])
     def test_antipodal_mean_raises_from_consensus(self, points):
         s = SwarmState(np.stack(points))
-        with pytest.raises(DegenerateMeanError, match=r"^euclidean mean is rank deficient \(s_min = 0\.000e\+00\)$"):
+        with pytest.raises(NumericalError, match=r"^euclidean mean is rank deficient \(s_min = 0\.000e\+00\)$"):
             s.consensus
 
     def test_consensus_pass_feeds_every_measure(self):
@@ -368,18 +367,18 @@ class TestRandomStiefel:
         assert np.array_equal(a.data, b.data)
 
     def test_wide_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^need d >= r >= 1, got d=3, r=4$"):
             sd.random_stiefel(3, 4, np.random.default_rng(21))
 
 
 class TestSwarmState:
     def test_mismatched_shapes(self):
         rng = np.random.default_rng(22)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^swarm is not an \(n, d, r\) stack"):
             SwarmState((sd.random_stiefel(4, 2, rng), sd.random_stiefel(5, 2, rng)))
 
     def test_empty(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^swarm must be a nonempty \(n, d, r\) stack, got shape \(0,\)$"):
             SwarmState(())
 
     def test_caller_array_is_copied(self):
@@ -394,7 +393,7 @@ class TestSwarmState:
         assert s.x is x and not x.flags.writeable
         with pytest.raises(ParameterError, match="not orthonormal"):
             SwarmState(2.0 * np.stack([np.eye(3)[:, :2]] * 2), copy=False)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^swarm must be a nonempty \(n, d, r\) stack, got shape \(3, 2\)$"):
             SwarmState(np.eye(3)[:, :2], copy=False)
 
     def test_perturbed_swarm_size_and_spread(self):

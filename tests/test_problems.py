@@ -7,7 +7,6 @@ import pytest
 
 import stiefel_dec as sd
 from stiefel_dec import (
-    DimensionError,
     EigLocal,
     IngestionError,
     ParameterError,
@@ -64,7 +63,7 @@ class TestEigValueAndGrad:
 
     def test_shape_mismatch(self):
         o = local_with_gram([1.0, 1.0, 1.0])
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^point has shape \(2, 1\), data has d=3$"):
             o.value(E1.data)
 
 
@@ -121,16 +120,16 @@ class TestStochasticGrad:
             o.stochastic_egrad(np.eye(4)[:, :1], batches)
 
     def test_out_of_range_names_its_group(self):
-        # blocks of 4, 3, 3 rows; the agents with batches of one length are one group
+        # blocks of 4, 3, 3 rows: row 3 is outside agent 2's block, and agent 1's batch is empty
         o = EigLocal(np.arange(40.0).reshape(10, 4) % 7, 3)
-        with pytest.raises(ParameterError, match=r"for m_i in \[4, 3\]$"):
+        with pytest.raises(ParameterError, match=r"^agent 2: need nonempty batches of indices in \[0, m_i\)$"):
             o.stochastic_egrad(np.eye(4)[:, :1], [[0], [1, 2], [3]])
-        with pytest.raises(ParameterError, match=r"for m_i in \[3\]$"):
+        with pytest.raises(ParameterError, match=r"^agent 1: need nonempty batches of indices in \[0, m_i\)$"):
             o.stochastic_egrad(np.eye(4)[:, :1], [[0, 1], [], [1]])
 
     def test_gather_checks_the_lengths(self):
         o = EigLocal(np.eye(4), 2)
-        with pytest.raises(sd.ContractError, match="add up to"):
+        with pytest.raises(ParameterError, match="add up to"):
             o.gather([[0, 1], [1]], [[1, 1]])
 
 
@@ -279,6 +278,13 @@ class TestLoadDsvPartition:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(IngestionError):
             sd.load_dsv_partition(path, 3)
+
+    def test_no_agents_is_an_argument_error(self, tmp_path):
+        # not reported as a Gram overflow with the --divisor hint
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(ParameterError, match=r"^need n >= 1, got 0$"):
+            sd.load_dsv_partition(path, 0)
 
     @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
     def test_gram_overflow_names_the_divisor(self, tmp_path, text, divisor):
