@@ -10,7 +10,7 @@ induced arithmetic mean, the consensus errors and the consensus-region test.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -58,12 +58,20 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
 
 
+@cache
+def _identity(r: int) -> np.ndarray:
+    """The r x r identity, built once per r; read-only, since every check shares it."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
 def _check_orthonormal(x: np.ndarray):
     """Raise unless every d x r slice of x has orthonormal columns (also rejects NaN and inf)."""
     d, r = x.shape[-2:]
     if r < 1 or d < r:
         raise ParameterError(f"need d >= r >= 1, got d={d}, r={r}")
-    err = np.abs(x.swapaxes(-1, -2) @ x - np.eye(r)).max()
+    err = np.abs(x.swapaxes(-1, -2) @ x - _identity(r)).max()
     if not err <= ORTHONORMALITY_TOL:
         raise ParameterError(f"columns are not orthonormal: max |x.T x - I| = {err:.3e}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,10 +34,12 @@ class EigLocal:
     folds it into the stepsize instead. A point is one d x r array, evaluated
     by every agent, or an (n, d, r) stack with one slice per agent; results
     have one slice (or value) per agent. Iterating yields one-agent problems.
+    The data are copied unless copy=False, which adopts and freezes an array
+    its caller has just built.
     """
 
-    def __init__(self, data, n: int = 1):
-        rows = np.array(data, dtype=float)
+    def __init__(self, data, n: int = 1, copy: bool = True):
+        rows = np.array(data, dtype=float) if copy else np.asarray(data, dtype=float)
         if rows.ndim != 2 or not 1 <= n <= rows.shape[0]:
             raise ParameterError(f"need a matrix of at least n={n} rows, got shape {rows.shape}")
         blocks = np.array_split(rows, n)  # views; the first (M mod n) one row longer
@@ -274,11 +277,13 @@ def synthesize_eigengap_data(
     if not (0.0 < gap < 1.0):
         raise ParameterError(f"need gap in (0, 1), got {gap}")
     rng = np.random.default_rng(seed)
-    a0 = rng.standard_normal((n * m_per_node, d))
-    u, s, vt = np.linalg.svd(a0, full_matrices=False)
-    s_new = s[0] * gap ** (np.arange(d) / 2.0)
-    a = (u * s_new) @ vt
-    return EigLocal(a, n), StiefelPoint(vt[:r].T)
+    # each M x d array lives once: nothing keeps the draw past the SVD, and u is
+    # scaled in place and dropped before EigLocal builds the Gram stack
+    u, s, vt = np.linalg.svd(rng.standard_normal((n * m_per_node, d)), full_matrices=False)
+    u *= s[0] * gap ** (np.arange(d) / 2.0)
+    a = u @ vt
+    del u
+    return EigLocal(a, n, copy=False), StiefelPoint(vt[:r].T)
 
 
 def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal:
@@ -294,7 +299,8 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
         raise ParameterError("divisor must be nonzero")
     if n < 1:  # checked here: EigLocal's own errors below mean the data overflowed
         raise ParameterError(f"need n >= 1, got {n}")
-    rows = []
+    values_read = array("d")  # every row's values back to back, held once
+    total = 0
     width = None
     header_allowed = True
     try:
@@ -326,12 +332,14 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
                 f"line {lineno}: expected {width} fields, got {len(values)}"
             )
         header_allowed = False
-        rows.append(values)
-    total = len(rows)
+        values_read.extend(values)
+        total += 1
     if total < n:
         raise IngestionError(f"only {total} data rows for {n} agents")
+    rows = np.frombuffer(values_read, dtype=float).reshape(total, width)
+    np.divide(rows, normalize_divisor, out=rows)
     try:
-        return EigLocal(np.asarray(rows, dtype=float) / normalize_divisor, n)
+        return EigLocal(rows, n, copy=False)
     except ParameterError as e:
         raise IngestionError(f"{e}; scale the data down with --divisor") from None
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,12 @@ def local_with_gram(diag):
     """EigLocal whose Gram matrix is diag(diag): rows sqrt(diag_i) e_i."""
     d = len(diag)
     return EigLocal(np.diag(np.sqrt(np.asarray(diag, dtype=float))))
+
+
+def assert_same_bits(got, want):
+    """Two EigLocals hold the same rows and Gram stack, bit for bit."""
+    for a, b in ((got.rows, want.rows), (got.gram, want.gram)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEigValueAndGrad:
@@ -60,6 +67,14 @@ class TestEigValueAndGrad:
     def test_non_finite_gram_rejected(self):
         with pytest.raises(ParameterError, match="Gram matrix"):
             EigLocal(np.full((3, 2), 1e160))
+
+    def test_data_copied_unless_adopted(self):
+        data = np.arange(12.0).reshape(4, 3)
+        o = EigLocal(data, 2)
+        assert data.flags.writeable and not np.shares_memory(o.rows, data)
+        adopted = EigLocal(data, 2, copy=False)
+        assert adopted.rows is data and not data.flags.writeable
+        assert_same_bits(adopted, o)
 
     def test_shape_mismatch(self):
         o = local_with_gram([1.0, 1.0, 1.0])
@@ -224,6 +239,20 @@ class TestSynthesizeEigengapData:
         assert locals_.rows.shape == (32000, 100) and set(locals_.counts.tolist()) == {1000}
         assert (xstar.d, xstar.r) == (100, 5)
 
+    def test_holds_each_data_array_once(self):
+        # at gta-er32's shape (M = 3200 rows, d = 200) the rows and the Gram stack
+        # stay; at the peak at most one more M x d array may be live beside them
+        md_bytes = 32 * 100 * 200 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            locals_, _ = sd.synthesize_eigengap_data(32, 100, 200, 10, 0.8, seed=5)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live - before >= locals_.rows.nbytes + locals_.gram.nbytes  # numpy is traced
+        assert peak - live <= md_bytes
+
     def test_block_split(self):
         locals_, _ = sd.synthesize_eigengap_data(3, 5, 6, 1, 0.5, seed=11)
         assert [o.sample_count for o in locals_] == [5, 5, 5]
@@ -238,21 +267,28 @@ class TestSynthesizeEigengapData:
 class TestLoadDsvPartition:
     def test_block_sizes_with_remainder(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("\n".join(",".join(str(i + j) for j in range(3)) for i in range(10)))
+        rows = [[i + j for j in range(3)] for i in range(10)]
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
         blocks = sd.load_dsv_partition(path, 3)
         assert [b.sample_count for b in blocks] == [4, 3, 3]
+        assert_same_bits(blocks, EigLocal(np.asarray(rows) / 1.0, 3))
+        assert not blocks.rows.flags.writeable
 
     def test_divisor(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("255,510\n255,255\n")
         blocks = sd.load_dsv_partition(path, 1, normalize_divisor=255.0)
         assert np.allclose(blocks.rows, [[1.0, 2.0], [1.0, 1.0]])
+        path.write_text("1,3\n0.1,-7\n2,5e-3\n")  # quotients that round
+        blocks = sd.load_dsv_partition(path, 2, normalize_divisor=3.0)
+        assert_same_bits(blocks, EigLocal(np.asarray([[1, 3], [0.1, -7], [2, 5e-3]]) / 3.0, 2))
 
     def test_whitespace_delimited_and_header(self, tmp_path):
         path = tmp_path / "data.txt"
-        path.write_text("colA colB\n1 2\n3 4\n")
+        path.write_text("colA colB\n1 2\n  \n3\t4.5 \n")
         blocks = sd.load_dsv_partition(path, 1)
         assert blocks.sample_count == 2
+        assert_same_bits(blocks, EigLocal(np.asarray([[1, 2], [3, 4.5]]) / 1.0, 1))
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
