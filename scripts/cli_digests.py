@@ -88,23 +88,23 @@ FILES = {
     "t-str.json": '{"t": "1"}',
 }
 
-# (name, CLI arguments); every subcommand but spectral also gets --out OUT, unless the
-# arguments name an --out of their own.
+# (name, CLI arguments); cli_args appends --out OUT to every subcommand but spectral,
+# unless the arguments name an --out of their own.
 CONFIGS = [
     ("drgta-ring8", "run --algorithm drgta --t 1 --max-iters 300"),
     ("drdgd-ring8", "run --algorithm drdgd --max-iters 200"),
     ("drsgd-ring8", "run --algorithm drsgd --max-epochs 5"),
     ("drcs-ring8", "run --algorithm drcs --max-iters 100"),
-    ("consensus-ring6", "consensus --n 6 --d 10 --r 3"),
+    ("consensus-ring6", "run --algorithm drcs --n 6 --d 10 --r 3"),
     ("drgta-t2", "run --algorithm drgta --t 2 --max-iters 100"),
     ("drcs-t3", "run --algorithm drcs --t 3 --max-iters 50"),
     ("drgta-tauto-ring16", "run --algorithm drgta --t 0 --n 16 --max-iters 100"),
     ("drdgd-complete5", "run --algorithm drdgd --graph complete --n 5 --max-iters 100"),
     ("drgta-er32-d200", "run --algorithm drgta --graph er(0.3) --n 32 --d 200 --r 10 --m 50 --max-iters 20"),
-    ("consensus-er12-t2", "consensus --graph er(0.4) --n 12 --t 2 --max-iters 100"),
+    ("consensus-er12-t2", "run --algorithm drcs --graph er(0.4) --n 12 --t 2 --max-iters 100"),
     ("drgta-r1", "run --algorithm drgta --r 1 --max-iters 100"),
     ("drdgd-r=d", "run --algorithm drdgd --d 6 --r 6 --max-iters 50"),
-    ("consensus-independent", "consensus --init independent --max-iters 100"),
+    ("consensus-independent", "run --algorithm drcs --init independent --max-iters 100"),
     ("drgta-perturb", "run --algorithm drgta --perturb 0.01 --max-iters 100"),
     ("drdgd-speedup", "run --algorithm drdgd --beta-scale speedup --max-iters 100"),
     ("drdgd-raw", "run --algorithm drdgd --beta-scale raw --beta-hat 0.001 --max-iters 100"),
@@ -113,7 +113,7 @@ CONFIGS = [
     ("drgta-diminishing", "run --algorithm drgta --schedule diminishing --max-iters 50"),
     ("drsgd-batch7", "run --algorithm drsgd --batch-size 7 --max-epochs 5"),
     ("drgta-alpha0", "run --algorithm drgta --alpha 0 --max-iters 100"),
-    ("consensus-alpha0.5-t2", "consensus --alpha 0.5 --t 2 --max-iters 100"),
+    ("consensus-alpha0.5-t2", "run --algorithm drcs --alpha 0.5 --t 2 --max-iters 100"),
     ("drgta-delta1", "run --algorithm drgta --delta1 0.01 --max-iters 100"),
     ("drgta-raw-1e5", "run --beta-hat 1e5 --beta-scale raw --max-iters 50"),
     ("drgta-raw-1e300", "run --beta-hat 1e300 --beta-scale raw --max-iters 20"),
@@ -139,7 +139,7 @@ CONFIGS = [
     # xi is estimated at the shared x0 while the swarm starts from independent points
     ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),
     # a tangent nudge of norm 1e7 from one shared point
-    ("consensus-perturb-1e7", "consensus --perturb 1e7 --max-iters 5"),
+    ("consensus-perturb-1e7", "run --algorithm drcs --perturb 1e7 --max-iters 5"),
     # failures: each should exit with its documented code and an error line
     ("config-n-float", "run --config n-float.json --max-iters 5"),
     ("config-t-str", "run --config t-str.json --max-iters 5"),
@@ -153,6 +153,8 @@ CONFIGS = [
     ("config-tol-grad-nan", "run --tol-grad nan --max-iters 5"),
     ("config-beta-hat-nan", "run --beta-hat nan --max-iters 5"),
     ("config-beta-hat-inf", "run --beta-hat inf --max-iters 5"),
+    # numpy's SeedSequence takes no negative seed: exits 2 naming seed
+    ("config-seed-negative", "run --seed -1 --max-iters 2"),
     # a data path that cannot be read: no such file, a directory (the run's own), not UTF-8
     ("dsv-missing", "run --algorithm drgta --problem dsv --data missing.csv --n 3 --r 2 --max-iters 5"),
     ("dsv-directory", "run --algorithm drgta --problem dsv --data . --n 3 --r 2 --max-iters 5"),
@@ -170,9 +172,22 @@ CONFIGS = [
     ("er-no-connected-sample", "spectral --graph er(0.01) --n 20"),
     # a mean-square radius above its cap exits 2 naming the cap
     ("delta1-above-cap", "spectral --delta1 0.5"),
+    # 1 - gamma_t * alpha rounds to 1, no contraction: exits 2 naming alpha
+    ("alpha-underflow", "spectral --alpha 1e-300"),
+    # the shared start's nudge overflows the retraction: exits 2 naming perturb
+    ("perturb-overflow", "run --perturb 1e200 --max-iters 2"),
     # two antipodal independent starts on St(1, 1): the Euclidean mean is 0, so round 0 exits 4
     ("degenerate-mean", "run --algorithm drcs --graph ring --n 2 --d 1 --r 1 --init independent --delta2 0.1666 --max-iters 3 --seed 0"),
 ]
+
+
+def cli_args(line: str) -> list:
+    """The CLI arguments of one configuration line, with the --out OUT that run and
+    oracle get; spectral prints its report and writes nothing."""
+    args = line.split()
+    if args[0] != "spectral" and "--out" not in args:
+        args += ["--out", OUT]
+    return args
 
 
 def sha(data: bytes) -> str:
@@ -292,9 +307,7 @@ def main(argv=None) -> int:
     src = ns.src.resolve()
     passed = tracebacks = 0
     for name, line in CONFIGS:
-        args = line.split()
-        if args[0] != "spectral" and "--out" not in args:  # spectral prints its report and writes nothing
-            args += ["--out", OUT]
+        args = cli_args(line)
         outcome = run_cli(args, src)
         if outcome[3] == "traceback":  # an uncaught exception is a failure in either mode
             tracebacks += 1

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: run (any algorithm), consensus (pure gossip contraction),
-spectral (graph and mixing-rate report), oracle (centralized solution).
+Subcommands: run (any algorithm, drcs the pure gossip contraction), spectral
+(graph and mixing-rate report), oracle (centralized solution). run writes its
+CSV log and oracle its solution to the config's out, from --out or --config.
 Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError, or
 ParameterError printed as `error:`; an --out path that cannot be written is
 found before the first round), 3 data ingestion failure (IngestionError), 4
@@ -51,22 +52,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--delta2", type=float, default=_SUPPRESS, help="per-agent region radius, at most 1/6")
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--schedule", default=_SUPPRESS, help=" | ".join(CHOICES["schedule"]))
-    p.add_argument("--beta-hat", dest="beta_hat", type=float, default=_SUPPRESS, help="practical stepsize before rescaling")
-    p.add_argument("--beta-scale", dest="beta_scale", default=_SUPPRESS, help=" | ".join(CHOICES["beta_scale"]))
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=_SUPPRESS)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=_SUPPRESS)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=_SUPPRESS)
-    p.add_argument("--tol-ds", dest="tol_ds", type=float, default=_SUPPRESS, help="stop when d_s(mean, oracle) is below this (0 disables)")
-    p.add_argument("--tol-grad", dest="tol_grad", type=float, default=_SUPPRESS, help="stop when ||grad f(mean)|| is below this (0 disables)")
-    p.add_argument("--tol-consensus", dest="tol_consensus", type=float, default=_SUPPRESS, help="consensus runs: stop when the stacked deviation is below this")
-    p.add_argument("--init", default=_SUPPRESS, help=" | ".join(CHOICES["init"]))
-    p.add_argument("--perturb", type=float, default=_SUPPRESS, help="tangent noise on a shared start")
-    p.add_argument("--timing", action="store_true", default=_SUPPRESS, help="record wall-clock ms per row (breaks byte-level log reproducibility)")
-    p.add_argument("--out", default=_SUPPRESS, help="CSV log path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stiefel-dec",
@@ -77,11 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help=f"run an experiment ({' | '.join(CHOICES['algorithm'])})")
     run_p.add_argument("--algorithm", default=_SUPPRESS, help=" | ".join(CHOICES["algorithm"]))
     _add_common(run_p)
-    _add_run_flags(run_p)
-
-    cons_p = sub.add_parser("consensus", help="pure gossip contraction (drcs)")
-    _add_common(cons_p)
-    _add_run_flags(cons_p)
+    run_p.add_argument("--schedule", default=_SUPPRESS, help=" | ".join(CHOICES["schedule"]))
+    run_p.add_argument("--beta-hat", dest="beta_hat", type=float, default=_SUPPRESS, help="practical stepsize before rescaling")
+    run_p.add_argument("--beta-scale", dest="beta_scale", default=_SUPPRESS, help=" | ".join(CHOICES["beta_scale"]))
+    run_p.add_argument("--max-iters", dest="max_iters", type=int, default=_SUPPRESS)
+    run_p.add_argument("--max-epochs", dest="max_epochs", type=int, default=_SUPPRESS)
+    run_p.add_argument("--batch-size", dest="batch_size", type=int, default=_SUPPRESS)
+    run_p.add_argument("--tol-ds", dest="tol_ds", type=float, default=_SUPPRESS, help="stop when d_s(mean, oracle) is below this (0 disables)")
+    run_p.add_argument("--tol-grad", dest="tol_grad", type=float, default=_SUPPRESS, help="stop when ||grad f(mean)|| is below this (0 disables)")
+    run_p.add_argument("--tol-consensus", dest="tol_consensus", type=float, default=_SUPPRESS, help="consensus runs: stop when the stacked deviation is below this")
+    run_p.add_argument("--init", default=_SUPPRESS, help=" | ".join(CHOICES["init"]))
+    run_p.add_argument("--perturb", type=float, default=_SUPPRESS, help="tangent noise on a shared start")
+    run_p.add_argument("--timing", action="store_true", default=_SUPPRESS, help="record wall-clock ms per row (breaks byte-level log reproducibility)")
+    run_p.add_argument("--out", default=_SUPPRESS, help="CSV log path")
 
     spectral_p = sub.add_parser("spectral", help="graph and mixing-rate report")
     _add_common(spectral_p)
@@ -97,12 +90,9 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-        out_override = flags.pop("out", None) if ns.command == "oracle" else None
-        if ns.command == "consensus":
-            flags["algorithm"] = "drcs"
         cfg = parse_config(file=ns.config, flags=flags)
 
-        if ns.command in ("run", "consensus"):
+        if ns.command == "run":
             outcome = run_experiment(cfg)
             print(outcome.summary)
             return outcome.code
@@ -110,10 +100,10 @@ def main(argv=None) -> int:
             print(spectral_report(cfg))
             return EXIT_OK
         # oracle
-        _, text = oracle_report(cfg)
-        if out_override:
-            write_out(out_override, text + "\n")
-            print(f"wrote {out_override}")
+        text = oracle_report(cfg)
+        if cfg.out:
+            write_out(cfg.out, text + "\n")
+            print(f"wrote {cfg.out}")
         else:
             print(text)
         return EXIT_OK

@@ -126,8 +126,7 @@ def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
     merged = {}
     if file is not None:
         try:
-            text = Path(file).read_text(encoding="utf-8") if not hasattr(file, "read") else file.read()
-            loaded = json.loads(text)
+            loaded = json.loads(Path(file).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from None
         if not isinstance(loaded, dict):
@@ -188,6 +187,8 @@ def validate_config(cfg: ExperimentConfig):
         bad("er_p", f"must be in (0, 1], got {cfg.er_p}")
     if cfg.n < 2:
         bad("n", f"need at least 2 agents, got {cfg.n}")
+    if cfg.seed < 0:
+        bad("seed", f"must be >= 0, got {cfg.seed}")
     if cfg.t < 0:
         bad("t", f"must be >= 0 (0 = auto), got {cfg.t}")
     if cfg.alpha < 0.0:
@@ -269,7 +270,12 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
     base_rate = rate = consensus_rate_params(w, t, region)
     alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
     if alpha < base_rate.alpha_bar:
-        rate = consensus_rate_params(w, t, region, alpha=alpha)
+        try:
+            rate = consensus_rate_params(w, t, region, alpha=alpha)
+        except ParameterError as e:  # 1 - gamma_t * alpha rounds to 1
+            raise ConfigError(
+                f"alpha: {alpha!r} leaves no contraction in floating point ({e}); use a larger alpha"
+            ) from None
     return g, w, t_min, t, region, alpha, base_rate, rate
 
 
@@ -426,7 +432,13 @@ def _build_swarm(cfg, x0, region) -> SwarmState:
         # Pure consensus from an exactly shared point is a no-op; nudge each
         # agent inside the contraction region instead.
         noise = region.delta1 / 2.0
-    return perturbed_swarm(x0, cfg.n, noise, np.random.default_rng([cfg.seed, 5]))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as numpy's warning
+            return perturbed_swarm(x0, cfg.n, noise, np.random.default_rng([cfg.seed, 5]))
+    except NumericalError as e:
+        raise ConfigError(
+            f"perturb: a nudge of norm {noise!r} overflows in floating point ({e}); use a smaller perturb"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -540,11 +552,11 @@ def spectral_report(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def oracle_report(cfg: ExperimentConfig) -> tuple:
-    """Centralized solution of the configured problem and a printable dump."""
+def oracle_report(cfg: ExperimentConfig) -> str:
+    """Printable dump of the centralized solution of the configured problem."""
     locals_, oracle = _build_problem(cfg)
     total = average_value(oracle.data, locals_.mean_grad(oracle.data))
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:
         rows.append(" ".join(f"{v:.17g}" for v in row))
-    return oracle, "\n".join(rows)
+    return "\n".join(rows)

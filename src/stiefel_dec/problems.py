@@ -14,7 +14,6 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -304,36 +303,36 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
     width = None
     header_allowed = True
     try:
-        text = Path(path).read_text(encoding="utf-8")  # universal newlines, as iterating the file
+        with open(path, encoding="utf-8") as fh:  # a line at a time, universal newlines
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                fields = line.split(",") if "," in line else line.split()
+                try:
+                    values = [float(tok) for tok in fields]
+                except ValueError:
+                    if header_allowed:
+                        header_allowed = False  # only the first row may be a header
+                        continue
+                    bad = next(tok for tok in fields if not _is_number(tok))
+                    raise IngestionError(f"line {lineno}: non-numeric field {bad!r}") from None
+                bad = next((tok for tok, v in zip(fields, values) if not math.isfinite(v)), None)
+                if bad is not None:
+                    raise IngestionError(f"line {lineno}: non-finite field {bad!r}")
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise IngestionError(
+                        f"line {lineno}: expected {width} fields, got {len(values)}"
+                    )
+                header_allowed = False
+                values_read.extend(values)
+                total += 1
     except OSError as e:
         raise IngestionError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError:
         raise IngestionError(f"cannot read {path}: not UTF-8 text") from None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",") if "," in line else line.split()
-        try:
-            values = [float(tok) for tok in fields]
-        except ValueError:
-            if header_allowed:
-                header_allowed = False  # only the first row may be a header
-                continue
-            bad = next(tok for tok in fields if not _is_number(tok))
-            raise IngestionError(f"line {lineno}: non-numeric field {bad!r}") from None
-        bad = next((tok for tok, v in zip(fields, values) if not math.isfinite(v)), None)
-        if bad is not None:
-            raise IngestionError(f"line {lineno}: non-finite field {bad!r}")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise IngestionError(
-                f"line {lineno}: expected {width} fields, got {len(values)}"
-            )
-        header_allowed = False
-        values_read.extend(values)
-        total += 1
     if total < n:
         raise IngestionError(f"only {total} data rows for {n} agents")
     rows = np.frombuffer(values_read, dtype=float).reshape(total, width)

@@ -1,4 +1,5 @@
-"""The --against comparator of scripts/cli_digests.py, on logs held in memory."""
+"""scripts/cli_digests.py: its configuration list against the CLI's parser, and the
+--against comparator on logs held in memory."""
 
 import importlib.util
 import math
@@ -6,10 +7,25 @@ from pathlib import Path
 
 import pytest
 
+from stiefel_dec import cli
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digests.py"
 spec = importlib.util.spec_from_file_location("cli_digests", SCRIPT)
 cli_digests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cli_digests)
+
+
+def test_every_config_parses(capsys):
+    # a removed subcommand or flag must not leave the digest list broken
+    parser = cli.build_parser()
+    rejected = []
+    for name, line in cli_digests.CONFIGS:
+        try:
+            parser.parse_args(cli_digests.cli_args(line))
+        except SystemExit:  # argparse's exit on an unknown subcommand or flag
+            rejected.append(name)
+    assert rejected == [], capsys.readouterr().err
+
 
 R = 2
 DIAMETER = 2.0 * math.sqrt(R)

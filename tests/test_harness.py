@@ -129,7 +129,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(flags={field: "bogus"})
 
-    @pytest.mark.parametrize("field", ["max_iters", "max_epochs"])
+    @pytest.mark.parametrize("field", ["max_iters", "max_epochs", "seed"])
     def test_error_names_the_wrong_field(self, field):
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             parse_config(flags={field: -1})
@@ -396,6 +396,7 @@ class TestCli:
             ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
             ({"t": "1"}, "t: must be an integer, got '1'"),
             ({"perturb": float("nan")}, "perturb: must be finite, got nan"),  # json writes NaN
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
         ],
     )
     def test_mistyped_config_file_value_is_2(self, tmp_path, capsys, value, message):
@@ -429,6 +430,17 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "config error: t: W^1000000 is not doubly stochastic in floating point "
                 "(mixing matrix rows do not sum to 1); use a smaller t\n"
+            )
+        assert not out.exists()
+
+    def test_alpha_with_no_contraction_is_2_naming_alpha(self, tmp_path, capsys):
+        # 1 - gamma_t * alpha rounds to 1, so W^t would not contract the swarm at all
+        out = tmp_path / "o.csv"
+        for command in (["spectral"], ["run", "--max-iters", "3", "--out", str(out)]):
+            assert main(command + ["--alpha", "1e-300"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: alpha: 1e-300 leaves no contraction in floating point "
+                "(contraction factor out of range: rho^2 = 1); use a larger alpha\n"
             )
         assert not out.exists()
 
@@ -605,6 +617,22 @@ class TestCli:
         assert "round 1: retraction step is not finite" in proc.stderr
         assert "overflow" not in proc.stderr
 
+    def test_overflowing_perturbation_is_2_naming_perturb(self, tmp_path):
+        # a nudge whose retraction overflows is a configuration error, with no numpy warning
+        env = dict(os.environ, PYTHONPATH=str(Path(sd.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stiefel_dec.cli", "run", "--perturb", "1e200",
+             "--max-iters", "2", "--out", "o.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.endswith(
+            "config error: perturb: a nudge of norm 1e+200 overflows in floating point "
+            "(retraction step is not finite); use a smaller perturb\n"
+        )
+        assert "overflow encountered" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_large_stepsize_runs_to_the_cap(self, tmp_path):
         # a large but finite step is a poor configuration, not an invalid one
@@ -618,14 +646,19 @@ class TestCli:
         assert rows[0] == CSV_HEADER
         assert len(rows[1:]) == 51 and rows[-1].startswith("50,")
 
-    def test_consensus_subcommand(self, tmp_path):
+    def test_consensus_subcommand(self, tmp_path, capsys):
+        # pure gossip contraction is run --algorithm drcs; there is no second name for it
         out = tmp_path / "cons.csv"
         code = main(
-            ["consensus", "--graph", "ring", "--n", "4", "--d", "8", "--r", "2",
+            ["run", "--algorithm", "drcs", "--graph", "ring", "--n", "4", "--d", "8", "--r", "2",
              "--max-iters", "100", "--seed", "2", "--out", str(out)]
         )
         assert code == EXIT_OK
         assert read_config_echo(out)["algorithm"] == "drcs"
+        with pytest.raises(SystemExit) as exc:
+            main(["consensus", "--max-iters", "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'consensus'" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_drsgd_non_finite_step_is_4_and_writes_partial_log(self, tmp_path, capsys):
@@ -663,7 +696,8 @@ class TestCli:
     def test_huge_perturbation_runs(self, tmp_path):
         # a tangent nudge of norm 1e7 is built as a stack, with no absolute tangency check
         out = tmp_path / "cons.csv"
-        code = main(["consensus", "--perturb", "1e7", "--max-iters", "3", "--out", str(out)])
+        code = main(["run", "--algorithm", "drcs", "--perturb", "1e7", "--max-iters", "3",
+                     "--out", str(out)])
         assert code == EXIT_NO_CONVERGENCE
         assert len(out.read_text().splitlines()) == 4 + 4  # three comment lines, the header, k = 0..3
 
@@ -729,5 +763,18 @@ class TestCli:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(dict(graph="ring", n=4, d=8, r=2, max_iters=50, seed=2)))
         out = tmp_path / "file.csv"
-        code = main(["consensus", "--config", str(cfg_file), "--out", str(out)])
+        code = main(["run", "--algorithm", "drcs", "--config", str(cfg_file), "--out", str(out)])
         assert code == EXIT_OK and out.exists()
+
+    def test_oracle_writes_the_config_files_out(self, tmp_path, capsys, monkeypatch):
+        # oracle reads out from --config as run does, and --out still overrides it
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(dict(n=3, d=8, r=2, m=10, seed=1, out="sol.txt")))
+        assert main(["oracle", "--config", str(cfg_file)]) == EXIT_OK
+        assert capsys.readouterr().out == "wrote sol.txt\n"
+        assert main(["oracle", "--n", "3", "--d", "8", "--r", "2", "--m", "10", "--seed", "1"]) == EXIT_OK
+        assert (tmp_path / "sol.txt").read_text() == capsys.readouterr().out
+        assert main(["oracle", "--config", str(cfg_file), "--out", "flag.txt"]) == EXIT_OK
+        assert capsys.readouterr().out == "wrote flag.txt\n"
+        assert (tmp_path / "flag.txt").read_text() == (tmp_path / "sol.txt").read_text()

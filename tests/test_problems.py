@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -321,6 +322,29 @@ class TestLoadDsvPartition:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ParameterError, match=r"^need n >= 1, got 0$"):
             sd.load_dsv_partition(path, 0)
+
+    def test_parses_a_line_at_a_time(self, tmp_path):
+        # the file's text and its list of lines are never held whole: together they
+        # took about 7x the values and the Gram stack at this shape
+        path = tmp_path / "data.csv"
+        rows = np.random.default_rng(3).standard_normal((4000, 50)).tolist()
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = sd.load_dsv_partition(path, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(blocks, EigLocal(np.asarray(rows), 4))
+        assert peak - before <= 2 * (blocks.rows.nbytes + blocks.gram.nbytes)
+
+    def test_not_utf8_past_the_first_read_buffer(self, tmp_path):
+        # the decode error surfaces mid-file, after the lines before it were parsed
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1,2\n" * 5000 + "3,\u00e9\n".encode("latin-1"))
+        with pytest.raises(IngestionError, match=f"^cannot read {re.escape(str(path))}: not UTF-8 text$"):
+            sd.load_dsv_partition(path, 1)
 
     @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
     def test_gram_overflow_names_the_divisor(self, tmp_path, text, divisor):
