@@ -79,6 +79,7 @@ def sample_rows(count: int, width: int, scale: float = 1.0, header: bool = False
 FILES = {
     "header.csv": sample_rows(43, 6, header=True),  # 43 rows over 4 agents: blocks 11, 11, 11, 10
     "wrap.csv": sample_rows(41, 6),  # 41 rows over 4 agents: blocks 11, 10, 10, 10
+    "wide.csv": sample_rows(41, 20),  # blocks 11, 10, 10, 10 over 4 agents, all fewer rows than d
     "counts.txt": sample_rows(30, 5, sep=" ", integers=True),
     "e154.csv": sample_rows(25, 6, scale=1e154),  # the Gram matrix overflows
     "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big**2 in the drgta header overflows
@@ -133,9 +134,14 @@ CONFIGS = [
     # batches of 5 over blocks of 11, 10, 10, 10: an epoch is 3 steps, so the 10-row agents
     # start a fresh shuffle inside every epoch and its last step has batches 1, 5, 5, 5
     ("dsv-drsgd-wrap-batch5", "run --algorithm drsgd --problem dsv --data wrap.csv --n 4 --r 2 --batch-size 5 --max-epochs 3"),
+    # l_n from the outer Grams of ragged blocks shorter than d sets every beta_k
+    ("dsv-wide-drsgd-diminishing", "run --algorithm drsgd --problem dsv --data wide.csv --n 4 --r 2 --schedule diminishing --max-epochs 3"),
     ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
     # the constant rule for gradient tracking: pins beta_theory_heuristic next to an xi estimate
     ("drgta-constant", "run --algorithm drgta --schedule constant --max-iters 50"),
+    # the constant rule at the er32 shape with blocks of 50 rows under d = 200: l_n from the
+    # outer Grams, next to an xi estimate
+    ("drgta-er32-m50-constant", "run --algorithm drgta --graph er(0.3) --n 32 --d 200 --r 10 --m 50 --schedule constant --max-iters 20"),
     # xi is estimated at the shared x0 while the swarm starts from independent points
     ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),
     # a tangent nudge of norm 1e7 from one shared point

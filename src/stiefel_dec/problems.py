@@ -45,9 +45,8 @@ class EigLocal:
         d = rows.shape[1]
         gram = np.empty((n, d, d))
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            for i, block in enumerate(blocks):
-                g = block.T @ block
-                np.multiply(0.5, g + g.T, out=gram[i])  # filled in place: no second stack
+            for i, block in enumerate(blocks):  # syrk (or numpy's own loop) is exactly symmetric
+                np.matmul(block.T, block, out=gram[i])
         bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
         if bad.size:
             raise ParameterError(f"agent {bad[0]}: Gram matrix of the data block is not finite (values too large)")
@@ -233,7 +232,26 @@ def quadratic_constants(locals_, r: int) -> SmoothnessConstants:
     agents; the Frobenius bound uses the provable sqrt(r) * l_n rather than a
     sampled supremum, so stepsizes derived from it stay on the safe side.
     """
-    return SmoothnessConstants(max(float(np.linalg.eigvalsh(locals_.gram)[:, -1].max()), 0.0), r)
+    return SmoothnessConstants(max(_largest_gram_eigenvalue(locals_), 0.0), r)
+
+
+def _largest_gram_eigenvalue(locals_) -> float:
+    """max_i lambda_max(G_i). When every block has fewer rows m_i than d it comes from
+    the m_i x m_i outer Grams A_i A_i.T, which share the nonzero spectrum of G_i, one
+    agent at a time (a stack of them would raise the set-up's peak memory). An outer
+    Gram that overflows takes the d x d route."""
+    if locals_.sample_count < locals_.dim:
+        top = 0.0
+        for start, m in zip(locals_.starts.tolist(), locals_.counts.tolist()):
+            block = locals_.rows[start : start + m]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                outer = block @ block.T
+            if not np.isfinite(outer).all():
+                break
+            top = float(np.max(np.linalg.eigvalsh(outer), initial=top))  # an empty block adds 0
+        else:
+            return top
+    return float(np.linalg.eigvalsh(locals_.gram)[:, -1].max())
 
 
 _XI_DRAWS = 256  # single-sample gradients per agent behind an xi estimate
@@ -244,8 +262,7 @@ def estimate_xi(locals_, x: StiefelPoint, rng: np.random.Generator) -> float:
     for single-sample stochastic gradients v drawn at the given point."""
     # the rng serves agent 0's draws, then agent 1's, ...; all are gathered at once and
     # the gradients go a draw at a time
-    rows = [np.concatenate([rng.choice(m, size=1, replace=False) for _ in range(_XI_DRAWS)])
-            for m in locals_.counts.tolist()]
+    rows = [rng.integers(0, m, size=_XI_DRAWS) for m in locals_.counts.tolist()]
     at = np.broadcast_to(x.data, (locals_.n, *x.data.shape))
     full = locals_.euclidean_grad(x.data)
     worst = 0.0

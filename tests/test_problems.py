@@ -69,6 +69,12 @@ class TestEigValueAndGrad:
         with pytest.raises(ParameterError, match="Gram matrix"):
             EigLocal(np.full((3, 2), 1e160))
 
+    def test_non_finite_gram_names_its_agent(self):
+        rows = np.ones((9, 3))
+        rows[7] = 1e160  # the third of blocks 3, 3, 3
+        with pytest.raises(ParameterError, match=r"^agent 2: Gram matrix of the data block is not finite"):
+            EigLocal(rows, 3)
+
     def test_data_copied_unless_adopted(self):
         data = np.arange(12.0).reshape(4, 3)
         o = EigLocal(data, 2)
@@ -81,6 +87,32 @@ class TestEigValueAndGrad:
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.raises(ParameterError, match=r"^point has shape \(2, 1\), data has d=3$"):
             o.value(E1.data)
+
+
+def symmetrized_grams(rows, n):
+    """The Gram stack as 0.5 (g + g.T) of each block's product: the exactly symmetric
+    stack EigLocal writes with one product per block must have these bytes."""
+    out = []
+    for block in np.array_split(rows, n):
+        g = block.T @ block
+        out.append(0.5 * (g + g.T))
+    return np.stack(out)
+
+
+class TestGramStack:
+    @pytest.mark.parametrize("layout", ["C", "F", "column-strided"])
+    @pytest.mark.parametrize("shape, n", [((3200, 200), 32), ((800, 30), 8), ((41, 20), 4),
+                                          ((37, 9), 4), ((6, 5), 6)])  # (6, 5) over 6: one-row blocks
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_bytes_of_the_symmetrized_product(self, layout, shape, n, copy):
+        rng = np.random.default_rng(shape[0] + n)
+        if layout == "column-strided":
+            data = rng.standard_normal((shape[0], 2 * shape[1]))[:, ::2]
+        else:
+            data = np.asarray(rng.standard_normal(shape), order=layout)
+        o = EigLocal(data, n, copy=copy)
+        assert o.gram.tobytes() == symmetrized_grams(o.rows, n).tobytes()
+        assert (o.gram == o.gram.swapaxes(1, 2)).all()
 
 
 class TestStochasticGrad:
@@ -177,6 +209,36 @@ class TestQuadraticConstants:
         c3 = sd.quadratic_constants(EigLocal(3.0 * a), r=2)
         for name in ("l_n", "d_bound"):
             assert np.isclose(getattr(c3, name), 9.0 * getattr(c1, name), rtol=1e-12)
+
+    # (M, d), n: every block shorter than d (even, ragged), a block as long as d, blocks
+    # longer than d (even, ragged), ragged blocks of d + 1 and d rows, the gta-er32 shape
+    @pytest.mark.parametrize("shape, n", [((40, 12), 4), ((41, 20), 4), ((24, 6), 4), ((44, 6), 4),
+                                          ((41, 6), 4), ((43, 10), 4), ((3200, 200), 32)])
+    def test_l_n_matches_the_d_by_d_route(self, shape, n):
+        for seed in range(3):
+            o = EigLocal(np.random.default_rng([seed, *shape]).standard_normal(shape), n)
+            want = float(np.linalg.eigvalsh(o.gram)[:, -1].max())
+            got = sd.quadratic_constants(o, r=2).l_n
+            if o.sample_count >= o.dim:
+                assert got == want  # the same call: bit for bit
+            else:
+                assert abs(got - want) <= np.finfo(float).eps * max(o.sample_count, o.dim) * want
+
+    def test_l_n_with_an_empty_block(self):
+        # blocks of 3, 3 and 0 rows under d = 5: the empty block's Gram is 0
+        rows = np.random.default_rng(8).standard_normal((6, 5))
+        o = object.__new__(EigLocal)
+        o._adopt(rows, np.array([3, 3, 0]), np.stack([*symmetrized_grams(rows, 2), np.zeros((5, 5))]))
+        want = float(np.linalg.eigvalsh(o.gram)[:, -1].max())
+        assert abs(sd.quadratic_constants(o, r=1).l_n - want) <= np.finfo(float).eps * 5 * want
+
+    def test_l_n_when_an_outer_gram_overflows(self):
+        # one-row blocks of 6 entries 6e153: every G_i entry is finite, the row's squared
+        # norm (the outer Gram, and lambda_max) is not
+        rows = np.full((4, 6), 6e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sd.quadratic_constants(EigLocal(rows, 4), r=1).l_n == math.inf
 
     def test_invariant_validation(self):
         with pytest.raises(ParameterError):
@@ -404,6 +466,16 @@ class TestEstimateXi:
         a = sd.estimate_xi(locals_, x, np.random.default_rng(16))
         b = sd.estimate_xi(locals_, x, np.random.default_rng(16))
         assert a == b and a > 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 50, 100, 101, 255, 256, 257, 1000, 4097, 65537])
+    def test_one_integers_call_draws_as_single_choices(self, m):
+        # the draws are rng.integers(0, m, size=256): the same indices, and the same
+        # generator state after them, as 256 calls rng.choice(m, size=1, replace=False)
+        for seed in range(5):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = one.integers(0, m, size=256)
+            assert drawn.tolist() == [int(each.choice(m, size=1, replace=False)[0]) for _ in range(256)]
+            assert one.integers(0, 2**62) == each.integers(0, 2**62)
 
     def test_bounds_observed_deviation(self):
         locals_, _ = sd.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=17)
