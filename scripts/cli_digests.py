@@ -27,17 +27,19 @@ worst |a - b| / S per float column, then exits 1 on any FAIL or traceback:
 
     python3 scripts/cli_digests.py --against ../parent/src
 
-PASS needs the same exit code, error line and row count; k and beta_k
-identical; the lines above the CSV header byte-identical, except the oracle
-report's `# f(x*) =` value, which is compared like f_bar; stdout identical
-once its numbers are masked (the run summary repeats the last row, rounded);
-and every other float within |a - b| <= 1e-12 S in natural units: the _sq
-columns are compared as square roots, S = 2 sqrt(r) (the Frobenius diameter of
-St(d, r)) for consensus_err_sq, linf_err and ds_oracle, and S = the largest
-|f_bar| in either output for f_bar and grad_norm_sq. elapsed_ms is wall time
-and is not compared. A flat per-entry relative bound would fail working code:
-near convergence grad_norm_sq is a cancellation, pure round-off where the
-true gradient is 0.
+PASS needs the same exit code, error line and row count; k identical; the
+lines above the CSV header byte-identical, except the oracle report's
+`# f(x*) =` value, which is compared like f_bar, and the `# constants:` line,
+whose keys and non-float values must be equal; stdout identical once its
+numbers are masked (the run summary repeats the last row, rounded); and every
+other float within |a - b| <= 1e-12 S in natural units: the _sq columns are
+compared as square roots, S = 2 sqrt(r) (the Frobenius diameter of St(d, r))
+for consensus_err_sq, linf_err and ds_oracle, S = the largest |f_bar| in
+either output for f_bar and grad_norm_sq, and S = max(|a|, |b|) for beta_k
+and each float of the constants line (reported as `constants`), whose scales
+differ from key to key. elapsed_ms is wall time and is not compared. A flat
+per-entry relative bound would fail working code: near convergence
+grad_norm_sq is a cancellation, pure round-off where the true gradient is 0.
 
 BLAS is pinned to one thread, so the digests do not depend on the core count.
 """
@@ -60,6 +62,7 @@ OUT = "out.csv"
 ERROR_PREFIXES = ("config error: ", "ingestion error: ", "numerical error: ", "error: ")
 TOL = 1e-12  # --against: the largest |a - b| / S that passes
 ORACLE_VALUE = "# f(x*) = "
+CONSTANTS = "# constants: "
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
@@ -85,6 +88,7 @@ FILES = {
     "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big**2 in the drgta header overflows
     "e100.csv": sample_rows(25, 6, scale=1e100),  # ||grad f||^2 of the first row overflows
     "latin1.csv": "1,2\n3,4\n5,\u00e9\n".encode("latin-1"),  # bytes: not UTF-8 text
+    "bom.csv": b"\xef\xbb\xbf" + sample_rows(25, 6).encode("utf-8"),  # bytes: a byte-order mark, no header
     "n-float.json": '{"n": 8.0}',
     "t-str.json": '{"t": "1"}',
 }
@@ -165,6 +169,8 @@ CONFIGS = [
     ("dsv-missing", "run --algorithm drgta --problem dsv --data missing.csv --n 3 --r 2 --max-iters 5"),
     ("dsv-directory", "run --algorithm drgta --problem dsv --data . --n 3 --r 2 --max-iters 5"),
     ("dsv-not-utf8", "run --algorithm drgta --problem dsv --data latin1.csv --n 2 --r 1 --max-iters 5"),
+    # a UTF-8 byte-order mark before the first data row: all 25 rows are kept
+    ("dsv-bom", "run --algorithm drgta --problem dsv --data bom.csv --n 3 --r 2 --max-iters 100"),
     # W^t by repeated squaring drifts from doubly stochastic by about t * eps: exits 2 naming t
     ("spectral-t1e6", "spectral --t 1000000"),
     # the gradient tolerance, not d_s, ends the run
@@ -240,16 +246,45 @@ def _split_log(text: str) -> tuple:
     return lines[:at], lines[at], [dict(zip(names, row.split(","))) for row in lines[at + 1 :]]
 
 
-def _ratio(a: str, b: str, scale: float, root: bool) -> float:
-    """|a - b| / scale of two cells (as square roots when root), inf when only one is empty."""
+def _relative(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values (two NaNs too), inf when only one
+    is finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _ratio(a: str, b: str, scale, root: bool) -> float:
+    """|a - b| / scale of two cells (as square roots when root; relative when scale is
+    None), inf when only one is empty."""
     if not a or not b:
         return 0.0 if a == b else math.inf
     x, y = float(a), float(b)
     if root:
         x, y = math.sqrt(x), math.sqrt(y)
+    if scale is None:
+        return _relative(x, y)
     if x == y:
         return 0.0
     return abs(x - y) / scale if scale > 0.0 else math.inf
+
+
+def _constants_ratio(x: str, y: str):
+    """The largest relative difference between the floats of two `# constants:` lines,
+    or None when their keys or any other value differ."""
+    a, b = json.loads(x[len(CONSTANTS):]), json.loads(y[len(CONSTANTS):])
+    if a.keys() != b.keys():
+        return None
+    worst = 0.0
+    for key, u in a.items():
+        v = b[key]
+        if isinstance(u, float) and isinstance(v, float):
+            worst = max(worst, _relative(u, v))
+        elif type(u) is not type(v) or u != v:
+            return None
+    return worst
 
 
 def _compare_files(a: str, b: str, worst: dict) -> list:
@@ -264,6 +299,11 @@ def _compare_files(a: str, b: str, worst: dict) -> list:
     for x, y in zip(head_a, head_b):
         if x.startswith(ORACLE_VALUE) and y.startswith(ORACLE_VALUE):
             oracle.append((x[len(ORACLE_VALUE):], y[len(ORACLE_VALUE):]))
+        elif x.startswith(CONSTANTS) and y.startswith(CONSTANTS):
+            ratio = _constants_ratio(x, y)
+            if ratio is None:
+                return ["header lines differ"]
+            worst["constants"] = max(worst.get("constants", 0.0), ratio)
         elif x != y:
             return ["header lines differ"]
     values = [v for pair in oracle for v in pair] + [row["f_bar"] for row in rows_a + rows_b if row.get("f_bar")]
@@ -275,9 +315,11 @@ def _compare_files(a: str, b: str, worst: dict) -> list:
     problems = set()
     for ra, rb in zip(rows_a, rows_b):
         for col, x in ra.items():
-            if col in ("k", "beta_k"):
+            if col == "k":
                 if x != rb[col]:
-                    problems.add(f"{col} differs")
+                    problems.add("k differs")
+            elif col == "beta_k":  # a stepsize: relative to its own size
+                worst[col] = max(worst.get(col, 0.0), _ratio(x, rb[col], None, False))
             elif col != "elapsed_ms":  # wall time
                 scale = f_scale if col in ("grad_norm_sq", "f_bar") else diameter
                 worst[col] = max(worst.get(col, 0.0), _ratio(x, rb[col], scale, col.endswith("_sq")))

@@ -14,6 +14,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,13 +123,14 @@ class EigLocal:
         """Check the batches of several steps at once and copy their sample rows once.
 
         rows[i] holds agent i's row numbers (within its block) for all the steps,
-        batch after batch, and sizes[s][i] is the length of its batch at step s.
-        The rows land in one C-contiguous block, step after step; within a step the
-        agents whose batches have one length b (in agent order) form one (k, b, d)
-        slice, so each group is one batched product on a contiguous operand and no
-        batch is padded. Returns, per step, the (agents, a, coef) groups batch_egrad
-        takes, coef holding -(m_i/b) per agent. An empty batch, or else an index
-        outside [0, m_i), raises ParameterError naming the first agent that has one.
+        batch after batch, and sizes[s][i] is the length of its batch at step s. The
+        rows land in one C-contiguous block, step after step, agent after agent. A
+        uniform step (one length b) is one (n, b, d) slice under slice(None); a ragged
+        step is one (1, b_i, d) slice per agent under the list [i], which copies x_i.
+        No batch is padded and no operand is a strided view. Returns, per step, the
+        (agents, a, coef) groups batch_egrad takes, coef = -(m_i/b_i). An empty batch,
+        or else an index outside [0, m_i), raises ParameterError naming the first
+        agent that has one.
         """
         n = self.n
         if len(rows) != n:
@@ -150,33 +152,21 @@ class EigLocal:
         out = owner[(idx < 0) | (idx >= self.counts[owner])]
         if out.size:
             raise ParameterError(f"agent {out[0]}: {_BAD_BATCH}")
-        order = np.argsort(sizes, axis=1, kind="stable")  # per step, the agents by batch length
-        by_length = np.arange(len(sizes))[:, None], order
-        lens = sizes[by_length]
-        # where each batch starts among the agents' rows back to back; then the batches
-        # step after step, sorted by length within a step
-        first = (np.cumsum(sizes, axis=0) - sizes + (np.cumsum(per_agent) - per_agent))[by_length]
-        flat = lens.ravel()
-        pick = np.repeat(first.ravel() - (np.cumsum(flat) - flat), flat) + np.arange(flat.sum())
+        step_of = np.repeat(np.tile(np.arange(len(sizes)), n), sizes.T.ravel())
+        pick = np.argsort(step_of, kind="stable")  # step after step, agent after agent
         block = self.rows[(self.starts[owner] + idx)[pick]]  # (total, d), C-contiguous
-        plans, groups_of, pos, d = [], {}, 0, self.dim
-        for row, agents in zip(lens.tolist(), order.tolist()):
-            key = (*row, *agents)
-            if key not in groups_of:  # the agents, shape and coef of each group
-                groups, lo = [], 0
-                while lo < n:
-                    b = row[lo]
-                    hi = lo + row[lo:].count(b)  # the row is sorted: equal lengths are adjacent
-                    who = slice(None) if hi - lo == n else np.array(agents[lo:hi])
-                    groups.append((who, (hi - lo, b, d), -(self.counts[who] / b)[:, None, None]))
-                    lo = hi
-                groups_of[key] = groups
-            step = []
-            for who, shape, coef in groups_of[key]:
-                end = pos + shape[0] * shape[1]
-                step.append((who, block[pos:end].reshape(shape), coef))
-                pos = end
+        plans, coefs, pos = [], {}, 0
+        for row in sizes.tolist():
+            b = row[0]
+            if row.count(b) == n:  # uniform
+                if b not in coefs:
+                    coefs[b] = -(self.counts / b)[:, None, None]
+                step = [(slice(None), block[pos : pos + n * b].reshape(n, b, -1), coefs[b])]
+            else:  # ragged
+                step = [([i], block[lo : lo + b][None], -(self.counts[i] / b))
+                        for i, (b, lo) in enumerate(zip(row, accumulate(row, initial=pos)))]
             plans.append(step)
+            pos += sum(row)
         return plans
 
     @staticmethod
@@ -306,10 +296,10 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
     """Read a delimiter-separated sample matrix and split it across n agents.
 
     One sample per row, comma- or whitespace-delimited, no header (a single
-    leading non-numeric row is skipped). Rows are divided by the divisor and
-    split as EigLocal splits them. A file that cannot be read as UTF-8 text is
-    named; parse failures and non-finite fields (nan, inf) report the 1-based line
-    number; a block whose Gram matrix overflows names its agent.
+    leading non-numeric row is skipped; a UTF-8 byte-order mark is dropped). Rows
+    are divided by the divisor and split as EigLocal splits them. A file that is
+    not UTF-8 text is named; parse failures and non-finite fields (nan, inf) report
+    the 1-based line number; a block whose Gram matrix overflows names its agent.
     """
     if normalize_divisor == 0.0:
         raise ParameterError("divisor must be nonzero")
@@ -320,7 +310,7 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
     width = None
     header_allowed = True
     try:
-        with open(path, encoding="utf-8") as fh:  # a line at a time, universal newlines
+        with open(path, encoding="utf-8-sig") as fh:  # a line at a time, universal newlines
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:

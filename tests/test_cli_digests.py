@@ -2,6 +2,7 @@
 --against comparator on logs held in memory."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -39,12 +40,15 @@ ROWS = [
 F_SCALE = max(abs(row[3]) for row in ROWS)
 
 
-def outcome(rows=ROWS, code=5, stop="max_rounds"):
+CONSTANTS = {"alpha": 1.0, "l_g": 358.657308930916, "schedule": "user", "t": 1}
+
+
+def outcome(rows=ROWS, code=5, stop="max_rounds", constants=CONSTANTS, beta=0.0005):
     """A run_cli outcome: exit code, stdout summary, log bytes, error line."""
     lines = ["# stiefel-dec 0.1.0", f'# config: {{"algorithm": "drgta", "r": {R}}}',
-             '# constants: {"alpha": 1.0}', HEADER]
+             f"# constants: {json.dumps(constants, sort_keys=True)}", HEADER]
     for k, row in enumerate(rows):
-        lines.append(",".join([str(k), *map(repr, row), "" if k == 0 else "0.0005", ""]))
+        lines.append(",".join([str(k), *map(repr, row), "" if k == 0 else repr(beta), ""]))
     summary = f"drgta: {len(rows) - 1} rounds, stop={stop}  ds={rows[-1][4]:.3e}  log=out.csv\n"
     return code, summary.encode(), ("\n".join(lines) + "\n").encode(), "-"
 
@@ -85,6 +89,32 @@ def test_different_exit_code_fails():
 def test_different_stop_fails():
     problems, _ = cli_digests.compare(outcome(), outcome(stop="ds_tol"))
     assert problems == ["stdout differs"]
+
+
+def test_constant_moved_by_1e_15_relative_passes():
+    moved = dict(CONSTANTS, l_g=CONSTANTS["l_g"] * (1 + 1e-15))
+    problems, worst = cli_digests.compare(outcome(), outcome(constants=moved))
+    assert problems == [] and 0.0 < worst["constants"] <= 1e-12
+
+
+def test_constant_moved_by_1e_9_relative_fails():
+    moved = dict(CONSTANTS, l_g=CONSTANTS["l_g"] * (1 + 1e-9))
+    problems, worst = cli_digests.compare(outcome(), outcome(constants=moved))
+    assert [p.split()[0] for p in problems] == ["constants"] and worst["constants"] > 1e-12
+
+
+@pytest.mark.parametrize("change", [{"xi": 0.0}, {"schedule": "constant"}, {"t": 2}, {"t": 1.0}],
+                         ids=["added-key", "string", "int", "int-to-float"])
+def test_constants_keys_and_other_values_must_match(change):
+    problems, _ = cli_digests.compare(outcome(), outcome(constants=dict(CONSTANTS, **change)))
+    assert problems == ["header lines differ"]
+
+
+@pytest.mark.parametrize("rel, ok", [(1e-15, True), (1e-9, False)])
+def test_beta_k_is_compared_relative_to_its_size(rel, ok):
+    problems, worst = cli_digests.compare(outcome(), outcome(beta=0.0005 * (1 + rel)))
+    assert (problems == []) == ok and 0.0 < worst["beta_k"]
+    assert ok or [p.split()[0] for p in problems] == ["beta_k"]
 
 
 def test_oracle_value_is_compared_like_f_bar():

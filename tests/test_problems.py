@@ -175,6 +175,27 @@ class TestStochasticGrad:
         with pytest.raises(ParameterError, match=r"^agent 1: need nonempty batches of indices in \[0, m_i\)$"):
             o.stochastic_egrad(np.eye(4)[:, :1], [[0, 1], [], [1]])
 
+    def test_gather_plan(self):
+        # blocks of 4, 4, 3 rows over d = 4: a uniform step, a ragged step in which every
+        # length differs, and a ragged step in which two agents share a length
+        o = EigLocal(np.random.default_rng(5).standard_normal((11, 4)), 3)
+        rows = [np.array([3, 0, 1, 2]), np.array([2, 1, 0, 3]), np.array([0, 2, 1, 1, 0])]
+        sizes = [[1, 1, 1], [1, 2, 3], [2, 1, 1]]
+        plans = o.gather(rows, sizes)
+        assert [[(who, a.shape) for who, a, _ in step] for step in plans] == [
+            [(slice(None), (3, 1, 4))],
+            [([0], (1, 1, 4)), ([1], (1, 2, 4)), ([2], (1, 3, 4))],
+            [([0], (1, 2, 4)), ([1], (1, 1, 4)), ([2], (1, 1, 4))],
+        ]
+        for who, a, coef in (group for step in plans for group in step):
+            assert a.flags.c_contiguous
+            assert np.array_equal(np.ravel(coef), -(o.counts[who] / a.shape[1]))
+        # the block holds the chosen rows step after step, agent after agent
+        firsts = np.cumsum([[0] * 3, *sizes], axis=0)
+        want = [o.rows[o.starts[i] + rows[i][firsts[s, i] : firsts[s + 1, i]]] for s in range(3) for i in range(3)]
+        got = [a.reshape(-1, 4) for step in plans for _, a, _ in step]
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
+
     def test_gather_checks_the_lengths(self):
         o = EigLocal(np.eye(4), 2)
         with pytest.raises(ParameterError, match="add up to"):
@@ -407,6 +428,15 @@ class TestLoadDsvPartition:
         path.write_bytes(b"1,2\n" * 5000 + "3,\u00e9\n".encode("latin-1"))
         with pytest.raises(IngestionError, match=f"^cannot read {re.escape(str(path))}: not UTF-8 text$"):
             sd.load_dsv_partition(path, 1)
+
+    @pytest.mark.parametrize("header", [b"", b"a,b,c\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_keeps_every_row(self, tmp_path, header):
+        # "\ufeff1" is not a number: read as plain UTF-8, the first data row was
+        # skipped as the header, or a real header became a non-numeric row
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"1,2,3\n4,5,6\n7,8,9.5\n1,0,2\n")
+        blocks = sd.load_dsv_partition(path, 1)
+        assert_same_bits(blocks, EigLocal(np.asarray([[1, 2, 3], [4, 5, 6], [7, 8, 9.5], [1, 0, 2]]) / 1.0, 1))
 
     @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
     def test_gram_overflow_names_the_divisor(self, tmp_path, text, divisor):

@@ -293,6 +293,7 @@ def ragged_epochs(draw):
 @given(case=ragged_epochs(), seed=st.integers(0, 2**32 - 1), strided=st.booleans())
 @example(case=(41, 4, 6, 2, 5, 3), seed=0, strided=False)  # blocks 11, 10, 10, 10: sizes 1 and 5 mix
 @example(case=(12, 3, 5, 5, 4, 2), seed=1, strided=True)  # uniform, r = d
+@example(case=(3, 2, 4, 1, 2, 1), seed=0, strided=True)  # blocks 2, 1: one step, batches 2 and 1
 def test_gathered_epochs_equal_step_by_step_bit_for_bit(case, seed, strided):
     big, n, d, r, batch, epochs = case
     rng = np.random.default_rng(seed)
