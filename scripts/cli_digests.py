@@ -30,7 +30,10 @@ worst |a - b| / S per float column, then exits 1 on any FAIL or traceback:
 PASS needs the same exit code, error line and row count; k identical; the
 lines above the CSV header byte-identical, except the oracle report's
 `# f(x*) =` value, which is compared like f_bar, and the `# constants:` line,
-whose keys and non-float values must be equal; stdout identical once its
+whose keys and non-float values must be equal; an oracle solution's d x r
+matrix of the same shape, compared by subspace distance (min over orthogonal Q
+of ||x Q - y||_F, blind to the sign and rotation of the columns, reported as
+oracle_ds over S = 2 sqrt(r)); stdout identical once its
 numbers are masked (the run summary repeats the last row, rounded); and every
 other float within |a - b| <= 1e-12 S in natural units: the _sq columns are
 compared as square roots, S = 2 sqrt(r) (the Frobenius diameter of St(d, r))
@@ -57,6 +60,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 OUT = "out.csv"
 ERROR_PREFIXES = ("config error: ", "ingestion error: ", "numerical error: ", "error: ")
@@ -146,6 +151,8 @@ CONFIGS = [
     # the constant rule at the er32 shape with blocks of 50 rows under d = 200: l_n from the
     # outer Grams, next to an xi estimate
     ("drgta-er32-m50-constant", "run --algorithm drgta --graph er(0.3) --n 32 --d 200 --r 10 --m 50 --schedule constant --max-iters 20"),
+    # M = n m = d rows: a square draw, which synthesis reshapes through its SVD route
+    ("synthetic-square", "run --algorithm drgta --n 4 --m 5 --d 20 --r 2 --max-iters 50"),
     # xi is estimated at the shared x0 while the swarm starts from independent points
     ("drsgd-constant-independent", "run --algorithm drsgd --schedule constant --init independent --max-epochs 2"),
     # a tangent nudge of norm 1e7 from one shared point
@@ -287,10 +294,32 @@ def _constants_ratio(x: str, y: str):
     return worst
 
 
+def _solution(lines: list) -> tuple:
+    """(comment lines, the matrix the other lines hold) of an oracle solution."""
+    matrix = [[float(v) for v in line.split()] for line in lines if not line.startswith("#")]
+    return [line for line in lines if line.startswith("#")], matrix
+
+
+def _subspace_distance(x: list, y: list) -> float:
+    """min over orthogonal Q of ||x Q - y||_F for two d x r matrices, by the orthogonal
+    Procrustes alignment, evaluated directly (no cancellation near 0)."""
+    x, y = np.array(x), np.array(y)
+    p, _, qt = np.linalg.svd(x.T @ y)
+    return float(np.linalg.norm(x @ (p @ qt) - y))
+
+
 def _compare_files(a: str, b: str, worst: dict) -> list:
     """Differences between two written files; fills worst with |a - b| / S per float column."""
     head_a, csv_a, rows_a = _split_log(a)
     head_b, csv_b, rows_b = _split_log(b)
+    if csv_a is None and csv_b is None:  # an oracle solution: its columns' span is compared
+        head_a, x = _solution(head_a)
+        head_b, y = _solution(head_b)
+        shape = {(len(x), len(row)) for row in x}
+        if shape != {(len(y), len(row)) for row in y} or len(shape) > 1:
+            return ["solution shapes differ"]
+        if x and x[0]:
+            worst["oracle_ds"] = _subspace_distance(x, y) / (2.0 * math.sqrt(len(x[0])))
     if len(head_a) != len(head_b) or csv_a != csv_b:
         return ["header lines differ"]
     if len(rows_a) != len(rows_b):

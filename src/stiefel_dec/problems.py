@@ -245,6 +245,8 @@ def _largest_gram_eigenvalue(locals_) -> float:
 
 
 _XI_DRAWS = 256  # single-sample gradients per agent behind an xi estimate
+_GRAM_ROUTE_COND_SQ = 16.0  # synthesis forms the rows from a0.T a0 below this cond(a0)^2
+_SLAB_ROWS = 1024  # rows per product when synthesis rewrites its draw in place
 
 
 def estimate_xi(locals_, x: StiefelPoint, rng: np.random.Generator) -> float:
@@ -267,10 +269,21 @@ def synthesize_eigengap_data(
 ) -> tuple:
     """Gaussian data reshaped to a geometric singular-value profile.
 
-    Draws an (n * m_per_node) x d standard Gaussian matrix, replaces its
-    singular values by s_0 * gap^(i/2), splits the rows evenly across n agents
+    Draws an M x d standard Gaussian matrix a0 (M = n * m_per_node), replaces its
+    singular values s_i by s_0 * gap^(i/2), splits the rows evenly across n agents
     (one EigLocal), and also returns the exact leading-eigenvector solution for
     use as an oracle. Larger gap means slower spectral decay and a harder problem.
+
+    The profile comes from the d x d Gram matrix, not from an M x d factorization:
+    with (s_i^2, V) = eigh(a0.T a0) the rows are a0 V diag(s_new / s) V.T and the
+    oracle is the top r columns of V. The Gram squares cond(a0), so this route is
+    taken only when its smallest eigenvalue exceeds 1/16 of the largest (cond(a0)
+    < 4, which a Gaussian draw with M >= 4d all but always meets, and one with
+    M = d almost never); otherwise the rows come from the thin SVD a0 = U S V.T as
+    U diag(s_new) V.T. Either way, at every M >= d, each sigma_i(rows) stays within
+    64 eps s_0 of s_new_i, and the oracle's subspace_distance to the rows' top r
+    right singular vectors within 64 eps s_0 / (s_new_(r-1) - s_new_r). No
+    eigenvalue at or below 0 reaches the square root or the division.
     """
     if n < 1 or m_per_node < 1:
         raise ParameterError("need n >= 1 and m_per_node >= 1")
@@ -282,14 +295,25 @@ def synthesize_eigengap_data(
         )
     if not (0.0 < gap < 1.0):
         raise ParameterError(f"need gap in (0, 1), got {gap}")
-    rng = np.random.default_rng(seed)
-    # each M x d array lives once: nothing keeps the draw past the SVD, and u is
-    # scaled in place and dropped before EigLocal builds the Gram stack
-    u, s, vt = np.linalg.svd(rng.standard_normal((n * m_per_node, d)), full_matrices=False)
-    u *= s[0] * gap ** (np.arange(d) / 2.0)
-    a = u @ vt
-    del u
-    return EigLocal(a, n, copy=False), StiefelPoint(vt[:r].T)
+    a0 = np.random.default_rng(seed).standard_normal((n * m_per_node, d))
+    s2, v = np.linalg.eigh(a0.T @ a0)
+    s2, v = s2[::-1], v[:, ::-1]  # descending
+    decay = gap ** (np.arange(d) / 2.0)
+    if s2[-1] > s2[0] / _GRAM_ROUTE_COND_SQ:  # strict: every s2 is then positive
+        s = np.sqrt(s2)
+        a, b = a0, (v * (s[0] * decay / s)) @ v.T
+    else:
+        u, s, vt = np.linalg.svd(a0, full_matrices=False)
+        del a0
+        u *= s[0] * decay
+        a, b, v = u, vt, vt.T
+    # the rows are a @ b, written back over a a slab at a time: outside the SVD's own
+    # transient the set-up holds one M x d array, and the heap never has two to fit
+    # the Gram stack around
+    for start in range(0, a.shape[0], _SLAB_ROWS):
+        rows = a[start : start + _SLAB_ROWS]
+        rows[:] = rows @ b
+    return EigLocal(a, n, copy=False), StiefelPoint(v[:, :r])
 
 
 def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal:

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stiefel_dec import cli
@@ -123,6 +124,36 @@ def test_oracle_value_is_compared_like_f_bar():
 
     assert cli_digests.compare(report(-16.17528168831654), report(-16.175281688316543))[0] == []
     assert cli_digests.compare(report(-16.17528168831654), report(-16.1752816883))[0] != []
+
+
+def solution(x, value=-16.17528168831654):
+    """An oracle outcome: the report of the d x r solution x."""
+    lines = ["# centralized leading-eigenvector solution", f"# f(x*) = {value!r}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in x]
+    return 0, b"wrote out.csv\n", ("\n".join(lines) + "\n").encode(), "-"
+
+
+X = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 2)))[0]
+
+
+def test_oracle_solution_with_a_flipped_column_passes():
+    problems, worst = cli_digests.compare(solution(X), solution(X * [1.0, -1.0]))
+    assert problems == [] and worst["oracle_ds"] <= 1e-15
+
+
+def test_oracle_solution_with_a_column_rotated_by_1e_9_fails():
+    # column 0 turned by 1e-9 rad toward a direction outside the span
+    w = np.linalg.qr(np.column_stack([X, np.ones(8)]))[0][:, 2]
+    y = X.copy()
+    y[:, 0] = np.cos(1e-9) * X[:, 0] + np.sin(1e-9) * w
+    problems, worst = cli_digests.compare(solution(X), solution(y))
+    assert [p.split()[0] for p in problems] == ["oracle_ds"]
+    assert worst["oracle_ds"] == pytest.approx(1e-9 / DIAMETER, rel=1e-3)
+
+
+def test_oracle_solutions_of_other_shapes_fail():
+    problems, _ = cli_digests.compare(solution(X), solution(X[:, :1]))
+    assert problems == ["solution shapes differ"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--against", "other-src"]])

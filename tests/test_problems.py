@@ -337,6 +337,48 @@ class TestSynthesizeEigengapData:
         assert live - before >= locals_.rows.nbytes + locals_.gram.nbytes  # numpy is traced
         assert peak - live <= md_bytes
 
+    def test_one_seed_gives_the_same_data(self):
+        for shape in [(4, 5, 20, 2), (8, 100, 30, 5)]:  # the SVD route and the Gram route
+            (one, x), (two, y) = (sd.synthesize_eigengap_data(*shape, 0.8, seed=[4, 0]) for _ in "ab")
+            assert np.array_equal(one.rows, two.rows) and np.array_equal(x.data, y.data)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 20, 2), (2, 15, 20, 3), (8, 100, 30, 5), (32, 100, 200, 10)])
+    def test_route_follows_the_draws_condition_number(self, shape):
+        # the Gram route when cond(a0)^2 < 16, otherwise the thin SVD: the oracle bit for
+        # bit, the rows (formed a slab of rows at a time) to round-off
+        n, m, d, r = shape
+        locals_, x = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=[2, 0])
+        a0 = np.random.default_rng([2, 0]).standard_normal((n * m, d))
+        s2, v = np.linalg.eigh(a0.T @ a0)
+        s2, v = s2[::-1], v[:, ::-1]
+        decay = 0.8 ** (np.arange(d) / 2.0)
+        if s2[0] < 16 * s2[-1]:
+            s = np.sqrt(s2)
+            want = a0 @ ((v * (s[0] * decay / s)) @ v.T)
+        else:
+            u, s, vt = np.linalg.svd(a0, full_matrices=False)
+            want, v = (u * (s[0] * decay)) @ vt, vt.T
+        assert np.abs(locals_.rows - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+        assert np.array_equal(x.data, v[:, :r])
+
+    @pytest.mark.parametrize("last", ["zero", "copy"])
+    def test_rank_deficient_draw_takes_no_root_of_a_nonpositive_eigenvalue(self, monkeypatch, last):
+        # a zero column, or a copy of another (here a0.T a0 computes an eigenvalue of -5e-15)
+        a0 = np.random.default_rng(2).standard_normal((12, 6))
+        a0[:, 5] = 0.0 if last == "zero" else a0[:, 4]
+
+        class Draw:
+            def standard_normal(self, shape):
+                assert shape == a0.shape
+                return a0.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draw())
+        with np.errstate(all="raise"):
+            locals_, x = sd.synthesize_eigengap_data(2, 6, 6, 2, 0.8, seed=0)
+        sigma = np.linalg.svd(locals_.rows, compute_uv=False)
+        assert np.abs(sigma - sigma[0] * 0.8 ** (np.arange(6) / 2.0)).max() <= 64 * np.finfo(float).eps * sigma[0]
+        assert np.isfinite(x.data).all()
+
     def test_block_split(self):
         locals_, _ = sd.synthesize_eigengap_data(3, 5, 6, 1, 0.5, seed=11)
         assert [o.sample_count for o in locals_] == [5, 5, 5]

@@ -4,7 +4,8 @@ of the metrics computed from the mean gradient, of the stacked problem's
 gradients and of the drsgd epochs whose batches are gathered at once.
 
 Shapes are drawn over n in 1..6, d up to 120 and r in 1..d, with the edge
-cases r = 1 and r = d drawn on purpose.
+cases r = 1 and r = d drawn on purpose. The synthesized data are drawn down to
+a square draw, M = d.
 """
 
 import numpy as np
@@ -44,6 +45,32 @@ def gradient_instance(n, d, r, seed):
     locals_, _ = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=seed)
     s = sd.SwarmState(random_stack(np.random.default_rng(seed), n, d, r))
     return locals_, sd.MixingMatrix(np.full((n, n), 1.0 / n)), s, 0.05 / m
+
+
+@st.composite
+def synthetic_shapes(draw):
+    """(n, m_per_node, d, r) with d <= M = n * m_per_node <= about 3d."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 40))
+    m = draw(st.integers(-(-d // n), -(-3 * d // n)))
+    return n, m, d, draw(st.integers(1, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=synthetic_shapes(), gap=st.sampled_from([0.5, 0.8, 0.95]), seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 5, 20, 2), gap=0.8, seed=0)  # M = d: the synthetic-square digest's shape
+@example(shape=(1, 30, 30, 5), gap=0.95, seed=7)
+@example(shape=(1, 60, 20, 3), gap=0.8, seed=3)  # M = 3d, about where the routes meet
+def test_synthesized_profile_and_oracle_match_the_rows_svd(shape, gap, seed):
+    # whichever route the draw takes, down to M = d
+    n, m, d, r = shape
+    locals_, xstar = sd.synthesize_eigengap_data(n, m, d, r, gap, seed=[seed, 0])
+    _, sigma, vt = np.linalg.svd(locals_.rows, full_matrices=False)
+    target = sigma[0] * gap ** (np.arange(d + 1) / 2.0)
+    assert np.abs(sigma - target[:d]).max() <= 64 * EPS * sigma[0]
+    # the subspace of the r largest is only as well defined as their gap to the next
+    bound = 64 * EPS * sigma[0] / (target[r - 1] - target[r])
+    assert sd.subspace_distance(sd.StiefelPoint(vt[:r].T), xstar) <= (bound if r < d else 64 * EPS)
 
 
 @settings(max_examples=40, deadline=None)
