@@ -197,6 +197,10 @@ CONFIGS = [
     ("perturb-overflow", "run --perturb 1e200 --max-iters 2"),
     # two antipodal independent starts on St(1, 1): the Euclidean mean is 0, so round 0 exits 4
     ("degenerate-mean", "run --algorithm drcs --graph ring --n 2 --d 1 --r 1 --init independent --delta2 0.1666 --max-iters 3 --seed 0"),
+    # more agents than a dense n x n W allows (298 GiB at 2e5; 1e8 ring edges before it):
+    # exits 2 naming n before any graph is built
+    ("n-2e5", "run --n 200000 --d 2 --r 1 --m 1 --max-iters 1"),
+    ("n-1e8", "run --n 100000000 --d 2 --r 1 --m 1 --max-iters 1"),
 ]
 
 

@@ -20,7 +20,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .manifold import StiefelPoint, SwarmState, as_stack, polar_retract, project_to_tangent
+from .manifold import StiefelPoint, SwarmState, _check_orthonormal, as_stack, consensus_measures
+from .manifold import polar_retract, project_to_tangent
 from .metrics import IterationRecord, average_value, stationarity_measure, subspace_distance
 from .network import MixingMatrix, matrix_power, mix
 
@@ -30,7 +31,7 @@ ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
 class TrackerState:
     """Gradient trackers y_i (ambient, not constrained tangent) and the local
     Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only (n, d, r)
-    arrays, copied unless copy=False (a step's own fresh stacks). The tracker
+    arrays, copied unless copy=False (run's own stacks, at its end). The tracker
     average stays equal to the average Riemannian gradient."""
 
     y: np.ndarray
@@ -163,45 +164,58 @@ def _check_rate_inputs(rho_t: float, alpha: float, delta1: float):
         raise ParameterError(f"need delta1 > 0, got {delta1}")
 
 
-def drcs_step(s: SwarmState, wt: MixingMatrix, alpha: float) -> SwarmState:
-    """One consensus iteration: retract along the tangent part of the mixed point.
+def _retracted(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """R_x(xi), checked orthonormal and frozen: the iterate a step returns."""
+    out = polar_retract(x, xi)
+    _check_orthonormal(out)
+    out.flags.writeable = False
+    return out
+
+
+def _check_step(x: np.ndarray, alpha: float, beta: float = 0.0, **stacks):
+    """A step's argument checks: alpha > 0, beta >= 0 and every stack shaped like x."""
+    if alpha <= 0.0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if beta < 0.0:
+        raise ParameterError(f"beta must be nonnegative, got {beta}")
+    for name, v in stacks.items():
+        if v.shape != x.shape:
+            raise ParameterError(f"{name} of shape {v.shape} for a swarm of shape {x.shape}")
+
+
+def drcs_step(x: np.ndarray, wt: MixingMatrix, alpha: float) -> np.ndarray:
+    """One consensus iteration on the (n, d, r) swarm x: retract along the tangent part
+    of the mixed point; returns the new swarm, read-only.
 
     x_i <- R_{x_i}(alpha P_{T_{x_i}}(sum_j W_ij x_j)); the tangent part of the
     mixed point is exactly minus the Riemannian gradient of the disagreement
     function, so identical agents stay put.
     """
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    xi = project_to_tangent(s.x, mix(s.x, wt))
+    _check_step(x, alpha)
+    xi = project_to_tangent(x, mix(x, wt))
     xi *= alpha
-    return SwarmState(polar_retract(s.x, xi), copy=False)
+    return _retracted(x, xi)
 
 
-def _pull(s: SwarmState, wt: MixingMatrix, alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
+def _pull(x: np.ndarray, wt: MixingMatrix, alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
     """alpha mix(x) - beta v, in place on the fresh mixed stack (same bits as the expression)."""
-    out = mix(s.x, wt)
+    out = mix(x, wt)
     out *= alpha
     out -= beta * v
     return out
 
 
-def drsgd_step(s: SwarmState, wt: MixingMatrix, alpha: float, beta_k: float, egrads) -> SwarmState:
-    """One (stochastic) gradient iteration: consensus pull minus a gradient step.
+def drsgd_step(x: np.ndarray, wt: MixingMatrix, alpha: float, beta_k: float, egrads) -> np.ndarray:
+    """One (stochastic) gradient iteration on the (n, d, r) swarm x: consensus pull minus
+    a gradient step; returns the new swarm, read-only.
 
     x_i <- R_{x_i}(P_{T_{x_i}}(alpha sum_j W_ij x_j - beta_k e_i)) where egrads
     is the (n, d, r) stack of the e_i: Euclidean gradients at the x_i, stochastic
     or exact. The one projection equals alpha P(mixed) - beta_k grad_i with grad_i
     the Riemannian gradient; beta_k = 0 recovers the pure consensus step.
     """
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if beta_k < 0.0:
-        raise ParameterError(f"beta must be nonnegative, got {beta_k}")
-    egrads = np.asarray(egrads, dtype=float)
-    if egrads.shape != s.x.shape:
-        raise ParameterError(f"gradients of shape {egrads.shape} for a swarm of shape {s.x.shape}")
-    xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta_k, egrads))
-    return SwarmState(polar_retract(s.x, xi), copy=False)
+    _check_step(x, alpha, beta_k, gradients=egrads)
+    return _retracted(x, project_to_tangent(x, _pull(x, wt, alpha, beta_k, egrads)))
 
 
 def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
@@ -209,34 +223,31 @@ def _riemannian_grads(x: np.ndarray, locals_) -> np.ndarray:
     return project_to_tangent(x, locals_.euclidean_grad(x))
 
 
-def drgta_init(s: SwarmState, locals_) -> TrackerState:
-    """Start the trackers at the local Riemannian gradients, y_i = grad f_i(x_i)."""
-    g = _riemannian_grads(s.x, locals_)
-    return TrackerState(g, g)
+def drgta_init(x: np.ndarray, locals_) -> tuple:
+    """Start the trackers at the local Riemannian gradients: (y, g) with
+    y_i = g_i = grad f_i(x_i), one read-only (n, d, r) array."""
+    g = _riemannian_grads(x, locals_)
+    g.flags.writeable = False
+    return g, g
 
 
-def drgta_step(s: SwarmState, tr: TrackerState, wt: MixingMatrix, alpha: float, beta: float, locals_) -> tuple:
-    """One gradient-tracking iteration; returns the new (swarm, tracker) pair.
+def drgta_step(x: np.ndarray, y, g, wt: MixingMatrix, alpha: float, beta: float, locals_) -> tuple:
+    """One gradient-tracking iteration on the (n, d, r) swarm x, trackers y and the
+    Riemannian gradients g they carry; returns the new (x, y, g), read-only.
 
     Per agent: move x_i <- R_{x_i}(P_{T_{x_i}}(alpha mixed - beta y_i)), one
     projection for alpha P(mixed) - beta P(y_i); refresh the tracker
-    y_i <- sum_j W_ij y_j + grad f_i(x_i+) - grad f_i(x_i), where
-    grad f_i(x_i) is the one the tracker carries. Because W is doubly
+    y_i <- sum_j W_ij y_j + grad f_i(x_i+) - g_i. Because W is doubly
     stochastic the tracker average equals the average Riemannian gradient
     after every step (the correction telescopes).
     """
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if beta < 0.0:
-        raise ParameterError(f"beta must be nonnegative, got {beta}")
-    if tr.y.shape != s.x.shape:
-        raise ParameterError(f"trackers of shape {tr.y.shape} for a swarm of shape {s.x.shape}")
-    xi = project_to_tangent(s.x, _pull(s, wt, alpha, beta, tr.y))
-    moved = SwarmState(polar_retract(s.x, xi), copy=False)
-    g_new = _riemannian_grads(moved.x, locals_)
-    y = mix(tr.y, wt)
-    y += g_new - tr.g
-    return moved, TrackerState(y, g_new, copy=False)
+    _check_step(x, alpha, beta, trackers=y, gradients=g)
+    x_new = _retracted(x, project_to_tangent(x, _pull(x, wt, alpha, beta, y)))
+    g_new = _riemannian_grads(x_new, locals_)
+    y_new = mix(y, wt)
+    y_new += g_new - g
+    y_new.flags.writeable = g_new.flags.writeable = False
+    return x_new, y_new, g_new
 
 
 def tracking_residual(tr: TrackerState, s: SwarmState, locals_) -> float:
@@ -308,6 +319,8 @@ def run(
     the stacked deviation norm <= tol_consensus; tolerances set to None or 0
     are disabled. Each gossip step runs `rounds` rounds of wt, applied as one
     product with wt^rounds. The same seed and arguments give identical records.
+    The loop carries the swarm, the trackers and their gradients as read-only
+    (n, d, r) arrays; `final` and `tracker` are built from them once, at the end.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
@@ -333,8 +346,9 @@ def run(
     if rounds > 1:
         wt = matrix_power(wt, rounds)
 
-    s = swarm
-    tracker = drgta_init(s, locals_) if algorithm == "drgta" else None
+    x = swarm.x
+    target = None if oracle is None else oracle.data
+    y, g = drgta_init(x, locals_) if algorithm == "drgta" else (None, None)
     streams = None
     if algorithm == "drsgd":
         steps = steps_per_epoch(locals_, batch_size)
@@ -347,14 +361,14 @@ def run(
     records = []
 
     def snapshot(k: int, beta: float | None):
-        mean, ces, linf = s.consensus  # the mean point, checked once, and the two errors
+        mean, ces, linf = consensus_measures(x)  # the mean, checked once, and the two errors
         gsq = f_bar = ds = None
         if with_obj:
-            egrad = locals_.mean_grad(mean.data)
-            gsq = stationarity_measure(mean.data, egrad)
-            f_bar = average_value(mean.data, egrad)
-        if oracle is not None:
-            ds = subspace_distance(mean, oracle)
+            egrad = locals_.mean_grad(mean)
+            gsq = stationarity_measure(mean, egrad)
+            f_bar = average_value(mean, egrad)
+        if target is not None:
+            ds = subspace_distance(mean, target)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None
         records.append(
             IterationRecord(
@@ -374,7 +388,7 @@ def run(
             return "ds_tol"
         if tol_grad and rec.grad_norm_sq is not None and math.sqrt(rec.grad_norm_sq) <= tol_grad:
             return "grad_tol"
-        if tol_consensus and s.stacked_error() <= tol_consensus:
+        if tol_consensus and math.sqrt(swarm.n * rec.consensus_err_sq) <= tol_consensus:
             return "consensus_tol"
         return None
 
@@ -387,18 +401,18 @@ def run(
             for k in range(1, last + 1):
                 beta = None
                 if algorithm == "drcs":
-                    s = drcs_step(s, wt, alpha)
+                    x = drcs_step(x, wt, alpha)
                 elif algorithm == "drdgd":
                     beta = schedule.beta(k - 1)
-                    s = drsgd_step(s, wt, alpha, beta, locals_.euclidean_grad(s.x))
+                    x = drsgd_step(x, wt, alpha, beta, locals_.euclidean_grad(x))
                 elif algorithm == "drgta":
                     beta = schedule.beta(k - 1)
-                    s, tracker = drgta_step(s, tracker, wt, alpha, beta, locals_)
+                    x, y, g = drgta_step(x, y, g, wt, alpha, beta, locals_)
                 else:  # drsgd: one epoch, its batches drawn, checked and gathered at once
                     rows, sizes = zip(*map(next, streams))
                     for step in locals_.gather(rows, np.transpose(sizes)):
                         beta = schedule.beta(step_index)
-                        s = drsgd_step(s, wt, alpha, beta, locals_.batch_egrad(s.x, step))
+                        x = drsgd_step(x, wt, alpha, beta, locals_.batch_egrad(x, step))
                         step_index += 1
                 snapshot(k, beta)
                 reason = stop_reason(records[-1])
@@ -415,8 +429,8 @@ def run(
     converged = (stop != "max_rounds") or not any_tol
     return RunResult(
         records=tuple(records),
-        final=s,
-        tracker=tracker,
+        final=SwarmState(x, copy=False),
+        tracker=None if y is None else TrackerState(y, g, copy=False),
         converged=converged,
         stop=stop,
     )

@@ -65,6 +65,9 @@ EXIT_INGESTION = 3
 EXIT_NUMERICAL = 4
 EXIT_NO_CONVERGENCE = 5
 
+# The mixing matrix is a dense n x n array of doubles, 8 n^2 bytes: 512 MiB at this cap.
+MAX_AGENTS = 2**13
+
 # the allowed values of each enumerated config field
 CHOICES = {
     "algorithm": ALGORITHMS,
@@ -187,6 +190,8 @@ def validate_config(cfg: ExperimentConfig):
         bad("er_p", f"must be in (0, 1], got {cfg.er_p}")
     if cfg.n < 2:
         bad("n", f"need at least 2 agents, got {cfg.n}")
+    if cfg.n > MAX_AGENTS:
+        bad("n", f"at most {MAX_AGENTS} agents (the mixing matrix is a dense n x n array), got {cfg.n}")
     if cfg.seed < 0:
         bad("seed", f"must be >= 0, got {cfg.seed}")
     if cfg.t < 0:

@@ -134,12 +134,30 @@ class TangentVector:
         return f"TangentVector(d={self.base.d}, r={self.base.r}, norm={self.norm:.3e})"
 
 
+def consensus_measures(x: np.ndarray) -> tuple:
+    """(mean, consensus_error_sq, linf_error) of an orthonormal (n, d, r) stack, from one
+    pass: the induced mean, checked orthonormal, and the deviations ||x_i - mean||_F
+    in agent order, as (1/n) sum of their squares and their maximum. A rank-deficient
+    Euclidean mean raises NumericalError."""
+    n = len(x)
+    if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
+        mean = x[0]  # exact consensus, no round-off from the projection
+    else:
+        u, sv, vt = np.linalg.svd(x.sum(axis=0) / n, full_matrices=False)
+        if sv[-1] <= DEGENERACY_RATIO * sv[0]:
+            raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
+        mean = u @ vt
+    _check_orthonormal(mean)
+    norms = frobenius_norms(x - mean)
+    return mean, float(norms @ norms / n), float(norms.max())
+
+
 @dataclass(frozen=True, eq=False)
 class SwarmState:
     """n agent points on one St(d, r) as a read-only (n, d, r) array x, built from a
     sequence of StiefelPoints or an array; shape, finiteness and orthonormality
     are checked once, for the whole stack. The array is copied unless copy=False,
-    which a step passes for the stack it has just computed."""
+    which run passes for the final stack of its loop."""
 
     x: np.ndarray
     copy: InitVar[bool] = True
@@ -176,18 +194,10 @@ class SwarmState:
 
     @cached_property
     def consensus(self) -> tuple:
-        """(mean_point, consensus_error_sq, linf_error), from one pass over the swarm:
-        the induced mean and the deviations ||x_i - xbar||_F in agent order."""
-        x = self.x
-        if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
-            point = StiefelPoint(x[0])  # exact consensus, no round-off from the projection
-        else:
-            u, sv, vt = np.linalg.svd(self.euclidean_mean, full_matrices=False)
-            if sv[-1] <= DEGENERACY_RATIO * sv[0]:
-                raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
-            point = StiefelPoint(u @ vt)
-        norms = frobenius_norms(x - point.data)
-        return point, float(norms @ norms / self.n), float(norms.max())
+        """(mean_point, consensus_error_sq, linf_error): consensus_measures of the swarm,
+        with the mean as a StiefelPoint."""
+        mean, err_sq, linf = consensus_measures(self.x)
+        return StiefelPoint(mean), err_sq, linf
 
     @cached_property
     def mean_point(self) -> StiefelPoint:

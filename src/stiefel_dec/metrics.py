@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .manifold import StiefelPoint, _same_shape, project_to_tangent
+from .manifold import _same_shape, project_to_tangent
 
 
 _NONNEGATIVE = ("k", "consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle")
@@ -42,17 +42,17 @@ class IterationRecord:
                 raise ParameterError(f"{name} must be nonnegative, got {v}")
 
 
-def subspace_distance(x: StiefelPoint, y: StiefelPoint) -> float:
-    """Rotation-aligned Frobenius distance between the column spaces of two points.
+def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Rotation-aligned Frobenius distance between the column spaces of two d x r
+    matrices with orthonormal columns, such as two StiefelPoint.data.
 
-    With the orthonormal bases u, v this is min over orthogonal Q of ||u Q - v||_F,
+    For the bases u, v this is min over orthogonal Q of ||u Q - v||_F,
     solved by the orthogonal Procrustes alignment: for u.T v = P S Q.T the
     optimal rotation is P Q.T and the value equals sqrt(max(0, 2r - 2 trace(S))).
     The norm is evaluated directly on u (P Q.T) - v, which avoids the
     cancellation the trace expression suffers near zero distance. Zero iff the
     column spaces coincide.
     """
-    u, v = x.data, y.data
     if u.shape != v.shape:
         raise ParameterError(f"shape mismatch: {u.shape} vs {v.shape}")
     p, _, qt = np.linalg.svd(u.T @ v)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stiefel_dec as sd
-from stiefel_dec import ConsensusRegionParams, StepsizeSchedule, SwarmState
+from stiefel_dec import ConsensusRegionParams, StepsizeSchedule, SwarmState, TrackerState
 from stiefel_dec.algorithms import (
     drcs_step,
     drgta_init,
@@ -64,14 +64,15 @@ def test_criterion_01_tracking_exactness():
     locals_, _ = sd.synthesize_eigengap_data(8, 50, 20, 3, 0.8, seed=[21, 0])
     w = _ring_metropolis(8)
     x0 = sd.random_stiefel(20, 3, np.random.default_rng([21, 1]))
-    s = SwarmState((x0,) * 8)
-    tr = drgta_init(s, locals_)
+    x = SwarmState((x0,) * 8).x
+    y, g = drgta_init(x, locals_)
     beta = 0.05 / 50.0
     start = time.perf_counter()
     worst, gmax = 0.0, 0.0
     for _ in range(200):
-        s, tr = drgta_step(s, tr, w, 1.0, beta, locals_)
-        worst = max(worst, tracking_residual(tr, s, locals_))
+        x, y, g = drgta_step(x, y, g, w, 1.0, beta, locals_)
+        tr = TrackerState(y, g)
+        worst = max(worst, tracking_residual(tr, SwarmState(x), locals_))
         gmax = max(gmax, float(np.linalg.norm(tr.average())))
     elapsed = time.perf_counter() - start
     tol = 1e-10 * (1.0 + gmax)
@@ -91,11 +92,11 @@ def test_criterion_02_drcs_q_linear_contraction():
     rng = np.random.default_rng(22)
     s = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
     assert bool(sd.in_consensus_region(s, p))
-    err = s.stacked_error()
+    x, err = s.x, s.stacked_error()
     worst_ratio, steps = 0.0, 0
     while err > 1e-12 and steps < 500:
-        s = drcs_step(s, wt, rate.alpha_bar)
-        new = s.stacked_error()
+        x = drcs_step(x, wt, rate.alpha_bar)
+        new = SwarmState(x).stacked_error()
         worst_ratio = max(worst_ratio, new / err)
         err, steps = new, steps + 1
     _verdict(
@@ -239,9 +240,9 @@ def test_criterion_10_oracle_equivalence():
         u = sd.random_stiefel(d, 1, rng)
         v = sd.random_stiefel(d, 1, rng)
         brute = min(np.linalg.norm(u.data - v.data), np.linalg.norm(u.data + v.data))
-        worst = max(worst, abs(sd.subspace_distance(u, v) - brute))
+        worst = max(worst, abs(sd.subspace_distance(u.data, v.data) - brute))
     locals_, xstar = sd.synthesize_eigengap_data(6, 20, 16, 3, 0.8, seed=[29, 0])
-    ds = sd.subspace_distance(sd.centralized_oracle(locals_, 3), xstar)
+    ds = sd.subspace_distance(sd.centralized_oracle(locals_, 3).data, xstar.data)
     _verdict(
         10, "distance and solution oracles agree", worst <= 1e-12 and ds <= 1e-10,
         f"procrustes-vs-brute gap {worst:.2e} <= 1e-12, oracle ds {ds:.2e} <= 1e-10",

@@ -9,6 +9,7 @@ import stiefel_dec as sd
 from stiefel_dec import (
     ConsensusRegionParams,
     EigLocal,
+    IterationRecord,
     MixingMatrix,
     NumericalError,
     ParameterError,
@@ -28,8 +29,11 @@ from stiefel_dec.algorithms import (
     drsgd_diminishing_schedule,
     drsgd_step,
     run,
+    steps_per_epoch,
     tracking_residual,
 )
+from stiefel_dec.manifold import consensus_measures
+from stiefel_dec.metrics import average_value
 
 
 def col(*vals):
@@ -49,21 +53,25 @@ def homogeneous_problem(n, d, r, m, seed):
     return locals_, sd.centralized_oracle(locals_, r)
 
 
+def stacked_error(x):
+    return SwarmState(x).stacked_error()
+
+
 class TestDrcsStep:
     def test_identical_points_fixed(self):
         rng = np.random.default_rng(0)
         x = sd.random_stiefel(6, 2, rng)
         s = SwarmState((x,) * 4)
-        out = drcs_step(s, sd.metropolis_weights(sd.ring_graph(4)), alpha=1.0)
-        for p in out.points:
-            assert np.allclose(p.data, x.data, atol=1e-14)
+        out = drcs_step(s.x, sd.metropolis_weights(sd.ring_graph(4)), alpha=1.0)
+        for p in out:
+            assert np.allclose(p, x.data, atol=1e-14)
 
     def test_two_agent_hand_values(self):
         s = SwarmState((StiefelPoint(col(1.0, 0.0)), StiefelPoint(col(0.0, 1.0))))
-        out = drcs_step(s, HALF2, alpha=1.0)
+        out = drcs_step(s.x, HALF2, alpha=1.0)
         r5 = math.sqrt(5.0)
-        assert np.allclose(out.points[0].data, col(2.0 / r5, 1.0 / r5), atol=1e-14)
-        assert np.allclose(out.points[1].data, col(1.0 / r5, 2.0 / r5), atol=1e-14)
+        assert np.allclose(out[0], col(2.0 / r5, 1.0 / r5), atol=1e-14)
+        assert np.allclose(out[1], col(1.0 / r5, 2.0 / r5), atol=1e-14)
 
     def test_linear_contraction_from_region(self):
         n, d, r = 4, 10, 2
@@ -75,12 +83,12 @@ class TestDrcsStep:
         rng = np.random.default_rng(1)
         s = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
         assert sd.in_consensus_region(s, p)
-        err = s.stacked_error()
+        x, err = s.x, s.stacked_error()
         for _ in range(60):
             if err <= 1e-12:
                 break
-            s = drcs_step(s, wt, rate.alpha_bar)
-            new = s.stacked_error()
+            x = drcs_step(x, wt, rate.alpha_bar)
+            new = stacked_error(x)
             assert new <= rate.rho_t * err + 1e-15
             err = new
         assert err <= 1e-12
@@ -88,7 +96,7 @@ class TestDrcsStep:
     def test_bad_alpha(self):
         s = SwarmState((StiefelPoint(col(1.0, 0.0)),) * 2)
         with pytest.raises(ParameterError):
-            drcs_step(s, HALF2, alpha=0.0)
+            drcs_step(s.x, HALF2, alpha=0.0)
 
 
 class TestDrsgdStep:
@@ -96,39 +104,46 @@ class TestDrsgdStep:
         rng = np.random.default_rng(2)
         w = sd.metropolis_weights(sd.ring_graph(4))
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(4)))
-        a = drsgd_step(s, w, 1.0, 0.0, np.zeros((4, 6, 2)))
-        b = drcs_step(s, w, 1.0)
-        for pa, pb in zip(a.points, b.points):
-            assert np.allclose(pa.data, pb.data, atol=1e-15)
+        a = drsgd_step(s.x, w, 1.0, 0.0, np.zeros((4, 6, 2)))
+        b = drcs_step(s.x, w, 1.0)
+        for pa, pb in zip(a, b):
+            assert np.allclose(pa, pb, atol=1e-15)
 
     def test_single_agent_is_centralized_step(self):
         rng = np.random.default_rng(3)
         locals_, _ = homogeneous_problem(1, 8, 2, 12, seed=4)
         x = sd.random_stiefel(8, 2, rng)
-        egrad = locals_.euclidean_grad(x.data)[0]  # drsgd_step projects it
-        g = sd.project_to_tangent(x.data, egrad)
+        egrad = locals_.euclidean_grad(x.data)  # drsgd_step projects it
+        g = sd.project_to_tangent(x.data, egrad[0])
         beta = 1e-3
-        out = drsgd_step(SwarmState((x,)), SINGLE, 1.0, beta, [egrad])
+        out = drsgd_step(SwarmState((x,)).x, SINGLE, 1.0, beta, egrad)
         expect = sd.polar_retract(x.data, -beta * g)
-        assert np.allclose(out.points[0].data, expect, atol=1e-14)
+        assert np.allclose(out[0], expect, atol=1e-14)
 
     def test_stationary_at_oracle_consensus(self):
         # identical data on every agent: grad f_i vanishes at the solution
         locals_, xstar = homogeneous_problem(3, 8, 2, 15, seed=5)
         s = SwarmState((xstar,) * 3)
         w = sd.metropolis_weights(sd.ring_graph(3))
-        out = drsgd_step(s, w, 1.0, 1e-2, locals_.euclidean_grad(s.x))
-        for p in out.points:
-            assert np.abs(p.data - xstar.data).max() <= 1e-12
+        out = drsgd_step(s.x, w, 1.0, 1e-2, locals_.euclidean_grad(s.x))
+        for p in out:
+            assert np.abs(p - xstar.data).max() <= 1e-12
 
     def test_gradient_count_mismatch_rejected(self):
         # arrays carry no base point; the contract left is one gradient per agent
         rng = np.random.default_rng(6)
         s = SwarmState(tuple(sd.random_stiefel(5, 2, rng) for _ in range(2)))
         other = sd.random_stiefel(5, 2, rng)
-        bad = [sd.random_tangent(other, rng).data for _ in range(3)]
+        bad = np.stack([sd.random_tangent(other, rng).data for _ in range(3)])
         with pytest.raises(ParameterError, match=r"^gradients of shape \(3, 5, 2\) for a swarm of shape \(2, 5, 2\)$"):
-            drsgd_step(s, HALF2, 1.0, 0.1, bad)
+            drsgd_step(s.x, HALF2, 1.0, 0.1, bad)
+
+    def test_bad_rates_rejected(self):
+        s = SwarmState((StiefelPoint(col(1.0, 0.0)),) * 2)
+        with pytest.raises(ParameterError, match="^alpha must be positive, got 0.0$"):
+            drsgd_step(s.x, HALF2, 0.0, 0.1, np.zeros((2, 2, 1)))
+        with pytest.raises(ParameterError, match="^beta must be nonnegative, got -0.1$"):
+            drsgd_step(s.x, HALF2, 1.0, -0.1, np.zeros((2, 2, 1)))
 
 
 class TestSchedules:
@@ -230,35 +245,36 @@ class TestDrgtaInitAndStep:
         rng = np.random.default_rng(7)
         locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=8)
         s = SwarmState(tuple(sd.random_stiefel(8, 2, rng) for _ in range(4)))
-        tr = drgta_init(s, locals_)
+        tr = TrackerState(*drgta_init(s.x, locals_))
         assert tracking_residual(tr, s, locals_) <= 1e-14
 
     def test_init_sums_to_zero_at_oracle(self):
         locals_, xstar = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
-        tr = drgta_init(SwarmState((xstar,) * 4), locals_)
-        total = sum(np.linalg.norm(y) for y in tr.y)
+        y, _ = drgta_init(SwarmState((xstar,) * 4).x, locals_)
+        total = sum(np.linalg.norm(yi) for yi in y)
         assert total > 1e-8  # individual trackers need not vanish
-        assert np.linalg.norm(sum(tr.y)) <= 1e-10
+        assert np.linalg.norm(sum(y)) <= 1e-10
 
     def test_init_zero_for_identity_gram(self):
         rng = np.random.default_rng(10)
         locals_ = EigLocal(np.tile(np.eye(6), (3, 1)), 3)
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
-        tr = drgta_init(s, locals_)
-        for y in tr.y:
-            assert np.abs(y).max() <= 1e-14
+        y, _ = drgta_init(s.x, locals_)
+        for yi in y:
+            assert np.abs(yi).max() <= 1e-14
 
     def test_tracking_identity_over_200_steps(self):
         locals_, _ = sd.synthesize_eigengap_data(4, 20, 10, 2, 0.8, seed=[11, 0])
         w = sd.metropolis_weights(sd.ring_graph(4))
         x0 = sd.random_stiefel(10, 2, np.random.default_rng([11, 1]))
-        s = SwarmState((x0,) * 4)
-        tr = drgta_init(s, locals_)
+        x = SwarmState((x0,) * 4).x
+        y, g = drgta_init(x, locals_)
         beta = 0.05 / 20.0
         worst, gmax = 0.0, 0.0
         for _ in range(200):
-            s, tr = drgta_step(s, tr, w, 1.0, beta, locals_)
-            worst = max(worst, tracking_residual(tr, s, locals_))
+            x, y, g = drgta_step(x, y, g, w, 1.0, beta, locals_)
+            tr = TrackerState(y, g)
+            worst = max(worst, tracking_residual(tr, SwarmState(x), locals_))
             gmax = max(gmax, float(np.linalg.norm(tr.average())))
         assert worst <= 1e-10 * (1.0 + gmax)
 
@@ -267,28 +283,28 @@ class TestDrgtaInitAndStep:
         locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=13)
         w = sd.metropolis_weights(sd.ring_graph(3))
         s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
-        tr = TrackerState(np.zeros((3, 6, 2)), np.zeros((3, 6, 2)))
-        stepped, _ = drgta_step(s, tr, w, 1.0, 0.0, locals_)
-        reference = drcs_step(s, w, 1.0)
-        for pa, pb in zip(stepped.points, reference.points):
-            assert np.allclose(pa.data, pb.data, atol=1e-15)
+        zeros = np.zeros((3, 6, 2))
+        stepped, _, _ = drgta_step(s.x, zeros, zeros, w, 1.0, 0.0, locals_)
+        reference = drcs_step(s.x, w, 1.0)
+        for pa, pb in zip(stepped, reference):
+            assert np.allclose(pa, pb, atol=1e-15)
 
     def test_single_agent_is_centralized_gradient_descent(self):
         locals_, _ = homogeneous_problem(1, 7, 2, 10, seed=14)
         o = locals_
-        x = sd.random_stiefel(7, 2, np.random.default_rng(15))
-        s = SwarmState((x,))
-        tr = drgta_init(s, locals_)
+        x0 = sd.random_stiefel(7, 2, np.random.default_rng(15))
+        x = SwarmState((x0,)).x
+        y, g = drgta_init(x, locals_)
         beta = 1e-3
-        x_ref = x.data
+        x_ref = x0.data
         for _ in range(20):
-            s, tr = drgta_step(s, tr, SINGLE, 1.0, beta, locals_)
-            g = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref)[0])
-            x_ref = sd.polar_retract(x_ref, -beta * g)
-            assert np.allclose(s.x[0], x_ref, atol=1e-12)
+            x, y, g = drgta_step(x, y, g, SINGLE, 1.0, beta, locals_)
+            g_ref = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref)[0])
+            x_ref = sd.polar_retract(x_ref, -beta * g_ref)
+            assert np.allclose(x[0], x_ref, atol=1e-12)
             # tracker telescopes to the current gradient
-            g_now = sd.project_to_tangent(s.x[0], o.euclidean_grad(s.x[0])[0])
-            assert np.allclose(tr.y[0], g_now, atol=1e-12)
+            g_now = sd.project_to_tangent(x[0], o.euclidean_grad(x[0])[0])
+            assert np.allclose(y[0], g_now, atol=1e-12)
 
     def test_caller_arrays_are_copied_and_steps_freeze_theirs(self):
         locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=16)
@@ -297,8 +313,11 @@ class TestDrgtaInitAndStep:
         tr = TrackerState(y, g)
         y[0, 0, 0] = g[0, 0, 0] = 5.0  # the caller's arrays stay theirs
         assert tr.y[0, 0, 0] == 1.0 and tr.g[0, 0, 0] == 0.0
-        moved, tr_new = drgta_step(s, tr, sd.metropolis_weights(sd.ring_graph(3)), 1.0, 1e-3, locals_)
-        for a in (moved.x, tr_new.y, tr_new.g):
+        w = sd.metropolis_weights(sd.ring_graph(3))
+        moved = drgta_step(s.x, tr.y, tr.g, w, 1.0, 1e-3, locals_)
+        started = drgta_init(s.x, locals_)
+        stepped = (drcs_step(s.x, w, 1.0), drsgd_step(s.x, w, 1.0, 1e-3, locals_.euclidean_grad(s.x)))
+        for a in (*moved, *started, *stepped):
             assert not a.flags.writeable
 
     def test_tracker_shape_validation(self):
@@ -306,6 +325,18 @@ class TestDrgtaInitAndStep:
             TrackerState((np.zeros((3, 1)), np.zeros((4, 1))), np.zeros((2, 3, 1)))
         with pytest.raises(ParameterError, match=r"^gradients have shape \(2, 4, 1\), trackers \(2, 3, 1\)$"):
             TrackerState(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)))
+
+    def test_step_shape_validation(self):
+        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=18)
+        x = SwarmState(tuple(sd.random_stiefel(6, 2, np.random.default_rng(19)) for _ in range(3))).x
+        w = sd.metropolis_weights(sd.ring_graph(3))
+        good, bad = np.zeros((3, 6, 2)), np.zeros((2, 6, 2))
+        with pytest.raises(ParameterError, match=r"^trackers of shape \(2, 6, 2\) for a swarm of shape \(3, 6, 2\)$"):
+            drgta_step(x, bad, good, w, 1.0, 1e-3, locals_)
+        with pytest.raises(ParameterError, match=r"^gradients of shape \(2, 6, 2\) for a swarm of shape \(3, 6, 2\)$"):
+            drgta_step(x, good, bad, w, 1.0, 1e-3, locals_)
+        with pytest.raises(ParameterError, match="^beta must be nonnegative"):
+            drgta_step(x, good, good, w, 1.0, -1e-3, locals_)
 
 
 class TestRegionPersistenceAndDeviation:
@@ -325,10 +356,11 @@ class TestRegionPersistenceAndDeviation:
         locals_, p, rate, wt, constants, s = self._setup(16)
         sched = drsgd_diminishing_schedule(constants, rate.rho_t, rate.alpha, p.delta1)
         rngs = [np.random.default_rng([16, 2, i]) for i in range(s.n)]
+        x = s.x
         for k in range(300):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            s = drsgd_step(s, wt, rate.alpha, sched.beta(k), locals_.stochastic_egrad(s.x, batches))
-            assert bool(sd.in_consensus_region(s, p))
+            x = drsgd_step(x, wt, rate.alpha, sched.beta(k), locals_.stochastic_egrad(x, batches))
+            assert bool(sd.in_consensus_region(SwarmState(x), p))
 
     def test_bounded_deviation_with_constant_stepsize(self):
         locals_, p, rate, wt, constants, s = self._setup(17)
@@ -338,11 +370,12 @@ class TestRegionPersistenceAndDeviation:
         )
         bound = math.sqrt(s.n) * constants.d_bound * beta / (1.0 - rate.rho_t)
         rngs = [np.random.default_rng([17, 2, i]) for i in range(s.n)]
+        x = s.x
         for k in range(400):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            s = drsgd_step(s, wt, rate.alpha, beta, locals_.stochastic_egrad(s.x, batches))
+            x = drsgd_step(x, wt, rate.alpha, beta, locals_.stochastic_egrad(x, batches))
             if k >= 300:
-                assert math.sqrt(s.consensus_error_sq) <= bound + 1e-12
+                assert math.sqrt(SwarmState(x).consensus_error_sq) <= bound + 1e-12
 
 
 class TestRun:
@@ -453,10 +486,11 @@ class TestRun:
         beta, rounds = 2e-3, 25
         out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(beta),
                   oracle=xstar, max_rounds=rounds)
-        swarms, tracker = [s], drgta_init(s, locals_)
+        x = s.x
+        swarms, (y, g) = [s], drgta_init(x, locals_)
         for _ in range(rounds):
-            s, tracker = drgta_step(s, tracker, w, 1.0, beta, locals_)
-            swarms.append(s)
+            x, y, g = drgta_step(x, y, g, w, 1.0, beta, locals_)
+            swarms.append(SwarmState(x))
         bound = 1e-12 * 2.0 * np.sqrt(s.r)
         assert len(out.records) == len(swarms)
         for rec, ref in zip(out.records, swarms):
@@ -465,8 +499,58 @@ class TestRun:
             dev = np.array([np.linalg.norm(xi - mean) for xi in ref.x])
             assert abs(np.sqrt(rec.consensus_err_sq) - np.sqrt(np.mean(dev**2))) <= bound
             assert abs(rec.linf_err - dev.max()) <= bound
-            assert abs(rec.ds_oracle - sd.subspace_distance(StiefelPoint(mean), xstar)) <= bound
+            assert abs(rec.ds_oracle - sd.subspace_distance(StiefelPoint(mean).data, xstar.data)) <= bound
         assert np.array_equal(out.final.x, swarms[-1].x)
+
+    @pytest.mark.parametrize("algo", ["drcs", "drdgd", "drgta", "drsgd"])
+    def test_records_equal_a_loop_of_the_array_steps(self, algo):
+        # run's records, final swarm and trackers, bit for bit, against the public
+        # array steps and consensus_measures written out by hand; drsgd for one epoch
+        locals_, xstar, w, s = self._instance(seed=25, n=5, d=9, r=3, m=6)
+        s = sd.perturbed_swarm(s.points[0], s.n, 0.2, np.random.default_rng(25))
+        alpha, beta, rounds, seed = 0.9, 2e-3, 1 if algo == "drsgd" else 6, 4
+        out = run(algo, s, w, alpha=alpha, locals_=None if algo == "drcs" else locals_,
+                  schedule=None if algo == "drcs" else StepsizeSchedule(beta),
+                  oracle=xstar, max_rounds=rounds, seed=seed)
+
+        def row(k, x, beta_k):
+            mean, err_sq, linf = consensus_measures(x)
+            gsq = f_bar = None
+            if algo != "drcs":
+                egrad = locals_.mean_grad(mean)
+                gsq, f_bar = sd.stationarity_measure(mean, egrad), average_value(mean, egrad)
+            return IterationRecord(k, err_sq, linf, gsq, f_bar, sd.subspace_distance(mean, xstar.data), beta_k)
+
+        x = s.x
+        y, g = drgta_init(x, locals_)
+        want = [row(0, x, None)]
+        for k in range(1, rounds + 1):
+            if algo == "drcs":
+                x, beta_k = drcs_step(x, w, alpha), None
+            elif algo == "drdgd":
+                x, beta_k = drsgd_step(x, w, alpha, beta, locals_.euclidean_grad(x)), beta
+            elif algo == "drgta":
+                (x, y, g), beta_k = drgta_step(x, y, g, w, alpha, beta, locals_), beta
+            else:  # one epoch of batch-1 steps, each agent walking its own shuffle
+                orders = [np.random.default_rng([seed, 2, i]).permutation(m)
+                          for i, m in enumerate(locals_.counts.tolist())]
+                for step in range(steps_per_epoch(locals_, 1)):
+                    batches = [order[step:step + 1] for order in orders]
+                    x = drsgd_step(x, w, alpha, beta, locals_.stochastic_egrad(x, batches))
+                beta_k = beta
+            want.append(row(k, x, beta_k))
+        assert out.records == tuple(want)
+        assert np.array_equal(out.final.x, x)
+        if algo == "drgta":
+            assert np.array_equal(out.tracker.y, y) and np.array_equal(out.tracker.g, g)
+
+    def test_breakdown_in_round_one_keeps_the_initial_row(self):
+        # a raw stepsize so large that the retraction Gram overflows in the first round
+        locals_, xstar, w, s = self._instance(seed=26)
+        with pytest.raises(NumericalError, match="^round 1: retraction step is not finite$") as e:
+            run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e300),
+                oracle=xstar, max_rounds=3)
+        assert len(e.value.records) == 1 and e.value.records[0].k == 0
 
     def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
         # f(xbar) and ||grad f(xbar)||^2 share one gradient of the average

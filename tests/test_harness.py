@@ -433,6 +433,25 @@ class TestCli:
             )
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["8193", "200000", "100000000"])
+    def test_agent_count_above_the_dense_w_cap_is_2_naming_n(self, tmp_path, capsys, monkeypatch, n):
+        # rejected before any graph or W is built: a dense W at n = 2e5 would be 298 GiB,
+        # and n = 1e8 would first build 1e8 ring edges
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a graph for a rejected config")
+
+        for owner, name in ((harness, "ring_graph"), (harness, "metropolis_weights"), (harness, "resolve"),
+                            (cli, "spectral_report")):
+            monkeypatch.setattr(owner, name, unreachable)
+        out = tmp_path / "o.csv"
+        for command in (["spectral"], ["run", "--d", "2", "--r", "1", "--m", "1", "--max-iters", "1", "--out", str(out)]):
+            assert main(command + ["--n", n]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: n: at most 8192 agents (the mixing matrix is a dense n x n array), got {n}\n"
+            )
+        assert not out.exists()
+        assert harness.ExperimentConfig(n=harness.MAX_AGENTS).n == 8192  # the cap itself is accepted
+
     def test_alpha_with_no_contraction_is_2_naming_alpha(self, tmp_path, capsys):
         # 1 - gamma_t * alpha rounds to 1, so W^t would not contract the swarm at all
         out = tmp_path / "o.csv"

@@ -10,6 +10,7 @@ from stiefel_dec import (
     SwarmState,
     TangentVector,
 )
+from stiefel_dec.manifold import consensus_measures
 
 
 def col(*vals):
@@ -255,6 +256,15 @@ class TestInducedArithmeticMean:
         s = SwarmState(np.stack(points))
         with pytest.raises(NumericalError, match=r"^euclidean mean is rank deficient \(s_min = 0\.000e\+00\)$"):
             s.consensus
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_consensus_is_the_array_pass_bit_for_bit(self, noise):
+        rng = np.random.default_rng(29)
+        x = sd.perturbed_swarm(sd.random_stiefel(7, 3, rng), 5, noise, rng).x
+        mean, err_sq, linf = consensus_measures(x)
+        point, point_err_sq, point_linf = SwarmState(x).consensus
+        assert np.array_equal(point.data, mean)
+        assert (point_err_sq, point_linf) == (err_sq, linf)
 
     def test_consensus_pass_feeds_every_measure(self):
         rng = np.random.default_rng(27)

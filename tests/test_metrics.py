@@ -21,7 +21,7 @@ def col(*vals):
 class TestSubspaceDistance:
     def test_zero_on_same_point(self):
         x = sd.random_stiefel(8, 3, np.random.default_rng(0))
-        assert sd.subspace_distance(x, x) <= 1e-12
+        assert sd.subspace_distance(x.data, x.data) <= 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(1)
@@ -29,12 +29,12 @@ class TestSubspaceDistance:
             x = sd.random_stiefel(7, 3, rng)
             q = sd.random_stiefel(3, 3, rng)
             y = StiefelPoint(x.data @ q.data)
-            assert sd.subspace_distance(x, y) <= 1e-12
+            assert sd.subspace_distance(x.data, y.data) <= 1e-12
 
     def test_orthogonal_columns(self):
         u = StiefelPoint(col(1.0, 0.0))
         v = StiefelPoint(col(0.0, 1.0))
-        assert np.isclose(sd.subspace_distance(u, v), np.sqrt(2.0), atol=1e-12)
+        assert np.isclose(sd.subspace_distance(u.data, v.data), np.sqrt(2.0), atol=1e-12)
 
     def test_r1_matches_two_element_brute_force(self):
         # O(1) = {+1, -1}: the aligned distance is min(||u-v||, ||u+v||)
@@ -46,7 +46,7 @@ class TestSubspaceDistance:
             brute = min(
                 np.linalg.norm(u.data - v.data), np.linalg.norm(u.data + v.data)
             )
-            assert abs(sd.subspace_distance(u, v) - brute) <= 1e-12
+            assert abs(sd.subspace_distance(u.data, v.data) - brute) <= 1e-12
 
     def test_triangle_like(self):
         rng = np.random.default_rng(3)
@@ -55,8 +55,8 @@ class TestSubspaceDistance:
             x = sd.random_stiefel(d, r, rng)
             y = sd.random_stiefel(d, r, rng)
             z = sd.random_stiefel(d, r, rng)
-            assert sd.subspace_distance(x, z) <= (
-                sd.subspace_distance(x, y) + sd.subspace_distance(y, z) + 1e-9
+            assert sd.subspace_distance(x.data, z.data) <= (
+                sd.subspace_distance(x.data, y.data) + sd.subspace_distance(y.data, z.data) + 1e-9
             )
 
     def test_bounded_by_sqrt_2r(self):
@@ -67,21 +67,21 @@ class TestSubspaceDistance:
                 continue
             x = sd.random_stiefel(d, r, rng)
             y = sd.random_stiefel(d, r, rng)
-            assert sd.subspace_distance(x, y) ** 2 <= 2.0 * r + 1e-12
+            assert sd.subspace_distance(x.data, y.data) ** 2 <= 2.0 * r + 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         x = sd.random_stiefel(8, 2, rng)
         y = sd.random_stiefel(8, 2, rng)
         assert np.isclose(
-            sd.subspace_distance(x, y), sd.subspace_distance(y, x), atol=1e-12
+            sd.subspace_distance(x.data, y.data), sd.subspace_distance(y.data, x.data), atol=1e-12
         )
 
     def test_shape_mismatch(self):
         x = sd.random_stiefel(5, 2, np.random.default_rng(7))
         y = sd.random_stiefel(5, 3, np.random.default_rng(8))
         with pytest.raises(ParameterError, match=r"^shape mismatch: \(5, 2\) vs \(5, 3\)$"):
-            sd.subspace_distance(x, y)
+            sd.subspace_distance(x.data, y.data)
 
 
 class TestStationarityMeasure:

@@ -315,7 +315,7 @@ class TestSynthesizeEigengapData:
     def test_oracle_matches_generator(self):
         locals_, xstar = sd.synthesize_eigengap_data(5, 8, 10, 2, 0.6, seed=9)
         oracle = sd.centralized_oracle(locals_, 2)
-        assert sd.subspace_distance(oracle, xstar) <= 1e-10
+        assert sd.subspace_distance(oracle.data, xstar.data) <= 1e-10
 
     def test_paper_scale_accepted(self):
         locals_, xstar = sd.synthesize_eigengap_data(32, 1000, 100, 5, 0.8, seed=10)
@@ -493,7 +493,7 @@ class TestCentralizedOracle:
         o = local_with_gram([3.0, 2.0, 1.0])
         oracle = sd.centralized_oracle(o, 2)
         target = np.eye(3)[:, :2]
-        assert sd.subspace_distance(oracle, StiefelPoint(target)) <= 1e-12
+        assert sd.subspace_distance(oracle.data, StiefelPoint(target).data) <= 1e-12
 
     def test_oracle_is_minimizer(self):
         rng = np.random.default_rng(12)
