@@ -450,7 +450,7 @@ class TestCli:
                 f"config error: n: at most 8192 agents (the mixing matrix is a dense n x n array), got {n}\n"
             )
         assert not out.exists()
-        assert harness.ExperimentConfig(n=harness.MAX_AGENTS).n == 8192  # the cap itself is accepted
+        assert ExperimentConfig(n=harness.MAX_AGENTS).n == 8192  # the cap itself is accepted
 
     def test_alpha_with_no_contraction_is_2_naming_alpha(self, tmp_path, capsys):
         # 1 - gamma_t * alpha rounds to 1, so W^t would not contract the swarm at all
