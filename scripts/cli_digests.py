@@ -90,7 +90,7 @@ FILES = {
     "wide.csv": sample_rows(41, 20),  # blocks 11, 10, 10, 10 over 4 agents, all fewer rows than d
     "counts.txt": sample_rows(30, 5, sep=" ", integers=True),
     "e154.csv": sample_rows(25, 6, scale=1e154),  # the Gram matrix overflows
-    "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big**2 in the drgta header overflows
+    "e80.csv": sample_rows(25, 6, scale=1e80),  # l_big near 1e160: the drgta header stays finite
     "e100.csv": sample_rows(25, 6, scale=1e100),  # ||grad f||^2 of the first row overflows
     "latin1.csv": "1,2\n3,4\n5,\u00e9\n".encode("latin-1"),  # bytes: not UTF-8 text
     "bom.csv": b"\xef\xbb\xbf" + sample_rows(25, 6).encode("utf-8"),  # bytes: a byte-order mark, no header
@@ -146,7 +146,7 @@ CONFIGS = [
     # l_n from the outer Grams of ragged blocks shorter than d sets every beta_k
     ("dsv-wide-drsgd-diminishing", "run --algorithm drsgd --problem dsv --data wide.csv --n 4 --r 2 --schedule diminishing --max-epochs 3"),
     ("drdgd-constant", "run --algorithm drdgd --schedule constant --max-iters 50"),
-    # the constant rule for gradient tracking: pins beta_theory_heuristic next to an xi estimate
+    # the constant rule for gradient tracking: pins beta_bar next to an xi estimate
     ("drgta-constant", "run --algorithm drgta --schedule constant --max-iters 50"),
     # the constant rule at the er32 shape with blocks of 50 rows under d = 200: l_n from the
     # outer Grams, next to an xi estimate
@@ -201,6 +201,9 @@ CONFIGS = [
     # exits 2 naming n before any graph is built
     ("n-2e5", "run --n 200000 --d 2 --r 1 --m 1 --max-iters 1"),
     ("n-1e8", "run --n 100000000 --d 2 --r 1 --m 1 --max-iters 1"),
+    # a synthetic draw of 8e11 x 30 doubles (175 TiB), which malloc refuses at once: exits 2
+    # naming n, m and d
+    ("m-1e11", "run --m 100000000000 --max-iters 1"),
 ]
 
 

@@ -17,7 +17,6 @@ from .algorithms import (
     drgta_init,
     drgta_max_stepsize,
     drgta_step,
-    drgta_theoretical_stepsize,
     drsgd_constant_schedule,
     drsgd_diminishing_schedule,
     drsgd_step,

@@ -121,40 +121,6 @@ def drgta_max_stepsize(constants, rho_t: float, alpha: float, delta1: float) -> 
     return min((1.0 - rho_t) * delta1, alpha * delta1 / 5.0) / denom
 
 
-def drgta_theoretical_stepsize(constants, rho_t: float, sigma2_t: float, alpha: float, delta1: float) -> float:
-    """Full theory cap for the tracking stepsize; heuristic, diagnostic only.
-
-    The analysis constant c1 is an existence constant known only up to order
-    1/(1-rho)^2; it is substituted by exactly 2/(1-rho)^2 here, so the value
-    is a ballpark rather than a certificate. The second-order retraction
-    constant M of the analysis is 1 for the polar retraction, so it drops out.
-    """
-    _check_rate_inputs(rho_t, alpha, delta1)
-    if not (0.0 <= sigma2_t < 1.0):
-        raise ParameterError(f"need sigma2^t in [0, 1), got {sigma2_t}")
-    lb, db = constants.l_big, constants.d_bound
-    if lb <= 0.0:
-        raise ParameterError("need positive l_big")
-    c1 = 2.0 / (1.0 - rho_t) ** 2
-    c0 = 2.0 / (1.0 - rho_t) ** 2
-    c2 = 2.0 / (1.0 - sigma2_t) ** 2
-    # g0 is scale-free, so where its squares would leave the normal range (data near
-    # 1e80 overflow them) it is evaluated on lb and db scaled by a power of two. Not
-    # everywhere: ** rounds through libm pow, which can move a last bit under scaling.
-    e = 0 if 1e-150 < lb < 1e150 else math.frexp(lb)[1]
-    ls, ds = math.ldexp(lb, -e), math.ldexp(db, -e)
-    g0 = 4.0 * constants.r * (ls + 2.0 * ds) ** 2 * c1 / ls**2
-    g1 = 1.0 + g0 + (2.0 * db * alpha + 8.0 * db * alpha**2) / lb + 13.0 * c1 * delta1**2 * alpha**4
-    g2 = 2.0 * db / lb + delta1**2 / 2.0 + 5.0
-    g3 = g1 * c0 + g0 * c0 + g2
-    third = 1.0 / (4.0 * lb * (2.0 * g3 + (8.0 * c0 + 0.5 * c2) * alpha * delta1))
-    return min(
-        drgta_max_stepsize(constants, rho_t, alpha, delta1),
-        1.0 / (8.0 * lb),
-        third,
-    )
-
-
 def _check_rate_inputs(rho_t: float, alpha: float, delta1: float):
     if not (0.0 < rho_t < 1.0):
         raise ParameterError(f"need rho_t in (0, 1), got {rho_t}")

@@ -23,7 +23,6 @@ from .algorithms import (
     RunResult,
     StepsizeSchedule,
     drgta_max_stepsize,
-    drgta_theoretical_stepsize,
     drsgd_constant_schedule,
     drsgd_diminishing_schedule,
     run,
@@ -338,9 +337,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         if cfg.algorithm == "drgta":
             beta_bar = drgta_max_stepsize(constants, rate.rho_t, rate.alpha, region.delta1)
             header["beta_bar"] = beta_bar
-            header["beta_theory_heuristic"] = drgta_theoretical_stepsize(
-                constants, rate.rho_t, w.sigma2**t, rate.alpha, region.delta1
-            )
             if schedule.base > beta_bar:
                 warnings.warn(
                     f"beta = {schedule.base:.6g} exceeds the stay-in-region cap "
@@ -386,9 +382,13 @@ def _build_graph(cfg: ExperimentConfig):
 
 
 def _build_problem(cfg: ExperimentConfig):
-    if cfg.problem == "synthetic":
-        return synthesize_eigengap_data(cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0])
-    locals_ = load_dsv_partition(cfg.data_path, cfg.n, cfg.divisor)
+    try:  # an array far beyond memory is refused at once; one just under it can still be killed by the OS
+        if cfg.problem == "synthetic":
+            return synthesize_eigengap_data(cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0])
+        locals_ = load_dsv_partition(cfg.data_path, cfg.n, cfg.divisor)
+    except MemoryError as e:
+        sizes = f"n, m, d: n={cfg.n}, m={cfg.m}, d={cfg.d}" if cfg.problem == "synthetic" else f"n, data_path: n={cfg.n}"
+        raise ConfigError(f"{sizes}: the problem's arrays cannot be allocated ({e})") from None
     if cfg.r > locals_.dim:
         raise ConfigError(f"r: data has d={locals_.dim} < r={cfg.r}")
     return locals_, centralized_oracle(locals_, cfg.r)
@@ -524,15 +524,6 @@ def write_out(path, text: str = ""):
             fh.write(text)
     except OSError as e:
         raise ConfigError(f"out: cannot write {path}: {e.strerror or e}") from None
-
-
-def read_config_echo(path) -> dict:
-    """Recover the resolved config from a log's '# config:' header line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# config: "):
-                return json.loads(line[len("# config: ") :])
-    raise ParameterError(f"no config echo found in {path}")
 
 
 def spectral_report(cfg: ExperimentConfig) -> str:

@@ -24,7 +24,6 @@ from stiefel_dec.algorithms import (
     drgta_init,
     drgta_max_stepsize,
     drgta_step,
-    drgta_theoretical_stepsize,
     drsgd_constant_schedule,
     drsgd_diminishing_schedule,
     drsgd_step,
@@ -43,7 +42,6 @@ def col(*vals):
 HALF2 = MixingMatrix(np.full((2, 2), 0.5))
 SINGLE = MixingMatrix(np.array([[1.0]]))
 REFERENCE_CONSTANTS = SmoothnessConstants(1.0, r=1)  # l_g = 2, l_big = 3, d_bound = 1
-TWO_COLUMNS = SmoothnessConstants(1.0, r=2)
 
 
 def homogeneous_problem(n, d, r, m, seed):
@@ -221,23 +219,6 @@ class TestDrgtaStepsizes:
         small = drgta_max_stepsize(REFERENCE_CONSTANTS, 0.999, 1.0, 0.01)
         ref = drgta_max_stepsize(REFERENCE_CONSTANTS, 0.5, 1.0, 0.01)
         assert small < ref / 100.0
-
-    def test_theoretical_cap_is_conservative(self):
-        beta_bar = drgta_max_stepsize(TWO_COLUMNS, 0.5, 1.0, 0.02)
-        theory = drgta_theoretical_stepsize(TWO_COLUMNS, 0.5, 0.25, 1.0, 0.02)
-        assert 0.0 < theory <= beta_bar
-        assert theory <= 1.0 / (8.0 * TWO_COLUMNS.l_big)
-
-    def test_theoretical_cap_on_extreme_constants(self):
-        # data near 1e80 gives l_big near 1e160, whose square overflows a float, and
-        # near 1e-160 one whose square underflows to 0; the cap scales as 1/l_big, so
-        # scaling the constants by 2^100 scales it by 2^-100
-        def cap(e):
-            return drgta_theoretical_stepsize(SmoothnessConstants(math.ldexp(1.0, e), r=2), 0.5, 0.25, 1.0, 0.02)
-
-        for e in (600, -700):
-            assert 0.0 < cap(e) < math.inf
-            assert cap(e + 100) == math.ldexp(cap(e), -100)
 
 
 class TestDrgtaInitAndStep:

@@ -24,7 +24,6 @@ from stiefel_dec.harness import (
     EXIT_OK,
     ExperimentConfig,
     parse_config,
-    read_config_echo,
     resolve,
     run_experiment,
     spectral_report,
@@ -55,6 +54,12 @@ def quiet_run(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_experiment(cfg)
+
+
+def config_echo(path) -> dict:
+    """The resolved config a log echoes on its '# config:' header line."""
+    line = next(l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
 
 
 def write_rows(path, scale):
@@ -207,6 +212,20 @@ class TestResolve:
         res = quiet_resolve(cfg)
         assert res.swarm0.consensus_error_sq > 1e-3
 
+    # the constants line of each algorithm's log, key for key: a key that nothing reads
+    # cannot come back unnoticed
+    RATES = ["alpha", "alpha_bar", "delta1", "delta2", "gamma_t", "l_t", "mu_t", "rho_t", "sigma2", "t", "t_min"]
+    PROBLEM = RATES + ["beta", "d_bound", "l_big", "l_g", "mean_m", "schedule"]
+
+    @pytest.mark.parametrize("flags,keys", [
+        (dict(algorithm="drcs"), RATES),
+        (dict(algorithm="drdgd"), PROBLEM),
+        (dict(algorithm="drsgd", schedule="constant"), PROBLEM + ["xi_estimate"]),
+        (dict(algorithm="drgta", schedule="user"), PROBLEM + ["beta_bar"]),
+    ])
+    def test_header_keys(self, flags, keys):
+        assert sorted(quiet_resolve(parse_config(flags=dict(SMALL, **flags))).header) == sorted(keys)
+
     @pytest.mark.parametrize("init", ["shared", "independent"])
     def test_shared_start_is_drawn_once(self, init, monkeypatch):
         entropies = []
@@ -282,7 +301,7 @@ class TestRunExperiment:
         cfg = parse_config(flags=dict(SMALL, out=str(out)))
         quiet_run(cfg)
         first = out.read_bytes()
-        echoed = read_config_echo(out)
+        echoed = config_echo(out)
         cfg2 = parse_config(flags=echoed)
         assert cfg2 == cfg
         quiet_run(cfg2)  # writes to the same path recorded in the echo
@@ -452,6 +471,30 @@ class TestCli:
         assert not out.exists()
         assert ExperimentConfig(n=harness.MAX_AGENTS).n == 8192  # the cap itself is accepted
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unallocatable_problem_is_2_naming_its_sizes(self, tmp_path, capsys):
+        # the draw of n m = 8e11 rows of d = 30 is 175 TiB, more than the address space:
+        # malloc refuses it at once, so no test process comes near the memory limit
+        out = tmp_path / "o.csv"
+        for command in (["run", "--max-iters", "1", "--out", str(out)], ["oracle"]):
+            assert main(command + ["--m", "100000000000"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: n, m, d: n=8, m=100000000000, d=30: the problem's arrays cannot "
+                                  "be allocated (Unable to allocate 175. TiB")
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unallocatable_dsv_problem_is_2_naming_n_and_the_data(self, tmp_path, capsys, monkeypatch):
+        # wide rows whose (n, d, d) Gram stack malloc refuses, stood in for by the error it raises
+        def refused(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(harness, "load_dsv_partition", refused)
+        assert main(["oracle", "--problem", "dsv", "--data", "wide.csv", "--n", "2", "--r", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: n, data_path: n=2: the problem's arrays cannot be allocated (Unable to allocate 14.6 TiB)\n"
+        )
+
     def test_alpha_with_no_contraction_is_2_naming_alpha(self, tmp_path, capsys):
         # 1 - gamma_t * alpha rounds to 1, so W^t would not contract the swarm at all
         out = tmp_path / "o.csv"
@@ -543,8 +586,8 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("algorithm,scale", [("drgta", 1e80), ("drdgd", 1e100)])
     def test_non_finite_metric_row_is_4(self, tmp_path, capsys, algorithm, scale):
-        # the gradient norm at the start overflows; near 1e80 the drgta header
-        # heuristic squares l_big, which must not overflow first
+        # the gradient norm at the start overflows; near 1e80 l_big is near 1e160, and
+        # every drgta header constant computed from it must still be finite
         data, out = tmp_path / "big.csv", tmp_path / "big_log.csv"
         write_rows(data, scale)
         code = main(["run", "--algorithm", algorithm, "--problem", "dsv", "--data", str(data),
@@ -555,7 +598,7 @@ class TestCli:
         assert len(lines) == 4 and lines[3] == CSV_HEADER
         if algorithm == "drgta":
             constants = json.loads(lines[2][len("# constants: "):])
-            assert 0.0 < constants["beta_theory_heuristic"] < float("inf")
+            assert all(np.isfinite(v) for v in constants.values() if not isinstance(v, str))
 
     def test_gossip_rounds_is_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -673,7 +716,7 @@ class TestCli:
              "--max-iters", "100", "--seed", "2", "--out", str(out)]
         )
         assert code == EXIT_OK
-        assert read_config_echo(out)["algorithm"] == "drcs"
+        assert config_echo(out)["algorithm"] == "drcs"
         with pytest.raises(SystemExit) as exc:
             main(["consensus", "--max-iters", "1"])
         assert exc.value.code == EXIT_CONFIG
@@ -768,7 +811,7 @@ class TestCli:
              "--seed", "4", "--out", str(out)]
         )
         assert code == EXIT_OK
-        echo = read_config_echo(out)
+        echo = config_echo(out)
         assert echo["problem"] == "dsv" and echo["data_path"] == str(data)
         # 25 rows over 3 agents: mean sample count (9+8+8)/3, beta rescaled by it
         constants_line = next(
