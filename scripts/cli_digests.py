@@ -204,6 +204,11 @@ CONFIGS = [
     # a synthetic draw of 8e11 x 30 doubles (175 TiB), which malloc refuses at once: exits 2
     # naming n, m and d
     ("m-1e11", "run --m 100000000000 --max-iters 1"),
+    # drcs builds no problem: its shared start of 1e12 x 1 doubles (7.28 TiB), which malloc
+    # refuses at once, exits 2 naming n, d and r
+    ("drcs-d-1e12", "run --algorithm drcs --d 1000000000000 --r 1 --max-iters 1"),
+    # n m = 6 synthetic rows cannot carry a full spectrum in d = 30: exits 2 naming m
+    ("synthetic-m-below-d", "run --n 2 --m 3 --d 30 --max-iters 1"),
 ]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,14 @@ ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
 @dataclass(frozen=True, eq=False)
 class TrackerState:
     """Gradient trackers y_i (ambient, not constrained tangent) and the local
-    Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only (n, d, r)
-    arrays, copied unless copy=False (run's own stacks, at its end). The tracker
-    average stays equal to the average Riemannian gradient."""
+    Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only copies of
+    (n, d, r) arrays. The tracker average stays equal to the average Riemannian gradient."""
 
     y: np.ndarray
     g: np.ndarray
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy):
-        y, g = as_stack(self.y, "tracker", copy), as_stack(self.g, "gradient", copy)
+    def __post_init__(self):
+        y, g = as_stack(self.y, "tracker"), as_stack(self.g, "gradient")
         if g.shape != y.shape:
             raise ParameterError(f"gradients have shape {g.shape}, trackers {y.shape}")
         object.__setattr__(self, "y", y)
@@ -395,8 +393,8 @@ def run(
     converged = (stop != "max_rounds") or not any_tol
     return RunResult(
         records=tuple(records),
-        final=SwarmState(x, copy=False),
-        tracker=None if y is None else TrackerState(y, g, copy=False),
+        final=SwarmState(x),
+        tracker=None if y is None else TrackerState(y, g),
         converged=converged,
         stop=stop,
     )

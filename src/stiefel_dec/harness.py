@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -206,6 +207,8 @@ def validate_config(cfg: ExperimentConfig):
             bad("r", f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}")
         if cfg.m < 1:
             bad("m", f"must be positive, got {cfg.m}")
+        if cfg.algorithm != "drcs" and cfg.n * cfg.m < cfg.d:  # drcs builds no problem
+            bad("m", f"need n * m >= d rows for a full spectrum, got n * m = {cfg.n * cfg.m} < d = {cfg.d}")
         if not (0.0 < cfg.gap < 1.0):
             bad("gap", f"must be in (0, 1), got {cfg.gap}")
     elif cfg.r < 1:
@@ -269,8 +272,7 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
         raise ConfigError(
             f"t: W^{t} is not doubly stochastic in floating point ({e}); use a smaller t"
         ) from None
-    delta1 = cfg.delta1 if cfg.delta1 > 0.0 else ConsensusRegionParams.delta1_cap(cfg.r, cfg.delta2)
-    region = ConsensusRegionParams(delta1=delta1, delta2=cfg.delta2, r=cfg.r)
+    region = ConsensusRegionParams(r=cfg.r, delta2=cfg.delta2, delta1=cfg.delta1)
     base_rate = rate = consensus_rate_params(w, t, region)
     alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
     if alpha < base_rate.alpha_bar:
@@ -307,14 +309,15 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         "delta2": region.delta2,
     }
 
-    schedule = None
-    locals_, oracle = (None, None) if cfg.algorithm == "drcs" else _build_problem(cfg)
-    # the shared start: the swarm's common point, and where xi is estimated
-    d_cols = cfg.d if locals_ is None else locals_.dim
-    x0 = random_stiefel(d_cols, cfg.r, np.random.default_rng([cfg.seed, 1]))
+    with _allocating(cfg, problem=cfg.algorithm != "drcs"):  # every array the config sizes
+        locals_, oracle = (None, None) if cfg.algorithm == "drcs" else _build_problem(cfg)
+        # the shared start: the swarm's common point, and where xi is estimated
+        d_cols = cfg.d if locals_ is None else locals_.dim
+        x0 = random_stiefel(d_cols, cfg.r, np.random.default_rng([cfg.seed, 1]))
+        swarm0 = _build_swarm(cfg, x0, region)
     if cfg.algorithm == "drcs":
         max_rounds = cfg.max_iters
-        tol_ds = tol_grad = None
+        schedule = tol_ds = tol_grad = None
         tol_consensus = cfg.tol_consensus
     else:
         constants = quadratic_constants(locals_, cfg.r)
@@ -348,7 +351,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         tol_grad = None if stochastic else _default_tol(cfg.tol_grad, 1e-8)
         tol_consensus = None
 
-    swarm0 = _build_swarm(cfg, x0, region)
     return ResolvedExperiment(
         graph=g,
         t=t,
@@ -381,14 +383,23 @@ def _build_graph(cfg: ExperimentConfig):
     return erdos_renyi(cfg.n, cfg.er_p, np.random.default_rng([cfg.seed, 4]))
 
 
-def _build_problem(cfg: ExperimentConfig):
-    try:  # an array far beyond memory is refused at once; one just under it can still be killed by the OS
-        if cfg.problem == "synthetic":
-            return synthesize_eigengap_data(cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0])
-        locals_ = load_dsv_partition(cfg.data_path, cfg.n, cfg.divisor)
+@contextmanager
+def _allocating(cfg: ExperimentConfig, problem: bool):
+    """A set-up in which an array that malloc refuses is a ConfigError naming the fields that
+    size the problem's arrays, or with problem False the start's. Malloc refuses one far
+    beyond memory at once; one just under it can still be killed by the OS."""
+    try:
+        yield
     except MemoryError as e:
-        sizes = f"n, m, d: n={cfg.n}, m={cfg.m}, d={cfg.d}" if cfg.problem == "synthetic" else f"n, data_path: n={cfg.n}"
-        raise ConfigError(f"{sizes}: the problem's arrays cannot be allocated ({e})") from None
+        data = f"n, m, d: n={cfg.n}, m={cfg.m}, d={cfg.d}" if cfg.problem == "synthetic" else f"n, data_path: n={cfg.n}"
+        sizes = f"{data}: the problem's" if problem else f"n, d, r: n={cfg.n}, d={cfg.d}, r={cfg.r}: the start's"
+        raise ConfigError(f"{sizes} arrays cannot be allocated ({e})") from None
+
+
+def _build_problem(cfg: ExperimentConfig):
+    if cfg.problem == "synthetic":
+        return synthesize_eigengap_data(cfg.n, cfg.m, cfg.d, cfg.r, cfg.gap, seed=[cfg.seed, 0])
+    locals_ = load_dsv_partition(cfg.data_path, cfg.n, cfg.divisor)
     if cfg.r > locals_.dim:
         raise ConfigError(f"r: data has d={locals_.dim} < r={cfg.r}")
     return locals_, centralized_oracle(locals_, cfg.r)
@@ -550,7 +561,8 @@ def spectral_report(cfg: ExperimentConfig) -> str:
 
 def oracle_report(cfg: ExperimentConfig) -> str:
     """Printable dump of the centralized solution of the configured problem."""
-    locals_, oracle = _build_problem(cfg)
+    with _allocating(cfg, problem=True):
+        locals_, oracle = _build_problem(cfg)
     total = average_value(oracle.data, locals_.mean_grad(oracle.data))
     rows = ["# centralized leading-eigenvector solution", f"# f(x*) = {total!r}"]
     for row in oracle.data:

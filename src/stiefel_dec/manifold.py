@@ -9,7 +9,7 @@ induced arithmetic mean, the consensus errors and the consensus-region test.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -28,20 +28,19 @@ DEGENERACY_RATIO = 1e-12
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim == 1:
-        out = out.reshape(-1, 1)
+    """A read-only float copy of a matrix."""
+    out = np.array(a, dtype=float)
     if out.ndim != 2:
         raise ParameterError(f"{name} must be a matrix, got ndim={out.ndim}")
+    out.flags.writeable = False
     return out
 
 
-def as_stack(a, name: str, copy: bool = True) -> np.ndarray:
+def as_stack(a, name: str) -> np.ndarray:
     """A read-only float copy of an (n, d, r) stack given as an array or a sequence of
-    matrices; with copy=False a float array is frozen and kept as it is, for a stack
-    its caller has just made and hands over."""
+    matrices."""
     try:
-        out = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
+        out = np.array(a, dtype=float)
     except (TypeError, ValueError) as e:
         raise ParameterError(f"{name} is not an (n, d, r) stack: {e}") from None
     if out.ndim != 3 or out.shape[0] == 0:
@@ -83,9 +82,8 @@ class StiefelPoint:
     data: np.ndarray
 
     def __post_init__(self):
-        mat = _as_matrix(self.data, "data").copy()
+        mat = _as_matrix(self.data, "data")
         _check_orthonormal(mat)
-        mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
 
     @property
@@ -108,7 +106,7 @@ class TangentVector:
     data: np.ndarray
 
     def __post_init__(self):
-        mat = _as_matrix(self.data, "data").copy()
+        mat = _as_matrix(self.data, "data")
         if mat.shape != self.base.data.shape:
             raise ParameterError(
                 f"tangent shape {mat.shape} does not match base {self.base.data.shape}"
@@ -120,7 +118,6 @@ class TangentVector:
             raise ParameterError(
                 f"not tangent: max |x.T v + v.T x| = {err:.3e} for ||v||_F = {norm:.3e}"
             )
-        mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
 
     @property
@@ -156,17 +153,15 @@ def consensus_measures(x: np.ndarray) -> tuple:
 class SwarmState:
     """n agent points on one St(d, r) as a read-only (n, d, r) array x, built from a
     sequence of StiefelPoints or an array; shape, finiteness and orthonormality
-    are checked once, for the whole stack. The array is copied unless copy=False,
-    which run passes for the final stack of its loop."""
+    are checked once, for the whole stack, on a copy of the caller's array."""
 
     x: np.ndarray
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy):
+    def __post_init__(self):
         x = self.x
         if not isinstance(x, np.ndarray):
             x = [p.data if isinstance(p, StiefelPoint) else p for p in x]
-        x = as_stack(x, "swarm", copy)
+        x = as_stack(x, "swarm")
         _check_orthonormal(x)
         object.__setattr__(self, "x", x)
 
@@ -227,33 +222,26 @@ class ConsensusRegionParams:
     """Radii of the region where gossip on the manifold contracts linearly.
 
     delta1 bounds the mean-square deviation, delta2 the per-agent deviation;
-    they must satisfy delta1 <= delta2 / (5 sqrt(r)) and delta2 <= 1/6.
+    they must satisfy delta1 <= delta2 / (5 sqrt(r)) and delta2 <= 1/6. delta1 = 0
+    takes that cap, the largest admissible delta1.
     """
 
-    delta1: float
-    delta2: float
     r: int
+    delta2: float = 1.0 / 6.0
+    delta1: float = 0.0
 
     def __post_init__(self):
         if self.r < 1:
             raise ParameterError(f"r must be >= 1, got {self.r}")
         if not (0.0 < self.delta2 <= 1.0 / 6.0 + 1e-15):
             raise ParameterError(f"need 0 < delta2 <= 1/6, got {self.delta2}")
-        cap = self.delta1_cap(self.r, self.delta2)
-        if not (0.0 < self.delta1 <= cap * (1.0 + 1e-12)):
+        cap = float(self.delta2 / (5.0 * np.sqrt(self.r)))
+        if self.delta1 == 0.0:
+            object.__setattr__(self, "delta1", cap)
+        elif not (0.0 < self.delta1 <= cap * (1.0 + 1e-12)):
             raise ParameterError(
                 f"need 0 < delta1 <= delta2/(5 sqrt(r)) = {cap:.6g}, got {self.delta1}"
             )
-
-    @staticmethod
-    def delta1_cap(r: int, delta2: float) -> float:
-        """The largest admissible delta1, delta2 / (5 sqrt(r))."""
-        return float(delta2 / (5.0 * np.sqrt(r)))
-
-    @classmethod
-    def tightest(cls, r: int, delta2: float = 1.0 / 6.0) -> "ConsensusRegionParams":
-        """Largest admissible radii for a given column count."""
-        return cls(delta1=cls.delta1_cap(r, delta2), delta2=delta2, r=r)
 
 
 def _same_shape(x, y) -> tuple:

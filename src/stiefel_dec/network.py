@@ -22,7 +22,8 @@ _ROWSUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph on nodes 0..n-1 without self-loops."""
+    """Undirected connected graph on nodes 0..n-1 without self-loops, built from any
+    iterable of (i, j) pairs; edges holds each pair once, as (min(i, j), max(i, j))."""
 
     n: int
     edges: frozenset
@@ -30,28 +31,18 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"need n >= 1, got {self.n}")
-        edges = frozenset(self.edges)
-        for e in edges:
-            i, j = e
-            if not (0 <= i < j < self.n):
-                raise ParameterError(f"bad edge {e}: need 0 <= i < j < n")
-        object.__setattr__(self, "edges", edges)
+        edges = set()
+        for i, j in self.edges:
+            if i == j:
+                raise ParameterError(f"self-loop at node {i}")
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ParameterError(f"bad edge {(i, j)}: nodes must be in 0..{self.n - 1}")
+            edges.add((min(i, j), max(i, j)))
+        object.__setattr__(self, "edges", frozenset(edges))
         if not self._connected():
             raise ParameterError("graph is not connected")
 
-    @classmethod
-    def from_edges(cls, n: int, pairs) -> "Graph":
-        """Build from any iterable of (i, j) pairs; orientation and duplicates are normalized."""
-        edges = set()
-        for i, j in pairs:
-            if i == j:
-                raise ParameterError(f"self-loop at node {i}")
-            edges.add((min(i, j), max(i, j)))
-        return cls(n=n, edges=frozenset(edges))
-
     def _connected(self) -> bool:
-        if self.n == 1:
-            return True
         adj = [[] for _ in range(self.n)]
         for i, j in sorted(self.edges):
             adj[i].append(j)
@@ -78,14 +69,14 @@ def ring_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     if n < 2:
         raise ParameterError(f"ring needs n >= 2, got {n}")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     """All pairs connected; its Metropolis matrix is the equal-weight (1/n) matrix."""
     if n < 2:
         raise ParameterError(f"complete graph needs n >= 2, got {n}")
-    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 _ER_TRIES = 1000  # samples erdos_renyi draws before it gives up on a connected one
@@ -102,7 +93,7 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
         try:
-            return Graph.from_edges(n, edges)
+            return Graph(n, edges)
         except ParameterError:  # the pairs are valid edges, so the sample is disconnected
             continue
     raise ParameterError(f"no connected ER({n}, {p}) sample in {_ER_TRIES} tries")
@@ -175,10 +166,6 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
 def min_communication_rounds(w: MixingMatrix) -> int:
     """Smallest t with sigma2^t <= 1/(2 sqrt(n)), the per-step rounds the theory asks for."""
     sigma2 = w.sigma2
-    if sigma2 >= 1.0:
-        raise ParameterError(f"sigma2 = {sigma2} must be < 1")
-    if sigma2 <= 0.0:
-        return 1
     target = 1.0 / (2.0 * math.sqrt(w.n))
     if sigma2 <= target:
         return 1

@@ -73,7 +73,7 @@ class TestDrcsStep:
 
     def test_linear_contraction_from_region(self):
         n, d, r = 4, 10, 2
-        p = ConsensusRegionParams.tightest(r)
+        p = ConsensusRegionParams(r=r)
         w = sd.metropolis_weights(sd.ring_graph(n))
         t = sd.min_communication_rounds(w)
         rate = sd.consensus_rate_params(w, t, p)
@@ -324,7 +324,7 @@ class TestRegionPersistenceAndDeviation:
     def _setup(self, seed):
         n, d, r, m = 4, 12, 2, 20
         locals_, _ = sd.synthesize_eigengap_data(n, m, d, r, 0.7, seed=[seed, 0])
-        p = ConsensusRegionParams.tightest(r)
+        p = ConsensusRegionParams(r=r)
         w = sd.metropolis_weights(sd.ring_graph(n))
         t = sd.min_communication_rounds(w)
         rate = sd.consensus_rate_params(w, t, p)
@@ -410,7 +410,7 @@ class TestRun:
 
     def test_consensus_run_monotone_and_stops(self):
         n, d, r = 4, 8, 2
-        p = ConsensusRegionParams.tightest(r)
+        p = ConsensusRegionParams(r=r)
         w = sd.metropolis_weights(sd.ring_graph(n))
         t = sd.min_communication_rounds(w)
         rate = sd.consensus_rate_params(w, t, p)

@@ -29,6 +29,33 @@ def test_every_config_parses(capsys):
     assert rejected == [], capsys.readouterr().err
 
 
+# the stderr prefixes each failing exit code documents (cli.py)
+PREFIXES = {2: ("config error: ", "error: "), 3: ("ingestion error: ",), 4: ("numerical error: ",)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failure_block_exits_with_documented_codes(tmp_path, monkeypatch, capsys):
+    # every config from the first failure to the end, in-process: no exception escapes,
+    # no traceback, and a failing code prints one error line with its prefix
+    for name, data in cli_digests.FILES.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    names = [name for name, _ in cli_digests.CONFIGS]
+    wrong = []
+    for name, line in cli_digests.CONFIGS[names.index("config-n-float"):]:
+        try:
+            code = cli.main(cli_digests.cli_args(line))
+        except Exception as e:
+            code = repr(e)
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        if code not in (0, 2, 3, 4, 5) or "Traceback" in err or (
+            code in PREFIXES and not (len(lines) == 1 and lines[0].startswith(PREFIXES[code]))
+        ):
+            wrong.append((name, code, err))
+    assert wrong == []
+
+
 R = 2
 DIAMETER = 2.0 * math.sqrt(R)
 HEADER = "k,consensus_err_sq,linf_err,grad_norm_sq,f_bar,ds_oracle,beta_k,elapsed_ms"

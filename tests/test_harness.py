@@ -495,6 +495,37 @@ class TestCli:
             "config error: n, data_path: n=2: the problem's arrays cannot be allocated (Unable to allocate 14.6 TiB)\n"
         )
 
+    def test_unallocatable_drcs_start_is_2_naming_n_d_and_r(self, tmp_path, capsys, monkeypatch):
+        # drcs builds no problem: the shared start of 1e12 x 1 doubles is 7.28 TiB, which
+        # malloc refuses at once; the swarm's (n, d, r) draw after it is covered too
+        out = tmp_path / "o.csv"
+        command = ["run", "--algorithm", "drcs", "--r", "1", "--max-iters", "1", "--out", str(out)]
+        assert main(command + ["--d", "1000000000000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n, d, r: n=8, d=1000000000000, r=1: the start's arrays cannot "
+                              "be allocated (Unable to allocate 7.28 TiB")
+        assert "Traceback" not in err
+
+        def refused(*args):
+            raise MemoryError("Unable to allocate 2.00 TiB")
+
+        monkeypatch.setattr(harness, "perturbed_swarm", refused)
+        assert main(command + ["--d", "30"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: n, d, r: n=8, d=30, r=1: the start's arrays cannot be allocated (Unable to allocate 2.00 TiB)\n"
+        )
+        assert not out.exists()
+
+    def test_synthetic_rows_below_d_are_2_naming_m(self, tmp_path, capsys):
+        # n m = 6 rows cannot carry a full spectrum in d = 30; drcs builds no problem, so any m passes
+        out = tmp_path / "o.csv"
+        for command in (["run", "--max-iters", "1", "--out", str(out)], ["oracle"], ["spectral"]):
+            assert main(command + ["--n", "2", "--m", "3", "--d", "30"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == "config error: m: need n * m >= d rows for a full spectrum, got n * m = 6 < d = 30\n"
+        assert not out.exists()
+        assert ExperimentConfig(n=2, m=15, d=30).m == 15  # n m = d is a full spectrum
+        assert ExperimentConfig(algorithm="drcs", n=2, m=3, d=30).m == 3
+
     def test_alpha_with_no_contraction_is_2_naming_alpha(self, tmp_path, capsys):
         # 1 - gamma_t * alpha rounds to 1, so W^t would not contract the swarm at all
         out = tmp_path / "o.csv"

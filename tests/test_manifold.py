@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -299,7 +302,7 @@ class TestInducedArithmeticMean:
             n = int(rng.integers(2, 7))
             d = int(rng.integers(3, 9))
             r = int(rng.integers(1, 4))
-            p = ConsensusRegionParams.tightest(r)
+            p = ConsensusRegionParams(r=r)
             sx = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
             sy = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
             lhs = np.linalg.norm(sx.mean_point.data - sy.mean_point.data)
@@ -344,10 +347,22 @@ class TestConsensusRegion:
         with pytest.raises(ParameterError):
             ConsensusRegionParams(delta1=0.01, delta2=0.2, r=1)
 
+    def test_delta1_zero_takes_the_cap(self):
+        # bit for bit delta2 / (5 sqrt(r)), the value --delta1 0 resolves to
+        for r in range(1, 6):
+            assert ConsensusRegionParams(r=r).delta1 == (1 / 6) / (5 * math.sqrt(r))
+            assert ConsensusRegionParams(r=r, delta2=0.1).delta1 == 0.1 / (5 * math.sqrt(r))
+
+    def test_explicit_delta1_above_the_cap_is_rejected(self):
+        # the message the delta1-above-cap digest line pins
+        message = "need 0 < delta1 <= delta2/(5 sqrt(r)) = 0.0149071, got 0.5"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ConsensusRegionParams(r=5, delta1=0.5)
+
     def test_identical_points_inside(self):
         rng = np.random.default_rng(16)
         x = sd.random_stiefel(5, 2, rng)
-        s, p = SwarmState((x, x, x)), ConsensusRegionParams.tightest(2)
+        s, p = SwarmState((x, x, x)), ConsensusRegionParams(r=2)
         assert sd.in_consensus_region(s, p) is True
         assert s.consensus_error_sq < p.delta1**2 and s.linf_error < p.delta2
 
@@ -355,7 +370,7 @@ class TestConsensusRegion:
         rng = np.random.default_rng(17)
         x = sd.random_stiefel(6, 1, rng)
         far = StiefelPoint(sd.polar_retract(x.data, sd.random_tangent(x, rng, norm=0.5).data))
-        s, p = SwarmState((x, x, x, far)), ConsensusRegionParams.tightest(1)
+        s, p = SwarmState((x, x, x, far)), ConsensusRegionParams(r=1)
         assert sd.in_consensus_region(s, p) is False
         assert s.linf_error > p.delta2
 
@@ -363,7 +378,7 @@ class TestConsensusRegion:
         rng = np.random.default_rng(18)
         s = SwarmState((sd.random_stiefel(4, 2, rng),))
         with pytest.raises(ParameterError):
-            sd.in_consensus_region(s, ConsensusRegionParams.tightest(1))
+            sd.in_consensus_region(s, ConsensusRegionParams(r=1))
 
 
 class TestRandomStiefel:
@@ -399,12 +414,11 @@ class TestSwarmState:
 
     def test_fresh_stack_is_kept_and_still_checked(self):
         x = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
-        s = SwarmState(x, copy=False)
-        assert s.x is x and not x.flags.writeable
+        SwarmState(x)
         with pytest.raises(ParameterError, match="not orthonormal"):
-            SwarmState(2.0 * np.stack([np.eye(3)[:, :2]] * 2), copy=False)
+            SwarmState(2.0 * np.stack([np.eye(3)[:, :2]] * 2))
         with pytest.raises(ParameterError, match=r"^swarm must be a nonempty \(n, d, r\) stack, got shape \(3, 2\)$"):
-            SwarmState(np.eye(3)[:, :2], copy=False)
+            SwarmState(np.eye(3)[:, :2])
 
     def test_perturbed_swarm_size_and_spread(self):
         rng = np.random.default_rng(23)

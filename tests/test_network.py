@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,11 +44,19 @@ class TestGraphs:
 
     def test_disconnected_rejected(self):
         with pytest.raises(ParameterError, match="^graph is not connected$"):
-            Graph.from_edges(4, [(0, 1), (2, 3)])
+            Graph(4, [(0, 1), (2, 3)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParameterError):
-            Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+            Graph(3, [(0, 0), (0, 1), (1, 2)])
+
+    def test_any_orientation_and_duplicates_give_one_edge_each(self):
+        assert Graph(4, [(1, 0), (0, 1), (2, 1), (3, 2), (3, 0)]).edges == sd.ring_graph(4).edges
+
+    @pytest.mark.parametrize("pair", [(3, 1), (0, 3), (-1, 0)])
+    def test_out_of_range_pair_rejected_by_name(self, pair):
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'bad edge {pair}: nodes must be in 0..2')}$"):
+            Graph(3, [(0, 1), (1, 2), pair])
 
     def test_small_n_rejected(self):
         for build in (sd.ring_graph, sd.complete_graph):
@@ -195,7 +204,7 @@ class TestConsensusRateParams:
 
     def test_equal_weight_matrix(self):
         w = MixingMatrix(np.full((4, 4), 0.25))
-        rep = sd.consensus_rate_params(w, 1, ConsensusRegionParams.tightest(1))
+        rep = sd.consensus_rate_params(w, 1, ConsensusRegionParams(r=1))
         assert abs(rep.mu_t - 1.0) <= 1e-12
         assert abs(rep.l_t - 1.0) <= 1e-12
 
@@ -208,14 +217,14 @@ class TestConsensusRateParams:
             w = sd.metropolis_weights(g)
             t = int(rng.integers(1, 5))
             r = int(rng.integers(1, 5))
-            rep = sd.consensus_rate_params(w, t, ConsensusRegionParams.tightest(r))
+            rep = sd.consensus_rate_params(w, t, ConsensusRegionParams(r=r))
             assert rep.gamma_t >= rep.mu_t / 2.0 - 1e-12
             assert rep.mu_t / 2.0 >= (1.0 - w.sigma2**t) / 2.0 - 1e-12
             assert 0.0 < rep.rho_t < 1.0
 
     def test_alpha_above_cap_rejected(self):
         w = sd.metropolis_weights(sd.ring_graph(8))
-        p = ConsensusRegionParams.tightest(3)
+        p = ConsensusRegionParams(r=3)
         rep = sd.consensus_rate_params(w, 1, p)
         assert rep.alpha_bar < 1.0
         with pytest.raises(ParameterError, match=r"^alpha = 1.0 exceeds alpha_bar = "):
