@@ -209,6 +209,8 @@ CONFIGS = [
     ("drcs-d-1e12", "run --algorithm drcs --d 1000000000000 --r 1 --max-iters 1"),
     # n m = 6 synthetic rows cannot carry a full spectrum in d = 30: exits 2 naming m
     ("synthetic-m-below-d", "run --n 2 --m 3 --d 30 --max-iters 1"),
+    # an --er-p that contradicts the compact er(p) form: exits 2 naming er_p
+    ("er-p-conflict", "spectral --graph er(0.3) --er-p 0.5"),
 ]
 
 

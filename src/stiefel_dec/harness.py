@@ -140,24 +140,24 @@ def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
     unknown = set(merged) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "graph" in merged:
+    if isinstance(merged.get("graph"), str):  # any other type fails validate_config's type check
         merged.update(_parse_graph_choice(merged["graph"], merged.get("er_p")))
     return ExperimentConfig(**merged)
 
 
-def _parse_graph_choice(value, er_p) -> dict:
-    """Accept 'ring', 'complete', 'er' or the compact 'er(0.3)' form."""
-    text = str(value).strip().lower()
-    if text.startswith("er(") and text.endswith(")"):
-        try:
-            p = float(text[3:-1])
-        except ValueError:
-            raise ConfigError(f"graph: cannot parse probability in {value!r}") from None
-        return {"graph": "er", "er_p": p}
-    out = {"graph": text}
-    if er_p is not None:
-        out["er_p"] = er_p
-    return out
+def _parse_graph_choice(value: str, er_p) -> dict:
+    """Accept 'ring', 'complete', 'er' or the compact 'er(0.3)' form, which an er_p
+    given beside it must agree with."""
+    text = value.strip().lower()
+    if not (text.startswith("er(") and text.endswith(")")):
+        return {"graph": text}
+    try:
+        p = float(text[3:-1])
+    except ValueError:
+        raise ConfigError(f"graph: cannot parse probability in {value!r}") from None
+    if er_p is not None and er_p != p:
+        raise ConfigError(f"er_p: got {er_p!r}, but graph {value!r} sets {p!r}")
+    return {"graph": "er", "er_p": p}
 
 
 # annotation -> (accepted type, noun for errors); a bool is an int in Python but not here

@@ -8,6 +8,7 @@ per optimization step is mixing once with W^t.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ class Graph:
             raise ParameterError(f"need n >= 1, got {self.n}")
         edges = set()
         for i, j in self.edges:
+            if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+                raise ParameterError(f"bad edge {(i, j)}: nodes must be integers")
             if i == j:
                 raise ParameterError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import ConsensusRegionParams, StepsizeSchedule, SwarmState, TrackerState
+from stiefel_dec import manifold, metrics, network, problems
 from stiefel_dec.algorithms import (
+    StepsizeSchedule,
+    TrackerState,
     drcs_step,
     drgta_init,
     drgta_step,
@@ -18,6 +19,7 @@ from stiefel_dec.algorithms import (
     tracking_residual,
 )
 from stiefel_dec.harness import parse_config, run_experiment
+from stiefel_dec.manifold import ConsensusRegionParams, SwarmState
 
 
 def _verdict(num, name, ok, detail=""):
@@ -26,15 +28,15 @@ def _verdict(num, name, ok, detail=""):
 
 
 def _ring_metropolis(n):
-    return sd.metropolis_weights(sd.ring_graph(n))
+    return network.metropolis_weights(network.ring_graph(n))
 
 
 @pytest.fixture(scope="module")
 def convergence_instance():
     """Shared instance for criteria 3-5: synthetic(d=30, r=5, m=100, gap=0.8), n=8 ring."""
-    locals_, xstar = sd.synthesize_eigengap_data(8, 100, 30, 5, 0.8, seed=[11, 0])
+    locals_, xstar = problems.synthesize_eigengap_data(8, 100, 30, 5, 0.8, seed=[11, 0])
     w = _ring_metropolis(8)
-    x0 = sd.random_stiefel(30, 5, np.random.default_rng([11, 1]))
+    x0 = manifold.random_stiefel(30, 5, np.random.default_rng([11, 1]))
     return locals_, xstar, w, SwarmState((x0,) * 8)
 
 
@@ -61,9 +63,9 @@ def drdgd_run(convergence_instance):
 
 
 def test_criterion_01_tracking_exactness():
-    locals_, _ = sd.synthesize_eigengap_data(8, 50, 20, 3, 0.8, seed=[21, 0])
+    locals_, _ = problems.synthesize_eigengap_data(8, 50, 20, 3, 0.8, seed=[21, 0])
     w = _ring_metropolis(8)
-    x0 = sd.random_stiefel(20, 3, np.random.default_rng([21, 1]))
+    x0 = manifold.random_stiefel(20, 3, np.random.default_rng([21, 1]))
     x = SwarmState((x0,) * 8).x
     y, g = drgta_init(x, locals_)
     beta = 0.05 / 50.0
@@ -86,12 +88,12 @@ def test_criterion_02_drcs_q_linear_contraction():
     n, d, r = 8, 20, 3
     p = ConsensusRegionParams(delta1=(1.0 / 6.0) / (5.0 * math.sqrt(3.0)), delta2=1.0 / 6.0, r=r)
     w = _ring_metropolis(n)
-    t = sd.min_communication_rounds(w)
-    rate = sd.consensus_rate_params(w, t, p)  # alpha = alpha_bar
-    wt = sd.matrix_power(w, t)
+    t = network.min_communication_rounds(w)
+    rate = network.consensus_rate_params(w, t, p)  # alpha = alpha_bar
+    wt = network.matrix_power(w, t)
     rng = np.random.default_rng(22)
-    s = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
-    assert bool(sd.in_consensus_region(s, p))
+    s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
+    assert bool(manifold.in_consensus_region(s, p))
     x, err = s.x, s.stacked_error()
     worst_ratio, steps = 0.0, 0
     while err > 1e-12 and steps < 500:
@@ -132,7 +134,7 @@ def test_criterion_05_drsgd_stepsize_accuracy(convergence_instance):
         beta = beta_hat / (100.0 * math.sqrt(200.0))
         finals = []
         for seed in (1, 2, 3):
-            x0 = sd.random_stiefel(30, 5, np.random.default_rng([seed, 1]))
+            x0 = manifold.random_stiefel(30, 5, np.random.default_rng([seed, 1]))
             result = run(
                 "drsgd", SwarmState((x0,) * 8), w, alpha=1.0, locals_=locals_,
                 schedule=StepsizeSchedule(beta), oracle=xstar,
@@ -152,26 +154,26 @@ def test_criterion_06_retraction_properties():
     for _ in range(1000):
         d = int(rng.integers(2, 10))
         r = int(rng.integers(1, d + 1))
-        x = sd.random_stiefel(d, r, rng)
-        y = sd.random_stiefel(d, r, rng)
-        xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 2.0)))
-        out = sd.polar_retract(x.data, xi.data)
+        x = manifold.random_stiefel(d, r, rng)
+        y = manifold.random_stiefel(d, r, rng)
+        xi = manifold.random_tangent(x, rng, norm=float(rng.uniform(0.0, 2.0)))
+        out = manifold.polar_retract(x.data, xi.data)
         if np.linalg.norm(out - y.data) > np.linalg.norm(x.data + xi.data - y.data) + 1e-12:
             violations += 1
     for _ in range(1000):
         d = int(rng.integers(2, 10))
         r = int(rng.integers(1, d + 1))
-        x = sd.random_stiefel(d, r, rng)
-        xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 1.0)))
-        out = sd.polar_retract(x.data, xi.data)
+        x = manifold.random_stiefel(d, r, rng)
+        xi = manifold.random_tangent(x, rng, norm=float(rng.uniform(0.0, 1.0)))
+        out = manifold.polar_retract(x.data, xi.data)
         if np.linalg.norm(out - (x.data + xi.data)) > xi.norm**2 + 1e-12:
             violations += 1
     _verdict(6, "retraction property suite", violations == 0, f"{violations} violations in 2x1000 trials")
 
 
 def test_criterion_07_lipschitz_suite():
-    locals_, _ = sd.synthesize_eigengap_data(4, 12, 10, 3, 0.8, seed=[24, 0])
-    constants = sd.quadratic_constants(locals_, r=3)
+    locals_, _ = problems.synthesize_eigengap_data(4, 12, 10, 3, 0.8, seed=[24, 0])
+    constants = problems.quadratic_constants(locals_, r=3)
     rng = np.random.default_rng(25)
 
     def f(x):
@@ -179,12 +181,12 @@ def test_criterion_07_lipschitz_suite():
 
     def grad(x):
         acc = locals_.euclidean_grad(x.data).sum(axis=0) / locals_.n
-        return sd.project_to_tangent(x.data, acc)
+        return manifold.project_to_tangent(x.data, acc)
 
     bad = 0
     for _ in range(1000):
-        x = sd.random_stiefel(10, 3, rng)
-        y = sd.random_stiefel(10, 3, rng)
+        x = manifold.random_stiefel(10, 3, rng)
+        y = manifold.random_stiefel(10, 3, rng)
         diff = y.data - x.data
         if abs(f(y) - f(x) - float(np.sum(grad(x) * diff))) > 0.5 * constants.l_g * np.linalg.norm(diff) ** 2 + 1e-10:
             bad += 1
@@ -200,8 +202,8 @@ def test_criterion_08_iam_vs_euclidean_mean_bound():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(3, 12))
         r = int(rng.integers(1, 4))
-        x0 = sd.random_stiefel(d, r, rng)
-        s = sd.perturbed_swarm(x0, n, float(rng.uniform(0.01, math.sqrt(0.5))), rng)
+        x0 = manifold.random_stiefel(d, r, rng)
+        s = manifold.perturbed_swarm(x0, n, float(rng.uniform(0.01, math.sqrt(0.5))), rng)
         stacked_sq = s.n * s.consensus_error_sq
         if stacked_sq > n / 2.0:
             continue
@@ -220,13 +222,13 @@ def test_criterion_09_gradient_vs_finite_differences():
         d = int(rng.integers(3, 10))
         r = int(rng.integers(1, min(d, 4) + 1))
         rows = rng.standard_normal((d + 2, d)) / math.sqrt(d)
-        o = sd.EigLocal(rows)
-        x = sd.random_stiefel(d, r, rng)
-        xi = sd.random_tangent(x, rng, norm=1.0)
-        analytic = float(np.sum(sd.project_to_tangent(x.data, o.euclidean_grad(x.data)[0]) * xi.data))
+        o = problems.EigLocal(rows)
+        x = manifold.random_stiefel(d, r, rng)
+        xi = manifold.random_tangent(x, rng, norm=1.0)
+        analytic = float(np.sum(manifold.project_to_tangent(x.data, o.euclidean_grad(x.data)[0]) * xi.data))
         numeric = (
-            o.value(sd.polar_retract(x.data, xi.scaled(h).data))[0]
-            - o.value(sd.polar_retract(x.data, xi.scaled(-h).data))[0]
+            o.value(manifold.polar_retract(x.data, xi.scaled(h).data))[0]
+            - o.value(manifold.polar_retract(x.data, xi.scaled(-h).data))[0]
         ) / (2.0 * h)
         worst = max(worst, abs(numeric - analytic))
     _verdict(9, "gradient matches finite differences", worst <= 1e-5, f"max gap {worst:.3e} <= 1e-5")
@@ -237,12 +239,12 @@ def test_criterion_10_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 12))
-        u = sd.random_stiefel(d, 1, rng)
-        v = sd.random_stiefel(d, 1, rng)
+        u = manifold.random_stiefel(d, 1, rng)
+        v = manifold.random_stiefel(d, 1, rng)
         brute = min(np.linalg.norm(u.data - v.data), np.linalg.norm(u.data + v.data))
-        worst = max(worst, abs(sd.subspace_distance(u.data, v.data) - brute))
-    locals_, xstar = sd.synthesize_eigengap_data(6, 20, 16, 3, 0.8, seed=[29, 0])
-    ds = sd.subspace_distance(sd.centralized_oracle(locals_, 3).data, xstar.data)
+        worst = max(worst, abs(metrics.subspace_distance(u.data, v.data) - brute))
+    locals_, xstar = problems.synthesize_eigengap_data(6, 20, 16, 3, 0.8, seed=[29, 0])
+    ds = metrics.subspace_distance(problems.centralized_oracle(locals_, 3).data, xstar.data)
     _verdict(
         10, "distance and solution oracles agree", worst <= 1e-12 and ds <= 1e-10,
         f"procrustes-vs-brute gap {worst:.2e} <= 1e-12, oracle ds {ds:.2e} <= 1e-10",
@@ -252,7 +254,7 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_spectral_values():
     w = _ring_metropolis(4)
     p = ConsensusRegionParams(delta1=1.0 / 30.0, delta2=1.0 / 6.0, r=1)
-    rep = sd.consensus_rate_params(w, 2, p)
+    rep = network.consensus_rate_params(w, 2, p)
     # independent scripted evaluation straight from eigenvalues and formulas
     evals = np.linalg.eigvalsh(np.linalg.matrix_power(w.w, 2))
     l_t = 1.0 - evals[0]
@@ -263,7 +265,7 @@ def test_criterion_11_spectral_values():
     rho = math.sqrt(1.0 - gamma * alpha_bar)
     ok = (
         abs(w.sigma2 - 1.0 / 3.0) <= 1e-12
-        and sd.min_communication_rounds(w) == 2
+        and network.min_communication_rounds(w) == 2
         and abs(rep.l_t - l_t) <= 1e-12
         and abs(rep.mu_t - mu_t) <= 1e-12
         and abs(rep.alpha_bar - alpha_bar) <= 1e-12

@@ -5,21 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import (
-    ConsensusRegionParams,
-    EigLocal,
-    IterationRecord,
-    MixingMatrix,
-    NumericalError,
-    ParameterError,
-    SmoothnessConstants,
-    StepsizeSchedule,
-    StiefelPoint,
-    SwarmState,
-    TrackerState,
-)
+from stiefel_dec import manifold, metrics, network, problems
 from stiefel_dec.algorithms import (
+    StepsizeSchedule,
+    TrackerState,
     drcs_step,
     drgta_init,
     drgta_max_stepsize,
@@ -31,8 +20,11 @@ from stiefel_dec.algorithms import (
     steps_per_epoch,
     tracking_residual,
 )
-from stiefel_dec.manifold import consensus_measures
-from stiefel_dec.metrics import average_value
+from stiefel_dec.errors import NumericalError, ParameterError
+from stiefel_dec.manifold import ConsensusRegionParams, StiefelPoint, SwarmState, consensus_measures
+from stiefel_dec.metrics import IterationRecord, average_value
+from stiefel_dec.network import MixingMatrix
+from stiefel_dec.problems import EigLocal, SmoothnessConstants
 
 
 def col(*vals):
@@ -48,7 +40,7 @@ def homogeneous_problem(n, d, r, m, seed):
     """All agents share the same data block, so every local optimum coincides."""
     rows = np.random.default_rng(seed).standard_normal((m, d))
     locals_ = EigLocal(np.tile(rows, (n, 1)), n)
-    return locals_, sd.centralized_oracle(locals_, r)
+    return locals_, problems.centralized_oracle(locals_, r)
 
 
 def stacked_error(x):
@@ -58,9 +50,9 @@ def stacked_error(x):
 class TestDrcsStep:
     def test_identical_points_fixed(self):
         rng = np.random.default_rng(0)
-        x = sd.random_stiefel(6, 2, rng)
+        x = manifold.random_stiefel(6, 2, rng)
         s = SwarmState((x,) * 4)
-        out = drcs_step(s.x, sd.metropolis_weights(sd.ring_graph(4)), alpha=1.0)
+        out = drcs_step(s.x, network.metropolis_weights(network.ring_graph(4)), alpha=1.0)
         for p in out:
             assert np.allclose(p, x.data, atol=1e-14)
 
@@ -74,13 +66,13 @@ class TestDrcsStep:
     def test_linear_contraction_from_region(self):
         n, d, r = 4, 10, 2
         p = ConsensusRegionParams(r=r)
-        w = sd.metropolis_weights(sd.ring_graph(n))
-        t = sd.min_communication_rounds(w)
-        rate = sd.consensus_rate_params(w, t, p)
-        wt = sd.matrix_power(w, t)
+        w = network.metropolis_weights(network.ring_graph(n))
+        t = network.min_communication_rounds(w)
+        rate = network.consensus_rate_params(w, t, p)
+        wt = network.matrix_power(w, t)
         rng = np.random.default_rng(1)
-        s = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
-        assert sd.in_consensus_region(s, p)
+        s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
+        assert manifold.in_consensus_region(s, p)
         x, err = s.x, s.stacked_error()
         for _ in range(60):
             if err <= 1e-12:
@@ -100,8 +92,8 @@ class TestDrcsStep:
 class TestDrsgdStep:
     def test_zero_beta_reduces_to_consensus(self):
         rng = np.random.default_rng(2)
-        w = sd.metropolis_weights(sd.ring_graph(4))
-        s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(4)))
+        w = network.metropolis_weights(network.ring_graph(4))
+        s = SwarmState(tuple(manifold.random_stiefel(6, 2, rng) for _ in range(4)))
         a = drsgd_step(s.x, w, 1.0, 0.0, np.zeros((4, 6, 2)))
         b = drcs_step(s.x, w, 1.0)
         for pa, pb in zip(a, b):
@@ -110,19 +102,19 @@ class TestDrsgdStep:
     def test_single_agent_is_centralized_step(self):
         rng = np.random.default_rng(3)
         locals_, _ = homogeneous_problem(1, 8, 2, 12, seed=4)
-        x = sd.random_stiefel(8, 2, rng)
+        x = manifold.random_stiefel(8, 2, rng)
         egrad = locals_.euclidean_grad(x.data)  # drsgd_step projects it
-        g = sd.project_to_tangent(x.data, egrad[0])
+        g = manifold.project_to_tangent(x.data, egrad[0])
         beta = 1e-3
         out = drsgd_step(SwarmState((x,)).x, SINGLE, 1.0, beta, egrad)
-        expect = sd.polar_retract(x.data, -beta * g)
+        expect = manifold.polar_retract(x.data, -beta * g)
         assert np.allclose(out[0], expect, atol=1e-14)
 
     def test_stationary_at_oracle_consensus(self):
         # identical data on every agent: grad f_i vanishes at the solution
         locals_, xstar = homogeneous_problem(3, 8, 2, 15, seed=5)
         s = SwarmState((xstar,) * 3)
-        w = sd.metropolis_weights(sd.ring_graph(3))
+        w = network.metropolis_weights(network.ring_graph(3))
         out = drsgd_step(s.x, w, 1.0, 1e-2, locals_.euclidean_grad(s.x))
         for p in out:
             assert np.abs(p - xstar.data).max() <= 1e-12
@@ -130,9 +122,9 @@ class TestDrsgdStep:
     def test_gradient_count_mismatch_rejected(self):
         # arrays carry no base point; the contract left is one gradient per agent
         rng = np.random.default_rng(6)
-        s = SwarmState(tuple(sd.random_stiefel(5, 2, rng) for _ in range(2)))
-        other = sd.random_stiefel(5, 2, rng)
-        bad = np.stack([sd.random_tangent(other, rng).data for _ in range(3)])
+        s = SwarmState(tuple(manifold.random_stiefel(5, 2, rng) for _ in range(2)))
+        other = manifold.random_stiefel(5, 2, rng)
+        bad = np.stack([manifold.random_tangent(other, rng).data for _ in range(3)])
         with pytest.raises(ParameterError, match=r"^gradients of shape \(3, 5, 2\) for a swarm of shape \(2, 5, 2\)$"):
             drsgd_step(s.x, HALF2, 1.0, 0.1, bad)
 
@@ -224,13 +216,13 @@ class TestDrgtaStepsizes:
 class TestDrgtaInitAndStep:
     def test_init_tracker_identity_exact(self):
         rng = np.random.default_rng(7)
-        locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=8)
-        s = SwarmState(tuple(sd.random_stiefel(8, 2, rng) for _ in range(4)))
+        locals_, _ = problems.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=8)
+        s = SwarmState(tuple(manifold.random_stiefel(8, 2, rng) for _ in range(4)))
         tr = TrackerState(*drgta_init(s.x, locals_))
         assert tracking_residual(tr, s, locals_) <= 1e-14
 
     def test_init_sums_to_zero_at_oracle(self):
-        locals_, xstar = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
+        locals_, xstar = problems.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=9)
         y, _ = drgta_init(SwarmState((xstar,) * 4).x, locals_)
         total = sum(np.linalg.norm(yi) for yi in y)
         assert total > 1e-8  # individual trackers need not vanish
@@ -239,15 +231,15 @@ class TestDrgtaInitAndStep:
     def test_init_zero_for_identity_gram(self):
         rng = np.random.default_rng(10)
         locals_ = EigLocal(np.tile(np.eye(6), (3, 1)), 3)
-        s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
+        s = SwarmState(tuple(manifold.random_stiefel(6, 2, rng) for _ in range(3)))
         y, _ = drgta_init(s.x, locals_)
         for yi in y:
             assert np.abs(yi).max() <= 1e-14
 
     def test_tracking_identity_over_200_steps(self):
-        locals_, _ = sd.synthesize_eigengap_data(4, 20, 10, 2, 0.8, seed=[11, 0])
-        w = sd.metropolis_weights(sd.ring_graph(4))
-        x0 = sd.random_stiefel(10, 2, np.random.default_rng([11, 1]))
+        locals_, _ = problems.synthesize_eigengap_data(4, 20, 10, 2, 0.8, seed=[11, 0])
+        w = network.metropolis_weights(network.ring_graph(4))
+        x0 = manifold.random_stiefel(10, 2, np.random.default_rng([11, 1]))
         x = SwarmState((x0,) * 4).x
         y, g = drgta_init(x, locals_)
         beta = 0.05 / 20.0
@@ -261,9 +253,9 @@ class TestDrgtaInitAndStep:
 
     def test_zero_beta_zero_tracker_reduces_to_consensus(self):
         rng = np.random.default_rng(12)
-        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=13)
-        w = sd.metropolis_weights(sd.ring_graph(3))
-        s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(3)))
+        locals_, _ = problems.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=13)
+        w = network.metropolis_weights(network.ring_graph(3))
+        s = SwarmState(tuple(manifold.random_stiefel(6, 2, rng) for _ in range(3)))
         zeros = np.zeros((3, 6, 2))
         stepped, _, _ = drgta_step(s.x, zeros, zeros, w, 1.0, 0.0, locals_)
         reference = drcs_step(s.x, w, 1.0)
@@ -273,28 +265,28 @@ class TestDrgtaInitAndStep:
     def test_single_agent_is_centralized_gradient_descent(self):
         locals_, _ = homogeneous_problem(1, 7, 2, 10, seed=14)
         o = locals_
-        x0 = sd.random_stiefel(7, 2, np.random.default_rng(15))
+        x0 = manifold.random_stiefel(7, 2, np.random.default_rng(15))
         x = SwarmState((x0,)).x
         y, g = drgta_init(x, locals_)
         beta = 1e-3
         x_ref = x0.data
         for _ in range(20):
             x, y, g = drgta_step(x, y, g, SINGLE, 1.0, beta, locals_)
-            g_ref = sd.project_to_tangent(x_ref, o.euclidean_grad(x_ref)[0])
-            x_ref = sd.polar_retract(x_ref, -beta * g_ref)
+            g_ref = manifold.project_to_tangent(x_ref, o.euclidean_grad(x_ref)[0])
+            x_ref = manifold.polar_retract(x_ref, -beta * g_ref)
             assert np.allclose(x[0], x_ref, atol=1e-12)
             # tracker telescopes to the current gradient
-            g_now = sd.project_to_tangent(x[0], o.euclidean_grad(x[0])[0])
+            g_now = manifold.project_to_tangent(x[0], o.euclidean_grad(x[0])[0])
             assert np.allclose(y[0], g_now, atol=1e-12)
 
     def test_caller_arrays_are_copied_and_steps_freeze_theirs(self):
-        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=16)
-        s = SwarmState(tuple(sd.random_stiefel(6, 2, np.random.default_rng(17)) for _ in range(3)))
+        locals_, _ = problems.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=16)
+        s = SwarmState(tuple(manifold.random_stiefel(6, 2, np.random.default_rng(17)) for _ in range(3)))
         y, g = np.ones((3, 6, 2)), np.zeros((3, 6, 2))
         tr = TrackerState(y, g)
         y[0, 0, 0] = g[0, 0, 0] = 5.0  # the caller's arrays stay theirs
         assert tr.y[0, 0, 0] == 1.0 and tr.g[0, 0, 0] == 0.0
-        w = sd.metropolis_weights(sd.ring_graph(3))
+        w = network.metropolis_weights(network.ring_graph(3))
         moved = drgta_step(s.x, tr.y, tr.g, w, 1.0, 1e-3, locals_)
         started = drgta_init(s.x, locals_)
         stepped = (drcs_step(s.x, w, 1.0), drsgd_step(s.x, w, 1.0, 1e-3, locals_.euclidean_grad(s.x)))
@@ -308,9 +300,9 @@ class TestDrgtaInitAndStep:
             TrackerState(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)))
 
     def test_step_shape_validation(self):
-        locals_, _ = sd.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=18)
-        x = SwarmState(tuple(sd.random_stiefel(6, 2, np.random.default_rng(19)) for _ in range(3))).x
-        w = sd.metropolis_weights(sd.ring_graph(3))
+        locals_, _ = problems.synthesize_eigengap_data(3, 10, 6, 2, 0.7, seed=18)
+        x = SwarmState(tuple(manifold.random_stiefel(6, 2, np.random.default_rng(19)) for _ in range(3))).x
+        w = network.metropolis_weights(network.ring_graph(3))
         good, bad = np.zeros((3, 6, 2)), np.zeros((2, 6, 2))
         with pytest.raises(ParameterError, match=r"^trackers of shape \(2, 6, 2\) for a swarm of shape \(3, 6, 2\)$"):
             drgta_step(x, bad, good, w, 1.0, 1e-3, locals_)
@@ -323,14 +315,14 @@ class TestDrgtaInitAndStep:
 class TestRegionPersistenceAndDeviation:
     def _setup(self, seed):
         n, d, r, m = 4, 12, 2, 20
-        locals_, _ = sd.synthesize_eigengap_data(n, m, d, r, 0.7, seed=[seed, 0])
+        locals_, _ = problems.synthesize_eigengap_data(n, m, d, r, 0.7, seed=[seed, 0])
         p = ConsensusRegionParams(r=r)
-        w = sd.metropolis_weights(sd.ring_graph(n))
-        t = sd.min_communication_rounds(w)
-        rate = sd.consensus_rate_params(w, t, p)
-        wt = sd.matrix_power(w, t)
-        constants = sd.quadratic_constants(locals_, r)
-        x0 = sd.random_stiefel(d, r, np.random.default_rng([seed, 1]))
+        w = network.metropolis_weights(network.ring_graph(n))
+        t = network.min_communication_rounds(w)
+        rate = network.consensus_rate_params(w, t, p)
+        wt = network.matrix_power(w, t)
+        constants = problems.quadratic_constants(locals_, r)
+        x0 = manifold.random_stiefel(d, r, np.random.default_rng([seed, 1]))
         return locals_, p, rate, wt, constants, SwarmState((x0,) * n)
 
     def test_region_persists_under_capped_stepsizes(self):
@@ -341,7 +333,7 @@ class TestRegionPersistenceAndDeviation:
         for k in range(300):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
             x = drsgd_step(x, wt, rate.alpha, sched.beta(k), locals_.stochastic_egrad(x, batches))
-            assert bool(sd.in_consensus_region(SwarmState(x), p))
+            assert bool(manifold.in_consensus_region(SwarmState(x), p))
 
     def test_bounded_deviation_with_constant_stepsize(self):
         locals_, p, rate, wt, constants, s = self._setup(17)
@@ -361,9 +353,9 @@ class TestRegionPersistenceAndDeviation:
 
 class TestRun:
     def _instance(self, seed=18, n=4, d=10, r=2, m=20):
-        locals_, xstar = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=[seed, 0])
-        w = sd.metropolis_weights(sd.ring_graph(n))
-        x0 = sd.random_stiefel(d, r, np.random.default_rng([seed, 1]))
+        locals_, xstar = problems.synthesize_eigengap_data(n, m, d, r, 0.8, seed=[seed, 0])
+        w = network.metropolis_weights(network.ring_graph(n))
+        x0 = manifold.random_stiefel(d, r, np.random.default_rng([seed, 1]))
         return locals_, xstar, w, SwarmState((x0,) * n)
 
     def test_zero_rounds_emits_only_initial_row(self):
@@ -411,13 +403,13 @@ class TestRun:
     def test_consensus_run_monotone_and_stops(self):
         n, d, r = 4, 8, 2
         p = ConsensusRegionParams(r=r)
-        w = sd.metropolis_weights(sd.ring_graph(n))
-        t = sd.min_communication_rounds(w)
-        rate = sd.consensus_rate_params(w, t, p)
+        w = network.metropolis_weights(network.ring_graph(n))
+        t = network.min_communication_rounds(w)
+        rate = network.consensus_rate_params(w, t, p)
         rng = np.random.default_rng(20)
-        s = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
+        s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
         out = run(
-            "drcs", s, sd.matrix_power(w, t), alpha=rate.alpha_bar,
+            "drcs", s, network.matrix_power(w, t), alpha=rate.alpha_bar,
             max_rounds=200, tol_consensus=1e-12,
         )
         assert out.converged and out.stop == "consensus_tol"
@@ -454,7 +446,7 @@ class TestRun:
                 schedule=None if algo == "drcs" else StepsizeSchedule(1e-3),
             )
             a = run(algo, s, w, rounds=3, **kwargs)
-            b = run(algo, s, sd.matrix_power(w, 3), **kwargs)
+            b = run(algo, s, network.matrix_power(w, 3), **kwargs)
             assert a.records == b.records
             for pa, pb in zip(a.final.points, b.final.points):
                 assert np.array_equal(pa.data, pb.data)
@@ -463,7 +455,7 @@ class TestRun:
         # each row's consensus errors and d_s, against the same iterates measured at the
         # induced mean taken by a thin SVD, within 1e-12 of St(d, r)'s diameter 2 sqrt(r)
         locals_, xstar, w, s = self._instance(seed=24, n=6, d=12, r=3)
-        s = sd.perturbed_swarm(s.points[0], s.n, 0.3, np.random.default_rng(24))
+        s = manifold.perturbed_swarm(s.points[0], s.n, 0.3, np.random.default_rng(24))
         beta, rounds = 2e-3, 25
         out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(beta),
                   oracle=xstar, max_rounds=rounds)
@@ -480,7 +472,7 @@ class TestRun:
             dev = np.array([np.linalg.norm(xi - mean) for xi in ref.x])
             assert abs(np.sqrt(rec.consensus_err_sq) - np.sqrt(np.mean(dev**2))) <= bound
             assert abs(rec.linf_err - dev.max()) <= bound
-            assert abs(rec.ds_oracle - sd.subspace_distance(StiefelPoint(mean).data, xstar.data)) <= bound
+            assert abs(rec.ds_oracle - metrics.subspace_distance(StiefelPoint(mean).data, xstar.data)) <= bound
         assert np.array_equal(out.final.x, swarms[-1].x)
 
     @pytest.mark.parametrize("algo", ["drcs", "drdgd", "drgta", "drsgd"])
@@ -488,7 +480,7 @@ class TestRun:
         # run's records, final swarm and trackers, bit for bit, against the public
         # array steps and consensus_measures written out by hand; drsgd for one epoch
         locals_, xstar, w, s = self._instance(seed=25, n=5, d=9, r=3, m=6)
-        s = sd.perturbed_swarm(s.points[0], s.n, 0.2, np.random.default_rng(25))
+        s = manifold.perturbed_swarm(s.points[0], s.n, 0.2, np.random.default_rng(25))
         alpha, beta, rounds, seed = 0.9, 2e-3, 1 if algo == "drsgd" else 6, 4
         out = run(algo, s, w, alpha=alpha, locals_=None if algo == "drcs" else locals_,
                   schedule=None if algo == "drcs" else StepsizeSchedule(beta),
@@ -499,8 +491,8 @@ class TestRun:
             gsq = f_bar = None
             if algo != "drcs":
                 egrad = locals_.mean_grad(mean)
-                gsq, f_bar = sd.stationarity_measure(mean, egrad), average_value(mean, egrad)
-            return IterationRecord(k, err_sq, linf, gsq, f_bar, sd.subspace_distance(mean, xstar.data), beta_k)
+                gsq, f_bar = metrics.stationarity_measure(mean, egrad), average_value(mean, egrad)
+            return IterationRecord(k, err_sq, linf, gsq, f_bar, metrics.subspace_distance(mean, xstar.data), beta_k)
 
         x = s.x
         y, g = drgta_init(x, locals_)
@@ -571,7 +563,7 @@ class TestRun:
         with pytest.raises(ParameterError, match=r"^mixing matrix is 2x2, swarm has shape \(4, 10, 2\)$") as e:
             run("drcs", s, HALF2, alpha=1.0, max_rounds=3)
         assert not hasattr(e.value, "records")
-        other = sd.random_stiefel(10, 3, np.random.default_rng(23))
+        other = manifold.random_stiefel(10, 3, np.random.default_rng(23))
         with pytest.raises(ParameterError, match=r"^oracle has shape \(10, 3\), swarm has shape \(4, 10, 2\)$") as e:
             run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3), oracle=other)
         assert not hasattr(e.value, "records")

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import cli, errors, harness
+from stiefel_dec import algorithms, cli, errors, harness, manifold, network, problems
 from stiefel_dec.cli import main
 from stiefel_dec.errors import ConfigError
 from stiefel_dec.harness import (
@@ -83,6 +82,13 @@ class TestParseConfig:
     def test_compact_er_form(self):
         cfg = parse_config(flags=dict(graph="er(0.4)", n=8))
         assert cfg.graph == "er" and cfg.er_p == 0.4
+
+    def test_er_p_beside_the_compact_er_form_must_agree(self, capsys):
+        assert parse_config(flags=dict(graph="er(0.3)", er_p=0.3)).er_p == 0.3
+        with pytest.raises(ConfigError, match=r"^er_p: got 0\.5, but graph 'er\(0\.3\)' sets 0\.3$"):
+            parse_config(flags=dict(graph="er(0.3)", er_p=0.5))
+        assert main(["spectral", "--graph", "er(0.3)", "--er-p", "0.5"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: er_p: got 0.5, but graph 'er(0.3)' sets 0.3\n"
 
     def test_er_probability_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -162,8 +168,8 @@ class TestResolve:
     def test_auto_t_uses_minimum_rounds(self):
         cfg = parse_config(flags=dict(SMALL, t=0))
         res = quiet_resolve(cfg)
-        w = sd.metropolis_weights(sd.ring_graph(cfg.n))
-        assert res.t == sd.min_communication_rounds(w)
+        w = network.metropolis_weights(network.ring_graph(cfg.n))
+        assert res.t == network.min_communication_rounds(w)
         assert res.header["t_min"] == res.t
 
     def test_auto_alpha_uses_cap(self):
@@ -195,7 +201,7 @@ class TestResolve:
     def test_mix_rounds_carry_t(self):
         res = quiet_resolve(parse_config(flags=dict(SMALL, t=2)))
         assert res.t == res.mix_rounds == 2
-        assert np.array_equal(res.mix_matrix.w, sd.metropolis_weights(res.graph).w)
+        assert np.array_equal(res.mix_matrix.w, network.metropolis_weights(res.graph).w)
 
     def test_constant_schedule_estimates_xi(self):
         cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant"))
@@ -232,7 +238,7 @@ class TestResolve:
 
         def counting(d, r, rng):
             entropies.append(rng.bit_generator.seed_seq.entropy)
-            return sd.random_stiefel(d, r, rng)
+            return manifold.random_stiefel(d, r, rng)
 
         monkeypatch.setattr(harness, "random_stiefel", counting)
         cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant", init=init))
@@ -241,15 +247,15 @@ class TestResolve:
         assert entropies.count(shared) == 1
         assert len(entropies) == 1 + (cfg.n if init == "independent" else 0)
         # xi is estimated at the shared point, wherever the swarm starts
-        x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng(shared))
-        assert res.header["xi_estimate"] == sd.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
+        x0 = manifold.random_stiefel(cfg.d, cfg.r, np.random.default_rng(shared))
+        assert res.header["xi_estimate"] == problems.estimate_xi(res.locals_, x0, np.random.default_rng([cfg.seed, 3]))
         assert all(np.array_equal(x, x0.data) == (init == "shared") for x in res.swarm0.x)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_independent_starts_are_distinct(self, seed):
         # SeedSequence zero-pads its entropy: an agent stream [seed, 1, 0] would be the shared [seed, 1]
         cfg = parse_config(flags=dict(SMALL, init="independent", seed=seed))
-        x0 = sd.random_stiefel(cfg.d, cfg.r, np.random.default_rng([seed, 1]))
+        x0 = manifold.random_stiefel(cfg.d, cfg.r, np.random.default_rng([seed, 1]))
         starts = [*quiet_resolve(cfg).swarm0.x, x0.data]
         assert len(starts) == cfg.n + 1
         assert not any(np.array_equal(a, b) for a, b in itertools.combinations(starts, 2))
@@ -416,6 +422,7 @@ class TestCli:
             ({"t": "1"}, "t: must be an integer, got '1'"),
             ({"perturb": float("nan")}, "perturb: must be finite, got nan"),  # json writes NaN
             ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"graph": 5}, "graph: must be a string, got 5"),  # not parsed as 'er(p)' first
         ],
     )
     def test_mistyped_config_file_value_is_2(self, tmp_path, capsys, value, message):
@@ -572,7 +579,7 @@ class TestCli:
         out.write_text("keep\n")
 
         def stop(*args, **kwargs):
-            raise sd.ParameterError(f"run sees {out.read_text()!r}")
+            raise errors.ParameterError(f"run sees {out.read_text()!r}")
 
         monkeypatch.setattr(harness, "run", stop)
         code = main(["run", "--n", "3", "--d", "8", "--r", "2", "--m", "10", "--out", str(out)])
@@ -645,8 +652,8 @@ class TestCli:
         # find a seed whose two independent 1-d draws are antipodal
         seed = next(
             s for s in range(100)
-            if sd.random_stiefel(1, 1, np.random.default_rng([s, 6, 0])).data[0, 0]
-            != sd.random_stiefel(1, 1, np.random.default_rng([s, 6, 1])).data[0, 0]
+            if manifold.random_stiefel(1, 1, np.random.default_rng([s, 6, 0])).data[0, 0]
+            != manifold.random_stiefel(1, 1, np.random.default_rng([s, 6, 1])).data[0, 0]
         )
         code = main(
             ["run", "--algorithm", "drcs", "--graph", "ring", "--n", "2",
@@ -686,11 +693,11 @@ class TestCli:
         # from its third call the retraction returns columns off the manifold by 1e-11
         calls = []
 
-        def drifting(x, xi, _orig=sd.algorithms.polar_retract):
+        def drifting(x, xi, _orig=algorithms.polar_retract):
             calls.append(None)
             return _orig(x, xi) * (1.0 + 1e-11 * (len(calls) >= 3))
 
-        monkeypatch.setattr(sd.algorithms, "polar_retract", drifting)
+        monkeypatch.setattr(algorithms, "polar_retract", drifting)
         out = tmp_path / "o.csv"
         code = main(["run", "--algorithm", "drdgd", "--max-iters", "10", "--out", str(out)])
         assert code == EXIT_NUMERICAL
@@ -698,9 +705,21 @@ class TestCli:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
 
+    def test_package_import_loads_no_module(self):
+        # the CLI can pin BLAS before numpy loads only while the package imports nothing
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
+        probe = (
+            "import sys, stiefel_dec; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'stiefel_dec.')))); "
+            "print(sorted(n for n in vars(stiefel_dec) if not n.startswith('_')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[]\n"
+
     def test_non_finite_step_prints_no_overflow_warning(self, tmp_path):
         # numpy's warnings reach stderr only outside pytest's capture, so run the CLI itself
-        env = dict(os.environ, PYTHONPATH=str(Path(sd.__file__).resolve().parent.parent))
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
         proc = subprocess.run(
             [sys.executable, "-m", "stiefel_dec.cli", "run", "--beta-hat", "1e300",
              "--beta-scale", "raw", "--max-iters", "20"],
@@ -712,7 +731,7 @@ class TestCli:
 
     def test_overflowing_perturbation_is_2_naming_perturb(self, tmp_path):
         # a nudge whose retraction overflows is a configuration error, with no numpy warning
-        env = dict(os.environ, PYTHONPATH=str(Path(sd.__file__).resolve().parent.parent))
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
         proc = subprocess.run(
             [sys.executable, "-m", "stiefel_dec.cli", "run", "--perturb", "1e200",
              "--max-iters", "2", "--out", "o.csv"],
@@ -818,7 +837,7 @@ class TestCli:
         n, r = 3, 2
         if problem == "synthetic":  # the harness seeds its synthetic data with [seed, 0]
             args = ["--d", "8", "--m", "10", "--seed", "1"]
-            rows = sd.synthesize_eigengap_data(n, 10, 8, r, 0.8, seed=[1, 0])[0].rows
+            rows = problems.synthesize_eigengap_data(n, 10, 8, r, 0.8, seed=[1, 0])[0].rows
         else:  # 25 rows over 3 agents: blocks of 9, 8 and 8
             data = tmp_path / "rows.csv"
             rows = write_rows(data, 1.0)

@@ -4,16 +4,15 @@ import re
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import (
+from stiefel_dec import manifold
+from stiefel_dec.errors import NumericalError, ParameterError
+from stiefel_dec.manifold import (
     ConsensusRegionParams,
-    NumericalError,
-    ParameterError,
     StiefelPoint,
     SwarmState,
     TangentVector,
+    consensus_measures,
 )
-from stiefel_dec.manifold import consensus_measures
 
 
 def col(*vals):
@@ -68,9 +67,9 @@ class TestTangentVector:
         # the projection's round-off grows with ||v||: at norm 1e7 on a 30 x 5 point
         # max |x.T v + v.T x| is about 1e-9, which an absolute 1e-10 bound rejected
         rng = np.random.default_rng(24)
-        x = sd.random_stiefel(30, 5, rng)
+        x = manifold.random_stiefel(30, 5, rng)
         for _ in range(20):
-            xi = sd.random_tangent(x, rng, norm=1e7)
+            xi = manifold.random_tangent(x, rng, norm=1e7)
             assert xi.norm == pytest.approx(1e7)
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e7])
@@ -79,9 +78,9 @@ class TestTangentVector:
         with pytest.raises(ParameterError, match="not tangent"):
             TangentVector(E1, scale * col(1.0, 0.0))
         rng = np.random.default_rng(25)
-        x = sd.random_stiefel(30, 5, rng)
+        x = manifold.random_stiefel(30, 5, rng)
         normal = x.data @ np.diag([1.0, 0.0, 0.0, 0.0, 0.0])  # x.T v + v.T x = 2 e1 e1.T
-        tangent = sd.random_tangent(x, rng, norm=scale).data
+        tangent = manifold.random_tangent(x, rng, norm=scale).data
         with pytest.raises(ParameterError, match="not tangent"):
             TangentVector(x, tangent + 1e-6 * scale * normal)
 
@@ -92,12 +91,12 @@ class TestTangentVector:
 
 class TestProjectToTangent:
     def test_identity_on_tangent(self):
-        out = sd.project_to_tangent(E1.data, col(0.0, 4.0))
+        out = manifold.project_to_tangent(E1.data, col(0.0, 4.0))
         assert np.allclose(out, col(0.0, 4.0), atol=1e-15)
 
     def test_r1_matches_complement_projector(self):
         # for r = 1 the projection is (I - x x^T) y
-        out = sd.project_to_tangent(E1.data, col(3.0, 4.0))
+        out = manifold.project_to_tangent(E1.data, col(3.0, 4.0))
         expected = (np.eye(2) - E1.data @ E1.data.T) @ col(3.0, 4.0)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, col(0.0, 4.0), atol=1e-15)
@@ -105,43 +104,43 @@ class TestProjectToTangent:
     def test_point_projects_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x = sd.random_stiefel(7, 3, rng)
-            assert np.linalg.norm(sd.project_to_tangent(x.data, x.data)) < 1e-14
+            x = manifold.random_stiefel(7, 3, rng)
+            assert np.linalg.norm(manifold.project_to_tangent(x.data, x.data)) < 1e-14
 
     def test_idempotent_and_self_adjoint(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x = sd.random_stiefel(6, 2, rng)
+            x = manifold.random_stiefel(6, 2, rng)
             y = rng.standard_normal((6, 2))
             z = rng.standard_normal((6, 2))
-            py = sd.project_to_tangent(x.data, y)
-            assert np.allclose(sd.project_to_tangent(x.data, py), py, atol=1e-13)
-            pz = sd.project_to_tangent(x.data, z)
+            py = manifold.project_to_tangent(x.data, y)
+            assert np.allclose(manifold.project_to_tangent(x.data, py), py, atol=1e-13)
+            pz = manifold.project_to_tangent(x.data, z)
             assert np.isclose(np.sum(py * z), np.sum(y * pz), atol=1e-11)
 
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError, match=r"^shape \(3, 1\) does not match point \(2, 1\)$"):
-            sd.project_to_tangent(E1.data, np.zeros((3, 1)))
+            manifold.project_to_tangent(E1.data, np.zeros((3, 1)))
 
 
 class TestPolarRetract:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(3)
-        x = sd.random_stiefel(5, 3, rng)
-        out = sd.polar_retract(x.data, np.zeros((5, 3)))
+        x = manifold.random_stiefel(5, 3, rng)
+        out = manifold.polar_retract(x.data, np.zeros((5, 3)))
         assert np.allclose(out, x.data, atol=1e-15)
 
     def test_r1_closed_form(self):
         # polar factor of a single column is the normalized column
-        out = sd.polar_retract(E1.data, col(0.0, 1.0))
+        out = manifold.polar_retract(E1.data, col(0.0, 1.0))
         assert np.allclose(out, col(1.0, 1.0) / np.sqrt(2.0), atol=1e-15)
 
     def test_breakdown_raises_numerical_error(self):
-        x = sd.random_stiefel(4, 2, np.random.default_rng(4))
-        with pytest.raises(sd.NumericalError, match="not finite"):
-            sd.polar_retract(x.data, np.full((4, 2), np.inf))
-        with pytest.raises(sd.NumericalError, match="positive definiteness"):
-            sd.polar_retract(x.data, -x.data)  # x + xi = 0
+        x = manifold.random_stiefel(4, 2, np.random.default_rng(4))
+        with pytest.raises(NumericalError, match="not finite"):
+            manifold.polar_retract(x.data, np.full((4, 2), np.inf))
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            manifold.polar_retract(x.data, -x.data)  # x + xi = 0
 
     def test_second_order_bound_1000_trials(self):
         # ||R_x(xi) - (x + xi)|| <= ||xi||^2 whenever ||xi|| <= 1
@@ -149,9 +148,9 @@ class TestPolarRetract:
         for _ in range(1000):
             d = int(rng.integers(2, 9))
             r = int(rng.integers(1, d + 1))
-            x = sd.random_stiefel(d, r, rng)
-            xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 1.0)))
-            out = sd.polar_retract(x.data, xi.data)
+            x = manifold.random_stiefel(d, r, rng)
+            xi = manifold.random_tangent(x, rng, norm=float(rng.uniform(0.0, 1.0)))
+            out = manifold.polar_retract(x.data, xi.data)
             gap = np.linalg.norm(out - (x.data + xi.data))
             assert gap <= xi.norm**2 + 1e-12
 
@@ -161,10 +160,10 @@ class TestPolarRetract:
         for _ in range(1000):
             d = int(rng.integers(2, 9))
             r = int(rng.integers(1, d + 1))
-            x = sd.random_stiefel(d, r, rng)
-            y = sd.random_stiefel(d, r, rng)
-            xi = sd.random_tangent(x, rng, norm=float(rng.uniform(0.0, 3.0)))
-            out = sd.polar_retract(x.data, xi.data)
+            x = manifold.random_stiefel(d, r, rng)
+            y = manifold.random_stiefel(d, r, rng)
+            xi = manifold.random_tangent(x, rng, norm=float(rng.uniform(0.0, 3.0)))
+            out = manifold.polar_retract(x.data, xi.data)
             lhs = np.linalg.norm(out - y.data)
             rhs = np.linalg.norm(x.data + xi.data - y.data)
             assert lhs <= rhs + 1e-12
@@ -175,7 +174,7 @@ def _sin_objective(b):
         return float(np.sin(np.sum(b * x)))
 
     def grad(x):
-        return sd.project_to_tangent(x, np.cos(np.sum(b * x)) * b)
+        return manifold.project_to_tangent(x, np.cos(np.sum(b * x)) * b)
 
     return f, grad
 
@@ -183,22 +182,22 @@ def _sin_objective(b):
 class TestRiemannianGradient:
     def test_tangent_unchanged(self):
         rng = np.random.default_rng(7)
-        x = sd.random_stiefel(5, 2, rng)
-        xi = sd.random_tangent(x, rng)
-        out = sd.project_to_tangent(x.data, xi.data)
+        x = manifold.random_stiefel(5, 2, rng)
+        xi = manifold.random_tangent(x, rng)
+        out = manifold.project_to_tangent(x.data, xi.data)
         assert np.allclose(out, xi.data, atol=1e-13)
 
     def test_normal_directions_vanish(self):
         rng = np.random.default_rng(8)
-        x = sd.random_stiefel(6, 3, rng)
+        x = manifold.random_stiefel(6, 3, rng)
         s = rng.standard_normal((3, 3))
         s = s + s.T
-        assert np.linalg.norm(sd.project_to_tangent(x.data, x.data @ s)) < 1e-13
+        assert np.linalg.norm(manifold.project_to_tangent(x.data, x.data @ s)) < 1e-13
 
     def test_eigenvector_is_stationary(self):
         # x = e1 is a leading eigenvector of diag(2, 1), so the gradient vanishes
         egrad = -np.diag([2.0, 1.0]) @ E1.data
-        out = sd.project_to_tangent(E1.data, egrad)
+        out = manifold.project_to_tangent(E1.data, egrad)
         assert np.linalg.norm(out) < 1e-15
 
     def test_matches_finite_differences(self):
@@ -207,12 +206,12 @@ class TestRiemannianGradient:
         for _ in range(100):
             d = int(rng.integers(2, 8))
             r = int(rng.integers(1, min(d, 3) + 1))
-            x = sd.random_stiefel(d, r, rng)
+            x = manifold.random_stiefel(d, r, rng)
             b = rng.standard_normal((d, r))
             f, grad = _sin_objective(b)
-            xi = sd.random_tangent(x, rng, norm=1.0)
-            forward = f(sd.polar_retract(x.data, xi.scaled(h).data))
-            backward = f(sd.polar_retract(x.data, xi.scaled(-h).data))
+            xi = manifold.random_tangent(x, rng, norm=1.0)
+            forward = f(manifold.polar_retract(x.data, xi.scaled(h).data))
+            backward = f(manifold.polar_retract(x.data, xi.scaled(-h).data))
             numeric = (forward - backward) / (2.0 * h)
             analytic = float(np.sum(grad(x.data) * xi.data))
             assert abs(numeric - analytic) <= 1e-5
@@ -221,7 +220,7 @@ class TestRiemannianGradient:
 class TestInducedArithmeticMean:
     def test_identical_points(self):
         rng = np.random.default_rng(10)
-        x = sd.random_stiefel(5, 2, rng)
+        x = manifold.random_stiefel(5, 2, rng)
         s = SwarmState((x, x, x))
         assert np.allclose(s.mean_point.data, x.data, atol=1e-15)
 
@@ -243,7 +242,7 @@ class TestInducedArithmeticMean:
         x1 = np.eye(3)[:, :2]
         x2 = np.column_stack([[1.0, 0.0, 0.0], [0.0, -np.cos(theta), np.sin(theta)]])
         rng = np.random.default_rng(28)
-        q, r = sd.random_stiefel(3, 3, rng).data, sd.random_stiefel(2, 2, rng).data
+        q, r = manifold.random_stiefel(3, 3, rng).data, manifold.random_stiefel(2, 2, rng).data
         s = SwarmState(np.stack([q @ x1 @ r, q @ x2 @ r]))
         u, sv, vt = np.linalg.svd(s.euclidean_mean, full_matrices=False)
         assert sv[-1] / sv[0] == pytest.approx(1e-6, rel=1e-6)
@@ -263,7 +262,7 @@ class TestInducedArithmeticMean:
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_consensus_is_the_array_pass_bit_for_bit(self, noise):
         rng = np.random.default_rng(29)
-        x = sd.perturbed_swarm(sd.random_stiefel(7, 3, rng), 5, noise, rng).x
+        x = manifold.perturbed_swarm(manifold.random_stiefel(7, 3, rng), 5, noise, rng).x
         mean, err_sq, linf = consensus_measures(x)
         point, point_err_sq, point_linf = SwarmState(x).consensus
         assert np.array_equal(point.data, mean)
@@ -271,7 +270,7 @@ class TestInducedArithmeticMean:
 
     def test_consensus_pass_feeds_every_measure(self):
         rng = np.random.default_rng(27)
-        s = sd.perturbed_swarm(sd.random_stiefel(7, 3, rng), 5, 0.2, rng)
+        s = manifold.perturbed_swarm(manifold.random_stiefel(7, 3, rng), 5, 0.2, rng)
         mean, err_sq, linf = s.consensus
         assert s.mean_point is mean
         norms = np.array([np.linalg.norm(xi - mean.data) for xi in s.x])
@@ -286,9 +285,9 @@ class TestInducedArithmeticMean:
             n = int(rng.integers(2, 8))
             d = int(rng.integers(3, 10))
             r = int(rng.integers(1, 4))
-            x0 = sd.random_stiefel(d, r, rng)
+            x0 = manifold.random_stiefel(d, r, rng)
             noise = float(rng.uniform(0.01, np.sqrt(0.5)))
-            s = sd.perturbed_swarm(x0, n, noise, rng)
+            s = manifold.perturbed_swarm(x0, n, noise, rng)
             stacked_sq = s.n * s.consensus_error_sq
             if stacked_sq > n / 2.0:
                 continue
@@ -303,8 +302,8 @@ class TestInducedArithmeticMean:
             d = int(rng.integers(3, 9))
             r = int(rng.integers(1, 4))
             p = ConsensusRegionParams(r=r)
-            sx = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
-            sy = sd.perturbed_swarm(sd.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
+            sx = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
+            sy = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
             lhs = np.linalg.norm(sx.mean_point.data - sy.mean_point.data)
             rhs = np.linalg.norm(sx.euclidean_mean - sy.euclidean_mean)
             assert lhs <= rhs / (1.0 - 2.0 * p.delta1**2) + 1e-12
@@ -313,7 +312,7 @@ class TestInducedArithmeticMean:
 class TestConsensusErrors:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(13)
-        x = sd.random_stiefel(4, 2, rng)
+        x = manifold.random_stiefel(4, 2, rng)
         s = SwarmState((x, x))
         assert s.consensus_error_sq == 0.0
         assert s.linf_error == 0.0
@@ -327,7 +326,7 @@ class TestConsensusErrors:
 
     def test_order_invariance(self):
         rng = np.random.default_rng(14)
-        pts = tuple(sd.random_stiefel(5, 2, rng) for _ in range(4))
+        pts = tuple(manifold.random_stiefel(5, 2, rng) for _ in range(4))
         a = SwarmState(pts).consensus_error_sq
         b = SwarmState(pts[::-1]).consensus_error_sq
         assert np.isclose(a, b, atol=1e-14)
@@ -335,7 +334,7 @@ class TestConsensusErrors:
     def test_linf_dominates_rms(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
-            s = sd.perturbed_swarm(sd.random_stiefel(6, 2, rng), 5, 0.3, rng)
+            s = manifold.perturbed_swarm(manifold.random_stiefel(6, 2, rng), 5, 0.3, rng)
             assert s.linf_error >= np.sqrt(s.consensus_error_sq) - 1e-12
 
 
@@ -361,46 +360,46 @@ class TestConsensusRegion:
 
     def test_identical_points_inside(self):
         rng = np.random.default_rng(16)
-        x = sd.random_stiefel(5, 2, rng)
+        x = manifold.random_stiefel(5, 2, rng)
         s, p = SwarmState((x, x, x)), ConsensusRegionParams(r=2)
-        assert sd.in_consensus_region(s, p) is True
+        assert manifold.in_consensus_region(s, p) is True
         assert s.consensus_error_sq < p.delta1**2 and s.linf_error < p.delta2
 
     def test_large_perturbation_outside(self):
         rng = np.random.default_rng(17)
-        x = sd.random_stiefel(6, 1, rng)
-        far = StiefelPoint(sd.polar_retract(x.data, sd.random_tangent(x, rng, norm=0.5).data))
+        x = manifold.random_stiefel(6, 1, rng)
+        far = StiefelPoint(manifold.polar_retract(x.data, manifold.random_tangent(x, rng, norm=0.5).data))
         s, p = SwarmState((x, x, x, far)), ConsensusRegionParams(r=1)
-        assert sd.in_consensus_region(s, p) is False
+        assert manifold.in_consensus_region(s, p) is False
         assert s.linf_error > p.delta2
 
     def test_r_mismatch(self):
         rng = np.random.default_rng(18)
-        s = SwarmState((sd.random_stiefel(4, 2, rng),))
+        s = SwarmState((manifold.random_stiefel(4, 2, rng),))
         with pytest.raises(ParameterError):
-            sd.in_consensus_region(s, ConsensusRegionParams(r=1))
+            manifold.in_consensus_region(s, ConsensusRegionParams(r=1))
 
 
 class TestRandomStiefel:
     def test_square_orthogonal(self):
-        x = sd.random_stiefel(5, 5, np.random.default_rng(19))
+        x = manifold.random_stiefel(5, 5, np.random.default_rng(19))
         assert np.abs(x.data.T @ x.data - np.eye(5)).max() <= 1e-12
 
     def test_deterministic(self):
-        a = sd.random_stiefel(6, 3, np.random.default_rng(20))
-        b = sd.random_stiefel(6, 3, np.random.default_rng(20))
+        a = manifold.random_stiefel(6, 3, np.random.default_rng(20))
+        b = manifold.random_stiefel(6, 3, np.random.default_rng(20))
         assert np.array_equal(a.data, b.data)
 
     def test_wide_rejected(self):
         with pytest.raises(ParameterError, match=r"^need d >= r >= 1, got d=3, r=4$"):
-            sd.random_stiefel(3, 4, np.random.default_rng(21))
+            manifold.random_stiefel(3, 4, np.random.default_rng(21))
 
 
 class TestSwarmState:
     def test_mismatched_shapes(self):
         rng = np.random.default_rng(22)
         with pytest.raises(ParameterError, match=r"^swarm is not an \(n, d, r\) stack"):
-            SwarmState((sd.random_stiefel(4, 2, rng), sd.random_stiefel(5, 2, rng)))
+            SwarmState((manifold.random_stiefel(4, 2, rng), manifold.random_stiefel(5, 2, rng)))
 
     def test_empty(self):
         with pytest.raises(ParameterError, match=r"^swarm must be a nonempty \(n, d, r\) stack, got shape \(0,\)$"):
@@ -422,8 +421,8 @@ class TestSwarmState:
 
     def test_perturbed_swarm_size_and_spread(self):
         rng = np.random.default_rng(23)
-        x0 = sd.random_stiefel(6, 2, rng)
-        s = sd.perturbed_swarm(x0, 5, 0.01, rng)
+        x0 = manifold.random_stiefel(6, 2, rng)
+        s = manifold.perturbed_swarm(x0, 5, 0.01, rng)
         assert s.n == 5
         for p in s.points:
             assert np.linalg.norm(p.data - x0.data) < 0.02

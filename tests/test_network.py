@@ -4,43 +4,39 @@ import re
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import (
-    ConsensusRegionParams,
-    Graph,
-    MixingMatrix,
-    ParameterError,
-    SwarmState,
-)
+from stiefel_dec import manifold, network
+from stiefel_dec.errors import ParameterError
+from stiefel_dec.manifold import ConsensusRegionParams, SwarmState
+from stiefel_dec.network import Graph, MixingMatrix
 
 
 def col(*vals):
     return np.asarray(vals, dtype=float).reshape(-1, 1)
 
 
-RING4_W = sd.metropolis_weights(sd.ring_graph(4))
+RING4_W = network.metropolis_weights(network.ring_graph(4))
 
 
 class TestGraphs:
     def test_ring4(self):
-        g = sd.ring_graph(4)
+        g = network.ring_graph(4)
         assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
         assert list(g.degrees()) == [2, 2, 2, 2]
 
     def test_complete3(self):
-        assert len(sd.complete_graph(3).edges) == 3
+        assert len(network.complete_graph(3).edges) == 3
 
     def test_er_connected_and_deterministic(self):
-        g1 = sd.erdos_renyi(32, 0.3, np.random.default_rng(7))
-        g2 = sd.erdos_renyi(32, 0.3, np.random.default_rng(7))
+        g1 = network.erdos_renyi(32, 0.3, np.random.default_rng(7))
+        g2 = network.erdos_renyi(32, 0.3, np.random.default_rng(7))
         assert g1.edges == g2.edges
         assert g1.n == 32  # construction already checked connectivity
 
     def test_er_bad_p(self):
         with pytest.raises(ParameterError):
-            sd.erdos_renyi(8, 1.2, np.random.default_rng(0))
+            network.erdos_renyi(8, 1.2, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            sd.erdos_renyi(8, 0.0, np.random.default_rng(0))
+            network.erdos_renyi(8, 0.0, np.random.default_rng(0))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ParameterError, match="^graph is not connected$"):
@@ -51,15 +47,23 @@ class TestGraphs:
             Graph(3, [(0, 0), (0, 1), (1, 2)])
 
     def test_any_orientation_and_duplicates_give_one_edge_each(self):
-        assert Graph(4, [(1, 0), (0, 1), (2, 1), (3, 2), (3, 0)]).edges == sd.ring_graph(4).edges
+        assert Graph(4, [(1, 0), (0, 1), (2, 1), (3, 2), (3, 0)]).edges == network.ring_graph(4).edges
 
     @pytest.mark.parametrize("pair", [(3, 1), (0, 3), (-1, 0)])
     def test_out_of_range_pair_rejected_by_name(self, pair):
         with pytest.raises(ParameterError, match=f"^{re.escape(f'bad edge {pair}: nodes must be in 0..2')}$"):
             Graph(3, [(0, 1), (1, 2), pair])
 
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0, 1.0), ("0", 1)])
+    def test_non_integer_node_rejected_by_name(self, pair):
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'bad edge {pair}: nodes must be integers')}$"):
+            Graph(3, [(1, 2), (0, 2), pair])
+
+    def test_numpy_integer_nodes_accepted(self):
+        assert Graph(3, [(np.int64(0), np.int32(1)), (1, 2)]).edges == {(0, 1), (1, 2)}
+
     def test_small_n_rejected(self):
-        for build in (sd.ring_graph, sd.complete_graph):
+        for build in (network.ring_graph, network.complete_graph):
             with pytest.raises(ParameterError):
                 build(1)
 
@@ -67,7 +71,7 @@ class TestGraphs:
 class TestMetropolis:
     def test_ring4_weights(self):
         w = RING4_W.w
-        for i, j in sd.ring_graph(4).edges:
+        for i, j in network.ring_graph(4).edges:
             assert np.isclose(w[i, j], 1.0 / 3.0)
         assert np.allclose(np.diag(w), 1.0 / 3.0)
 
@@ -79,8 +83,8 @@ class TestMetropolis:
         rng = np.random.default_rng(8)
         for _ in range(40):
             n = int(rng.integers(3, 16))
-            g = sd.erdos_renyi(n, float(rng.uniform(0.25, 0.9)), rng)
-            w = sd.metropolis_weights(g)  # constructor enforces all invariants
+            g = network.erdos_renyi(n, float(rng.uniform(0.25, 0.9)), rng)
+            w = network.metropolis_weights(g)  # constructor enforces all invariants
             assert np.allclose(w.w.sum(axis=1), 1.0, atol=1e-12)
             assert np.abs(w.w - w.w.T).max() <= 1e-12
             assert 0.0 <= w.sigma2 < 1.0
@@ -106,76 +110,76 @@ class TestMixingMatrixValidation:
 
 class TestMinCommunicationRounds:
     def test_ring4(self):
-        assert sd.min_communication_rounds(RING4_W) == 2
+        assert network.min_communication_rounds(RING4_W) == 2
 
     def test_equal_weight_matrix(self):
         for n in (2, 5, 17):
             w = MixingMatrix(np.full((n, n), 1.0 / n))
             assert abs(w.sigma2) <= 1e-12
-            assert sd.min_communication_rounds(w) == 1
+            assert network.min_communication_rounds(w) == 1
 
     def test_slow_chain(self):
         # 0.9 I + 0.1 J/32 has sigma2 = 0.9 with n = 32: smallest t with
         # 0.9^t <= 1/(2 sqrt(32)) is 24
         w = MixingMatrix(0.9 * np.eye(32) + 0.1 / 32)
         assert abs(w.sigma2 - 0.9) <= 1e-12
-        assert sd.min_communication_rounds(w) == 24
+        assert network.min_communication_rounds(w) == 24
 
 
 class TestMatrixPower:
     def test_power_one_is_same(self):
-        wt = sd.matrix_power(RING4_W, 1)
+        wt = network.matrix_power(RING4_W, 1)
         assert np.allclose(wt.w, RING4_W.w, atol=1e-15)
 
     def test_ring4_squared_sigma2(self):
-        assert abs(sd.matrix_power(RING4_W, 2).sigma2 - 1.0 / 9.0) <= 1e-12
+        assert abs(network.matrix_power(RING4_W, 2).sigma2 - 1.0 / 9.0) <= 1e-12
 
     def test_rows_still_stochastic(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            g = sd.erdos_renyi(int(rng.integers(3, 10)), 0.6, rng)
-            w = sd.metropolis_weights(g)
+            g = network.erdos_renyi(int(rng.integers(3, 10)), 0.6, rng)
+            w = network.metropolis_weights(g)
             for t in (2, 5, 10):
-                wt = sd.matrix_power(w, t)
+                wt = network.matrix_power(w, t)
                 assert np.allclose(wt.w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_bad_power(self):
         with pytest.raises(ParameterError):
-            sd.matrix_power(RING4_W, 0)
+            network.matrix_power(RING4_W, 0)
 
 
 class TestMix:
     def test_identical_points_fixed(self):
         rng = np.random.default_rng(10)
-        x = sd.random_stiefel(5, 2, rng)
-        out = sd.mix(SwarmState((x,) * 4).x, RING4_W)
+        x = manifold.random_stiefel(5, 2, rng)
+        out = network.mix(SwarmState((x,) * 4).x, RING4_W)
         for m in out:
             assert np.allclose(m, x.data, atol=1e-15)
 
     def test_half_half(self):
         w = MixingMatrix(np.full((2, 2), 0.5))
-        s = SwarmState((sd.StiefelPoint(col(1.0, 0.0)), sd.StiefelPoint(col(0.0, 1.0))))
-        out = sd.mix(s.x, w)
+        s = SwarmState((manifold.StiefelPoint(col(1.0, 0.0)), manifold.StiefelPoint(col(0.0, 1.0))))
+        out = network.mix(s.x, w)
         assert np.allclose(out[0], col(0.5, 0.5), atol=1e-15)
         assert np.allclose(out[1], col(0.5, 0.5), atol=1e-15)
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(11)
-        s = SwarmState(tuple(sd.random_stiefel(4, 2, rng) for _ in range(3)))
+        s = SwarmState(tuple(manifold.random_stiefel(4, 2, rng) for _ in range(3)))
         with pytest.raises(ParameterError, match=r"^mixing matrix is 4x4, swarm has shape \(3, 4, 2\)$"):
-            sd.mix(s.x, RING4_W)
+            network.mix(s.x, RING4_W)
 
     def test_contraction_toward_euclidean_mean(self):
         # ||W^t x - xhat|| <= sigma2^t ||x - xhat|| on the stacked swarm
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(3, 9))
-            g = sd.erdos_renyi(n, 0.6, rng)
-            w = sd.metropolis_weights(g)
+            g = network.erdos_renyi(n, 0.6, rng)
+            w = network.metropolis_weights(g)
             t = int(rng.integers(1, 4))
-            s = SwarmState(tuple(sd.random_stiefel(6, 2, rng) for _ in range(n)))
+            s = SwarmState(tuple(manifold.random_stiefel(6, 2, rng) for _ in range(n)))
             xhat = s.euclidean_mean
-            mixed = sd.mix(s.x, sd.matrix_power(w, t))
+            mixed = network.mix(s.x, network.matrix_power(w, t))
             before = math.sqrt(sum(np.linalg.norm(p.data - xhat) ** 2 for p in s.points))
             after = math.sqrt(sum(np.linalg.norm(m - xhat) ** 2 for m in mixed))
             assert after <= w.sigma2**t * before + 1e-12
@@ -186,7 +190,7 @@ class TestConsensusRateParams:
         # independent evaluation straight from the eigenvalues of W^t
         p = ConsensusRegionParams(delta1=1.0 / 30.0, delta2=1.0 / 6.0, r=1)
         t = 2
-        rep = sd.consensus_rate_params(RING4_W, t, p)
+        rep = network.consensus_rate_params(RING4_W, t, p)
         wt = np.linalg.matrix_power(RING4_W.w, t)
         evals = np.linalg.eigvalsh(wt)
         l_t = 1.0 - evals[0]
@@ -204,7 +208,7 @@ class TestConsensusRateParams:
 
     def test_equal_weight_matrix(self):
         w = MixingMatrix(np.full((4, 4), 0.25))
-        rep = sd.consensus_rate_params(w, 1, ConsensusRegionParams(r=1))
+        rep = network.consensus_rate_params(w, 1, ConsensusRegionParams(r=1))
         assert abs(rep.mu_t - 1.0) <= 1e-12
         assert abs(rep.l_t - 1.0) <= 1e-12
 
@@ -213,22 +217,22 @@ class TestConsensusRateParams:
         rng = np.random.default_rng(14)
         for _ in range(30):
             n = int(rng.integers(3, 12))
-            g = sd.erdos_renyi(n, 0.5, rng)
-            w = sd.metropolis_weights(g)
+            g = network.erdos_renyi(n, 0.5, rng)
+            w = network.metropolis_weights(g)
             t = int(rng.integers(1, 5))
             r = int(rng.integers(1, 5))
-            rep = sd.consensus_rate_params(w, t, ConsensusRegionParams(r=r))
+            rep = network.consensus_rate_params(w, t, ConsensusRegionParams(r=r))
             assert rep.gamma_t >= rep.mu_t / 2.0 - 1e-12
             assert rep.mu_t / 2.0 >= (1.0 - w.sigma2**t) / 2.0 - 1e-12
             assert 0.0 < rep.rho_t < 1.0
 
     def test_alpha_above_cap_rejected(self):
-        w = sd.metropolis_weights(sd.ring_graph(8))
+        w = network.metropolis_weights(network.ring_graph(8))
         p = ConsensusRegionParams(r=3)
-        rep = sd.consensus_rate_params(w, 1, p)
+        rep = network.consensus_rate_params(w, 1, p)
         assert rep.alpha_bar < 1.0
         with pytest.raises(ParameterError, match=r"^alpha = 1.0 exceeds alpha_bar = "):
-            sd.consensus_rate_params(w, 1, p, alpha=1.0)
+            network.consensus_rate_params(w, 1, p, alpha=1.0)
 
 
 class TestGradPhiBounds:
@@ -238,20 +242,19 @@ class TestGradPhiBounds:
         rng = np.random.default_rng(15)
         for _ in range(40):
             n = int(rng.integers(3, 8))
-            g = sd.erdos_renyi(n, 0.7, rng)
-            w = sd.metropolis_weights(g)
+            g = network.erdos_renyi(n, 0.7, rng)
+            w = network.metropolis_weights(g)
             t = int(rng.integers(1, 4))
-            wt = sd.matrix_power(w, t)
+            wt = network.matrix_power(w, t)
             l_t = 1.0 - wt.lambda_min
-            s = SwarmState(tuple(sd.random_stiefel(7, 2, rng) for _ in range(n)))
+            s = SwarmState(tuple(manifold.random_stiefel(7, 2, rng) for _ in range(n)))
             xbar = s.mean_point.data
             stacked = math.sqrt(sum(np.linalg.norm(p.data - xbar) ** 2 for p in s.points))
-            mixed = sd.mix(s.x, wt)
+            mixed = network.mix(s.x, wt)
             grads = [
-                -sd.project_to_tangent(s.x[i], mixed[i]) for i in range(n)
+                -manifold.project_to_tangent(s.x[i], mixed[i]) for i in range(n)
             ]
             stacked_grad = math.sqrt(sum(np.linalg.norm(g_) ** 2 for g_ in grads))
             sum_grad = np.linalg.norm(sum(grads))
             assert stacked_grad <= l_t * stacked + 1e-10
             assert sum_grad <= l_t * stacked**2 + 1e-10
-

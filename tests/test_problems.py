@@ -7,14 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-import stiefel_dec as sd
-from stiefel_dec import (
-    EigLocal,
-    IngestionError,
-    ParameterError,
-    SmoothnessConstants,
-    StiefelPoint,
-)
+from stiefel_dec import manifold, metrics, problems
+from stiefel_dec.errors import IngestionError, ParameterError
+from stiefel_dec.manifold import StiefelPoint
+from stiefel_dec.problems import EigLocal, SmoothnessConstants
 
 
 def col(*vals):
@@ -40,7 +36,7 @@ class TestEigValueAndGrad:
     def test_identity_gram(self):
         rng = np.random.default_rng(0)
         o = local_with_gram([1.0] * 6)
-        x = sd.random_stiefel(6, 2, rng)
+        x = manifold.random_stiefel(6, 2, rng)
         assert np.isclose(o.value(x.data), -1.0, atol=1e-12)  # -r/2
         assert np.allclose(o.euclidean_grad(x.data), -x.data, atol=1e-12)
 
@@ -55,7 +51,7 @@ class TestEigValueAndGrad:
         for _ in range(20):
             a = rng.standard_normal((8, 5))
             o = EigLocal(a)
-            x = sd.random_stiefel(5, 2, rng)
+            x = manifold.random_stiefel(5, 2, rng)
             grad = o.euclidean_grad(x.data)
             for _ in range(5):
                 e = rng.standard_normal((5, 2))
@@ -119,7 +115,7 @@ class TestStochasticGrad:
     def test_full_batch_exact(self):
         rng = np.random.default_rng(2)
         o = EigLocal(rng.standard_normal((7, 4)))
-        x = sd.random_stiefel(4, 2, rng)
+        x = manifold.random_stiefel(4, 2, rng)
         out = o.stochastic_egrad(x.data, [np.arange(7)])
         assert np.allclose(out, o.euclidean_grad(x.data), atol=1e-12)
 
@@ -127,7 +123,7 @@ class TestStochasticGrad:
         # batch-size-weighted average over a disjoint partition is exact
         rng = np.random.default_rng(3)
         o = EigLocal(rng.standard_normal((10, 5)))
-        x = sd.random_stiefel(5, 2, rng)
+        x = manifold.random_stiefel(5, 2, rng)
         perm = rng.permutation(10)
         acc = np.zeros((5, 2))
         for chunk in (perm[:4], perm[4:7], perm[7:]):
@@ -204,11 +200,11 @@ class TestStochasticGrad:
 
 class TestQuadraticConstants:
     def test_identity(self):
-        c = sd.quadratic_constants(local_with_gram([1.0, 1.0]), r=1)
+        c = problems.quadratic_constants(local_with_gram([1.0, 1.0]), r=1)
         assert (c.l_n, c.l_g, c.l_big, c.d_bound) == (1.0, 2.0, 3.0, 1.0)
 
     def test_diag_4_1(self):
-        c = sd.quadratic_constants(local_with_gram([4.0, 1.0]), r=1)
+        c = problems.quadratic_constants(local_with_gram([4.0, 1.0]), r=1)
         assert c.l_n == 4.0 and c.d_bound == 4.0
 
     def test_bound_dominates_sampled_sup(self):
@@ -216,9 +212,9 @@ class TestQuadraticConstants:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((12, 6))
         o = EigLocal(a)
-        c = sd.quadratic_constants(o, r=2)
+        c = problems.quadratic_constants(o, r=2)
         sup = max(
-            float(np.linalg.norm(o.euclidean_grad(sd.random_stiefel(6, 2, rng).data)))
+            float(np.linalg.norm(o.euclidean_grad(manifold.random_stiefel(6, 2, rng).data)))
             for _ in range(10000)
         )
         assert sup <= c.d_bound + 1e-12
@@ -226,8 +222,8 @@ class TestQuadraticConstants:
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((8, 4))
-        c1 = sd.quadratic_constants(EigLocal(a), r=2)
-        c3 = sd.quadratic_constants(EigLocal(3.0 * a), r=2)
+        c1 = problems.quadratic_constants(EigLocal(a), r=2)
+        c3 = problems.quadratic_constants(EigLocal(3.0 * a), r=2)
         for name in ("l_n", "d_bound"):
             assert np.isclose(getattr(c3, name), 9.0 * getattr(c1, name), rtol=1e-12)
 
@@ -239,7 +235,7 @@ class TestQuadraticConstants:
         for seed in range(3):
             o = EigLocal(np.random.default_rng([seed, *shape]).standard_normal(shape), n)
             want = float(np.linalg.eigvalsh(o.gram)[:, -1].max())
-            got = sd.quadratic_constants(o, r=2).l_n
+            got = problems.quadratic_constants(o, r=2).l_n
             if o.sample_count >= o.dim:
                 assert got == want  # the same call: bit for bit
             else:
@@ -251,7 +247,7 @@ class TestQuadraticConstants:
         o = object.__new__(EigLocal)
         o._adopt(rows, np.array([3, 3, 0]), np.stack([*symmetrized_grams(rows, 2), np.zeros((5, 5))]))
         want = float(np.linalg.eigvalsh(o.gram)[:, -1].max())
-        assert abs(sd.quadratic_constants(o, r=1).l_n - want) <= np.finfo(float).eps * 5 * want
+        assert abs(problems.quadratic_constants(o, r=1).l_n - want) <= np.finfo(float).eps * 5 * want
 
     def test_l_n_when_an_outer_gram_overflows(self):
         # one-row blocks of 6 entries 6e153: every G_i entry is finite, the row's squared
@@ -259,7 +255,7 @@ class TestQuadraticConstants:
         rows = np.full((4, 6), 6e153)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sd.quadratic_constants(EigLocal(rows, 4), r=1).l_n == math.inf
+            assert problems.quadratic_constants(EigLocal(rows, 4), r=1).l_n == math.inf
 
     def test_invariant_validation(self):
         with pytest.raises(ParameterError):
@@ -273,9 +269,9 @@ class TestQuadraticConstants:
 class TestLipschitzInequalities:
     def setup_method(self):
         rng = np.random.default_rng(8)
-        self.locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=[8, 0])
+        self.locals_, _ = problems.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=[8, 0])
         # keep the scale moderate so the suite exercises nontrivial values
-        self.constants = sd.quadratic_constants(self.locals_, r=2)
+        self.constants = problems.quadratic_constants(self.locals_, r=2)
         self.rng = rng
 
     def _f(self, x):
@@ -283,13 +279,13 @@ class TestLipschitzInequalities:
 
     def _grad(self, x):
         acc = self.locals_.euclidean_grad(x.data).sum(axis=0) / self.locals_.n
-        return sd.project_to_tangent(x.data, acc)
+        return manifold.project_to_tangent(x.data, acc)
 
     def test_function_inequality_1000_pairs(self):
         lg = self.constants.l_g
         for _ in range(1000):
-            x = sd.random_stiefel(8, 2, self.rng)
-            y = sd.random_stiefel(8, 2, self.rng)
+            x = manifold.random_stiefel(8, 2, self.rng)
+            y = manifold.random_stiefel(8, 2, self.rng)
             diff = y.data - x.data
             lhs = abs(self._f(y) - self._f(x) - float(np.sum(self._grad(x) * diff)))
             assert lhs <= 0.5 * lg * np.linalg.norm(diff) ** 2 + 1e-10
@@ -297,15 +293,15 @@ class TestLipschitzInequalities:
     def test_gradient_inequality_1000_pairs(self):
         lb = self.constants.l_big
         for _ in range(1000):
-            x = sd.random_stiefel(8, 2, self.rng)
-            y = sd.random_stiefel(8, 2, self.rng)
+            x = manifold.random_stiefel(8, 2, self.rng)
+            y = manifold.random_stiefel(8, 2, self.rng)
             lhs = np.linalg.norm(self._grad(x) - self._grad(y))
             assert lhs <= lb * np.linalg.norm(y.data - x.data) + 1e-10
 
 
 class TestSynthesizeEigengapData:
     def test_singular_value_ratios(self):
-        locals_, _ = sd.synthesize_eigengap_data(4, 10, 12, 3, 0.8, seed=123)
+        locals_, _ = problems.synthesize_eigengap_data(4, 10, 12, 3, 0.8, seed=123)
         a = locals_.rows
         s = np.linalg.svd(a, compute_uv=False)
         ratios = s[1:] / s[:-1]
@@ -313,12 +309,12 @@ class TestSynthesizeEigengapData:
         assert np.isclose(s[1] / s[0], 0.894427, atol=1e-6)
 
     def test_oracle_matches_generator(self):
-        locals_, xstar = sd.synthesize_eigengap_data(5, 8, 10, 2, 0.6, seed=9)
-        oracle = sd.centralized_oracle(locals_, 2)
-        assert sd.subspace_distance(oracle.data, xstar.data) <= 1e-10
+        locals_, xstar = problems.synthesize_eigengap_data(5, 8, 10, 2, 0.6, seed=9)
+        oracle = problems.centralized_oracle(locals_, 2)
+        assert metrics.subspace_distance(oracle.data, xstar.data) <= 1e-10
 
     def test_paper_scale_accepted(self):
-        locals_, xstar = sd.synthesize_eigengap_data(32, 1000, 100, 5, 0.8, seed=10)
+        locals_, xstar = problems.synthesize_eigengap_data(32, 1000, 100, 5, 0.8, seed=10)
         assert locals_.n == 32
         assert locals_.rows.shape == (32000, 100) and set(locals_.counts.tolist()) == {1000}
         assert (xstar.d, xstar.r) == (100, 5)
@@ -330,7 +326,7 @@ class TestSynthesizeEigengapData:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            locals_, _ = sd.synthesize_eigengap_data(32, 100, 200, 10, 0.8, seed=5)
+            locals_, _ = problems.synthesize_eigengap_data(32, 100, 200, 10, 0.8, seed=5)
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -339,7 +335,7 @@ class TestSynthesizeEigengapData:
 
     def test_one_seed_gives_the_same_data(self):
         for shape in [(4, 5, 20, 2), (8, 100, 30, 5)]:  # the SVD route and the Gram route
-            (one, x), (two, y) = (sd.synthesize_eigengap_data(*shape, 0.8, seed=[4, 0]) for _ in "ab")
+            (one, x), (two, y) = (problems.synthesize_eigengap_data(*shape, 0.8, seed=[4, 0]) for _ in "ab")
             assert np.array_equal(one.rows, two.rows) and np.array_equal(x.data, y.data)
 
     @pytest.mark.parametrize("shape", [(4, 5, 20, 2), (2, 15, 20, 3), (8, 100, 30, 5), (32, 100, 200, 10)])
@@ -347,7 +343,7 @@ class TestSynthesizeEigengapData:
         # the Gram route when cond(a0)^2 < 16, otherwise the thin SVD: the oracle bit for
         # bit, the rows (formed a slab of rows at a time) to round-off
         n, m, d, r = shape
-        locals_, x = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=[2, 0])
+        locals_, x = problems.synthesize_eigengap_data(n, m, d, r, 0.8, seed=[2, 0])
         a0 = np.random.default_rng([2, 0]).standard_normal((n * m, d))
         s2, v = np.linalg.eigh(a0.T @ a0)
         s2, v = s2[::-1], v[:, ::-1]
@@ -374,20 +370,20 @@ class TestSynthesizeEigengapData:
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Draw())
         with np.errstate(all="raise"):
-            locals_, x = sd.synthesize_eigengap_data(2, 6, 6, 2, 0.8, seed=0)
+            locals_, x = problems.synthesize_eigengap_data(2, 6, 6, 2, 0.8, seed=0)
         sigma = np.linalg.svd(locals_.rows, compute_uv=False)
         assert np.abs(sigma - sigma[0] * 0.8 ** (np.arange(6) / 2.0)).max() <= 64 * np.finfo(float).eps * sigma[0]
         assert np.isfinite(x.data).all()
 
     def test_block_split(self):
-        locals_, _ = sd.synthesize_eigengap_data(3, 5, 6, 1, 0.5, seed=11)
+        locals_, _ = problems.synthesize_eigengap_data(3, 5, 6, 1, 0.5, seed=11)
         assert [o.sample_count for o in locals_] == [5, 5, 5]
 
     def test_infeasible_dims(self):
         with pytest.raises(ParameterError):
-            sd.synthesize_eigengap_data(2, 2, 10, 1, 0.5, seed=0)  # n*m < d
+            problems.synthesize_eigengap_data(2, 2, 10, 1, 0.5, seed=0)  # n*m < d
         with pytest.raises(ParameterError):
-            sd.synthesize_eigengap_data(2, 10, 5, 1, 1.5, seed=0)  # gap out of range
+            problems.synthesize_eigengap_data(2, 10, 5, 1, 1.5, seed=0)  # gap out of range
 
 
 class TestLoadDsvPartition:
@@ -395,7 +391,7 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         rows = [[i + j for j in range(3)] for i in range(10)]
         path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
-        blocks = sd.load_dsv_partition(path, 3)
+        blocks = problems.load_dsv_partition(path, 3)
         assert [b.sample_count for b in blocks] == [4, 3, 3]
         assert_same_bits(blocks, EigLocal(np.asarray(rows) / 1.0, 3))
         assert not blocks.rows.flags.writeable
@@ -403,16 +399,16 @@ class TestLoadDsvPartition:
     def test_divisor(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("255,510\n255,255\n")
-        blocks = sd.load_dsv_partition(path, 1, normalize_divisor=255.0)
+        blocks = problems.load_dsv_partition(path, 1, normalize_divisor=255.0)
         assert np.allclose(blocks.rows, [[1.0, 2.0], [1.0, 1.0]])
         path.write_text("1,3\n0.1,-7\n2,5e-3\n")  # quotients that round
-        blocks = sd.load_dsv_partition(path, 2, normalize_divisor=3.0)
+        blocks = problems.load_dsv_partition(path, 2, normalize_divisor=3.0)
         assert_same_bits(blocks, EigLocal(np.asarray([[1, 3], [0.1, -7], [2, 5e-3]]) / 3.0, 2))
 
     def test_whitespace_delimited_and_header(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("colA colB\n1 2\n  \n3\t4.5 \n")
-        blocks = sd.load_dsv_partition(path, 1)
+        blocks = problems.load_dsv_partition(path, 1)
         assert blocks.sample_count == 2
         assert_same_bits(blocks, EigLocal(np.asarray([[1, 2], [3, 4.5]]) / 1.0, 1))
 
@@ -420,33 +416,33 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n1,2,x\n")
         with pytest.raises(IngestionError, match="line 3"):
-            sd.load_dsv_partition(path, 1)
+            problems.load_dsv_partition(path, 1)
 
     def test_non_numeric_field_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n1,x\n")
         with pytest.raises(IngestionError, match="line 3.*'x'"):
-            sd.load_dsv_partition(path, 1)
+            problems.load_dsv_partition(path, 1)
 
     @pytest.mark.parametrize("tok", ["nan", "inf", "-Infinity"])
     def test_non_finite_field_names_line(self, tmp_path, tok):
         path = tmp_path / "data.csv"
         path.write_text(f"a,b\n1,2\n3,{tok}\n")
         with pytest.raises(IngestionError, match=f"line 3: non-finite field '{tok}'"):
-            sd.load_dsv_partition(path, 1)
+            problems.load_dsv_partition(path, 1)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n")
         with pytest.raises(IngestionError):
-            sd.load_dsv_partition(path, 3)
+            problems.load_dsv_partition(path, 3)
 
     def test_no_agents_is_an_argument_error(self, tmp_path):
         # not reported as a Gram overflow with the --divisor hint
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ParameterError, match=r"^need n >= 1, got 0$"):
-            sd.load_dsv_partition(path, 0)
+            problems.load_dsv_partition(path, 0)
 
     def test_parses_a_line_at_a_time(self, tmp_path):
         # the file's text and its list of lines are never held whole: together they
@@ -457,7 +453,7 @@ class TestLoadDsvPartition:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blocks = sd.load_dsv_partition(path, 4)
+            blocks = problems.load_dsv_partition(path, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,7 +465,7 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         path.write_bytes(b"1,2\n" * 5000 + "3,\u00e9\n".encode("latin-1"))
         with pytest.raises(IngestionError, match=f"^cannot read {re.escape(str(path))}: not UTF-8 text$"):
-            sd.load_dsv_partition(path, 1)
+            problems.load_dsv_partition(path, 1)
 
     @pytest.mark.parametrize("header", [b"", b"a,b,c\n"], ids=["no-header", "header"])
     def test_byte_order_mark_keeps_every_row(self, tmp_path, header):
@@ -477,7 +473,7 @@ class TestLoadDsvPartition:
         # skipped as the header, or a real header became a non-numeric row
         path = tmp_path / "data.csv"
         path.write_bytes(b"\xef\xbb\xbf" + header + b"1,2,3\n4,5,6\n7,8,9.5\n1,0,2\n")
-        blocks = sd.load_dsv_partition(path, 1)
+        blocks = problems.load_dsv_partition(path, 1)
         assert_same_bits(blocks, EigLocal(np.asarray([[1, 2, 3], [4, 5, 6], [7, 8, 9.5], [1, 0, 2]]) / 1.0, 1))
 
     @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
@@ -485,29 +481,29 @@ class TestLoadDsvPartition:
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(IngestionError, match="agent 0: Gram matrix .* not finite.*--divisor"):
-            sd.load_dsv_partition(path, 1, normalize_divisor=divisor)
+            problems.load_dsv_partition(path, 1, normalize_divisor=divisor)
 
 
 class TestCentralizedOracle:
     def test_diag_spectrum(self):
         o = local_with_gram([3.0, 2.0, 1.0])
-        oracle = sd.centralized_oracle(o, 2)
+        oracle = problems.centralized_oracle(o, 2)
         target = np.eye(3)[:, :2]
-        assert sd.subspace_distance(oracle.data, StiefelPoint(target).data) <= 1e-12
+        assert metrics.subspace_distance(oracle.data, StiefelPoint(target).data) <= 1e-12
 
     def test_oracle_is_minimizer(self):
         rng = np.random.default_rng(12)
-        locals_, _ = sd.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=13)
-        oracle = sd.centralized_oracle(locals_, 2)
+        locals_, _ = problems.synthesize_eigengap_data(4, 10, 8, 2, 0.7, seed=13)
+        oracle = problems.centralized_oracle(locals_, 2)
         f_star = np.sum(locals_.value(oracle.data))
         for _ in range(100):
-            x = sd.random_stiefel(8, 2, rng)
+            x = manifold.random_stiefel(8, 2, rng)
             assert f_star <= np.sum(locals_.value(x.data)) + 1e-10
 
     def test_flat_spectrum_warns(self):
         o = local_with_gram([1.0, 1.0, 1.0])
         with pytest.warns(RuntimeWarning):
-            sd.centralized_oracle(o, 1)
+            problems.centralized_oracle(o, 1)
 
     @pytest.mark.parametrize("scale", [2.0**k for k in range(-240, 241, 40)] + [1e-7])
     def test_clear_gap_never_warns_at_any_scale(self, scale):
@@ -517,26 +513,26 @@ class TestCentralizedOracle:
         rows = np.array([[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(25)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sd.centralized_oracle(EigLocal(rows * scale, 3), 2)
+            problems.centralized_oracle(EigLocal(rows * scale, 3), 2)
 
     @pytest.mark.parametrize("scale", [4.0**k for k in range(-240, 241, 40)] + [0.0])
     def test_tied_spectrum_warns_at_every_scale(self, scale):
         # an exact tie at positions 1 and 2; scale 0 is the all-zero spectrum
         with pytest.warns(RuntimeWarning, match="eigengap"):
-            sd.centralized_oracle(local_with_gram(np.array([4.0, 4.0, 1.0]) * scale), 1)
+            problems.centralized_oracle(local_with_gram(np.array([4.0, 4.0, 1.0]) * scale), 1)
 
     def test_bad_r(self):
         with pytest.raises(ParameterError):
-            sd.centralized_oracle(local_with_gram([1.0, 2.0]), 3)
+            problems.centralized_oracle(local_with_gram([1.0, 2.0]), 3)
 
 
 class TestEstimateXi:
     def test_positive_and_deterministic(self):
         rng = np.random.default_rng(14)
-        locals_, _ = sd.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=15)
-        x = sd.random_stiefel(6, 2, rng)
-        a = sd.estimate_xi(locals_, x, np.random.default_rng(16))
-        b = sd.estimate_xi(locals_, x, np.random.default_rng(16))
+        locals_, _ = problems.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=15)
+        x = manifold.random_stiefel(6, 2, rng)
+        a = problems.estimate_xi(locals_, x, np.random.default_rng(16))
+        b = problems.estimate_xi(locals_, x, np.random.default_rng(16))
         assert a == b and a > 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 50, 100, 101, 255, 256, 257, 1000, 4097, 65537])
@@ -550,9 +546,9 @@ class TestEstimateXi:
             assert one.integers(0, 2**62) == each.integers(0, 2**62)
 
     def test_bounds_observed_deviation(self):
-        locals_, _ = sd.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=17)
-        x = sd.random_stiefel(6, 2, np.random.default_rng(18))
-        xi = sd.estimate_xi(locals_, x, np.random.default_rng(19))
+        locals_, _ = problems.synthesize_eigengap_data(3, 12, 6, 2, 0.7, seed=17)
+        x = manifold.random_stiefel(6, 2, np.random.default_rng(18))
+        xi = problems.estimate_xi(locals_, x, np.random.default_rng(19))
         o = next(iter(locals_))
         # any single draw it saw is within the reported bound
         v = o.stochastic_egrad(x.data, [[0]])

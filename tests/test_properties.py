@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import stiefel_dec as sd
+from stiefel_dec import algorithms, manifold, metrics, network, problems
 from stiefel_dec.algorithms import _epoch_batches, steps_per_epoch
 from stiefel_dec.manifold import frobenius_norms
 from stiefel_dec.metrics import average_value
@@ -36,15 +36,15 @@ def random_stack(rng, n, d, r):
 
 def tangent_stack(rng, x, scale):
     """Tangent steps at every slice of x, of Frobenius norm about scale * sqrt(r)."""
-    return sd.project_to_tangent(x, rng.standard_normal(x.shape) * (scale / np.sqrt(x.shape[1])))
+    return manifold.project_to_tangent(x, rng.standard_normal(x.shape) * (scale / np.sqrt(x.shape[1])))
 
 
 def gradient_instance(n, d, r, seed):
     """A problem with n * m >= d rows, n random points, uniform mixing and a stepsize."""
     m = max(2, -(-d // n))
-    locals_, _ = sd.synthesize_eigengap_data(n, m, d, r, 0.8, seed=seed)
-    s = sd.SwarmState(random_stack(np.random.default_rng(seed), n, d, r))
-    return locals_, sd.MixingMatrix(np.full((n, n), 1.0 / n)), s, 0.05 / m
+    locals_, _ = problems.synthesize_eigengap_data(n, m, d, r, 0.8, seed=seed)
+    s = manifold.SwarmState(random_stack(np.random.default_rng(seed), n, d, r))
+    return locals_, network.MixingMatrix(np.full((n, n), 1.0 / n)), s, 0.05 / m
 
 
 @st.composite
@@ -64,13 +64,13 @@ def synthetic_shapes(draw):
 def test_synthesized_profile_and_oracle_match_the_rows_svd(shape, gap, seed):
     # whichever route the draw takes, down to M = d
     n, m, d, r = shape
-    locals_, xstar = sd.synthesize_eigengap_data(n, m, d, r, gap, seed=[seed, 0])
+    locals_, xstar = problems.synthesize_eigengap_data(n, m, d, r, gap, seed=[seed, 0])
     _, sigma, vt = np.linalg.svd(locals_.rows, full_matrices=False)
     target = sigma[0] * gap ** (np.arange(d + 1) / 2.0)
     assert np.abs(sigma - target[:d]).max() <= 64 * EPS * sigma[0]
     # the subspace of the r largest is only as well defined as their gap to the next
     bound = 64 * EPS * sigma[0] / (target[r - 1] - target[r])
-    assert sd.subspace_distance(vt[:r].T, xstar.data) <= (bound if r < d else 64 * EPS)
+    assert metrics.subspace_distance(vt[:r].T, xstar.data) <= (bound if r < d else 64 * EPS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,11 +80,11 @@ def test_stack_equals_slices_bit_for_bit(shape, seed, scale):
     x = random_stack(rng, *shape)
     y = rng.standard_normal(x.shape)
     xi = tangent_stack(rng, x, scale)
-    proj = sd.project_to_tangent(x, y)
-    ret = sd.polar_retract(x, xi)
+    proj = manifold.project_to_tangent(x, y)
+    ret = manifold.polar_retract(x, xi)
     for i in range(shape[0]):
-        assert np.array_equal(proj[i], sd.project_to_tangent(x[i], y[i]))
-        assert np.array_equal(ret[i], sd.polar_retract(x[i], xi[i]))
+        assert np.array_equal(proj[i], manifold.project_to_tangent(x[i], y[i]))
+        assert np.array_equal(ret[i], manifold.polar_retract(x[i], xi[i]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,11 +112,11 @@ def test_norm_kernel_equals_per_slice_norm_bit_for_bit(shape, seed, scale, strid
 def test_perturbed_swarm_equals_per_agent_tangents(shape, seed, noise):
     n, d, r = shape
     assume(d > 1)  # St(1, 1) = {-1, 1} has no nonzero tangent direction
-    x0 = sd.random_stiefel(d, r, np.random.default_rng(seed))
+    x0 = manifold.random_stiefel(d, r, np.random.default_rng(seed))
     ref_rng, rng = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
     # the per-agent construction: one validated random_tangent per agent, retracted alone
-    expected = [sd.polar_retract(x0.data, sd.random_tangent(x0, ref_rng, noise).data) for _ in range(n)]
-    s = sd.perturbed_swarm(x0, n, noise, rng)
+    expected = [manifold.polar_retract(x0.data, manifold.random_tangent(x0, ref_rng, noise).data) for _ in range(n)]
+    s = manifold.perturbed_swarm(x0, n, noise, rng)
     assert np.array_equal(s.x, np.stack(expected))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -127,7 +127,7 @@ def test_retraction_is_orthonormal(shape, seed, scale):
     n, d, r = shape
     rng = np.random.default_rng(seed)
     x = random_stack(rng, n, d, r)
-    out = sd.polar_retract(x, tangent_stack(rng, x, scale))
+    out = manifold.polar_retract(x, tangent_stack(rng, x, scale))
     err = np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max()
     assert err <= 16 * EPS * (d + r)
 
@@ -141,7 +141,7 @@ def test_retraction_factor_matches_three_pass_formula(shape, seed, scale):
     rng = np.random.default_rng(seed)
     x = random_stack(rng, n, d, r)
     xi = tangent_stack(rng, x, scale)
-    out = sd.polar_retract(x, xi)
+    out = manifold.polar_retract(x, xi)
     v = x + xi
     w, q = np.linalg.eigh(v.swapaxes(-1, -2) @ v)
     reference = ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
@@ -155,14 +155,14 @@ def test_tracking_residual_stays_at_round_off(shape, seed):
     n = shape[0]
     locals_, w, s, beta = gradient_instance(*shape, seed)
     if n >= 3:
-        w = sd.metropolis_weights(sd.ring_graph(n))
+        w = network.metropolis_weights(network.ring_graph(n))
     x = s.x
-    y, g = sd.drgta_init(x, locals_)
+    y, g = algorithms.drgta_init(x, locals_)
     for _ in range(4):
-        x, y, g = sd.drgta_step(x, y, g, w, 1.0, beta, locals_)
-        tr = sd.TrackerState(y, g)
+        x, y, g = algorithms.drgta_step(x, y, g, w, 1.0, beta, locals_)
+        tr = algorithms.TrackerState(y, g)
         scale = 1.0 + np.linalg.norm(tr.average())
-        assert sd.tracking_residual(tr, sd.SwarmState(x), locals_) <= 1e-10 * scale
+        assert algorithms.tracking_residual(tr, manifold.SwarmState(x), locals_) <= 1e-10 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +173,7 @@ def test_projection_kernel_equals_old_expression_bit_for_bit(shape, seed):
     x = random_stack(rng, *shape)
     y = rng.standard_normal(x.shape)
     sym = x.swapaxes(-1, -2) @ y
-    assert np.array_equal(sd.project_to_tangent(x, y), y - 0.5 * x @ (sym + sym.swapaxes(-1, -2)))
+    assert np.array_equal(manifold.project_to_tangent(x, y), y - 0.5 * x @ (sym + sym.swapaxes(-1, -2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -182,14 +182,14 @@ def test_drgta_step_equals_per_agent_loop(shape, seed):
     # the per-agent round written out, one agent at a time: one projection of
     # alpha mixed - beta y_i, which equals alpha P(mixed) - beta P(y_i)
     locals_, w, s, beta = gradient_instance(*shape, seed)
-    y, g = sd.drgta_init(s.x, locals_)
+    y, g = algorithms.drgta_init(s.x, locals_)
     alpha = 1.0
-    x_next, y_next, g_next = sd.drgta_step(s.x, y, g, w, alpha, beta, locals_)
-    mixed_x, mixed_y = sd.mix(s.x, w), sd.mix(y, w)
+    x_next, y_next, g_next = algorithms.drgta_step(s.x, y, g, w, alpha, beta, locals_)
+    mixed_x, mixed_y = network.mix(s.x, w), network.mix(y, w)
     for i, (x, o) in enumerate(zip(s.x, locals_)):
-        g_old = sd.project_to_tangent(x, o.euclidean_grad(x)[0])
-        x_new = sd.polar_retract(x, sd.project_to_tangent(x, alpha * mixed_x[i] - beta * y[i]))
-        g_new = sd.project_to_tangent(x_new, o.euclidean_grad(x_new)[0])
+        g_old = manifold.project_to_tangent(x, o.euclidean_grad(x)[0])
+        x_new = manifold.polar_retract(x, manifold.project_to_tangent(x, alpha * mixed_x[i] - beta * y[i]))
+        g_new = manifold.project_to_tangent(x_new, o.euclidean_grad(x_new)[0])
         assert np.array_equal(g[i], g_old)
         assert np.array_equal(x_next[i], x_new)
         assert np.array_equal(g_next[i], g_new)
@@ -203,10 +203,10 @@ def test_drsgd_step_equals_per_agent_loop(shape, seed):
     locals_, w, s, beta = gradient_instance(*shape, seed)
     alpha = 0.75
     egrads = locals_.euclidean_grad(s.x)
-    out = sd.drsgd_step(s.x, w, alpha, beta, egrads)
-    mixed = sd.mix(s.x, w)
+    out = algorithms.drsgd_step(s.x, w, alpha, beta, egrads)
+    mixed = network.mix(s.x, w)
     for i, x in enumerate(s.x):
-        expected = sd.polar_retract(x, sd.project_to_tangent(x, alpha * mixed[i] - beta * egrads[i]))
+        expected = manifold.polar_retract(x, manifold.project_to_tangent(x, alpha * mixed[i] - beta * egrads[i]))
         assert np.array_equal(out[i], expected)
 
 
@@ -216,12 +216,12 @@ def test_snapshot_is_one_projection_of_the_mean_gradient(shape, seed):
     # a metrics row takes one (d, d) @ (d, r) product with sum_i G_i at xbar
     locals_, w, _, beta = gradient_instance(*shape, seed)
     n, d, r = shape
-    s = sd.SwarmState(np.repeat(random_stack(np.random.default_rng(seed), 1, d, r), n, axis=0))
-    rec = sd.run("drdgd", s, w, alpha=1.0, locals_=locals_,
-                 schedule=sd.StepsizeSchedule(beta), max_rounds=0).records[0]
+    s = manifold.SwarmState(np.repeat(random_stack(np.random.default_rng(seed), 1, d, r), n, axis=0))
+    rec = algorithms.run("drdgd", s, w, alpha=1.0, locals_=locals_,
+                 schedule=algorithms.StepsizeSchedule(beta), max_rounds=0).records[0]
     xbar = s.mean_point.data
     egrad = -(locals_.gram_sum @ xbar) / n
-    assert rec.grad_norm_sq == float(np.linalg.norm(sd.project_to_tangent(xbar, egrad))) ** 2
+    assert rec.grad_norm_sq == float(np.linalg.norm(manifold.project_to_tangent(xbar, egrad))) ** 2
     assert rec.f_bar == float(0.5 * np.sum(xbar * egrad))
 
 
@@ -240,11 +240,11 @@ def test_metrics_match_per_objective_formulas_within_gate_bound(shape, seed):
     acc = np.zeros_like(x)
     for g in locals_.gram:
         acc += -g @ x
-    gsq_old = float(np.linalg.norm(sd.project_to_tangent(x, acc / n))) ** 2
+    gsq_old = float(np.linalg.norm(manifold.project_to_tangent(x, acc / n))) ** 2
     f_new = average_value(x, egrad)
     scale = max(abs(f_new), abs(f_old))
     assert abs(f_new - f_old) <= 1e-12 * scale
-    assert abs(np.sqrt(sd.stationarity_measure(x, egrad)) - np.sqrt(gsq_old)) <= 1e-12 * scale
+    assert abs(np.sqrt(metrics.stationarity_measure(x, egrad)) - np.sqrt(gsq_old)) <= 1e-12 * scale
 
 
 @st.composite
@@ -268,8 +268,8 @@ def test_stacked_problem_equals_one_agent_problems_bit_for_bit(part, seed):
     base, extra = divmod(big, n)
     counts = [base + (i < extra) for i in range(n)]
     starts = np.cumsum([0] + counts[:-1])
-    agents = [sd.EigLocal(data[s : s + m]) for s, m in zip(starts, counts)]
-    stacked = sd.EigLocal(data, n)
+    agents = [problems.EigLocal(data[s : s + m]) for s, m in zip(starts, counts)]
+    stacked = problems.EigLocal(data, n)
     assert stacked.counts.tolist() == counts and stacked.sample_count == max(counts)
     assert [o.sample_count for o in stacked] == counts
     x = random_stack(rng, n, d, r)
@@ -328,7 +328,7 @@ def ragged_epochs(draw):
 def test_gathered_epochs_equal_step_by_step_bit_for_bit(case, seed, strided):
     big, n, d, r, batch, epochs = case
     rng = np.random.default_rng(seed)
-    locals_ = sd.EigLocal(rng.standard_normal((big, d)), n)
+    locals_ = problems.EigLocal(rng.standard_normal((big, d)), n)
     steps = steps_per_epoch(locals_, batch)
     counts = locals_.counts.tolist()
     new_rngs = [np.random.default_rng([seed, i]) for i in range(n)]
@@ -360,9 +360,9 @@ def reference_drsgd(locals_, s, wt, alpha, schedule, epochs, batch, seed):
     for _ in range(epochs):
         for _ in range(steps_per_epoch(locals_, batch)):
             beta = schedule.beta(k)
-            x = sd.drsgd_step(x, wt, alpha, beta, stepwise_egrad(locals_, x, [next(g) for g in streams]))
+            x = algorithms.drsgd_step(x, wt, alpha, beta, stepwise_egrad(locals_, x, [next(g) for g in streams]))
             k += 1
-        out.append((sd.SwarmState(x), beta))
+        out.append((manifold.SwarmState(x), beta))
     return out
 
 
@@ -372,11 +372,11 @@ def reference_drsgd(locals_, s, wt, alpha, schedule, epochs, batch, seed):
 def test_drsgd_run_equals_step_by_step_loop_bit_for_bit(case, seed):
     big, n, d, r, batch, epochs = case
     rng = np.random.default_rng(seed)
-    locals_ = sd.EigLocal(rng.standard_normal((big, d)), n)
-    s = sd.SwarmState(random_stack(rng, n, d, r))
-    wt = sd.metropolis_weights(sd.ring_graph(n)) if n > 1 else sd.MixingMatrix(np.ones((1, 1)))
-    schedule = sd.StepsizeSchedule(0.3 / locals_.sample_count, diminishing=True)
-    result = sd.run("drsgd", s, wt, alpha=0.9, locals_=locals_, schedule=schedule,
+    locals_ = problems.EigLocal(rng.standard_normal((big, d)), n)
+    s = manifold.SwarmState(random_stack(rng, n, d, r))
+    wt = network.metropolis_weights(network.ring_graph(n)) if n > 1 else network.MixingMatrix(np.ones((1, 1)))
+    schedule = algorithms.StepsizeSchedule(0.3 / locals_.sample_count, diminishing=True)
+    result = algorithms.run("drsgd", s, wt, alpha=0.9, locals_=locals_, schedule=schedule,
                     max_rounds=epochs, batch_size=batch, seed=seed)
     want = reference_drsgd(locals_, s, wt, 0.9, schedule, epochs, batch, seed)
     assert len(result.records) == len(want) == epochs + 1
@@ -384,5 +384,5 @@ def test_drsgd_run_equals_step_by_step_loop_bit_for_bit(case, seed):
         xbar = ref.mean_point.data
         egrad = locals_.mean_grad(xbar)
         assert (rec.consensus_err_sq, rec.linf_err, rec.beta_k) == (ref.consensus_error_sq, ref.linf_error, beta)
-        assert (rec.grad_norm_sq, rec.f_bar) == (sd.stationarity_measure(xbar, egrad), average_value(xbar, egrad))
+        assert (rec.grad_norm_sq, rec.f_bar) == (metrics.stationarity_measure(xbar, egrad), average_value(xbar, egrad))
     assert np.array_equal(result.final.x, want[-1][0].x)
