@@ -96,6 +96,7 @@ FILES = {
     "bom.csv": b"\xef\xbb\xbf" + sample_rows(25, 6).encode("utf-8"),  # bytes: a byte-order mark, no header
     "n-float.json": '{"n": 8.0}',
     "t-str.json": '{"t": "1"}',
+    "epochs-1e400.json": '{"algorithm": "drsgd", "max_epochs": 1' + "0" * 400 + "}",
 }
 
 # (name, CLI arguments); cli_args appends --out OUT to every subcommand but spectral,
@@ -211,6 +212,19 @@ CONFIGS = [
     ("synthetic-m-below-d", "run --n 2 --m 3 --d 30 --max-iters 1"),
     # an --er-p that contradicts the compact er(p) form: exits 2 naming er_p
     ("er-p-conflict", "spectral --graph er(0.3) --er-p 0.5"),
+    # one config per wording of a declared lower bound: exits 2 naming the field
+    ("batch-size-0", "run --batch-size 0"),
+    ("t-negative", "run --t -1"),
+    ("tol-ds-negative", "run --tol-ds -1"),
+    # sizes past numpy's largest array, which it refuses with a ValueError before malloc
+    # sees them: exits 2 naming n, m, d (the problem's) or n, d, r (the drcs start's)
+    ("m-1e16", "run --m 10000000000000000"),
+    ("oracle-m-1e17", "oracle --m 100000000000000000"),
+    ("drcs-d-1e21", "run --algorithm drcs --d 1000000000000000000000 --r 1"),
+    # round caps past the float range: exits 2 naming max_epochs or max_iters
+    ("drsgd-epochs-1e400", "run --algorithm drsgd --max-epochs 1" + "0" * 400),
+    ("drdgd-constant-iters-1e400", "run --algorithm drdgd --schedule constant --max-iters 1" + "0" * 400),
+    ("config-epochs-1e400", "run --config epochs-1e400.json"),
 ]
 
 
