@@ -3,6 +3,9 @@
 Subcommands: run (any algorithm, drcs the pure gossip contraction), spectral
 (graph and mixing-rate report), oracle (centralized solution). run writes its
 CSV log and oracle its solution to the config's out, from --out or --config.
+The flags are not written here: each config field's flag, help text,
+subcommands and simple range are declared once, on its ExperimentConfig line
+(harness.py), and the parser is built from that table.
 Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError, or
 ParameterError printed as `error:`; an --out path that cannot be written is
 found before the first round), 3 data ingestion failure (IngestionError), 4
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, IngestionError, NumericalError, StiefelDecError
 from .harness import (
@@ -23,6 +27,7 @@ from .harness import (
     EXIT_INGESTION,
     EXIT_NUMERICAL,
     EXIT_OK,
+    ExperimentConfig,
     oracle_report,
     parse_config,
     run_experiment,
@@ -30,59 +35,34 @@ from .harness import (
     write_out,
 )
 
-_SUPPRESS = argparse.SUPPRESS
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--graph", default=_SUPPRESS, help=" | ".join(CHOICES["graph"]) + " | er(p)")
-    p.add_argument("--er-p", dest="er_p", type=float, default=_SUPPRESS, help="ER edge probability")
-    p.add_argument("--n", type=int, default=_SUPPRESS, help="number of agents")
-    p.add_argument("--t", type=int, default=_SUPPRESS, help="gossip rounds per iteration (0 = auto minimum)")
-    p.add_argument("--alpha", type=float, default=_SUPPRESS, help="consensus stepsize (0 = auto cap)")
-    p.add_argument("--r", type=int, default=_SUPPRESS, help="columns of the Stiefel variable")
-    p.add_argument("--d", type=int, default=_SUPPRESS, help="ambient dimension (synthetic problem)")
-    p.add_argument("--m", type=int, default=_SUPPRESS, help="samples per agent (synthetic problem)")
-    p.add_argument("--gap", type=float, default=_SUPPRESS, help="eigengap of the synthetic spectrum, in (0,1)")
-    p.add_argument("--problem", default=_SUPPRESS, help=" | ".join(CHOICES["problem"]))
-    p.add_argument("--data", dest="data_path", default=_SUPPRESS, help="delimiter-separated data file (dsv problem)")
-    p.add_argument("--divisor", type=float, default=_SUPPRESS, help="divide data values by this on load")
-    p.add_argument("--seed", type=int, default=_SUPPRESS, help="master seed")
-    p.add_argument("--delta1", type=float, default=_SUPPRESS, help="mean-square region radius (0 = delta2/(5 sqrt r))")
-    p.add_argument("--delta2", type=float, default=_SUPPRESS, help="per-agent region radius, at most 1/6")
+# argparse keywords per field type; a boolean field is a switch
+_ARGUMENT_KINDS = {"int": dict(type=int), "float": dict(type=float), "str": {}, "bool": dict(action="store_true")}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each taking --config and the flag of every config field
+    declared for it. A flag not given is left out of the namespace, so the file or the
+    field's default fills it."""
     parser = argparse.ArgumentParser(
         prog="stiefel-dec",
         description="Decentralized optimization on the Stiefel manifold over simulated agent networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help=f"run an experiment ({' | '.join(CHOICES['algorithm'])})")
-    run_p.add_argument("--algorithm", default=_SUPPRESS, help=" | ".join(CHOICES["algorithm"]))
-    _add_common(run_p)
-    run_p.add_argument("--schedule", default=_SUPPRESS, help=" | ".join(CHOICES["schedule"]))
-    run_p.add_argument("--beta-hat", dest="beta_hat", type=float, default=_SUPPRESS, help="practical stepsize before rescaling")
-    run_p.add_argument("--beta-scale", dest="beta_scale", default=_SUPPRESS, help=" | ".join(CHOICES["beta_scale"]))
-    run_p.add_argument("--max-iters", dest="max_iters", type=int, default=_SUPPRESS)
-    run_p.add_argument("--max-epochs", dest="max_epochs", type=int, default=_SUPPRESS)
-    run_p.add_argument("--batch-size", dest="batch_size", type=int, default=_SUPPRESS)
-    run_p.add_argument("--tol-ds", dest="tol_ds", type=float, default=_SUPPRESS, help="stop when d_s(mean, oracle) is below this (0 disables)")
-    run_p.add_argument("--tol-grad", dest="tol_grad", type=float, default=_SUPPRESS, help="stop when ||grad f(mean)|| is below this (0 disables)")
-    run_p.add_argument("--tol-consensus", dest="tol_consensus", type=float, default=_SUPPRESS, help="consensus runs: stop when the stacked deviation is below this")
-    run_p.add_argument("--init", default=_SUPPRESS, help=" | ".join(CHOICES["init"]))
-    run_p.add_argument("--perturb", type=float, default=_SUPPRESS, help="tangent noise on a shared start")
-    run_p.add_argument("--timing", action="store_true", default=_SUPPRESS, help="record wall-clock ms per row (breaks byte-level log reproducibility)")
-    run_p.add_argument("--out", default=_SUPPRESS, help="CSV log path")
-
-    spectral_p = sub.add_parser("spectral", help="graph and mixing-rate report")
-    _add_common(spectral_p)
-
-    orc_p = sub.add_parser("oracle", help="print or save the centralized solution")
-    _add_common(orc_p)
-    orc_p.add_argument("--out", default=_SUPPRESS, help="write the solution matrix here instead of stdout")
-
+    commands = {
+        "run": sub.add_parser("run", help=f"run an experiment ({' | '.join(CHOICES['algorithm'])})"),
+        "spectral": sub.add_parser("spectral", help="graph and mixing-rate report"),
+        "oracle": sub.add_parser("oracle", help="print or save the centralized solution"),
+    }
+    for p in commands.values():
+        p.add_argument("--config", default=None, help="JSON config file; flags override it")
+    for f in fields(ExperimentConfig):
+        meta = f.metadata
+        flag = meta["flag"] or "--" + f.name.replace("_", "-")
+        for command in meta["commands"]:
+            commands[command].add_argument(
+                flag, dest=f.name, default=argparse.SUPPRESS, help=meta["help"],
+                **_ARGUMENT_KINDS[f.type.partition(" | ")[0]],
+            )
     return parser
 
 
@@ -101,7 +81,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         # oracle
         text = oracle_report(cfg)
-        if cfg.out:
+        if cfg.out is not None:
             write_out(cfg.out, text + "\n")
             print(f"wrote {cfg.out}")
         else:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,57 +68,74 @@ EXIT_NO_CONVERGENCE = 5
 
 # The mixing matrix is a dense n x n array of doubles, 8 n^2 bytes: 512 MiB at this cap.
 MAX_AGENTS = 2**13
+# The largest count a float holds exactly. Round caps and r reach float arithmetic: sqrt(k), k + 1.0, sqrt(r).
+MAX_COUNT = 2**53
 
-# the allowed values of each enumerated config field
-CHOICES = {
-    "algorithm": ALGORITHMS,
-    "graph": ("ring", "complete", "er"),
-    "schedule": ("diminishing", "constant", "user"),
-    "beta_scale": ("default", "speedup", "raw"),
-    "problem": ("synthetic", "dsv"),
-    "init": ("shared", "independent"),
-}
+COMMANDS = ("run", "spectral", "oracle")
+_RUN = ("run",)
+
+
+def _declare(default, help="", *, commands=COMMANDS, flag=None, choices=(), low=None, auto=False, high=None):
+    """A config field with its CLI declaration: help text, the subcommands that take its
+    flag (--name unless flag is given), and its simple range: a choice tuple (listed
+    ahead of the help), or a lower bound (0 meaning auto when auto) and an upper one."""
+    if choices:
+        help = " | ".join((*choices, help) if help else choices)
+    meta = dict(help=help, commands=commands, flag=flag, choices=choices, low=low, auto=auto, high=high)
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs, checked when built; 0 means "resolve automatically" for t and alpha."""
 
-    algorithm: str = "drgta"
-    graph: str = "ring"
-    er_p: float = 0.3
-    n: int = 8
-    t: int = 0
-    alpha: float = 1.0
-    schedule: str = "user"
-    beta_hat: float = 0.05
-    beta_scale: str = "default"
-    problem: str = "synthetic"
-    d: int = 30
-    r: int = 5
-    m: int = 100
-    gap: float = 0.8
-    data_path: str | None = None
-    divisor: float = 1.0
-    max_iters: int = 10000
-    max_epochs: int = 200
-    batch_size: int = 1
-    tol_ds: float | None = None
-    tol_grad: float | None = None
-    tol_consensus: float = 1e-12
-    seed: int = 0
-    init: str = "shared"
-    perturb: float = 0.0
-    delta2: float = 1.0 / 6.0
-    delta1: float = 0.0
-    timing: bool = False
-    out: str | None = None
+    algorithm: str = _declare("drgta", commands=_RUN, choices=ALGORITHMS)
+    graph: str = _declare("ring", "er(p)", choices=("ring", "complete", "er"))
+    er_p: float = _declare(0.3, "ER edge probability")
+    n: int = _declare(8, "number of agents")
+    t: int = _declare(0, "gossip rounds per iteration (0 = auto minimum)", low=0, auto=True)
+    alpha: float = _declare(1.0, "consensus stepsize (0 = auto cap)", low=0, auto=True)
+    schedule: str = _declare("user", commands=_RUN, choices=("diminishing", "constant", "user"))
+    beta_hat: float = _declare(0.05, "practical stepsize before rescaling", commands=_RUN)
+    beta_scale: str = _declare("default", commands=_RUN, choices=("default", "speedup", "raw"))
+    problem: str = _declare("synthetic", choices=("synthetic", "dsv"))
+    d: int = _declare(30, "ambient dimension (synthetic problem)")
+    r: int = _declare(5, "columns of the Stiefel variable", low=1, high=MAX_COUNT)
+    m: int = _declare(100, "samples per agent (synthetic problem)")
+    gap: float = _declare(0.8, "eigengap of the synthetic spectrum, in (0,1)")
+    data_path: str | None = _declare(None, "delimiter-separated data file (dsv problem)", flag="--data")
+    divisor: float = _declare(1.0, "divide data values by this on load")
+    max_iters: int = _declare(10000, "iteration cap of drgta, drdgd and drcs", commands=_RUN, low=0, high=MAX_COUNT)
+    max_epochs: int = _declare(200, "epoch cap of drsgd", commands=_RUN, low=0, high=MAX_COUNT)
+    batch_size: int = _declare(1, "samples per agent in each drsgd step", commands=_RUN, low=1)
+    tol_ds: float | None = _declare(
+        None, "stop when d_s(mean, oracle) is below this (0 disables)", commands=_RUN, low=0
+    )
+    tol_grad: float | None = _declare(
+        None, "stop when ||grad f(mean)|| is below this (0 disables)", commands=_RUN, low=0
+    )
+    tol_consensus: float = _declare(
+        1e-12, "consensus runs: stop when the stacked deviation is below this", commands=_RUN, low=0
+    )
+    seed: int = _declare(0, "master seed", low=0)
+    init: str = _declare("shared", commands=_RUN, choices=("shared", "independent"))
+    perturb: float = _declare(0.0, "tangent noise on a shared start", commands=_RUN, low=0)
+    delta2: float = _declare(1.0 / 6.0, "per-agent region radius, at most 1/6")
+    delta1: float = _declare(0.0, "mean-square region radius (0 = delta2/(5 sqrt r))", low=0, auto=True)
+    timing: bool = _declare(
+        False, "record wall-clock ms per row (breaks byte-level log reproducibility)", commands=_RUN
+    )
+    out: str | None = _declare(
+        None, "run's CSV log, or oracle's solution instead of stdout", commands=("run", "oracle")
+    )
 
     def __post_init__(self):
         validate_config(self)
 
 
-_FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+# the allowed values of each enumerated config field
+CHOICES = {f.name: f.metadata["choices"] for f in fields(ExperimentConfig) if f.metadata["choices"]}
 
 
 def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
@@ -130,7 +148,7 @@ def parse_config(file=None, flags: dict | None = None) -> ExperimentConfig:
     if file is not None:
         try:
             loaded = json.loads(Path(file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # JSONDecodeError, or an int past str->int's digit limit
             raise ConfigError(f"cannot read config file: {e}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -183,27 +201,26 @@ def validate_config(cfg: ExperimentConfig):
             bad(f.name, f"must be {noun}, got {v!r}")
         if kind == "float" and not -math.inf < v < math.inf:  # nan passes every range test below
             bad(f.name, f"must be finite, got {v!r}")
-    for name, choices in CHOICES.items():
-        if getattr(cfg, name) not in choices:
-            bad(name, f"must be one of {choices}, got {getattr(cfg, name)!r}")
+        choices, low, high = f.metadata["choices"], f.metadata["low"], f.metadata["high"]
+        if choices and v not in choices:
+            bad(f.name, f"must be one of {choices}, got {v!r}")
+        if low is not None and v < low:
+            bound = "positive" if low == 1 else f">= {low}" + (" (0 = auto)" if f.metadata["auto"] else "")
+            bad(f.name, f"must be {bound}, got {v}")
+        if high is not None and v > high:
+            bad(f.name, f"must be <= {high}, got {v}")
     if cfg.graph == "er" and not (0.0 < cfg.er_p <= 1.0):
         bad("er_p", f"must be in (0, 1], got {cfg.er_p}")
     if cfg.n < 2:
         bad("n", f"need at least 2 agents, got {cfg.n}")
     if cfg.n > MAX_AGENTS:
         bad("n", f"at most {MAX_AGENTS} agents (the mixing matrix is a dense n x n array), got {cfg.n}")
-    if cfg.seed < 0:
-        bad("seed", f"must be >= 0, got {cfg.seed}")
-    if cfg.t < 0:
-        bad("t", f"must be >= 0 (0 = auto), got {cfg.t}")
-    if cfg.alpha < 0.0:
-        bad("alpha", f"must be >= 0 (0 = auto), got {cfg.alpha}")
     if cfg.schedule == "user" and cfg.beta_hat <= 0.0:
         bad("beta_hat", f"must be positive, got {cfg.beta_hat}")
     if cfg.problem == "dsv" and not cfg.data_path:
         bad("data_path", "required for the dsv problem")
     if cfg.problem == "synthetic":
-        if not (1 <= cfg.r <= cfg.d):
+        if cfg.r > cfg.d:
             bad("r", f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}")
         if cfg.m < 1:
             bad("m", f"must be positive, got {cfg.m}")
@@ -211,25 +228,10 @@ def validate_config(cfg: ExperimentConfig):
             bad("m", f"need n * m >= d rows for a full spectrum, got n * m = {cfg.n * cfg.m} < d = {cfg.d}")
         if not (0.0 < cfg.gap < 1.0):
             bad("gap", f"must be in (0, 1), got {cfg.gap}")
-    elif cfg.r < 1:
-        bad("r", f"must be positive, got {cfg.r}")
     if cfg.divisor == 0.0:
         bad("divisor", "must be nonzero")
-    for name in ("max_iters", "max_epochs"):
-        if getattr(cfg, name) < 0:
-            bad(name, f"must be >= 0, got {getattr(cfg, name)}")
-    if cfg.batch_size < 1:
-        bad("batch_size", f"must be positive, got {cfg.batch_size}")
-    for name in ("tol_ds", "tol_grad", "tol_consensus"):
-        v = getattr(cfg, name)
-        if v is not None and v < 0.0:
-            bad(name, f"must be >= 0, got {v}")
-    if cfg.perturb < 0.0:
-        bad("perturb", f"must be >= 0, got {cfg.perturb}")
     if not (0.0 < cfg.delta2 <= 1.0 / 6.0 + 1e-15):
         bad("delta2", f"must be in (0, 1/6], got {cfg.delta2}")
-    if cfg.delta1 < 0.0:
-        bad("delta1", f"must be >= 0 (0 = auto), got {cfg.delta1}")
     if cfg.algorithm == "drgta" and cfg.schedule == "diminishing":
         warnings.warn(
             "gradient tracking is designed for a constant stepsize; "
@@ -387,8 +389,16 @@ def _build_graph(cfg: ExperimentConfig):
 def _allocating(cfg: ExperimentConfig, problem: bool):
     """A set-up in which an array that malloc refuses is a ConfigError naming the fields that
     size the problem's arrays, or with problem False the start's. Malloc refuses one far
-    beyond memory at once; one just under it can still be killed by the OS."""
+    beyond memory at once; one just under it can still be killed by the OS. One past
+    numpy's index range, which numpy refuses with a ValueError, is caught before it is drawn:
+    the synthetic draw or Gram stack, or the start's (n, d, r) stack (a DSV file sizes its own)."""
+    if problem:
+        floats = cfg.n * cfg.d * max(cfg.m, cfg.d) if cfg.problem == "synthetic" else 0
+    else:
+        floats = cfg.n * cfg.d * cfg.r
     try:
+        if 8 * floats > sys.maxsize:
+            raise MemoryError(f"{8 * floats} bytes, past numpy's largest array")
         yield
     except MemoryError as e:
         data = f"n, m, d: n={cfg.n}, m={cfg.m}, d={cfg.d}" if cfg.problem == "synthetic" else f"n, data_path: n={cfg.n}"
@@ -468,7 +478,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Resolve, run, write the CSV log, and report a one-line summary. A run that
     breaks down numerically still writes the rows recorded before the failure."""
     res = resolve(cfg)
-    if cfg.out:
+    if cfg.out is not None:
         write_out(cfg.out)  # an unwritable path fails now, not after the last round
     try:
         result = run(
@@ -489,10 +499,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
             timing=cfg.timing,
         )
     except NumericalError as e:
-        if cfg.out:
+        if cfg.out is not None:
             write_csv(cfg.out, cfg, res.header, e.records)
         raise
-    if cfg.out:
+    if cfg.out is not None:
         write_csv(cfg.out, cfg, res.header, result.records)
     last = result.records[-1]
     parts = [f"{cfg.algorithm}: {last.k} rounds, stop={result.stop}"]
@@ -501,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     if last.grad_norm_sq is not None:
         parts.append(f"|grad|={math.sqrt(last.grad_norm_sq):.3e}")
     parts.append(f"consensus_err_sq={last.consensus_err_sq:.3e}")
-    if cfg.out:
+    if cfg.out is not None:
         parts.append(f"log={cfg.out}")
     code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
     return ExperimentOutcome(code=code, summary="  ".join(parts), result=result)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,70 @@ class TestParseConfig:
     def test_optional_fields_take_none_and_floats_take_ints(self):
         cfg = parse_config(flags=dict(out=None, tol_ds=None, alpha=1, er_p=1))
         assert cfg.out is None and cfg.tol_ds is None and cfg.alpha == 1
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (dict(batch_size=0), "batch_size: must be positive, got 0"),
+            (dict(t=-1), "t: must be >= 0 (0 = auto), got -1"),
+            (dict(tol_ds=-1.0), "tol_ds: must be >= 0, got -1.0"),
+            (dict(max_iters=2**53 + 1), "max_iters: must be <= 9007199254740992, got 9007199254740993"),
+            (dict(max_epochs=10**400), f"max_epochs: must be <= 9007199254740992, got {10**400}"),
+            # the consensus region takes sqrt(r), which a DSV problem reaches without r <= d
+            (dict(problem="dsv", data_path="in.csv", r=10**400), f"r: must be <= 9007199254740992, got {10**400}"),
+        ],
+        ids=["positive", "auto", "nonnegative", "max-iters-above", "max-epochs-1e400", "r-1e400"],
+    )
+    def test_declared_bound_names_its_field(self, flags, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(flags=flags)
+
+    def test_round_caps_and_r_take_every_count_a_float_holds_exactly(self):
+        cfg = parse_config(flags=dict(max_iters=2**53, max_epochs=2**53, r=2**53, d=2**53, m=2**53))
+        assert cfg.max_iters == cfg.max_epochs == cfg.r == harness.MAX_COUNT
+
+
+def field_flag(f) -> str:
+    """The flag a config field is declared with: --name, and --data for data_path."""
+    return "--data" if f.name == "data_path" else "--" + f.name.replace("_", "-")
+
+
+def field_sample(f) -> tuple:
+    """(flag text or None for a switch, value) of a value of field f other than its
+    default, which a config with a data_path takes on its own."""
+    kind = f.type.partition(" | ")[0]
+    if kind == "bool":
+        return None, True
+    if f.metadata["choices"]:
+        value = next(c for c in f.metadata["choices"] if c != f.default)
+        return value, value
+    if kind == "int":
+        return str(f.default + 1), f.default + 1
+    if kind == "float":
+        value = (f.default or 1.0) / 2.0
+        return repr(value), value
+    return "in.csv", "in.csv"
+
+
+class TestFieldTable:
+    """The CLI parser against the ExperimentConfig declarations it is built from."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_flag_gives_its_value_on_the_declared_commands_only(self, capsys, f):
+        # and is rejected elsewhere, as spectral --out and oracle --algorithm are
+        parser = cli.build_parser()
+        text, value = field_sample(f)
+        for command in harness.COMMANDS:
+            argv = [command, field_flag(f)] + ([] if text is None else [text])
+            if command not in f.metadata["commands"]:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+                assert "unrecognized arguments" in capsys.readouterr().err
+                continue
+            flags = {k: v for k, v in vars(parser.parse_args(argv)).items() if k not in ("command", "config")}
+            assert flags == {f.name: value}
+            assert getattr(parse_config(flags=dict(dict(data_path="in.csv"), **flags)), f.name) == value
 
 
 class TestResolve:
@@ -523,6 +588,46 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            (["run", "--m", "10000000000000000"],
+             "n, m, d: n=8, m=10000000000000000, d=30: the problem's arrays cannot be allocated "
+             "(19200000000000000000 bytes, past numpy's largest array)"),
+            (["oracle", "--m", "100000000000000000"],
+             "n, m, d: n=8, m=100000000000000000, d=30: the problem's arrays cannot be allocated "
+             "(192000000000000000000 bytes, past numpy's largest array)"),
+            (["run", "--algorithm", "drcs", "--d", "1000000000000000000000", "--r", "1"],
+             "n, d, r: n=8, d=1000000000000000000000, r=1: the start's arrays cannot be allocated "
+             "(64000000000000000000000 bytes, past numpy's largest array)"),
+        ],
+        ids=["m-1e16", "oracle-m-1e17", "drcs-d-1e21"],
+    )
+    def test_sizes_past_numpys_largest_array_are_2(self, tmp_path, capsys, command, message):
+        # numpy refuses these with a ValueError (array is too big, maximum dimension
+        # exceeded) before malloc sees them; the byte count is checked first
+        out = tmp_path / "o.csv"
+        assert main(command + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algorithm", "drsgd", "--max-epochs"],
+        ["run", "--algorithm", "drdgd", "--schedule", "constant", "--max-iters"],
+    ], ids=["drsgd-epochs", "drdgd-constant-iters"])
+    def test_round_cap_past_the_float_range_is_2(self, tmp_path, capsys, command):
+        # the drsgd stepsize takes sqrt(max_epochs) and the constant rule k_max + 1.0
+        huge = "1" + "0" * 400
+        assert main(command + [huge, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        name = command[-1][2:].replace("-", "_")
+        assert capsys.readouterr().err == f"config error: {name}: must be <= 9007199254740992, got {huge}\n"
+
+    def test_config_file_int_past_the_digit_limit_is_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "f.json"
+        cfg_file.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot read config file: Exceeds the limit")
+
     def test_synthetic_rows_below_d_are_2_naming_m(self, tmp_path, capsys):
         # n m = 6 rows cannot carry a full spectrum in d = 30; drcs builds no problem, so any m passes
         out = tmp_path / "o.csv"
@@ -566,6 +671,16 @@ class TestCli:
         assert code == EXIT_CONFIG
         reason = os.strerror(errno.EISDIR if target == "." else errno.ENOENT)
         assert capsys.readouterr().err == f"config error: out: cannot write {target}: {reason}\n"
+
+    @pytest.mark.parametrize("command", [["run", "--max-iters", "1"], ["oracle"]])
+    def test_empty_out_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # an empty path is a path that cannot be written, not "no log", from a flag or a file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.json").write_text('{"out": ""}')
+        for source in (["--out", ""], ["--config", "f.json"]):
+            assert main(command + ["--n", "3", "--d", "8", "--r", "2", "--m", "10"] + source) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: out: cannot write : {os.strerror(errno.ENOENT)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
 
     def test_unwritable_out_fails_before_the_first_round(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("ran with an unwritable --out"))
