@@ -225,6 +225,8 @@ CONFIGS = [
     ("drsgd-epochs-1e400", "run --algorithm drsgd --max-epochs 1" + "0" * 400),
     ("drdgd-constant-iters-1e400", "run --algorithm drdgd --schedule constant --max-iters 1" + "0" * 400),
     ("config-epochs-1e400", "run --config epochs-1e400.json"),
+    # St(1, 1) has no tangent direction, so drcs's nudge of the shared start has none to take
+    ("drcs-d1-r1", "run --algorithm drcs --d 1 --r 1 --n 3 --max-iters 1"),
 ]
 
 
