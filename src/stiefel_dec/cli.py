@@ -6,12 +6,13 @@ CSV log and oracle its solution to the config's out, from --out or --config.
 The flags are not written here: each config field's flag, help text,
 subcommands and simple range are declared once, on its ExperimentConfig line
 (harness.py), and the parser is built from that table.
-Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError, or
-ParameterError printed as `error:`; an --out path that cannot be written is
-found before the first round), 3 data ingestion failure (IngestionError), 4
-numerical breakdown (NumericalError: degenerate mean, non-finite step or
-metric, failed retraction), 5 finished without reaching the configured
-tolerance (the log is still written).
+Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError,
+`config error: <field>: ...`, which set-up errors take too, naming their
+field; a ParameterError that no field names prints as `error:`; an --out path
+that cannot be written is found before the first round), 3 data ingestion
+failure (IngestionError), 4 numerical breakdown (NumericalError: degenerate
+mean, non-finite step or metric, failed retraction), 5 finished without
+reaching the configured tolerance (the log is still written).
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from .network import (
     complete_graph,
     consensus_rate_params,
     erdos_renyi,
-    matrix_power,
     metropolis_weights,
     min_communication_rounds,
     ring_graph,
@@ -262,37 +261,37 @@ class ResolvedExperiment:
 
 
 def _resolve_rates(cfg: ExperimentConfig) -> tuple:
-    """Graph, W, t_min, t, region, alpha, and the W^t rate reports at alpha_bar and at
-    alpha clamped to alpha_bar (the same one unless alpha < alpha_bar); 0 means auto."""
+    """Graph, W, t_min, t, region, the W^t rate report, the run's alpha, and the alpha the
+    theory reads (the run's, clamped to alpha_bar) with rho_t there; 0 means auto for t and alpha."""
     g = _build_graph(cfg)
     w = metropolis_weights(g)
     t_min = min_communication_rounds(w)
     t = cfg.t if cfg.t > 0 else t_min
     try:
-        matrix_power(w, t)  # kept on w: the rate reports and the run reuse this W^t
-    except ParameterError as e:  # repeated squaring drifts by about t * eps
+        region = ConsensusRegionParams(r=cfg.r, delta2=cfg.delta2, delta1=cfg.delta1)
+    except ParameterError as e:  # r and delta2 are checked with the config, so delta1's cap
+        raise ConfigError(f"delta1: {e}") from None
+    try:
+        rate = consensus_rate_params(w, t, region)
+    except ParameterError as e:  # W^t's repeated squaring drifts by about t * eps
+        raise ConfigError(f"t: W^{t} is not doubly stochastic in floating point ({e}); use a smaller t") from None
+    alpha = cfg.alpha if cfg.alpha > 0.0 else rate.alpha_bar
+    theory_alpha = float(min(alpha, rate.alpha_bar))
+    try:
+        rho_t = rate.rho(theory_alpha)
+    except ParameterError as e:  # 1 - gamma_t * alpha rounds to 1
         raise ConfigError(
-            f"t: W^{t} is not doubly stochastic in floating point ({e}); use a smaller t"
+            f"alpha: {alpha!r} leaves no contraction in floating point ({e}); use a larger alpha"
         ) from None
-    region = ConsensusRegionParams(r=cfg.r, delta2=cfg.delta2, delta1=cfg.delta1)
-    base_rate = rate = consensus_rate_params(w, t, region)
-    alpha = cfg.alpha if cfg.alpha > 0.0 else base_rate.alpha_bar
-    if alpha < base_rate.alpha_bar:
-        try:
-            rate = consensus_rate_params(w, t, region, alpha=alpha)
-        except ParameterError as e:  # 1 - gamma_t * alpha rounds to 1
-            raise ConfigError(
-                f"alpha: {alpha!r} leaves no contraction in floating point ({e}); use a larger alpha"
-            ) from None
-    return g, w, t_min, t, region, alpha, base_rate, rate
+    return g, w, t_min, t, region, rate, alpha, theory_alpha, rho_t
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
-    g, w, t_min, t, region, alpha, base_rate, rate = _resolve_rates(cfg)
-    if alpha > base_rate.alpha_bar:
+    g, w, t_min, t, region, rate, alpha, theory_alpha, rho_t = _resolve_rates(cfg)
+    if alpha > rate.alpha_bar:
         warnings.warn(
             f"alpha = {alpha:.6g} exceeds the theoretical cap "
-            f"alpha_bar = {base_rate.alpha_bar:.6g} (common in practice)",
+            f"alpha_bar = {rate.alpha_bar:.6g} (common in practice)",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -302,8 +301,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         "t": t,
         "t_min": t_min,
         "alpha": alpha,
-        "alpha_bar": base_rate.alpha_bar,
-        "rho_t": rate.rho_t,
+        "alpha_bar": rate.alpha_bar,
+        "rho_t": rho_t,
         "gamma_t": rate.gamma_t,
         "l_t": rate.l_t,
         "mu_t": rate.mu_t,
@@ -334,13 +333,13 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         )
         stochastic = cfg.algorithm == "drsgd"
         max_rounds = cfg.max_epochs if stochastic else cfg.max_iters
-        schedule, constants = _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0)
+        schedule, constants = _build_schedule(cfg, constants, theory_alpha, rho_t, region, mean_m, locals_, x0)
         header["beta"] = schedule.base
         header["schedule"] = cfg.schedule
         if constants.xi > 0.0:
             header["xi_estimate"] = constants.xi
         if cfg.algorithm == "drgta":
-            beta_bar = drgta_max_stepsize(constants, rate.rho_t, rate.alpha, region.delta1)
+            beta_bar = drgta_max_stepsize(constants, rho_t, theory_alpha, region.delta1)
             header["beta_bar"] = beta_bar
             if schedule.base > beta_bar:
                 warnings.warn(
@@ -382,7 +381,10 @@ def _build_graph(cfg: ExperimentConfig):
         return ring_graph(cfg.n)
     if cfg.graph == "complete":
         return complete_graph(cfg.n)
-    return erdos_renyi(cfg.n, cfg.er_p, np.random.default_rng([cfg.seed, 4]))
+    try:
+        return erdos_renyi(cfg.n, cfg.er_p, np.random.default_rng([cfg.seed, 4]))
+    except ParameterError as e:  # n and er_p are checked with the config: no connected sample
+        raise ConfigError(f"er_p: {e}") from None
 
 
 @contextmanager
@@ -415,7 +417,7 @@ def _build_problem(cfg: ExperimentConfig):
     return locals_, centralized_oracle(locals_, cfg.r)
 
 
-def _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0):
+def _build_schedule(cfg, constants, alpha, rho_t, region, mean_m, locals_, x0):
     if cfg.schedule == "user":
         if cfg.beta_scale == "raw":
             beta = cfg.beta_hat
@@ -431,7 +433,7 @@ def _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0):
         return StepsizeSchedule(beta), constants
     if cfg.schedule == "diminishing":
         return (
-            drsgd_diminishing_schedule(constants, rate.rho_t, rate.alpha, region.delta1),
+            drsgd_diminishing_schedule(constants, rho_t, alpha, region.delta1),
             constants,
         )
     # Constant rule: needs the stochastic deviation bound, estimated at the
@@ -442,7 +444,7 @@ def _build_schedule(cfg, constants, rate, region, mean_m, locals_, x0):
     else:
         k_total = cfg.max_iters
     schedule = drsgd_constant_schedule(
-        k_total, cfg.n, constants, alpha=rate.alpha, delta1=region.delta1, rho_t=rate.rho_t
+        k_total, cfg.n, constants, alpha=alpha, delta1=region.delta1, rho_t=rho_t
     )
     return schedule, constants
 
@@ -465,6 +467,8 @@ def _build_swarm(cfg, x0, region) -> SwarmState:
         raise ConfigError(
             f"perturb: a nudge of norm {noise!r} overflows in floating point ({e}); use a smaller perturb"
         ) from None
+    except ParameterError:  # the tangent space of St(d, r) is {0} only at d = r = 1
+        raise ConfigError("d, r: St(1, 1) has no tangent direction to nudge the start along") from None
 
 
 @dataclass(frozen=True)
@@ -550,21 +554,21 @@ def write_out(path, text: str = ""):
 def spectral_report(cfg: ExperimentConfig) -> str:
     """Graph and mixing diagnostics: n, the edge list, sigma2, lambda_min, t_min
     and rho_t at alpha_bar for t_min rounds, then the constants of the resolved t."""
-    g, w, t_min, t, region, _, base_rate, rate = _resolve_rates(cfg)
-    at_t_min = base_rate if t == t_min else consensus_rate_params(w, t_min, region)
+    g, w, t_min, t, region, rate, _, _, rho_t = _resolve_rates(cfg)
+    at_t_min = rate if t == t_min else consensus_rate_params(w, t_min, region)
     lines = [
         f"n {g.n}",
         f"edges {' '.join(f'{i}-{j}' for i, j in sorted(g.edges))}",
         f"sigma2 {w.sigma2:.12g}",
         f"lambda_min {w.lambda_min:.12g}",
         f"t_min {t_min}",
-        f"rho_t {at_t_min.rho_t:.12g}",
+        f"rho_t {at_t_min.rho(at_t_min.alpha_bar):.12g}",
         f"t {t}",
         f"L_t {rate.l_t:.12g}",
         f"mu_t {rate.mu_t:.12g}",
         f"alpha_bar {rate.alpha_bar:.12g}",
         f"gamma_t {rate.gamma_t:.12g}",
-        f"rho_t {rate.rho_t:.12g}",
+        f"rho_t {rho_t:.12g}",
     ]
     return "\n".join(lines)
 

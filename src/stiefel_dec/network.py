@@ -209,54 +209,39 @@ class ConsensusRateReport:
     """Constants of the per-step consensus contraction for W^t.
 
     l_t = 1 - lambda_min(W^t) is the gradient Lipschitz constant of the
-    disagreement function; mu_t = 1 - lambda2(W^t); phi = 2 - delta2^2;
-    alpha_bar caps the consensus stepsize; rho_t = sqrt(1 - gamma_t * alpha)
-    is the contraction factor at the evaluated alpha.
+    disagreement function; mu_t = 1 - lambda2(W^t); alpha_bar caps the
+    consensus stepsize alpha, and gamma_t turns it into the contraction rho(alpha).
     """
 
     l_t: float
     mu_t: float
-    phi: float
     alpha_bar: float
-    alpha: float
     gamma_t: float
-    rho_t: float
+
+    def rho(self, alpha: float) -> float:
+        """The contraction factor rho = sqrt(1 - gamma_t * alpha) at stepsize alpha; the
+        theory holds it for alpha <= alpha_bar. Raises ParameterError unless 0 < rho^2 < 1."""
+        rho_sq = 1.0 - self.gamma_t * alpha
+        if not (0.0 < rho_sq < 1.0):
+            raise ParameterError(f"contraction factor out of range: rho^2 = {rho_sq:.6g}")
+        return float(np.sqrt(rho_sq))
 
 
-def consensus_rate_params(
-    w: MixingMatrix, t: int, p: ConsensusRegionParams, alpha: float | None = None
-) -> ConsensusRateReport:
+def consensus_rate_params(w: MixingMatrix, t: int, p: ConsensusRegionParams) -> ConsensusRateReport:
     """Evaluate the consensus contraction constants for t rounds of W.
 
-    alpha defaults to the cap alpha_bar = min(phi / (2 l_t), 1, 1/M) where M
-    is the second-order retraction bound; M = 1 for the polar retraction, so
-    the cap is min(phi / (2 l_t), 1). Raises ParameterError when alpha exceeds
-    alpha_bar.
+    The stepsize cap is alpha_bar = min(phi / (2 l_t), 1, 1/M) with phi = 2 - delta2^2,
+    where M is the second-order retraction bound; M = 1 for the polar retraction, so the
+    cap is min(phi / (2 l_t), 1).
     """
     if w.n < 2:
         raise ParameterError("consensus rate needs at least two agents")
     wt = matrix_power(w, t)
     l_t = 1.0 - wt.lambda_min
     mu_t = 1.0 - wt.lambda2
-    phi = 2.0 - p.delta2**2
-    alpha_bar = min(phi / (2.0 * l_t), 1.0)
-    if alpha is None:
-        alpha = alpha_bar
-    if alpha > alpha_bar * (1.0 + 1e-12):
-        raise ParameterError(f"alpha = {alpha} exceeds alpha_bar = {alpha_bar:.6g}")
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    gamma_t = float((1.0 - 4.0 * p.r * p.delta1**2) * (1.0 - p.delta2**2 / 2.0) * mu_t)
-    rho_sq = 1.0 - gamma_t * alpha
-    if not (0.0 < rho_sq < 1.0):
-        raise ParameterError(f"contraction factor out of range: rho^2 = {rho_sq:.6g}")
     return ConsensusRateReport(
         l_t=l_t,
         mu_t=mu_t,
-        phi=phi,
-        alpha_bar=alpha_bar,
-        alpha=float(alpha),
-        gamma_t=gamma_t,
-        rho_t=float(np.sqrt(rho_sq)),
+        alpha_bar=min((2.0 - p.delta2**2) / (2.0 * l_t), 1.0),
+        gamma_t=float((1.0 - 4.0 * p.r * p.delta1**2) * (1.0 - p.delta2**2 / 2.0) * mu_t),
     )
-

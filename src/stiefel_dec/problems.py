@@ -367,7 +367,8 @@ def load_dsv_partition(path, n: int, normalize_divisor: float = 1.0) -> EigLocal
     if total < n:
         raise IngestionError(f"only {total} data rows for {n} agents")
     rows = np.frombuffer(values_read, dtype=float).reshape(total, width)
-    np.divide(rows, normalize_divisor, out=rows)
+    with np.errstate(over="ignore"):  # EigLocal's Gram check reports it, naming --divisor
+        np.divide(rows, normalize_divisor, out=rows)
     try:
         return EigLocal(rows, n, copy=False)
     except ParameterError as e:

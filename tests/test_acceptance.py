@@ -102,8 +102,8 @@ def test_criterion_02_drcs_q_linear_contraction():
         worst_ratio = max(worst_ratio, new / err)
         err, steps = new, steps + 1
     _verdict(
-        2, "consensus contraction", err <= 1e-12 and worst_ratio <= rate.rho_t,
-        f"worst per-step ratio {worst_ratio:.4f} <= rho_t {rate.rho_t:.4f} over {steps} steps",
+        2, "consensus contraction", err <= 1e-12 and worst_ratio <= rate.rho(rate.alpha_bar),
+        f"worst per-step ratio {worst_ratio:.4f} <= rho_t {rate.rho(rate.alpha_bar):.4f} over {steps} steps",
     )
 
 
@@ -270,7 +270,7 @@ def test_criterion_11_spectral_values():
         and abs(rep.mu_t - mu_t) <= 1e-12
         and abs(rep.alpha_bar - alpha_bar) <= 1e-12
         and abs(rep.gamma_t - gamma) <= 1e-12
-        and abs(rep.rho_t - rho) <= 1e-12
+        and abs(rep.rho(rep.alpha_bar) - rho) <= 1e-12
     )
     _verdict(
         11, "spectral constants", ok,

@@ -79,7 +79,7 @@ class TestDrcsStep:
                 break
             x = drcs_step(x, wt, rate.alpha_bar)
             new = stacked_error(x)
-            assert new <= rate.rho_t * err + 1e-15
+            assert new <= rate.rho(rate.alpha_bar) * err + 1e-15
             err = new
         assert err <= 1e-12
 
@@ -327,26 +327,26 @@ class TestRegionPersistenceAndDeviation:
 
     def test_region_persists_under_capped_stepsizes(self):
         locals_, p, rate, wt, constants, s = self._setup(16)
-        sched = drsgd_diminishing_schedule(constants, rate.rho_t, rate.alpha, p.delta1)
+        sched = drsgd_diminishing_schedule(constants, rate.rho(rate.alpha_bar), rate.alpha_bar, p.delta1)
         rngs = [np.random.default_rng([16, 2, i]) for i in range(s.n)]
         x = s.x
         for k in range(300):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            x = drsgd_step(x, wt, rate.alpha, sched.beta(k), locals_.stochastic_egrad(x, batches))
+            x = drsgd_step(x, wt, rate.alpha_bar, sched.beta(k), locals_.stochastic_egrad(x, batches))
             assert bool(manifold.in_consensus_region(SwarmState(x), p))
 
     def test_bounded_deviation_with_constant_stepsize(self):
         locals_, p, rate, wt, constants, s = self._setup(17)
         beta = min(
-            (1.0 - rate.rho_t) * p.delta1 / constants.d_bound,
-            rate.alpha * p.delta1 / (5.0 * constants.d_bound),
+            (1.0 - rate.rho(rate.alpha_bar)) * p.delta1 / constants.d_bound,
+            rate.alpha_bar * p.delta1 / (5.0 * constants.d_bound),
         )
-        bound = math.sqrt(s.n) * constants.d_bound * beta / (1.0 - rate.rho_t)
+        bound = math.sqrt(s.n) * constants.d_bound * beta / (1.0 - rate.rho(rate.alpha_bar))
         rngs = [np.random.default_rng([17, 2, i]) for i in range(s.n)]
         x = s.x
         for k in range(400):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
-            x = drsgd_step(x, wt, rate.alpha, beta, locals_.stochastic_egrad(x, batches))
+            x = drsgd_step(x, wt, rate.alpha_bar, beta, locals_.stochastic_egrad(x, batches))
             if k >= 300:
                 assert math.sqrt(SwarmState(x).consensus_error_sq) <= bound + 1e-12
 

@@ -29,8 +29,9 @@ def test_every_config_parses(capsys):
     assert rejected == [], capsys.readouterr().err
 
 
-# the stderr prefixes each failing exit code documents (cli.py)
-PREFIXES = {2: ("config error: ", "error: "), 3: ("ingestion error: ",), 4: ("numerical error: ",)}
+# the stderr prefixes each failing exit code documents (cli.py); every exit 2 in the
+# failure block is a set-up error that names its field
+PREFIXES = {2: ("config error: ",), 3: ("ingestion error: ",), 4: ("numerical error: ",)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,4 +1,5 @@
 import errno
+import inspect
 import itertools
 import json
 import os
@@ -247,6 +248,33 @@ class TestResolve:
         with pytest.warns(RuntimeWarning, match="alpha"):
             res = resolve(cfg)
         assert res.alpha == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("rule, flags", [
+        ("drgta_max_stepsize", dict(algorithm="drgta")),
+        ("drsgd_diminishing_schedule", dict(algorithm="drsgd", schedule="diminishing")),
+        ("drsgd_constant_schedule", dict(algorithm="drsgd", schedule="constant")),
+    ])
+    def test_theory_reads_alpha_clamped_to_alpha_bar(self, monkeypatch, rule, flags, alpha):
+        # one alpha policy: the run keeps its alpha, warned of above alpha_bar; the header's
+        # rho_t and every stepsize rule read alpha clamped to alpha_bar, and rho_t there
+        seen = {}
+        rule_fn = getattr(harness, rule)
+
+        def spy(*args, **kwargs):
+            seen.update(inspect.signature(rule_fn).bind(*args, **kwargs).arguments)
+            return rule_fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, rule, spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = resolve(parse_config(flags=dict(SMALL, alpha=alpha, **flags)))
+        rate = network.consensus_rate_params(res.mix_matrix, res.t, manifold.ConsensusRegionParams(r=SMALL["r"]))
+        assert 0.5 < rate.alpha_bar < 1.0 and res.alpha == res.header["alpha"] == alpha
+        warned = [w for w in caught if str(w.message).startswith("alpha = 1 exceeds the theoretical cap")]
+        assert len(warned) == (alpha > rate.alpha_bar)
+        assert seen["alpha"] == min(alpha, rate.alpha_bar)
+        assert res.header["rho_t"] == seen["rho_t"] == rate.rho(min(alpha, rate.alpha_bar))
 
     def test_deterministic_beta_rescaling(self):
         cfg = parse_config(flags=dict(SMALL))
@@ -648,6 +676,19 @@ class TestCli:
                 "(contraction factor out of range: rho^2 = 1); use a larger alpha\n"
             )
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        ("spectral --delta1 0.5", "delta1: need 0 < delta1 <= delta2/(5 sqrt(r)) = 0.0149071, got 0.5"),
+        ("spectral --graph er(0.01) --n 20", "er_p: no connected ER(20, 0.01) sample in 1000 tries"),
+        ("spectral --graph er(1e-320) --n 3", "er_p: no connected ER(3, 1e-320) sample in 1000 tries"),
+        ("run --algorithm drcs --d 1 --r 1 --n 3 --max-iters 1", "d, r: St(1, 1) has no tangent direction to nudge the start along"),
+        ("run --perturb 0.1 --d 1 --r 1 --n 3 --max-iters 1", "d, r: St(1, 1) has no tangent direction to nudge the start along"),
+    ], ids=["delta1-above-cap", "er-no-connected-sample", "er-p-subnormal", "drcs-d1-r1", "perturb-d1-r1"])
+    def test_set_up_error_names_its_field(self, capsys, argv, message):
+        # raised where the set-up builds the region, the graph or the nudged start
+        assert main(argv.split()) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     @pytest.mark.parametrize("target", ["missing.csv", ".", "latin1.csv"])

@@ -15,6 +15,7 @@ def col(*vals):
 
 
 RING4_W = network.metropolis_weights(network.ring_graph(4))
+RING8_W = network.metropolis_weights(network.ring_graph(8))
 
 
 class TestGraphs:
@@ -201,10 +202,9 @@ class TestConsensusRateParams:
         rho = math.sqrt(1.0 - gamma * alpha_bar)
         assert abs(rep.l_t - l_t) <= 1e-12 and abs(rep.l_t - 8.0 / 9.0) <= 1e-12
         assert abs(rep.mu_t - mu_t) <= 1e-12 and abs(rep.mu_t - 8.0 / 9.0) <= 1e-12
-        assert abs(rep.phi - 71.0 / 36.0) <= 1e-15
         assert rep.alpha_bar == 1.0
         assert abs(rep.gamma_t - gamma) <= 1e-12
-        assert abs(rep.rho_t - rho) <= 1e-12
+        assert abs(rep.rho(rep.alpha_bar) - rho) <= 1e-12
 
     def test_equal_weight_matrix(self):
         w = MixingMatrix(np.full((4, 4), 0.25))
@@ -224,15 +224,27 @@ class TestConsensusRateParams:
             rep = network.consensus_rate_params(w, t, ConsensusRegionParams(r=r))
             assert rep.gamma_t >= rep.mu_t / 2.0 - 1e-12
             assert rep.mu_t / 2.0 >= (1.0 - w.sigma2**t) / 2.0 - 1e-12
-            assert 0.0 < rep.rho_t < 1.0
+            assert 0.0 < rep.rho(rep.alpha_bar) < 1.0
 
-    def test_alpha_above_cap_rejected(self):
-        w = network.metropolis_weights(network.ring_graph(8))
+    def test_alpha_bar_reads_phi_where_the_cap_binds(self):
         p = ConsensusRegionParams(r=3)
-        rep = network.consensus_rate_params(w, 1, p)
+        rep = network.consensus_rate_params(RING8_W, 1, p)
         assert rep.alpha_bar < 1.0
-        with pytest.raises(ParameterError, match=r"^alpha = 1.0 exceeds alpha_bar = "):
-            network.consensus_rate_params(w, 1, p, alpha=1.0)
+        assert rep.alpha_bar == (2.0 - p.delta2**2) / (2.0 * rep.l_t)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
+    def test_rho_below_at_and_above_alpha_bar(self, scale):
+        # one formula wherever alpha lies: a run above alpha_bar is warned of, not refused
+        rep = network.consensus_rate_params(RING8_W, 1, ConsensusRegionParams(r=3))
+        alpha = scale * rep.alpha_bar
+        assert rep.rho(alpha) == float(np.sqrt(1.0 - rep.gamma_t * alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1e-300])
+    def test_rho_out_of_range_rejected(self, alpha):
+        # alpha <= 0 gives rho^2 >= 1; at 1e-300, 1 - gamma_t * alpha rounds to 1
+        rep = network.consensus_rate_params(RING8_W, 1, ConsensusRegionParams(r=3))
+        with pytest.raises(ParameterError, match=r"^contraction factor out of range: rho\^2 = 1"):
+            rep.rho(alpha)
 
 
 class TestGradPhiBounds:

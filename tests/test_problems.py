@@ -476,12 +476,18 @@ class TestLoadDsvPartition:
         blocks = problems.load_dsv_partition(path, 1)
         assert_same_bits(blocks, EigLocal(np.asarray([[1, 2, 3], [4, 5, 6], [7, 8, 9.5], [1, 0, 2]]) / 1.0, 1))
 
-    @pytest.mark.parametrize("text,divisor", [("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300)])
+    # 1 / 1e-320 overflows in the divide itself: the Gram check alone reports it, with no
+    # RuntimeWarning from numpy ahead of the ingestion error
+    @pytest.mark.parametrize("text,divisor", [
+        ("1e154,2e154\n3e154,1e154\n", 1.0), ("1,2\n3,1\n", 1e-300), ("1,2\n3,1\n", 1e-320),
+    ])
     def test_gram_overflow_names_the_divisor(self, tmp_path, text, divisor):
         path = tmp_path / "data.csv"
         path.write_text(text)
-        with pytest.raises(IngestionError, match="agent 0: Gram matrix .* not finite.*--divisor"):
-            problems.load_dsv_partition(path, 1, normalize_divisor=divisor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match="agent 0: Gram matrix .* not finite.*--divisor"):
+                problems.load_dsv_partition(path, 1, normalize_divisor=divisor)
 
 
 class TestCentralizedOracle:
