@@ -134,6 +134,9 @@ CONFIGS = [
     ("spectral-er32", "spectral --graph er(0.3) --n 32 --r 5"),
     ("spectral-er12-alpha0.5", "spectral --graph er(0.5) --n 12 --r 2 --seed 3 --alpha 0.5"),
     ("spectral-ring16-delta1", "spectral --n 16 --delta1 0.005"),
+    # graphs of 44850 candidate pairs: a complete graph's every pair, and one ER draw per pair
+    ("spectral-complete300", "spectral --graph complete --n 300 --r 2"),
+    ("spectral-er300", "spectral --graph er(0.3) --n 300 --r 2"),
     ("oracle", "oracle --n 3 --d 8 --r 2 --m 10 --seed 1"),
     ("dsv-header-ragged", "run --algorithm drgta --problem dsv --data header.csv --n 4 --r 2 --max-iters 100"),
     ("dsv-divisor", "run --algorithm drdgd --problem dsv --data counts.txt --divisor 255 --n 3 --r 2 --max-iters 100"),
