@@ -65,7 +65,8 @@ EXIT_INGESTION = 3
 EXIT_NUMERICAL = 4
 EXIT_NO_CONVERGENCE = 5
 
-# The mixing matrix is a dense n x n array of doubles, 8 n^2 bytes: 512 MiB at this cap.
+# The mixing matrix is a dense n x n array of doubles, 8 n^2 bytes: 512 MiB at this cap, for W
+# alone. Checking W and building W^t hold several more n x n arrays, so the set-up peaks higher.
 MAX_AGENTS = 2**13
 # The largest count a float holds exactly. Round caps and r reach float arithmetic: sqrt(k), k + 1.0, sqrt(r).
 MAX_COUNT = 2**53
@@ -558,7 +559,7 @@ def spectral_report(cfg: ExperimentConfig) -> str:
     at_t_min = rate if t == t_min else consensus_rate_params(w, t_min, region)
     lines = [
         f"n {g.n}",
-        f"edges {' '.join(f'{i}-{j}' for i, j in sorted(g.edges))}",
+        f"edges {' '.join(f'{i}-{j}' for i, j in g.edges.tolist())}",
         f"sigma2 {w.sigma2:.12g}",
         f"lambda_min {w.lambda_min:.12g}",
         f"t_min {t_min}",

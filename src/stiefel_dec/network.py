@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,63 +22,64 @@ _ROWSUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph on nodes 0..n-1 without self-loops, built from any
-    iterable of (i, j) pairs; edges holds each pair once, as (min(i, j), max(i, j))."""
+    """Undirected connected graph on nodes 0..n-1 without self-loops, built from an
+    integer (E, 2) array or any iterable of (i, j) pairs. edges is a read-only (E, 2)
+    array holding each pair once, as the row (min(i, j), max(i, j)), rows in sorted order."""
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"need n >= 1, got {self.n}")
-        edges = set()
-        for i, j in self.edges:
-            if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
-                raise ParameterError(f"bad edge {(i, j)}: nodes must be integers")
+        n = self.n
+        if n < 1:
+            raise ParameterError(f"need n >= 1, got {n}")
+        rows, rest = self.edges, []
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == 2 and rows.dtype.kind in "iu"):
+            # any other input is a sequence of pairs: the integer ones before the first other one
+            pairs = list(rows)
+            k = next((k for k, (i, j) in enumerate(pairs)
+                      if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral))), len(pairs))
+            rows, rest = np.array(pairs[:k], dtype=object).reshape(-1, 2), pairs[k:]
+        # the first pair in input order that breaks a rule is the one named
+        bad = (rows[:, 0] == rows[:, 1]) | ((rows < 0) | (rows >= n)).any(axis=1)
+        if bad.any():
+            i, j = rows[bad.argmax()].tolist()
             if i == j:
                 raise ParameterError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ParameterError(f"bad edge {(i, j)}: nodes must be in 0..{self.n - 1}")
-            edges.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(edges))
-        if not self._connected():
+            raise ParameterError(f"bad edge {(i, j)}: nodes must be in 0..{n - 1}")
+        if rest:
+            raise ParameterError(f"bad edge {tuple(rest[0])}: nodes must be integers")
+        lo, hi = np.sort(rows.astype(np.intp), axis=1).T
+        adj = np.zeros((n, n), dtype=bool)
+        adj[lo, hi] = True
+        edges = np.argwhere(adj)  # row-major order: each pair once, rows sorted
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        adj[hi, lo] = True
+        seen = frontier = np.arange(n) == 0  # breadth-first from node 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
             raise ParameterError("graph is not connected")
 
-    def _connected(self) -> bool:
-        adj = [[] for _ in range(self.n)]
-        for i, j in sorted(self.edges):
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def ring_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     if n < 2:
         raise ParameterError(f"ring needs n >= 2, got {n}")
-    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
+    nodes = np.arange(n)
+    return Graph(n, np.column_stack((nodes, (nodes + 1) % n)))
 
 
 def complete_graph(n: int) -> Graph:
     """All pairs connected; its Metropolis matrix is the equal-weight (1/n) matrix."""
     if n < 2:
         raise ParameterError(f"complete graph needs n >= 2, got {n}")
-    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 _ER_TRIES = 1000  # samples erdos_renyi draws before it gives up on a connected one
@@ -91,12 +91,10 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ParameterError(f"ER graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"need p in (0, 1], got {p}")
+    pairs = np.column_stack(np.triu_indices(n, 1))  # row-major i < j: draw k decides pair k
     for _ in range(_ER_TRIES):
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
         try:
-            return Graph(n, edges)
+            return Graph(n, pairs[rng.random(len(pairs)) < p])
         except ParameterError:  # the pairs are valid edges, so the sample is disconnected
             continue
     raise ParameterError(f"no connected ER({n}, {p}) sample in {_ER_TRIES} tries")
@@ -159,9 +157,9 @@ class MixingMatrix:
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis rule: W_ij = 1/(1 + max(deg_i, deg_j)) on edges, diagonal fills the row."""
     deg = g.degrees()
+    i, j = g.edges.T
     w = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(w)
 

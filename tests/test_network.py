@@ -18,10 +18,32 @@ RING4_W = network.metropolis_weights(network.ring_graph(4))
 RING8_W = network.metropolis_weights(network.ring_graph(8))
 
 
+def rows(g):
+    return set(map(tuple, g.edges.tolist()))
+
+
+def exact(message):
+    return f"^{re.escape(message)}$"
+
+
+def reference_er(n, p, rng):
+    """erdos_renyi with one rng.random() call per pair: the pairs of the first connected
+    sample (None if no try gives one) and the number of samples drawn."""
+    for tries in range(1, network._ER_TRIES + 1):
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+        reach, grown = set(), {0}
+        while grown != reach:
+            reach = grown
+            grown = reach | {j for i, j in pairs if i in reach} | {i for i, j in pairs if j in reach}
+        if len(reach) == n:
+            return pairs, tries
+    return None, tries
+
+
 class TestGraphs:
     def test_ring4(self):
         g = network.ring_graph(4)
-        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+        assert rows(g) == {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert list(g.degrees()) == [2, 2, 2, 2]
 
     def test_complete3(self):
@@ -30,7 +52,7 @@ class TestGraphs:
     def test_er_connected_and_deterministic(self):
         g1 = network.erdos_renyi(32, 0.3, np.random.default_rng(7))
         g2 = network.erdos_renyi(32, 0.3, np.random.default_rng(7))
-        assert g1.edges == g2.edges
+        assert rows(g1) == rows(g2)
         assert g1.n == 32  # construction already checked connectivity
 
     def test_er_bad_p(self):
@@ -48,7 +70,7 @@ class TestGraphs:
             Graph(3, [(0, 0), (0, 1), (1, 2)])
 
     def test_any_orientation_and_duplicates_give_one_edge_each(self):
-        assert Graph(4, [(1, 0), (0, 1), (2, 1), (3, 2), (3, 0)]).edges == network.ring_graph(4).edges
+        assert rows(Graph(4, [(1, 0), (0, 1), (2, 1), (3, 2), (3, 0)])) == rows(network.ring_graph(4))
 
     @pytest.mark.parametrize("pair", [(3, 1), (0, 3), (-1, 0)])
     def test_out_of_range_pair_rejected_by_name(self, pair):
@@ -61,7 +83,39 @@ class TestGraphs:
             Graph(3, [(1, 2), (0, 2), pair])
 
     def test_numpy_integer_nodes_accepted(self):
-        assert Graph(3, [(np.int64(0), np.int32(1)), (1, 2)]).edges == {(0, 1), (1, 2)}
+        assert rows(Graph(3, [(np.int64(0), np.int32(1)), (1, 2)])) == {(0, 1), (1, 2)}
+
+    @pytest.mark.parametrize("pairs, error", [
+        ([(0, 1), (0, 3), (0, 1.5)], exact("bad edge (0, 3): nodes must be in 0..2")),
+        ([(0, 1), (0, 1.5), (0, 3)], exact("bad edge (0, 1.5): nodes must be integers")),
+        ([(1, 1), (0, 1.5)], exact("self-loop at node 1")),
+        ([(0, 1.5), (1, 1)], exact("bad edge (0, 1.5): nodes must be integers")),
+        ([(0, 3), (2, 2)], exact("bad edge (0, 3): nodes must be in 0..2")),
+        ([(0, 1), (2, 2), (0, 3)], exact("self-loop at node 2")),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), "nodes must be integers$"),
+        (np.array([[2, 1], [1, 0], [0, 1]], dtype=np.int32), None),
+    ])
+    def test_first_bad_pair_in_input_order_is_named(self, pairs, error):
+        if error is None:
+            edges = Graph(3, pairs).edges
+            assert np.array_equal(edges, [[0, 1], [1, 2]]) and not edges.flags.writeable
+        else:
+            with pytest.raises(ParameterError, match=error):
+                Graph(3, pairs)
+
+    @pytest.mark.parametrize("n, p, seed, tries", [
+        (2, 1.0, 0, 1), (8, 0.5, 1, 1), (32, 0.3, 7, 1), (40, 0.9, 2, 1), (12, 0.2, 3, 8), (20, 0.01, 0, 1000),
+    ])
+    def test_er_draws_like_one_random_call_per_pair(self, n, p, seed, tries):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs, drawn = reference_er(n, p, ref_rng)
+        assert drawn == tries  # the pinned cases cover one try, retries and running out
+        if pairs is None:
+            with pytest.raises(ParameterError, match=exact(f"no connected ER({n}, {p}) sample in 1000 tries")):
+                network.erdos_renyi(n, p, rng)
+        else:
+            assert rows(network.erdos_renyi(n, p, rng)) == pairs
+        assert rng.random() == ref_rng.random()
 
     def test_small_n_rejected(self):
         for build in (network.ring_graph, network.complete_graph):
@@ -75,6 +129,22 @@ class TestMetropolis:
         for i, j in network.ring_graph(4).edges:
             assert np.isclose(w[i, j], 1.0 / 3.0)
         assert np.allclose(np.diag(w), 1.0 / 3.0)
+
+    def test_weights_equal_a_per_edge_loop(self):
+        rng = np.random.default_rng(11)
+        graphs = [network.ring_graph(5), network.complete_graph(7)]
+        for _ in range(30):
+            graphs.append(network.erdos_renyi(int(rng.integers(2, 24)), float(rng.uniform(0.2, 0.9)), rng))
+        for g in graphs:
+            deg = [0] * g.n
+            for i, j in g.edges.tolist():
+                deg[i] += 1
+                deg[j] += 1
+            w = np.zeros((g.n, g.n))
+            for i, j in g.edges.tolist():
+                w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+            np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+            assert np.array_equal(network.metropolis_weights(g).w, w)
 
     def test_ring4_sigma2(self):
         # circulant eigenvalues {1, 1/3, -1/3, 1/3}
