@@ -137,6 +137,8 @@ CONFIGS = [
     # graphs of 44850 candidate pairs: a complete graph's every pair, and one ER draw per pair
     ("spectral-complete300", "spectral --graph complete --n 300 --r 2"),
     ("spectral-er300", "spectral --graph er(0.3) --n 300 --r 2"),
+    # t = 1 below t_min = 8: W itself is the rate matrix, and W^8 gives the t_min line
+    ("spectral-ring8-t1", "spectral --t 1 --r 3"),
     ("oracle", "oracle --n 3 --d 8 --r 2 --m 10 --seed 1"),
     ("dsv-header-ragged", "run --algorithm drgta --problem dsv --data header.csv --n 4 --r 2 --max-iters 100"),
     ("dsv-divisor", "run --algorithm drdgd --problem dsv --data counts.txt --divisor 255 --n 3 --r 2 --max-iters 100"),
@@ -230,6 +232,8 @@ CONFIGS = [
     ("config-epochs-1e400", "run --config epochs-1e400.json"),
     # St(1, 1) has no tangent direction, so drcs's nudge of the shared start has none to take
     ("drcs-d1-r1", "run --algorithm drcs --d 1 --r 1 --n 3 --max-iters 1"),
+    # a nudge of the shared start beside independent starts, which have no shared start to nudge
+    ("independent-perturb", "run --init independent --perturb 0.5 --max-iters 3"),
 ]
 
 
