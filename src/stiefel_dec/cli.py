@@ -13,13 +13,20 @@ that cannot be written is found before the first round), 3 data ingestion
 failure (IngestionError), 4 numerical breakdown (NumericalError: degenerate
 mean, non-finite step or metric, failed retraction), 5 finished without
 reaching the configured tolerance (the log is still written).
+BLAS is pinned to one thread before numpy loads: a threaded BLAS splits a
+product's sums by its thread count, so the same config and seed would give a
+different CSV at each thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
+
+# before the harness import below loads numpy
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .errors import ConfigError, IngestionError, NumericalError, StiefelDecError
 from .harness import (

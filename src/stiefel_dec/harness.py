@@ -44,6 +44,7 @@ from .network import (
     complete_graph,
     consensus_rate_params,
     erdos_renyi,
+    matrix_power,
     metropolis_weights,
     min_communication_rounds,
     ring_graph,
@@ -232,6 +233,8 @@ def validate_config(cfg: ExperimentConfig):
         bad("divisor", "must be nonzero")
     if not (0.0 < cfg.delta2 <= 1.0 / 6.0 + 1e-15):
         bad("delta2", f"must be in (0, 1/6], got {cfg.delta2}")
+    if cfg.init == "independent" and cfg.perturb > 0.0:
+        bad("perturb", f"nudges the shared start, which init 'independent' does not use; got {cfg.perturb}")
     if cfg.algorithm == "drgta" and cfg.schedule == "diminishing":
         warnings.warn(
             "gradient tracking is designed for a constant stepsize; "
@@ -247,8 +250,8 @@ class ResolvedExperiment:
 
     graph: object
     t: int
-    mix_matrix: MixingMatrix
-    mix_rounds: int
+    mix_matrix: MixingMatrix  # W^t, one product per gossip step
+    mix_rounds: int  # 1: mix_matrix is already W^t
     alpha: float
     locals_: EigLocal | None
     oracle: StiefelPoint | None
@@ -262,7 +265,7 @@ class ResolvedExperiment:
 
 
 def _resolve_rates(cfg: ExperimentConfig) -> tuple:
-    """Graph, W, t_min, t, region, the W^t rate report, the run's alpha, and the alpha the
+    """Graph, W, t_min, t, W^t, region, the W^t rate report, the run's alpha, and the alpha the
     theory reads (the run's, clamped to alpha_bar) with rho_t there; 0 means auto for t and alpha."""
     g = _build_graph(cfg)
     w = metropolis_weights(g)
@@ -273,9 +276,10 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
     except ParameterError as e:  # r and delta2 are checked with the config, so delta1's cap
         raise ConfigError(f"delta1: {e}") from None
     try:
-        rate = consensus_rate_params(w, t, region)
+        wt = matrix_power(w, t)
     except ParameterError as e:  # W^t's repeated squaring drifts by about t * eps
         raise ConfigError(f"t: W^{t} is not doubly stochastic in floating point ({e}); use a smaller t") from None
+    rate = consensus_rate_params(wt, region)
     alpha = cfg.alpha if cfg.alpha > 0.0 else rate.alpha_bar
     theory_alpha = float(min(alpha, rate.alpha_bar))
     try:
@@ -284,11 +288,11 @@ def _resolve_rates(cfg: ExperimentConfig) -> tuple:
         raise ConfigError(
             f"alpha: {alpha!r} leaves no contraction in floating point ({e}); use a larger alpha"
         ) from None
-    return g, w, t_min, t, region, rate, alpha, theory_alpha, rho_t
+    return g, w, t_min, t, wt, region, rate, alpha, theory_alpha, rho_t
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
-    g, w, t_min, t, region, rate, alpha, theory_alpha, rho_t = _resolve_rates(cfg)
+    g, w, t_min, t, wt, region, rate, alpha, theory_alpha, rho_t = _resolve_rates(cfg)
     if alpha > rate.alpha_bar:
         warnings.warn(
             f"alpha = {alpha:.6g} exceeds the theoretical cap "
@@ -356,8 +360,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     return ResolvedExperiment(
         graph=g,
         t=t,
-        mix_matrix=w,
-        mix_rounds=t,
+        mix_matrix=wt,
+        mix_rounds=1,
         alpha=alpha,
         locals_=locals_,
         oracle=oracle,
@@ -555,8 +559,8 @@ def write_out(path, text: str = ""):
 def spectral_report(cfg: ExperimentConfig) -> str:
     """Graph and mixing diagnostics: n, the edge list, sigma2, lambda_min, t_min
     and rho_t at alpha_bar for t_min rounds, then the constants of the resolved t."""
-    g, w, t_min, t, region, rate, _, _, rho_t = _resolve_rates(cfg)
-    at_t_min = rate if t == t_min else consensus_rate_params(w, t_min, region)
+    g, w, t_min, t, _, region, rate, _, _, rho_t = _resolve_rates(cfg)
+    at_t_min = rate if t == t_min else consensus_rate_params(matrix_power(w, t_min), region)
     lines = [
         f"n {g.n}",
         f"edges {' '.join(f'{i}-{j}' for i, j in g.edges.tolist())}",

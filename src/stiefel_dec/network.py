@@ -107,14 +107,12 @@ class MixingMatrix:
     sigma2 is the second-largest singular value (largest non-unit absolute
     eigenvalue); lambda_min and lambda2 are the smallest and second-largest
     eigenvalues. All are computed once by a dense symmetric eigendecomposition.
-    The powers W^t that matrix_power builds are kept here, so a run builds each once.
     """
 
     w: np.ndarray
     sigma2: float = field(init=False)
     lambda_min: float = field(init=False)
     lambda2: float = field(init=False)
-    _powers: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).copy()
@@ -180,14 +178,13 @@ def min_communication_rounds(w: MixingMatrix) -> int:
 
 
 def matrix_power(w: MixingMatrix, t: int) -> MixingMatrix:
-    """W^t; stays symmetric doubly stochastic, with sigma2(W^t) = sigma2(W)^t.
-    Built once per W and t: later calls return the same object."""
+    """W^t; stays symmetric doubly stochastic, with sigma2(W^t) = sigma2(W)^t. W^1 is w itself."""
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
-    if t not in w._powers:
-        wt = np.linalg.matrix_power(w.w, t)
-        w._powers[t] = MixingMatrix(0.5 * (wt + wt.T))
-    return w._powers[t]
+    if t == 1:
+        return w
+    wt = np.linalg.matrix_power(w.w, t)
+    return MixingMatrix(0.5 * (wt + wt.T))
 
 
 def mix(x, wt: MixingMatrix) -> np.ndarray:
@@ -225,16 +222,15 @@ class ConsensusRateReport:
         return float(np.sqrt(rho_sq))
 
 
-def consensus_rate_params(w: MixingMatrix, t: int, p: ConsensusRegionParams) -> ConsensusRateReport:
-    """Evaluate the consensus contraction constants for t rounds of W.
+def consensus_rate_params(wt: MixingMatrix, p: ConsensusRegionParams) -> ConsensusRateReport:
+    """Evaluate the consensus contraction constants of one gossip step with wt = W^t.
 
     The stepsize cap is alpha_bar = min(phi / (2 l_t), 1, 1/M) with phi = 2 - delta2^2,
     where M is the second-order retraction bound; M = 1 for the polar retraction, so the
     cap is min(phi / (2 l_t), 1).
     """
-    if w.n < 2:
+    if wt.n < 2:
         raise ParameterError("consensus rate needs at least two agents")
-    wt = matrix_power(w, t)
     l_t = 1.0 - wt.lambda_min
     mu_t = 1.0 - wt.lambda2
     return ConsensusRateReport(

@@ -89,7 +89,7 @@ def test_criterion_02_drcs_q_linear_contraction():
     p = ConsensusRegionParams(delta1=(1.0 / 6.0) / (5.0 * math.sqrt(3.0)), delta2=1.0 / 6.0, r=r)
     w = _ring_metropolis(n)
     t = network.min_communication_rounds(w)
-    rate = network.consensus_rate_params(w, t, p)  # alpha = alpha_bar
+    rate = network.consensus_rate_params(network.matrix_power(w, t), p)  # alpha = alpha_bar
     wt = network.matrix_power(w, t)
     rng = np.random.default_rng(22)
     s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
@@ -254,7 +254,7 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_spectral_values():
     w = _ring_metropolis(4)
     p = ConsensusRegionParams(delta1=1.0 / 30.0, delta2=1.0 / 6.0, r=1)
-    rep = network.consensus_rate_params(w, 2, p)
+    rep = network.consensus_rate_params(network.matrix_power(w, 2), p)
     # independent scripted evaluation straight from eigenvalues and formulas
     evals = np.linalg.eigvalsh(np.linalg.matrix_power(w.w, 2))
     l_t = 1.0 - evals[0]

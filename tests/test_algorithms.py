@@ -68,7 +68,7 @@ class TestDrcsStep:
         p = ConsensusRegionParams(r=r)
         w = network.metropolis_weights(network.ring_graph(n))
         t = network.min_communication_rounds(w)
-        rate = network.consensus_rate_params(w, t, p)
+        rate = network.consensus_rate_params(network.matrix_power(w, t), p)
         wt = network.matrix_power(w, t)
         rng = np.random.default_rng(1)
         s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
@@ -319,7 +319,7 @@ class TestRegionPersistenceAndDeviation:
         p = ConsensusRegionParams(r=r)
         w = network.metropolis_weights(network.ring_graph(n))
         t = network.min_communication_rounds(w)
-        rate = network.consensus_rate_params(w, t, p)
+        rate = network.consensus_rate_params(network.matrix_power(w, t), p)
         wt = network.matrix_power(w, t)
         constants = problems.quadratic_constants(locals_, r)
         x0 = manifold.random_stiefel(d, r, np.random.default_rng([seed, 1]))
@@ -405,7 +405,7 @@ class TestRun:
         p = ConsensusRegionParams(r=r)
         w = network.metropolis_weights(network.ring_graph(n))
         t = network.min_communication_rounds(w)
-        rate = network.consensus_rate_params(w, t, p)
+        rate = network.consensus_rate_params(network.matrix_power(w, t), p)
         rng = np.random.default_rng(20)
         s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
         out = run(

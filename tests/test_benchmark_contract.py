@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from stiefel_dec import algorithms, harness
+from stiefel_dec import algorithms, harness, network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -87,6 +87,23 @@ def test_worker_records_a_capped_execution(name, tmp_path):
     assert rec["failures"] == []
     assert rec["rounds"] == 2
     assert rec["messages"] == 2 * len(res.graph.edges) * res.t * rec["mixes"]
+
+
+def test_worker_runs_w_to_the_t_as_handed_over(tmp_path):
+    # no workload has t > 1: at t = 3 the worker's pass-through of mix_matrix and rounds
+    # gives the records of a run that mixes three rounds of W per step
+    cfg = harness.parse_config(flags=dict(WORKLOADS["gta-ring8"].config_flags(0, max_rounds=3), t=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res, result, _ = worker.execute(cfg, tmp_path / "run.csv")
+    w = network.metropolis_weights(res.graph)
+    reference = algorithms.run(
+        cfg.algorithm, res.swarm0, w, alpha=res.alpha, locals_=res.locals_, schedule=res.schedule,
+        oracle=res.oracle, max_rounds=res.max_rounds, tol_ds=res.tol_ds, tol_grad=res.tol_grad,
+        seed=cfg.seed, rounds=3,
+    )
+    assert res.t == 3 and len(result.records) == 4
+    assert result.records == reference.records
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

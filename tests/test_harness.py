@@ -182,6 +182,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(flags=flags)
 
+    def test_perturb_beside_independent_starts_is_rejected(self):
+        # the nudge moves the shared start; independent starts would silently ignore it
+        message = "perturb: nudges the shared start, which init 'independent' does not use; got 0.5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(flags=dict(init="independent", perturb=0.5))
+        assert parse_config(flags=dict(init="independent", perturb=0.0)).perturb == 0.0
+
     def test_round_caps_and_r_take_every_count_a_float_holds_exactly(self):
         cfg = parse_config(flags=dict(max_iters=2**53, max_epochs=2**53, r=2**53, d=2**53, m=2**53))
         assert cfg.max_iters == cfg.max_epochs == cfg.r == harness.MAX_COUNT
@@ -269,7 +276,7 @@ class TestResolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = resolve(parse_config(flags=dict(SMALL, alpha=alpha, **flags)))
-        rate = network.consensus_rate_params(res.mix_matrix, res.t, manifold.ConsensusRegionParams(r=SMALL["r"]))
+        rate = network.consensus_rate_params(res.mix_matrix, manifold.ConsensusRegionParams(r=SMALL["r"]))
         assert 0.5 < rate.alpha_bar < 1.0 and res.alpha == res.header["alpha"] == alpha
         warned = [w for w in caught if str(w.message).startswith("alpha = 1 exceeds the theoretical cap")]
         assert len(warned) == (alpha > rate.alpha_bar)
@@ -291,10 +298,27 @@ class TestResolve:
         res = quiet_resolve(cfg)
         assert res.schedule.base == 3e-3
 
-    def test_mix_rounds_carry_t(self):
+    def test_mix_matrix_is_w_to_the_t(self):
+        # the set-up hands the run W^t itself, to be mixed with once per gossip step
         res = quiet_resolve(parse_config(flags=dict(SMALL, t=2)))
-        assert res.t == res.mix_rounds == 2
-        assert np.array_equal(res.mix_matrix.w, network.metropolis_weights(res.graph).w)
+        assert res.t == 2 and res.mix_rounds == 1
+        assert np.array_equal(res.mix_matrix.w, network.matrix_power(network.metropolis_weights(res.graph), 2).w)
+
+    @pytest.mark.parametrize("build, flags", [
+        (quiet_resolve, dict(SMALL, t=1)),
+        (spectral_report, dict(graph="complete", n=6)),  # t = t_min = 1
+    ], ids=["resolve-drgta-t1", "spectral-complete6"])
+    def test_t1_setup_builds_one_mixing_matrix(self, monkeypatch, build, flags):
+        # W^1 is W: the rate report and the run read the Metropolis matrix itself
+        built = []
+
+        def counting(self, _orig=network.MixingMatrix.__post_init__):
+            built.append(self)
+            _orig(self)
+
+        monkeypatch.setattr(network.MixingMatrix, "__post_init__", counting)
+        build(parse_config(flags=flags))
+        assert len(built) == 1
 
     def test_constant_schedule_estimates_xi(self):
         cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", schedule="constant"))
@@ -885,6 +909,23 @@ class TestCli:
         assert "round 1: retraction step is not finite" in proc.stderr
         assert "overflow" not in proc.stderr
 
+    def test_csv_is_the_same_at_one_and_two_blas_threads(self, tmp_path):
+        # the CLI pins BLAS to one thread before numpy loads, so the paper-shape run's rows do
+        # not depend on the thread count the environment asks for
+        bodies = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stiefel_dec.cli", "run", "--n", "32", "--m", "1000", "--d", "100",
+                 "--r", "5", "--graph", "er(0.3)", "--t", "1", "--max-iters", "5", "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_NO_CONVERGENCE, proc.stderr
+            bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert len(bodies[0]) == 1 + 6 and bodies[0] == bodies[1]
+
     def test_overflowing_perturbation_is_2_naming_perturb(self, tmp_path):
         # a nudge whose retraction overflows is a configuration error, with no numpy warning
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
@@ -944,8 +985,9 @@ class TestCli:
             (["run", "--algorithm", "drcs", "--t", "3", "--max-iters", "2"], [3]),
             (["run", "--algorithm", "drsgd", "--t", "2", "--max-epochs", "1"], [2]),
             (["spectral", "--t", "3", "--alpha", "0.5"], [3, 8]),  # t_min = 8 on the ring of 8
+            (["run", "--algorithm", "drgta", "--t", "1", "--max-iters", "2"], []),  # W^1 is W
         ],
-        ids=["drcs-t3", "drsgd-t2", "spectral-alpha"],
+        ids=["drcs-t3", "drsgd-t2", "spectral-alpha", "drgta-t1"],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_each_power_of_w_is_built_once(self, argv, powers, monkeypatch, tmp_path):

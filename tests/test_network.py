@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -199,8 +200,15 @@ class TestMinCommunicationRounds:
 
 class TestMatrixPower:
     def test_power_one_is_same(self):
-        wt = network.matrix_power(RING4_W, 1)
-        assert np.allclose(wt.w, RING4_W.w, atol=1e-15)
+        assert network.matrix_power(RING4_W, 1) is RING4_W  # W^1 is W itself
+
+    def test_power_leaves_its_argument_as_it_was(self):
+        w = network.metropolis_weights(network.ring_graph(5))
+        before = {k: copy.deepcopy(v) for k, v in vars(w).items()}
+        network.matrix_power(w, 3)
+        assert vars(w).keys() == before.keys()
+        for k, v in before.items():
+            assert np.array_equal(vars(w)[k], v) if isinstance(v, np.ndarray) else vars(w)[k] == v
 
     def test_ring4_squared_sigma2(self):
         assert abs(network.matrix_power(RING4_W, 2).sigma2 - 1.0 / 9.0) <= 1e-12
@@ -261,7 +269,7 @@ class TestConsensusRateParams:
         # independent evaluation straight from the eigenvalues of W^t
         p = ConsensusRegionParams(delta1=1.0 / 30.0, delta2=1.0 / 6.0, r=1)
         t = 2
-        rep = network.consensus_rate_params(RING4_W, t, p)
+        rep = network.consensus_rate_params(network.matrix_power(RING4_W, t), p)
         wt = np.linalg.matrix_power(RING4_W.w, t)
         evals = np.linalg.eigvalsh(wt)
         l_t = 1.0 - evals[0]
@@ -278,7 +286,7 @@ class TestConsensusRateParams:
 
     def test_equal_weight_matrix(self):
         w = MixingMatrix(np.full((4, 4), 0.25))
-        rep = network.consensus_rate_params(w, 1, ConsensusRegionParams(r=1))
+        rep = network.consensus_rate_params(network.matrix_power(w, 1), ConsensusRegionParams(r=1))
         assert abs(rep.mu_t - 1.0) <= 1e-12
         assert abs(rep.l_t - 1.0) <= 1e-12
 
@@ -291,28 +299,28 @@ class TestConsensusRateParams:
             w = network.metropolis_weights(g)
             t = int(rng.integers(1, 5))
             r = int(rng.integers(1, 5))
-            rep = network.consensus_rate_params(w, t, ConsensusRegionParams(r=r))
+            rep = network.consensus_rate_params(network.matrix_power(w, t), ConsensusRegionParams(r=r))
             assert rep.gamma_t >= rep.mu_t / 2.0 - 1e-12
             assert rep.mu_t / 2.0 >= (1.0 - w.sigma2**t) / 2.0 - 1e-12
             assert 0.0 < rep.rho(rep.alpha_bar) < 1.0
 
     def test_alpha_bar_reads_phi_where_the_cap_binds(self):
         p = ConsensusRegionParams(r=3)
-        rep = network.consensus_rate_params(RING8_W, 1, p)
+        rep = network.consensus_rate_params(network.matrix_power(RING8_W, 1), p)
         assert rep.alpha_bar < 1.0
         assert rep.alpha_bar == (2.0 - p.delta2**2) / (2.0 * rep.l_t)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
     def test_rho_below_at_and_above_alpha_bar(self, scale):
         # one formula wherever alpha lies: a run above alpha_bar is warned of, not refused
-        rep = network.consensus_rate_params(RING8_W, 1, ConsensusRegionParams(r=3))
+        rep = network.consensus_rate_params(network.matrix_power(RING8_W, 1), ConsensusRegionParams(r=3))
         alpha = scale * rep.alpha_bar
         assert rep.rho(alpha) == float(np.sqrt(1.0 - rep.gamma_t * alpha))
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1e-300])
     def test_rho_out_of_range_rejected(self, alpha):
         # alpha <= 0 gives rho^2 >= 1; at 1e-300, 1 - gamma_t * alpha rounds to 1
-        rep = network.consensus_rate_params(RING8_W, 1, ConsensusRegionParams(r=3))
+        rep = network.consensus_rate_params(network.matrix_power(RING8_W, 1), ConsensusRegionParams(r=3))
         with pytest.raises(ParameterError, match=r"^contraction factor out of range: rho\^2 = 1"):
             rep.rho(alpha)
 
