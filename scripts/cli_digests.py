@@ -193,6 +193,10 @@ CONFIGS = [
     # an --out path that cannot be written exits 2 naming it: a directory, a missing directory
     ("out-directory", "run --max-iters 1 --out ."),
     ("oracle-out-missing-dir", "oracle --out nodir/x.txt"),
+    # an --out that opens but takes no byte: the log fails when it closes, or when the
+    # write buffer overflows during the run; either way it exits 2 naming the path
+    ("out-dev-full", "run --max-iters 3 --out /dev/full"),
+    ("out-dev-full-mid-run", "run --max-iters 300 --tol-ds 0 --tol-grad 0 --out /dev/full"),
     # no connected ER sample in the fixed number of tries exits 2
     ("er-no-connected-sample", "spectral --graph er(0.01) --n 20"),
     # a mean-square radius above its cap exits 2 naming the cap
