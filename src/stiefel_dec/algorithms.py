@@ -269,6 +269,7 @@ def run(
     seed: int = 0,
     rounds: int = 1,
     timing: bool = False,
+    on_record=None,
 ) -> RunResult:
     """Drive one of the algorithms for up to max_rounds synchronous rounds.
 
@@ -276,9 +277,10 @@ def run(
     one epoch (a full pass over every agent's samples, shuffled per epoch from
     per-agent streams derived from the seed, whose batches are drawn, checked and
     gathered when the epoch starts). One metrics row is recorded per
-    round plus an initial row. A breakdown in the loop (a non-finite value, an
-    iterate that lost orthonormality) raises NumericalError naming its round,
-    with the rows recorded before it in `records`. Early stop on d_s(mean,
+    round plus an initial row, each handed to on_record(row) first when given. A
+    breakdown in the loop (a non-finite value, an iterate that lost
+    orthonormality) raises NumericalError naming its round, a KeyboardInterrupt
+    the last recorded round. Early stop on d_s(mean,
     oracle) <= tol_ds, on ||grad f(mean)|| <= tol_grad, or (consensus runs) on
     the stacked deviation norm <= tol_consensus; tolerances set to None or 0
     are disabled. Each gossip step runs `rounds` rounds of wt, applied as one
@@ -334,18 +336,10 @@ def run(
         if target is not None:
             ds = subspace_distance(mean, target)
         elapsed = (time.perf_counter() - t_start) * 1000.0 if timing else None
-        records.append(
-            IterationRecord(
-                k=k,
-                consensus_err_sq=ces,
-                linf_err=linf,
-                grad_norm_sq=gsq,
-                f_bar=f_bar,
-                ds_oracle=ds,
-                beta_k=beta,
-                elapsed_ms=elapsed,
-            )
-        )
+        rec = IterationRecord(k, ces, linf, gsq, f_bar, ds, beta, elapsed)  # the CSV's column order
+        if on_record is not None:
+            on_record(rec)
+        records.append(rec)
 
     def stop_reason(rec: IterationRecord) -> str | None:
         if tol_ds and rec.ds_oracle is not None and rec.ds_oracle <= tol_ds:
@@ -385,9 +379,9 @@ def run(
                     break
         except (NumericalError, ParameterError) as e:
             # the arguments were checked above: a broken invariant here is a breakdown
-            err = NumericalError(f"round {k}: {e}")
-            err.records = tuple(records)  # the rows recorded before the failure
-            raise err from None
+            raise NumericalError(f"round {k}: {e}") from None
+        except KeyboardInterrupt:  # SIGINT, or SIGTERM under the CLI
+            raise KeyboardInterrupt(f"last recorded round {records[-1].k}" if records else "") from None
 
     any_tol = bool(tol_ds) or bool(tol_grad) or bool(tol_consensus)
     converged = (stop != "max_rounds") or not any_tol

@@ -9,10 +9,12 @@ subcommands and simple range are declared once, on its ExperimentConfig line
 Exit codes, one per error class: 0 ok, 2 bad configuration (ConfigError,
 `config error: <field>: ...`, which set-up errors take too, naming their
 field; a ParameterError that no field names prints as `error:`; an --out path
-that cannot be written is found before the first round), 3 data ingestion
-failure (IngestionError), 4 numerical breakdown (NumericalError: degenerate
-mean, non-finite step or metric, failed retraction), 5 finished without
-reaching the configured tolerance (the log is still written).
+that cannot be opened fails before the first round, one that stops taking
+bytes ends the run), 3 data ingestion failure (IngestionError), 4 numerical
+breakdown (NumericalError: degenerate mean, non-finite step or metric, failed
+retraction), 5 finished without reaching the configured tolerance, 130
+SIGINT or SIGTERM (`interrupted: last recorded round <k>`). Log rows are
+written as they are recorded, so the log keeps every row of a failed run.
 BLAS is pinned to one thread before numpy loads: a threaded BLAS splits a
 product's sums by its thread count, so the same config and seed would give a
 different CSV at each thread count.
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from dataclasses import fields
 
 # before the harness import below loads numpy
@@ -33,14 +37,15 @@ from .harness import (
     CHOICES,
     EXIT_CONFIG,
     EXIT_INGESTION,
+    EXIT_INTERRUPTED,
     EXIT_NUMERICAL,
     EXIT_OK,
     ExperimentConfig,
+    open_out,
     oracle_report,
     parse_config,
     run_experiment,
     spectral_report,
-    write_out,
 )
 
 # argparse keywords per field type; a boolean field is a switch
@@ -76,6 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    # SIGTERM unwinds like SIGINT while main runs; only the main thread sets or receives handlers
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if main_thread else None
     try:
         flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
         cfg = parse_config(file=ns.config, flags=flags)
@@ -90,7 +98,8 @@ def main(argv=None) -> int:
         # oracle
         text = oracle_report(cfg)
         if cfg.out is not None:
-            write_out(cfg.out, text + "\n")
+            with open_out(cfg.out) as fh:
+                fh.write(text + "\n")
             print(f"wrote {cfg.out}")
         else:
             print(text)
@@ -107,6 +116,12 @@ def main(argv=None) -> int:
     except StiefelDecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt as e:
+        print(f"interrupted: {str(e) or 'no round recorded'}", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -65,6 +65,7 @@ EXIT_CONFIG = 2
 EXIT_INGESTION = 3
 EXIT_NUMERICAL = 4
 EXIT_NO_CONVERGENCE = 5
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 # The mixing matrix is a dense n x n array of doubles, 8 n^2 bytes: 512 MiB at this cap, for W
 # alone. Checking W and building W^t hold several more n x n arrays, so the set-up peaks higher.
@@ -484,12 +485,11 @@ class ExperimentOutcome:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    """Resolve, run, write the CSV log, and report a one-line summary. A run that
-    breaks down numerically still writes the rows recorded before the failure."""
+    """Resolve, run while each row is written to the CSV log, and report a one-line
+    summary. The log is open before the first round, so a failure or an interrupt
+    leaves every row recorded before it on disk."""
     res = resolve(cfg)
-    if cfg.out is not None:
-        write_out(cfg.out)  # an unwritable path fails now, not after the last round
-    try:
+    with nullcontext() if cfg.out is None else _log(cfg.out, cfg, res.header) as fh:
         result = run(
             cfg.algorithm,
             res.swarm0,
@@ -506,13 +506,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
             seed=cfg.seed,
             rounds=res.mix_rounds,
             timing=cfg.timing,
+            on_record=None if fh is None else lambda rec: fh.write(_row(rec)),
         )
-    except NumericalError as e:
-        if cfg.out is not None:
-            write_csv(cfg.out, cfg, res.header, e.records)
-        raise
-    if cfg.out is not None:
-        write_csv(cfg.out, cfg, res.header, result.records)
     last = result.records[-1]
     parts = [f"{cfg.algorithm}: {last.k} rounds, stop={result.stop}"]
     if last.ds_oracle is not None:
@@ -526,34 +521,38 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     return ExperimentOutcome(code=code, summary="  ".join(parts), result=result)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)  # shortest round-trip decimal
-    return str(v)
+def _row(rec: IterationRecord) -> str:
+    # an int's digits, a float's shortest round-trip decimal, an empty cell for None; vars()
+    # keeps the field order of CSV_HEADER, where dataclasses.astuple would deep-copy each row
+    return ",".join("" if v is None else repr(v) for v in vars(rec).values()) + "\n"
+
+
+@contextmanager
+def open_out(path):
+    """run's log or oracle's solution, opened to write; an OSError while it is open or
+    as it closes is a config error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as e:
+        raise ConfigError(f"out: cannot write {path}: {e.strerror or e}") from None
+
+
+@contextmanager
+def _log(path, cfg: ExperimentConfig, header: dict):
+    """The CSV log at path, its three # lines and column line on disk, open for rows."""
+    with open_out(path) as fh:
+        fh.write(
+            f"# stiefel-dec {__version__}\n# config: {json.dumps(asdict(cfg), sort_keys=True)}\n"
+            f"# constants: {json.dumps(header, sort_keys=True)}\n{CSV_HEADER}\n"
+        )
+        fh.flush()
+        yield fh
 
 
 def write_csv(path, cfg: ExperimentConfig, header: dict, records):
-    lines = [
-        f"# stiefel-dec {__version__}",
-        f"# config: {json.dumps(asdict(cfg), sort_keys=True)}",
-        f"# constants: {json.dumps(header, sort_keys=True)}",
-        CSV_HEADER,
-    ]
-    # vars() keeps the field order of CSV_HEADER; dataclasses.astuple would deep-copy each row
-    lines += (",".join(_cell(v) for v in vars(rec).values()) for rec in records)
-    write_out(path, "\n".join(lines) + "\n")
-
-
-def write_out(path, text: str = ""):
-    """Write a run's log or the oracle's solution; a path that cannot be written is a
-    config error. With no text the path is only probed: opened to append, not truncated."""
-    try:
-        with open(path, "w" if text else "a", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ConfigError(f"out: cannot write {path}: {e.strerror or e}") from None
+    with _log(path, cfg, header) as fh:
+        fh.writelines(map(_row, records))
 
 
 def spectral_report(cfg: ExperimentConfig) -> str:

@@ -482,9 +482,11 @@ class TestRun:
         locals_, xstar, w, s = self._instance(seed=25, n=5, d=9, r=3, m=6)
         s = manifold.perturbed_swarm(s.points[0], s.n, 0.2, np.random.default_rng(25))
         alpha, beta, rounds, seed = 0.9, 2e-3, 1 if algo == "drsgd" else 6, 4
+        handed = []
         out = run(algo, s, w, alpha=alpha, locals_=None if algo == "drcs" else locals_,
                   schedule=None if algo == "drcs" else StepsizeSchedule(beta),
-                  oracle=xstar, max_rounds=rounds, seed=seed)
+                  oracle=xstar, max_rounds=rounds, seed=seed, on_record=handed.append)
+        assert tuple(handed) == out.records  # every row, in order, as it was recorded
 
         def row(k, x, beta_k):
             mean, err_sq, linf = consensus_measures(x)
@@ -520,10 +522,26 @@ class TestRun:
     def test_breakdown_in_round_one_keeps_the_initial_row(self):
         # a raw stepsize so large that the retraction Gram overflows in the first round
         locals_, xstar, w, s = self._instance(seed=26)
-        with pytest.raises(NumericalError, match="^round 1: retraction step is not finite$") as e:
+        handed = []
+        with pytest.raises(NumericalError, match="^round 1: retraction step is not finite$"):
             run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e300),
-                oracle=xstar, max_rounds=3)
-        assert len(e.value.records) == 1 and e.value.records[0].k == 0
+                oracle=xstar, max_rounds=3, on_record=handed.append)
+        assert [rec.k for rec in handed] == [0]
+
+    def test_interrupt_names_the_last_recorded_round(self):
+        # a KeyboardInterrupt in the loop (SIGINT) ends the run after the rows handed over
+        locals_, xstar, w, s = self._instance(seed=26)
+        handed = []
+
+        def record(rec):  # the signal lands while row 2 is being handed over
+            if rec.k == 2:
+                raise KeyboardInterrupt
+            handed.append(rec)
+
+        with pytest.raises(KeyboardInterrupt, match="^last recorded round 1$"):
+            run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3),
+                oracle=xstar, max_rounds=5, on_record=record)
+        assert [rec.k for rec in handed] == [0, 1]
 
     def test_metrics_row_evaluates_each_objective_once(self, monkeypatch):
         # f(xbar) and ||grad f(xbar)||^2 share one gradient of the average
@@ -559,11 +577,12 @@ class TestRun:
             run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule(1e-3))
         with pytest.raises(ParameterError, match="alpha"):
             run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule(1e-3))
-        # argument errors, not breakdowns of round 1 or round 0 with the rows before them
-        with pytest.raises(ParameterError, match=r"^mixing matrix is 2x2, swarm has shape \(4, 10, 2\)$") as e:
-            run("drcs", s, HALF2, alpha=1.0, max_rounds=3)
-        assert not hasattr(e.value, "records")
+        # argument errors, not breakdowns of round 1 or round 0 after a first row
+        handed = []
+        with pytest.raises(ParameterError, match=r"^mixing matrix is 2x2, swarm has shape \(4, 10, 2\)$"):
+            run("drcs", s, HALF2, alpha=1.0, max_rounds=3, on_record=handed.append)
         other = manifold.random_stiefel(10, 3, np.random.default_rng(23))
-        with pytest.raises(ParameterError, match=r"^oracle has shape \(10, 3\), swarm has shape \(4, 10, 2\)$") as e:
-            run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3), oracle=other)
-        assert not hasattr(e.value, "records")
+        with pytest.raises(ParameterError, match=r"^oracle has shape \(10, 3\), swarm has shape \(4, 10, 2\)$"):
+            run("drdgd", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(1e-3), oracle=other,
+                on_record=handed.append)
+        assert handed == []

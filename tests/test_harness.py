@@ -4,8 +4,11 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +23,7 @@ from stiefel_dec.harness import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_INGESTION,
+    EXIT_INTERRUPTED,
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -61,6 +65,12 @@ def config_echo(path) -> dict:
     """The resolved config a log echoes on its '# config:' header line."""
     line = next(l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.startswith("# config: "))
     return json.loads(line[len("# config: "):])
+
+
+def log_rows(path) -> list:
+    """The complete rows of a CSV log, as far as they are on disk."""
+    lines = path.read_text(encoding="utf-8").split("\n") if path.exists() else []
+    return lines[4:-1]  # after the # lines and the column line; the last piece is unterminated
 
 
 def write_rows(path, scale):
@@ -419,6 +429,14 @@ class TestRunExperiment:
         quiet_run(cfg)
         assert out.read_bytes() == first
 
+    def test_streamed_log_is_the_write_csv_of_its_records(self, tmp_path):
+        # the rows written as the run goes are the bytes write_csv gives the finished records
+        out, batch = tmp_path / "s.csv", tmp_path / "b.csv"
+        cfg = parse_config(flags=dict(SMALL, algorithm="drsgd", max_epochs=3, out=str(out)))
+        outcome = quiet_run(cfg)
+        harness.write_csv(batch, cfg, quiet_resolve(cfg).header, outcome.result.records)
+        assert out.read_bytes() == batch.read_bytes()
+
     def test_config_echo_round_trip(self, tmp_path):
         out = tmp_path / "e.csv"
         cfg = parse_config(flags=dict(SMALL, out=str(out)))
@@ -754,18 +772,76 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: out: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
 
-    def test_out_probe_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):
+    def test_log_header_is_on_disk_when_run_starts(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "x.csv"
-        out.write_text("keep\n")
+        out.write_text("an older log\n")  # replaced when the run opens its log
+        seen = []
 
         def stop(*args, **kwargs):
-            raise errors.ParameterError(f"run sees {out.read_text()!r}")
+            seen.append(out.read_text())
+            raise errors.ParameterError("stopped")
 
         monkeypatch.setattr(harness, "run", stop)
         code = main(["run", "--n", "3", "--d", "8", "--r", "2", "--m", "10", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: run sees 'keep\\n'\n"
-        assert out.read_text() == "keep\n"
+        assert code == EXIT_CONFIG and capsys.readouterr().err == "error: stopped\n"
+        lines = seen[0].splitlines()
+        assert lines[0] == f"# stiefel-dec {harness.__version__}" and lines[3] == CSV_HEADER
+        assert lines[1].startswith("# config: ") and lines[2].startswith("# constants: ")
+        assert len(lines) == 4 and out.read_text() == seen[0]
+
+    def test_sigterm_handler_is_set_only_while_main_runs(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "spectral_report", lambda cfg: seen.append(signal.getsignal(signal.SIGTERM)) or "")
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["spectral"]) == EXIT_OK
+        assert seen == [signal.default_int_handler] and signal.getsignal(signal.SIGTERM) is before
+        # off the main thread no handler can be set, and main runs without one
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["spectral"])))
+        worker.start()
+        worker.join()
+        assert codes == [EXIT_OK] and seen[1] is before and signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_exits_130_with_the_rows_so_far(self, tmp_path, signum):
+        # a long run signalled once, after its log holds a row; SIGINT is set to its default
+        # disposition, which a non-interactive shell's background jobs would have ignored
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
+        argv = [sys.executable, "-m", "stiefel_dec.cli", "run", "--tol-ds", "0", "--tol-grad", "0", "--out", "log.csv"]
+        (tmp_path / "long").mkdir(), (tmp_path / "capped").mkdir()  # one log name, echoed alike
+        long_log, capped_log = tmp_path / "long" / "log.csv", tmp_path / "capped" / "log.csv"
+        proc = subprocess.Popen(
+            argv + ["--max-iters", "1000000"], cwd=long_log.parent, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while proc.poll() is None and not log_rows(long_log) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert proc.poll() is None and log_rows(long_log), "the run ended or wrote no row in 60 s"
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == EXIT_INTERRUPTED and "Traceback" not in err
+        rows = log_rows(long_log)
+        k = int(rows[-1].split(",")[0])
+        # one interrupted line, after the set-up's stepsize warnings; the log can be one row
+        # ahead of the round it names, for a signal between a row's write and run keeping it
+        named = [re.fullmatch(r"interrupted: last recorded round (\d+)", l) for l in err.splitlines()]
+        assert [m is not None for m in named].count(True) == 1 and named[-1], err
+        assert int(named[-1][1]) in (k, k - 1), err
+        # the log is the first rows of an uninterrupted run capped at k rounds
+        proc = subprocess.run(argv + ["--max-iters", str(k)], cwd=capped_log.parent, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert rows == log_rows(capped_log)
+        head, capped_head = (p.read_text().splitlines()[:4] for p in (long_log, capped_log))
+        assert head[0] == capped_head[0] and head[2:] == capped_head[2:]
+        assert config_echo(long_log) == dict(config_echo(capped_log), max_iters=1000000)
 
     @pytest.mark.parametrize("error", list(CLI_OUTCOMES), ids=lambda e: e.__name__)
     def test_each_error_class_exits_with_its_code(self, capsys, monkeypatch, error):
