@@ -577,7 +577,7 @@ class TestRun:
             run("drdgd", s, w, alpha=1.0, locals_=short, schedule=StepsizeSchedule(1e-3))
         with pytest.raises(ParameterError, match="alpha"):
             run("drdgd", s, w, alpha=0.0, locals_=locals_, schedule=StepsizeSchedule(1e-3))
-        # argument errors, not breakdowns of round 1 or round 0 after a first row
+        # argument errors, raised before any row is recorded: not breakdowns of round 1 or round 0
         handed = []
         with pytest.raises(ParameterError, match=r"^mixing matrix is 2x2, swarm has shape \(4, 10, 2\)$"):
             run("drcs", s, HALF2, alpha=1.0, max_rounds=3, on_record=handed.append)
