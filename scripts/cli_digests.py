@@ -238,6 +238,10 @@ CONFIGS = [
     ("drcs-d1-r1", "run --algorithm drcs --d 1 --r 1 --n 3 --max-iters 1"),
     # a nudge of the shared start beside independent starts, which have no shared start to nudge
     ("independent-perturb", "run --init independent --perturb 0.5 --max-iters 3"),
+    # raw drsgd stepsizes that break the iteration down within the first epoch: exits 4
+    # naming round 1
+    ("drsgd-raw-beta1", "run --algorithm drsgd --beta-hat 1 --beta-scale raw --max-epochs 2"),
+    ("drsgd-raw-beta100", "run --algorithm drsgd --beta-hat 100 --beta-scale raw --max-epochs 2"),
 ]
 
 
