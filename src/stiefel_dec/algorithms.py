@@ -129,9 +129,9 @@ def _check_rate_inputs(rho_t: float, alpha: float, delta1: float):
 
 
 def _retracted(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """R_x(xi), checked orthonormal and frozen: the iterate a step returns."""
+    """R_x(xi), frozen: the iterate a step returns. polar_retract's conditioning test
+    stands in for an orthonormality check; run checks the iterate at every row."""
     out = polar_retract(x, xi)
-    _check_orthonormal(out)
     out.flags.writeable = False
     return out
 
@@ -277,10 +277,12 @@ def run(
     one epoch (a full pass over every agent's samples, shuffled per epoch from
     per-agent streams derived from the seed, whose batches are drawn, checked and
     gathered when the epoch starts). One metrics row is recorded per
-    round plus an initial row, each handed to on_record(row) first when given. A
-    breakdown in the loop (a non-finite value, an iterate that lost
-    orthonormality) raises NumericalError naming its round, a KeyboardInterrupt
-    the last recorded round. Early stop on d_s(mean,
+    round plus an initial row, each handed to on_record(row) first when given.
+    Each row first checks the swarm orthonormal, once per round (not per drsgd
+    step: a step's retraction raises itself when its conditioning breaks down). A
+    breakdown in the loop (a non-finite value, a retraction that lost its
+    conditioning, an iterate that lost orthonormality) raises NumericalError naming
+    its round, a KeyboardInterrupt the last recorded round. Early stop on d_s(mean,
     oracle) <= tol_ds, on ||grad f(mean)|| <= tol_grad, or (consensus runs) on
     the stacked deviation norm <= tol_consensus; tolerances set to None or 0
     are disabled. Each gossip step runs `rounds` rounds of wt, applied as one
@@ -327,6 +329,7 @@ def run(
     records = []
 
     def snapshot(k: int, beta: float | None):
+        _check_orthonormal(x)  # the round's one check of the swarm
         mean, ces, linf = consensus_measures(x)  # the mean, checked once, and the two errors
         gsq = f_bar = ds = None
         if with_obj:

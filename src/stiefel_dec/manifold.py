@@ -4,7 +4,7 @@ Points are d x r matrices with orthonormal columns; a swarm of n agents is one
 read-only (n, d, r) array. Tangent projection and polar retraction take
 (..., d, r) arrays, so one call serves one agent or a whole swarm. Invariants
 are checked once, where a StiefelPoint or SwarmState is built. Also here: the
-induced arithmetic mean, the consensus errors and the consensus-region test.
+induced arithmetic mean, the consensus errors and the consensus-region radii.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ TANGENCY_TOL = 1e-10
 # Smallest-to-largest singular value ratio below which the Euclidean mean is
 # treated as rank deficient.
 DEGENERACY_RATIO = 1e-12
+# Smallest w_min / w_max of a retraction's Gram matrix that polar_retract accepts. The
+# eigenvalues of v.T v carry round-off of about eps * w_max, and w^-1/2 carries it into
+# the polar factor as max |y.T y - I| of about eps * w_max / w_min: measured at most
+# 20 eps * w_max / w_min on (8, d, r) stacks up to d = 1000. So a step above this
+# ratio, 32 eps / ORTHONORMALITY_TOL (about 7.1e-3), returns columns within
+# ORTHONORMALITY_TOL, and one at or below it has broken down.
+RETRACTION_CONDITIONING = 32 * np.finfo(float).eps / ORTHONORMALITY_TOL
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -65,14 +72,16 @@ def _identity(r: int) -> np.ndarray:
     return eye
 
 
-def _check_orthonormal(x: np.ndarray):
-    """Raise unless every d x r slice of x has orthonormal columns (also rejects NaN and inf)."""
+def _check_orthonormal(x: np.ndarray) -> float:
+    """max |x.T x - I| over every d x r slice of x; raises unless it is within
+    ORTHONORMALITY_TOL (also rejects NaN and inf)."""
     d, r = x.shape[-2:]
     if r < 1 or d < r:
         raise ParameterError(f"need d >= r >= 1, got d={d}, r={r}")
-    err = np.abs(x.swapaxes(-1, -2) @ x - _identity(r)).max()
+    err = float(np.abs(x.swapaxes(-1, -2) @ x - _identity(r)).max())
     if not err <= ORTHONORMALITY_TOL:
         raise ParameterError(f"columns are not orthonormal: max |x.T x - I| = {err:.3e}")
+    return err
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +132,6 @@ class TangentVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def scaled(self, c: float) -> "TangentVector":
-        return TangentVector(self.base, c * self.data)
 
     def __repr__(self):
         return f"TangentVector(d={self.base.d}, r={self.base.r}, norm={self.norm:.3e})"
@@ -182,11 +188,6 @@ class SwarmState:
         """The agents as StiefelPoints, for callers that want per-agent objects."""
         return tuple(StiefelPoint(m) for m in self.x)
 
-    @property
-    def euclidean_mean(self) -> np.ndarray:
-        """Plain average (1/n) sum x_i; generally off the manifold."""
-        return self.x.sum(axis=0) / self.n
-
     @cached_property
     def consensus(self) -> tuple:
         """(mean_point, consensus_error_sq, linf_error): consensus_measures of the swarm,
@@ -208,10 +209,6 @@ class SwarmState:
     def linf_error(self) -> float:
         """max_i ||x_i - xbar||_F."""
         return self.consensus[2]
-
-    def stacked_error(self) -> float:
-        """Frobenius norm of the stacked deviation, ||x - xbar|| = sqrt(n * mean-square)."""
-        return float(np.sqrt(self.n * self.consensus_error_sq))
 
     def __repr__(self):
         return f"SwarmState(n={self.n}, d={self.d}, r={self.r})"
@@ -270,8 +267,10 @@ def polar_retract(x, xi) -> np.ndarray:
     (..., d, r) arrays. The inverse square root comes from a symmetric
     eigendecomposition G = Q diag(w) Q.T of the r x r Gram matrix of v = x + xi,
     formed as the r x r factor Z = Q diag(w^{-1/2}) Q.T, so v is read once more,
-    for v @ Z. A step whose Gram matrix is not finite, or not positive definite
-    in floating point, raises NumericalError.
+    for v @ Z. A step whose Gram matrix is not finite raises NumericalError, and
+    so does one whose w_min / w_max is not above RETRACTION_CONDITIONING (a zero
+    or indefinite Gram matrix among them): above it the result is orthonormal
+    within ORTHONORMALITY_TOL, so the caller need not check it.
     """
     x, xi = _same_shape(x, xi)
     v = x + xi
@@ -279,16 +278,11 @@ def polar_retract(x, xi) -> np.ndarray:
     if not np.isfinite(gram).all():
         raise NumericalError("retraction step is not finite")
     w, q = np.linalg.eigh(gram)
-    if not (w[..., 0] > 0.0).all():
-        raise NumericalError("retraction Gram matrix lost positive definiteness")
+    if not (w[..., 0] > RETRACTION_CONDITIONING * w[..., -1]).all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (w[..., 0] / w[..., -1]).min()
+        raise NumericalError(f"retraction Gram matrix lost positive definiteness (w_min/w_max = {ratio:.3e})")
     return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
-
-
-def in_consensus_region(s: SwarmState, p: ConsensusRegionParams) -> bool:
-    """Whether ||x - xbar||^2 <= n delta1^2 and max_i ||x_i - xbar|| <= delta2."""
-    if p.r != s.r:
-        raise ParameterError(f"region params are for r={p.r}, swarm has r={s.r}")
-    return bool(s.n * s.consensus_error_sq <= s.n * p.delta1**2 and s.linf_error <= p.delta2)
 
 
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> StiefelPoint:

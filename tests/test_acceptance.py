@@ -21,6 +21,8 @@ from stiefel_dec.algorithms import (
 from stiefel_dec.harness import parse_config, run_experiment
 from stiefel_dec.manifold import ConsensusRegionParams, SwarmState
 
+from manifold_helpers import euclidean_mean, in_consensus_region, scaled, stacked_error
+
 
 def _verdict(num, name, ok, detail=""):
     print(f"[ACCEPTANCE {num:02d}] {'PASS' if ok else 'FAIL'} {name}  {detail}")
@@ -93,12 +95,12 @@ def test_criterion_02_drcs_q_linear_contraction():
     wt = network.matrix_power(w, t)
     rng = np.random.default_rng(22)
     s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
-    assert bool(manifold.in_consensus_region(s, p))
-    x, err = s.x, s.stacked_error()
+    assert bool(in_consensus_region(s, p))
+    x, err = s.x, stacked_error(s)
     worst_ratio, steps = 0.0, 0
     while err > 1e-12 and steps < 500:
         x = drcs_step(x, wt, rate.alpha_bar)
-        new = SwarmState(x).stacked_error()
+        new = stacked_error(SwarmState(x))
         worst_ratio = max(worst_ratio, new / err)
         err, steps = new, steps + 1
     _verdict(
@@ -208,7 +210,7 @@ def test_criterion_08_iam_vs_euclidean_mean_bound():
         if stacked_sq > n / 2.0:
             continue
         checked += 1
-        gap = np.linalg.norm(s.mean_point.data - s.euclidean_mean)
+        gap = np.linalg.norm(s.mean_point.data - euclidean_mean(s))
         if gap > 2.0 * math.sqrt(r) * stacked_sq / n + 1e-12:
             bad += 1
     _verdict(8, "induced-mean bound", bad == 0, f"{bad} violations in {checked} swarms")
@@ -227,8 +229,8 @@ def test_criterion_09_gradient_vs_finite_differences():
         xi = manifold.random_tangent(x, rng, norm=1.0)
         analytic = float(np.sum(manifold.project_to_tangent(x.data, o.euclidean_grad(x.data)[0]) * xi.data))
         numeric = (
-            o.value(manifold.polar_retract(x.data, xi.scaled(h).data))[0]
-            - o.value(manifold.polar_retract(x.data, xi.scaled(-h).data))[0]
+            o.value(manifold.polar_retract(x.data, scaled(xi, h).data))[0]
+            - o.value(manifold.polar_retract(x.data, scaled(xi, -h).data))[0]
         ) / (2.0 * h)
         worst = max(worst, abs(numeric - analytic))
     _verdict(9, "gradient matches finite differences", worst <= 1e-5, f"max gap {worst:.3e} <= 1e-5")

@@ -26,6 +26,8 @@ from stiefel_dec.metrics import IterationRecord, average_value
 from stiefel_dec.network import MixingMatrix
 from stiefel_dec.problems import EigLocal, SmoothnessConstants
 
+import manifold_helpers as helpers
+
 
 def col(*vals):
     return np.asarray(vals, dtype=float).reshape(-1, 1)
@@ -44,7 +46,7 @@ def homogeneous_problem(n, d, r, m, seed):
 
 
 def stacked_error(x):
-    return SwarmState(x).stacked_error()
+    return helpers.stacked_error(SwarmState(x))
 
 
 class TestDrcsStep:
@@ -72,8 +74,8 @@ class TestDrcsStep:
         wt = network.matrix_power(w, t)
         rng = np.random.default_rng(1)
         s = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
-        assert manifold.in_consensus_region(s, p)
-        x, err = s.x, s.stacked_error()
+        assert helpers.in_consensus_region(s, p)
+        x, err = s.x, helpers.stacked_error(s)
         for _ in range(60):
             if err <= 1e-12:
                 break
@@ -333,7 +335,7 @@ class TestRegionPersistenceAndDeviation:
         for k in range(300):
             batches = [rng.choice(m, size=1, replace=False) for m, rng in zip(locals_.counts, rngs)]
             x = drsgd_step(x, wt, rate.alpha_bar, sched.beta(k), locals_.stochastic_egrad(x, batches))
-            assert bool(manifold.in_consensus_region(SwarmState(x), p))
+            assert bool(helpers.in_consensus_region(SwarmState(x), p))
 
     def test_bounded_deviation_with_constant_stepsize(self):
         locals_, p, rate, wt, constants, s = self._setup(17)
@@ -467,7 +469,7 @@ class TestRun:
         bound = 1e-12 * 2.0 * np.sqrt(s.r)
         assert len(out.records) == len(swarms)
         for rec, ref in zip(out.records, swarms):
-            u, _, vt = np.linalg.svd(ref.euclidean_mean, full_matrices=False)
+            u, _, vt = np.linalg.svd(helpers.euclidean_mean(ref), full_matrices=False)
             mean = u @ vt
             dev = np.array([np.linalg.norm(xi - mean) for xi in ref.x])
             assert abs(np.sqrt(rec.consensus_err_sq) - np.sqrt(np.mean(dev**2))) <= bound

@@ -961,6 +961,26 @@ class TestCli:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mid_epoch_breakdown_is_4_naming_its_round(self, tmp_path, capsys, monkeypatch):
+        # the 150th gradient of a default drsgd run (100 steps an epoch) is 1e4 times too
+        # large but finite: its retraction Gram matrix stays positive definite, with
+        # w_min / w_max about 2.6e-7, so the step raises there, 50 steps before the row
+        calls = []
+
+        def huge(x, step, _orig=problems.EigLocal.batch_egrad):
+            calls.append(None)
+            return _orig(x, step) * (1e4 if len(calls) == 150 else 1.0)
+
+        monkeypatch.setattr(problems.EigLocal, "batch_egrad", staticmethod(huge))
+        out = tmp_path / "o.csv"
+        code = main(["run", "--algorithm", "drsgd", "--max-epochs", "3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL and len(calls) == 150
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: round 2: retraction Gram matrix lost positive definiteness")
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
+
     def test_package_import_loads_no_module(self):
         # the CLI can pin BLAS before numpy loads only while the package imports nothing
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))

@@ -14,6 +14,8 @@ from stiefel_dec.manifold import (
     consensus_measures,
 )
 
+from manifold_helpers import euclidean_mean, in_consensus_region, scaled
+
 
 def col(*vals):
     return np.asarray(vals, dtype=float).reshape(-1, 1)
@@ -86,7 +88,7 @@ class TestTangentVector:
 
     def test_scaled(self):
         xi = TangentVector(E1, col(0.0, 2.0))
-        assert np.allclose(xi.scaled(0.5).data, col(0.0, 1.0))
+        assert np.allclose(scaled(xi, 0.5).data, col(0.0, 1.0))
 
 
 class TestProjectToTangent:
@@ -141,6 +143,10 @@ class TestPolarRetract:
             manifold.polar_retract(x.data, np.full((4, 2), np.inf))
         with pytest.raises(NumericalError, match="positive definiteness"):
             manifold.polar_retract(x.data, -x.data)  # x + xi = 0
+        # finite and positive definite, but ill-conditioned: v.T v = I + 1e8 e1 e1.T
+        xi = 1e4 * np.outer(np.linalg.svd(x.data)[0][:, 2], [1.0, 0.0])
+        with pytest.raises(NumericalError, match=r"^retraction Gram matrix lost positive definiteness \(w_min/w_max = 1\.000e-08\)$"):
+            manifold.polar_retract(x.data, xi)
 
     def test_second_order_bound_1000_trials(self):
         # ||R_x(xi) - (x + xi)|| <= ||xi||^2 whenever ||xi|| <= 1
@@ -210,8 +216,8 @@ class TestRiemannianGradient:
             b = rng.standard_normal((d, r))
             f, grad = _sin_objective(b)
             xi = manifold.random_tangent(x, rng, norm=1.0)
-            forward = f(manifold.polar_retract(x.data, xi.scaled(h).data))
-            backward = f(manifold.polar_retract(x.data, xi.scaled(-h).data))
+            forward = f(manifold.polar_retract(x.data, scaled(xi, h).data))
+            backward = f(manifold.polar_retract(x.data, scaled(xi, -h).data))
             numeric = (forward - backward) / (2.0 * h)
             analytic = float(np.sum(grad(x.data) * xi.data))
             assert abs(numeric - analytic) <= 1e-5
@@ -244,7 +250,7 @@ class TestInducedArithmeticMean:
         rng = np.random.default_rng(28)
         q, r = manifold.random_stiefel(3, 3, rng).data, manifold.random_stiefel(2, 2, rng).data
         s = SwarmState(np.stack([q @ x1 @ r, q @ x2 @ r]))
-        u, sv, vt = np.linalg.svd(s.euclidean_mean, full_matrices=False)
+        u, sv, vt = np.linalg.svd(euclidean_mean(s), full_matrices=False)
         assert sv[-1] / sv[0] == pytest.approx(1e-6, rel=1e-6)
         got = s.mean_point.data
         assert np.abs(got.T @ got - np.eye(2)).max() <= 1e-15
@@ -291,7 +297,7 @@ class TestInducedArithmeticMean:
             stacked_sq = s.n * s.consensus_error_sq
             if stacked_sq > n / 2.0:
                 continue
-            gap = np.linalg.norm(s.mean_point.data - s.euclidean_mean)
+            gap = np.linalg.norm(s.mean_point.data - euclidean_mean(s))
             assert gap <= 2.0 * np.sqrt(r) * stacked_sq / n + 1e-12
 
     def test_two_average_bound(self):
@@ -305,7 +311,7 @@ class TestInducedArithmeticMean:
             sx = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
             sy = manifold.perturbed_swarm(manifold.random_stiefel(d, r, rng), n, p.delta1 / 2.0, rng)
             lhs = np.linalg.norm(sx.mean_point.data - sy.mean_point.data)
-            rhs = np.linalg.norm(sx.euclidean_mean - sy.euclidean_mean)
+            rhs = np.linalg.norm(euclidean_mean(sx) - euclidean_mean(sy))
             assert lhs <= rhs / (1.0 - 2.0 * p.delta1**2) + 1e-12
 
 
@@ -362,7 +368,7 @@ class TestConsensusRegion:
         rng = np.random.default_rng(16)
         x = manifold.random_stiefel(5, 2, rng)
         s, p = SwarmState((x, x, x)), ConsensusRegionParams(r=2)
-        assert manifold.in_consensus_region(s, p) is True
+        assert in_consensus_region(s, p) is True
         assert s.consensus_error_sq < p.delta1**2 and s.linf_error < p.delta2
 
     def test_large_perturbation_outside(self):
@@ -370,14 +376,14 @@ class TestConsensusRegion:
         x = manifold.random_stiefel(6, 1, rng)
         far = StiefelPoint(manifold.polar_retract(x.data, manifold.random_tangent(x, rng, norm=0.5).data))
         s, p = SwarmState((x, x, x, far)), ConsensusRegionParams(r=1)
-        assert manifold.in_consensus_region(s, p) is False
+        assert in_consensus_region(s, p) is False
         assert s.linf_error > p.delta2
 
     def test_r_mismatch(self):
         rng = np.random.default_rng(18)
         s = SwarmState((manifold.random_stiefel(4, 2, rng),))
         with pytest.raises(ParameterError):
-            manifold.in_consensus_region(s, ConsensusRegionParams(r=1))
+            in_consensus_region(s, ConsensusRegionParams(r=1))
 
 
 class TestRandomStiefel:

@@ -10,6 +10,8 @@ from stiefel_dec.errors import ParameterError
 from stiefel_dec.manifold import ConsensusRegionParams, SwarmState
 from stiefel_dec.network import Graph, MixingMatrix
 
+from manifold_helpers import euclidean_mean
+
 
 def col(*vals):
     return np.asarray(vals, dtype=float).reshape(-1, 1)
@@ -257,7 +259,7 @@ class TestMix:
             w = network.metropolis_weights(g)
             t = int(rng.integers(1, 4))
             s = SwarmState(tuple(manifold.random_stiefel(6, 2, rng) for _ in range(n)))
-            xhat = s.euclidean_mean
+            xhat = euclidean_mean(s)
             mixed = network.mix(s.x, network.matrix_power(w, t))
             before = math.sqrt(sum(np.linalg.norm(p.data - xhat) ** 2 for p in s.points))
             after = math.sqrt(sum(np.linalg.norm(m - xhat) ** 2 for m in mixed))

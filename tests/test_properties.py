@@ -9,11 +9,13 @@ a square draw, M = d.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stiefel_dec import algorithms, manifold, metrics, network, problems
 from stiefel_dec.algorithms import _epoch_batches, steps_per_epoch
+from stiefel_dec.errors import NumericalError
 from stiefel_dec.manifold import frobenius_norms
 from stiefel_dec.metrics import average_value
 
@@ -147,6 +149,39 @@ def test_retraction_factor_matches_three_pass_formula(shape, seed, scale):
     reference = ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
     assert np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max() <= 16 * EPS * (d + r)
     assert np.abs(out - reference).max() <= 4 * EPS * (d + r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    r=st.integers(2, 8),
+    extra=st.integers(1, 112),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.floats(-2.0, 2.0).filter(lambda e: abs(e) >= 1e-3),
+)
+@example(n=8, r=5, extra=25, seed=0, decades=1e-3)  # the benchmark's (8, 30, 5), just above
+@example(n=8, r=5, extra=25, seed=0, decades=-1e-3)  # and just below
+def test_retraction_guard_keeps_its_promise(n, r, extra, seed, decades):
+    # a tangent step with singular values s_max >= s_2 >= ... and at least one zero, off the
+    # span of x, has the Gram matrix I + xi.T xi with w_min / w_max = 1 / (1 + s_max^2),
+    # set here to RETRACTION_CONDITIONING times 10^decades: above the floor the columns
+    # come back within ORTHONORMALITY_TOL, below it the retraction raises
+    d = r + extra
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    x, k = basis[..., :r], min(r, extra)
+    ratio = manifold.RETRACTION_CONDITIONING * 10.0**decades
+    s = np.sqrt(1.0 / ratio - 1.0) * np.concatenate([np.ones((n, 1)), rng.uniform(0.0, 1.0, (n, k - 1))], axis=1)
+    if k == r:
+        s[:, -1] = 0.0
+    v, _ = np.linalg.qr(rng.standard_normal((n, r, r)))
+    xi = (basis[..., r : r + k] * s[:, None, :]) @ v[..., :k].swapaxes(-1, -2)
+    if decades > 0:
+        out = manifold.polar_retract(x, xi)
+        assert np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max() <= manifold.ORTHONORMALITY_TOL
+    else:
+        with pytest.raises(NumericalError, match="^retraction Gram matrix lost positive definiteness"):
+            manifold.polar_retract(x, xi)
 
 
 @settings(max_examples=25, deadline=None)
