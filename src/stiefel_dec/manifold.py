@@ -28,7 +28,7 @@ DEGENERACY_RATIO = 1e-12
 # Smallest w_min / w_max of a retraction's Gram matrix that polar_retract accepts. The
 # eigenvalues of v.T v carry round-off of about eps * w_max, and w^-1/2 carries it into
 # the polar factor as max |y.T y - I| of about eps * w_max / w_min: measured at most
-# 20 eps * w_max / w_min on (8, d, r) stacks up to d = 1000. So a step above this
+# 20 eps * w_max / w_min on (8, d, r) stacks up to d = 1000 and r = 50. So a step above this
 # ratio, 32 eps / ORTHONORMALITY_TOL (about 7.1e-3), returns columns within
 # ORTHONORMALITY_TOL, and one at or below it has broken down.
 RETRACTION_CONDITIONING = 32 * np.finfo(float).eps / ORTHONORMALITY_TOL
