@@ -97,6 +97,9 @@ FILES = {
     "n-float.json": '{"n": 8.0}',
     "t-str.json": '{"t": "1"}',
     "epochs-1e400.json": '{"algorithm": "drsgd", "max_epochs": 1' + "0" * 400 + "}",
+    "list.json": "[1, 2]",  # JSON, but not an object
+    "short-row.csv": "1,2,3\n4,5\n7,8,9\n",  # line 2 is one field short
+    "rows.csv": sample_rows(25, 6),  # the rows of e154.csv and bom.csv, unscaled
 }
 
 # (name, CLI arguments); cli_args appends --out OUT to every subcommand but spectral,
@@ -242,6 +245,27 @@ CONFIGS = [
     # naming round 1
     ("drsgd-raw-beta1", "run --algorithm drsgd --beta-hat 1 --beta-scale raw --max-epochs 2"),
     ("drsgd-raw-beta100", "run --algorithm drsgd --beta-hat 100 --beta-scale raw --max-epochs 2"),
+    # a finite nudge of norm 30 on St(3, 3) leaves the retraction ill-conditioned: exits 2
+    # naming perturb
+    ("perturb-ill-conditioned", "run --algorithm drcs --d 3 --r 3 --n 4 --perturb 30 --max-iters 3"),
+    # one config per remaining set-up exit: exits 2 naming the field, 3 for a short data row
+    ("r-above-d", "run --r 40"),
+    ("m-0", "run --m 0"),
+    ("divisor-0", "run --divisor 0"),
+    ("beta-hat-0", "run --beta-hat 0"),
+    ("config-not-object", "run --config list.json"),
+    ("graph-er-unparsable", "spectral --graph er(abc)"),
+    ("dsv-short-row", "run --algorithm drgta --problem dsv --data short-row.csv --n 2 --r 1 --max-iters 5"),
+    ("dsv-r-above-d", "run --problem dsv --data header.csv --n 4 --r 7"),
+    # independent starts at r = d - 1 that settle away from consensus: at r = 2 the mean's
+    # rank test ends the run as a numerical error, at r = 1 it cannot fire and the run
+    # goes on against a round-off mean
+    ("drcs-independent-d3-r2", "run --algorithm drcs --init independent --d 3 --r 2 --n 8 --t 1 --seed 0 --max-iters 400"),
+    ("drcs-independent-d2-r1", "run --algorithm drcs --init independent --d 2 --r 1 --n 16 --t 1 --seed 0 --max-iters 2000"),
+    # data divided far below unit scale: the gradient underflows (1e160) or falls below
+    # the absolute tol_grad (1e7), and round 0 stops on grad_tol with ds about 1.34
+    ("dsv-divisor-1e160", "run --algorithm drgta --problem dsv --data rows.csv --n 3 --r 2 --divisor 1e160 --max-iters 2"),
+    ("dsv-divisor-1e7", "run --algorithm drgta --problem dsv --data rows.csv --n 3 --r 2 --divisor 1e7 --max-iters 20000"),
 ]
 
 
