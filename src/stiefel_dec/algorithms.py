@@ -29,19 +29,15 @@ ALGORITHMS = ("drcs", "drsgd", "drdgd", "drgta")
 
 @dataclass(frozen=True, eq=False)
 class TrackerState:
-    """Gradient trackers y_i (ambient, not constrained tangent) and the local
-    Riemannian gradients g_i = grad f_i(x_i) they carry, as read-only copies of
-    (n, d, r) arrays. The tracker average stays equal to the average Riemannian gradient."""
+    """Gradient trackers y_i (ambient, not constrained tangent) as a read-only copy of an
+    (n, d, r) array. The tracker average stays equal to the average Riemannian gradient.
+    The local gradients g_i = grad f_i(x_i) the trackers carry are a function of the
+    iterates: drgta_init(x, locals_)[1] gives them bit for bit."""
 
     y: np.ndarray
-    g: np.ndarray
 
     def __post_init__(self):
-        y, g = as_stack(self.y, "tracker"), as_stack(self.g, "gradient")
-        if g.shape != y.shape:
-            raise ParameterError(f"gradients have shape {g.shape}, trackers {y.shape}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "y", as_stack(self.y, "tracker"))
 
     def average(self) -> np.ndarray:
         return self.y.sum(axis=0) / len(self.y)
@@ -243,7 +239,7 @@ def _epoch_batches(m: int, batch: int, steps: int, rng: np.random.Generator):
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of a run: metric rows (initial row plus one per round), the final
-    state, the tracker for gradient-tracking runs, and why the loop stopped."""
+    state, the trackers for gradient-tracking runs, and why the loop stopped."""
 
     records: tuple
     final: SwarmState
@@ -288,7 +284,8 @@ def run(
     are disabled. Each gossip step runs `rounds` rounds of wt, applied as one
     product with wt^rounds. The same seed and arguments give identical records.
     The loop carries the swarm, the trackers and their gradients as read-only
-    (n, d, r) arrays; `final` and `tracker` are built from them once, at the end.
+    (n, d, r) arrays; `final` and `tracker` are built from the swarm and the trackers
+    once, at the end.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
@@ -330,7 +327,7 @@ def run(
 
     def snapshot(k: int, beta: float | None):
         _check_orthonormal(x)  # the round's one check of the swarm
-        mean, ces, linf = consensus_measures(x)  # the mean, checked once, and the two errors
+        mean, ces, linf = consensus_measures(x)  # the mean of the checked swarm, and the two errors
         gsq = f_bar = ds = None
         if with_obj:
             egrad = locals_.mean_grad(mean)
@@ -391,7 +388,7 @@ def run(
     return RunResult(
         records=tuple(records),
         final=SwarmState(x),
-        tracker=None if y is None else TrackerState(y, g),
+        tracker=None if y is None else TrackerState(y),
         converged=converged,
         stop=stop,
     )

@@ -247,12 +247,14 @@ def validate_config(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """A config turned into concrete objects, plus the constants for the log header."""
+    """A config turned into concrete objects, plus the constants for the log header.
+    mix_matrix is W^t itself, so mix_rounds, the products with it per gossip step, is a
+    class constant, not a field."""
 
+    mix_rounds = 1
     graph: object
     t: int
     mix_matrix: MixingMatrix  # W^t, one product per gossip step
-    mix_rounds: int  # 1: mix_matrix is already W^t
     alpha: float
     locals_: EigLocal | None
     oracle: StiefelPoint | None
@@ -362,7 +364,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         graph=g,
         t=t,
         mix_matrix=wt,
-        mix_rounds=1,
         alpha=alpha,
         locals_=locals_,
         oracle=oracle,
@@ -469,10 +470,9 @@ def _build_swarm(cfg, x0, region) -> SwarmState:
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as numpy's warning
             return perturbed_swarm(x0, cfg.n, noise, np.random.default_rng([cfg.seed, 5]))
-    except NumericalError as e:
-        raise ConfigError(
-            f"perturb: a nudge of norm {noise!r} overflows in floating point ({e}); use a smaller perturb"
-        ) from None
+    except NumericalError as e:  # polar_retract's two causes: an overflow or an ill-conditioned step
+        cause = "overflows in floating point" if "not finite" in str(e) else "is too large to retract accurately"
+        raise ConfigError(f"perturb: a nudge of norm {noise!r} {cause} ({e}); use a smaller perturb") from None
     except ParameterError:  # the tangent space of St(d, r) is {0} only at d = r = 1
         raise ConfigError("d, r: St(1, 1) has no tangent direction to nudge the start along") from None
 
@@ -504,7 +504,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
             tol_grad=res.tol_grad,
             tol_consensus=res.tol_consensus,
             seed=cfg.seed,
-            rounds=res.mix_rounds,
             timing=cfg.timing,
             on_record=None if fh is None else lambda rec: fh.write(_row(rec)),
         )

@@ -109,7 +109,7 @@ class StiefelPoint:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """A direction at a base point with x.T v + v.T x = 0; what random_tangent returns."""
+    """A direction at a base point with x.T v + v.T x = 0."""
 
     base: StiefelPoint
     data: np.ndarray
@@ -139,9 +139,10 @@ class TangentVector:
 
 def consensus_measures(x: np.ndarray) -> tuple:
     """(mean, consensus_error_sq, linf_error) of an orthonormal (n, d, r) stack, from one
-    pass: the induced mean, checked orthonormal, and the deviations ||x_i - mean||_F
-    in agent order, as (1/n) sum of their squares and their maximum. A rank-deficient
-    Euclidean mean raises NumericalError."""
+    pass: the induced mean and the deviations ||x_i - mean||_F in agent order, as (1/n)
+    sum of their squares and their maximum. A rank-deficient Euclidean mean raises
+    NumericalError. The mean is orthonormal without a check: it is x[0] of the checked
+    stack, or the polar factor u @ vt of a thin SVD that passed the rank test."""
     n = len(x)
     if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
         mean = x[0]  # exact consensus, no round-off from the projection
@@ -150,7 +151,6 @@ def consensus_measures(x: np.ndarray) -> tuple:
         if sv[-1] <= DEGENERACY_RATIO * sv[0]:
             raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
         mean = u @ vt
-    _check_orthonormal(mean)
     norms = frobenius_norms(x - mean)
     return mean, float(norms @ norms / n), float(norms.max())
 
@@ -295,24 +295,12 @@ def random_stiefel(d: int, r: int, rng: np.random.Generator) -> StiefelPoint:
     return StiefelPoint(q * sign)
 
 
-def random_tangent(
-    x: StiefelPoint, rng: np.random.Generator, norm: float | None = None
-) -> TangentVector:
-    """Random tangent direction at x, optionally rescaled to a given norm."""
-    xi = project_to_tangent(x.data, rng.standard_normal(x.data.shape))
-    if norm is None:
-        return TangentVector(x, xi)
-    cur = np.linalg.norm(xi)
-    if cur == 0.0:
-        raise ParameterError("degenerate random tangent draw")
-    return TangentVector(x, (norm / cur) * xi)
-
-
 def perturbed_swarm(
     x0: StiefelPoint, n: int, noise: float, rng: np.random.Generator
 ) -> SwarmState:
-    """Swarm of n copies of x0, each nudged by a tangent step of the given norm, built as
-    one (n, d, r) stack from the draws n random_tangent(x0, rng, noise) calls would take."""
+    """Swarm of n copies of x0, each nudged by a tangent step of the given norm: n normal
+    d x r draws from rng, in agent order, each projected onto the tangent space at x0,
+    rescaled to that norm and retracted, as one (n, d, r) stack."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     if noise == 0.0:

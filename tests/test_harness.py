@@ -28,6 +28,7 @@ from stiefel_dec.harness import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ExperimentConfig,
+    ResolvedExperiment,
     parse_config,
     resolve,
     run_experiment,
@@ -309,9 +310,11 @@ class TestResolve:
         assert res.schedule.base == 3e-3
 
     def test_mix_matrix_is_w_to_the_t(self):
-        # the set-up hands the run W^t itself, to be mixed with once per gossip step
+        # the set-up hands the run W^t itself, to be mixed with once per gossip step; the
+        # one round per step is a class constant, not a field a resolve could set
         res = quiet_resolve(parse_config(flags=dict(SMALL, t=2)))
         assert res.t == 2 and res.mix_rounds == 1
+        assert "mix_rounds" not in {f.name for f in fields(ResolvedExperiment)}
         assert np.array_equal(res.mix_matrix.w, network.matrix_power(network.metropolis_weights(res.graph), 2).w)
 
     @pytest.mark.parametrize("build, flags", [
@@ -726,7 +729,14 @@ class TestCli:
         ("spectral --graph er(1e-320) --n 3", "er_p: no connected ER(3, 1e-320) sample in 1000 tries"),
         ("run --algorithm drcs --d 1 --r 1 --n 3 --max-iters 1", "d, r: St(1, 1) has no tangent direction to nudge the start along"),
         ("run --perturb 0.1 --d 1 --r 1 --n 3 --max-iters 1", "d, r: St(1, 1) has no tangent direction to nudge the start along"),
-    ], ids=["delta1-above-cap", "er-no-connected-sample", "er-p-subnormal", "drcs-d1-r1", "perturb-d1-r1"])
+        # the nudged start's retraction fails in one of two ways, and the message says which
+        ("run --perturb 1e200 --max-iters 2", "perturb: a nudge of norm 1e+200 overflows in floating point "
+         "(retraction step is not finite); use a smaller perturb"),
+        ("run --algorithm drcs --d 3 --r 3 --n 4 --perturb 30 --max-iters 3",
+         "perturb: a nudge of norm 30.0 is too large to retract accurately (retraction Gram matrix lost "
+         "positive definiteness (w_min/w_max = 2.217e-03)); use a smaller perturb"),
+    ], ids=["delta1-above-cap", "er-no-connected-sample", "er-p-subnormal", "drcs-d1-r1", "perturb-d1-r1",
+            "perturb-overflow", "perturb-ill-conditioned"])
     def test_set_up_error_names_its_field(self, capsys, argv, message):
         # raised where the set-up builds the region, the graph or the nudged start
         assert main(argv.split()) == EXIT_CONFIG
