@@ -64,6 +64,14 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
 
 
+def _gram(v: np.ndarray) -> np.ndarray:
+    """v.T v of every d x r slice of v, with the bits of numpy's v.T @ v, which runs syrk.
+    Slices up to 256 x 8 take gemm on a copy, 1.5x faster at 30 x 5: OpenBLAS 0.3.31 gives
+    both the same bits up to 384 x 11. Unlike syrk, gemm warns on an infinite entry."""
+    small = v.shape[-2] <= 256 and v.shape[-1] <= 8
+    return v.swapaxes(-1, -2) @ (v.copy() if small else v)
+
+
 @cache
 def _identity(r: int) -> np.ndarray:
     """The r x r identity, built once per r; read-only, since every check shares it."""
@@ -78,7 +86,7 @@ def _check_orthonormal(x: np.ndarray) -> float:
     d, r = x.shape[-2:]
     if r < 1 or d < r:
         raise ParameterError(f"need d >= r >= 1, got d={d}, r={r}")
-    err = float(np.abs(x.swapaxes(-1, -2) @ x - _identity(r)).max())
+    err = float(np.abs(_gram(x) - _identity(r)).max())
     if not err <= ORTHONORMALITY_TOL:
         raise ParameterError(f"columns are not orthonormal: max |x.T x - I| = {err:.3e}")
     return err
@@ -274,14 +282,16 @@ def polar_retract(x, xi) -> np.ndarray:
     """
     x, xi = _same_shape(x, xi)
     v = x + xi
-    gram = v.swapaxes(-1, -2) @ v
+    gram = _gram(v)
     if not np.isfinite(gram).all():
         raise NumericalError("retraction step is not finite")
     w, q = np.linalg.eigh(gram)
     if not (w[..., 0] > RETRACTION_CONDITIONING * w[..., -1]).all():
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (w[..., 0] / w[..., -1]).min()
-        raise NumericalError(f"retraction Gram matrix lost positive definiteness (w_min/w_max = {ratio:.3e})")
+        cause = (f"is ill-conditioned (w_min/w_max = {ratio:.3e} <= {RETRACTION_CONDITIONING:.3e})"
+                 if ratio > 0.0 else f"lost positive definiteness (w_min/w_max = {ratio:.3e})")  # NaN too
+        raise NumericalError(f"retraction Gram matrix {cause}")
     return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
 
 

@@ -152,9 +152,14 @@ class EigLocal:
         out = owner[(idx < 0) | (idx >= self.counts[owner])]
         if out.size:
             raise ParameterError(f"agent {out[0]}: {_BAD_BATCH}")
+        at = self.starts[owner] + idx  # row numbers in the data, agent after agent
+        b = sizes.max(initial=1)
+        if (sizes == b).all():  # a uniform epoch: (steps, n, b) by one reshape, copied,
+            coef = -(self.counts / b)[:, None, None]  # since a strided index gives a strided block
+            return [[(slice(None), a, coef)] for a in self.rows[at.reshape(n, -1, b).swapaxes(0, 1).copy()]]
         step_of = np.repeat(np.tile(np.arange(len(sizes)), n), sizes.T.ravel())
         pick = np.argsort(step_of, kind="stable")  # step after step, agent after agent
-        block = self.rows[(self.starts[owner] + idx)[pick]]  # (total, d), C-contiguous
+        block = self.rows[at[pick]]  # (total, d), C-contiguous
         plans, coefs, pos = [], {}, 0
         for row in sizes.tolist():
             b = row[0]
@@ -173,6 +178,9 @@ class EigLocal:
     def batch_egrad(x, step) -> np.ndarray:
         """The (n, d, r) gradient estimates at an (n, d, r) stack x from one gathered
         step: -(m_i/b) a.T (a x_i) for each group of a slice a."""
+        if len(step) == 1 and step[0][0] == slice(None):  # uniform: the product is the result
+            ((_, a, coef),) = step
+            return coef * (a.swapaxes(1, 2) @ (a @ x))
         grads = np.empty(x.shape)
         for agents, a, coef in step:
             grads[agents] = coef * (a.swapaxes(1, 2) @ (a @ x[agents]))

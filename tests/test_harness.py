@@ -733,8 +733,8 @@ class TestCli:
         ("run --perturb 1e200 --max-iters 2", "perturb: a nudge of norm 1e+200 overflows in floating point "
          "(retraction step is not finite); use a smaller perturb"),
         ("run --algorithm drcs --d 3 --r 3 --n 4 --perturb 30 --max-iters 3",
-         "perturb: a nudge of norm 30.0 is too large to retract accurately (retraction Gram matrix lost "
-         "positive definiteness (w_min/w_max = 2.217e-03)); use a smaller perturb"),
+         "perturb: a nudge of norm 30.0 is too large to retract accurately (retraction Gram matrix is "
+         "ill-conditioned (w_min/w_max = 2.217e-03 <= 7.105e-03)); use a smaller perturb"),
     ], ids=["delta1-above-cap", "er-no-connected-sample", "er-p-subnormal", "drcs-d1-r1", "perturb-d1-r1",
             "perturb-overflow", "perturb-ill-conditioned"])
     def test_set_up_error_names_its_field(self, capsys, argv, message):
@@ -987,7 +987,8 @@ class TestCli:
         code = main(["run", "--algorithm", "drsgd", "--max-epochs", "3", "--out", str(out)])
         assert code == EXIT_NUMERICAL and len(calls) == 150
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: round 2: retraction Gram matrix lost positive definiteness")
+        assert err == ("numerical error: round 2: retraction Gram matrix is ill-conditioned "
+                       "(w_min/w_max = 2.649e-07 <= 7.105e-03)\n")
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == CSV_HEADER and [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
 

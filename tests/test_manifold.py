@@ -145,8 +145,22 @@ class TestPolarRetract:
             manifold.polar_retract(x.data, -x.data)  # x + xi = 0
         # finite and positive definite, but ill-conditioned: v.T v = I + 1e8 e1 e1.T
         xi = 1e4 * np.outer(np.linalg.svd(x.data)[0][:, 2], [1.0, 0.0])
-        with pytest.raises(NumericalError, match=r"^retraction Gram matrix lost positive definiteness \(w_min/w_max = 1\.000e-08\)$"):
+        with pytest.raises(NumericalError, match=r"^retraction Gram matrix is ill-conditioned \(w_min/w_max = 1\.000e-08 <= 7\.105e-03\)$"):
             manifold.polar_retract(x.data, xi)
+
+    @pytest.mark.parametrize("shape", [(8, 30, 5), (32, 200, 10), (3, 256, 8)],
+                             ids=["ring8", "er32", "largest-gemm-slice"])
+    def test_gram_has_numpys_own_bits(self, shape):
+        # the retraction and the row check form v.T v by gemm on a copy of small slices,
+        # and the digests hold only while that gives syrk's bits, as OpenBLAS 0.3.31 does;
+        # er32's slices keep syrk, and gemm gives the same bits there too
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal(shape))
+            v = q + 0.05 * rng.standard_normal(shape)  # x + xi of a retraction
+            want = v.swapaxes(-1, -2) @ v
+            assert np.array_equal(manifold._gram(v), want)
+            assert np.array_equal(v.swapaxes(-1, -2) @ v.copy(), want)
 
     def test_second_order_bound_1000_trials(self):
         # ||R_x(xi) - (x + xi)|| <= ||xi||^2 whenever ||xi|| <= 1

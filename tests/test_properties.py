@@ -182,8 +182,10 @@ def test_retraction_guard_keeps_its_promise(n, r, extra, seed, decades):
         out = manifold.polar_retract(x, xi)
         assert np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max() <= manifold.ORTHONORMALITY_TOL
     else:
-        with pytest.raises(NumericalError, match="^retraction Gram matrix lost positive definiteness"):
+        with pytest.raises(NumericalError, match=r"^retraction Gram matrix is ill-conditioned "
+                           r"\(w_min/w_max = \S+ <= 7\.105e-03\)$") as info:
             manifold.polar_retract(x, xi)
+        assert float(info.value.args[0].split()[-3]) == pytest.approx(ratio, rel=1e-3)  # the ratio, to 4 digits
 
 
 @settings(max_examples=25, deadline=None)
@@ -362,6 +364,7 @@ def ragged_epochs(draw):
 @example(case=(41, 4, 6, 2, 5, 3), seed=0, strided=False)  # blocks 11, 10, 10, 10: sizes 1 and 5 mix
 @example(case=(12, 3, 5, 5, 4, 2), seed=1, strided=True)  # uniform, r = d
 @example(case=(3, 2, 4, 1, 2, 1), seed=0, strided=True)  # blocks 2, 1: one step, batches 2 and 1
+@example(case=(12, 3, 5, 2, 1, 2), seed=2, strided=True)  # batch 1 throughout: one reshape, one product a step
 def test_gathered_epochs_equal_step_by_step_bit_for_bit(case, seed, strided):
     big, n, d, r, batch, epochs = case
     rng = np.random.default_rng(seed)
