@@ -56,16 +56,14 @@ def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise ParameterError(f"shape mismatch: {u.shape} vs {v.shape}")
     p, _, qt = np.linalg.svd(u.T @ v)
-    diff = (u @ (p @ qt) - v).ravel(order="K")
-    return math.sqrt(diff.dot(diff))  # np.linalg.norm's own sum, without its wrapper
+    return float(np.linalg.norm(u @ (p @ qt) - v))
 
 
 def stationarity_measure(xbar: np.ndarray, egrad) -> float:
     """||grad f(xbar)||^2 for the average objective f, from its Euclidean gradient
     at xbar (EigLocal.mean_grad), projected to the tangent space at xbar. A
     gradient not shaped like xbar raises ParameterError."""
-    grad = project_to_tangent(xbar, egrad).ravel(order="K")
-    return math.sqrt(grad.dot(grad)) ** 2  # np.linalg.norm's own sum, squared
+    return float(np.linalg.norm(project_to_tangent(xbar, egrad))) ** 2
 
 
 def average_value(xbar: np.ndarray, egrad) -> float:

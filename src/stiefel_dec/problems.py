@@ -178,7 +178,7 @@ class EigLocal:
     def batch_egrad(x, step) -> np.ndarray:
         """The (n, d, r) gradient estimates at an (n, d, r) stack x from one gathered
         step: -(m_i/b) a.T (a x_i) for each group of a slice a."""
-        if len(step) == 1 and step[0][0] == slice(None):  # uniform: the product is the result
+        if len(step) == 1:  # uniform: the one group's product is the result
             ((_, a, coef),) = step
             return coef * (a.swapaxes(1, 2) @ (a @ x))
         grads = np.empty(x.shape)

@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stiefel_dec import manifold
 from stiefel_dec.errors import NumericalError, ParameterError
@@ -40,6 +43,15 @@ class TestStiefelPoint:
     def test_rejects_nan(self):
         with pytest.raises(ParameterError, match="orthonormal"):
             StiefelPoint(np.full((4, 2), np.nan))
+
+    def test_rejects_inf_without_a_numpy_warning(self):
+        # the check keeps numpy's v.T @ v (syrk), which, unlike gemm, does not warn here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^columns are not orthonormal: max \|x\.T x - I\| = inf$"):
+                StiefelPoint(np.full((4, 2), np.inf))
+            with pytest.raises(ParameterError, match=r"^columns are not orthonormal: max \|x\.T x - I\| = inf$"):
+                SwarmState(np.full((8, 30, 5), np.inf))
 
     def test_immutable(self):
         x = StiefelPoint(np.eye(3, 1))
@@ -139,8 +151,10 @@ class TestPolarRetract:
 
     def test_breakdown_raises_numerical_error(self):
         x = manifold.random_stiefel(4, 2, np.random.default_rng(4))
-        with pytest.raises(NumericalError, match="not finite"):
-            manifold.polar_retract(x.data, np.full((4, 2), np.inf))
+        # the Gram by gemm, unlike syrk, raises the invalid flag on this infinite step
+        with pytest.warns(RuntimeWarning, match="^invalid value encountered in matmul$"):
+            with pytest.raises(NumericalError, match="^retraction step is not finite$"):
+                manifold.polar_retract(x.data, np.full((4, 2), np.inf))
         with pytest.raises(NumericalError, match="positive definiteness"):
             manifold.polar_retract(x.data, -x.data)  # x + xi = 0
         # finite and positive definite, but ill-conditioned: v.T v = I + 1e8 e1 e1.T
@@ -148,19 +162,21 @@ class TestPolarRetract:
         with pytest.raises(NumericalError, match=r"^retraction Gram matrix is ill-conditioned \(w_min/w_max = 1\.000e-08 <= 7\.105e-03\)$"):
             manifold.polar_retract(x.data, xi)
 
-    @pytest.mark.parametrize("shape", [(8, 30, 5), (32, 200, 10), (3, 256, 8)],
-                             ids=["ring8", "er32", "largest-gemm-slice"])
-    def test_gram_has_numpys_own_bits(self, shape):
-        # the retraction and the row check form v.T v by gemm on a copy of small slices,
-        # and the digests hold only while that gives syrk's bits, as OpenBLAS 0.3.31 does;
-        # er32's slices keep syrk, and gemm gives the same bits there too
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            q, _ = np.linalg.qr(rng.standard_normal(shape))
-            v = q + 0.05 * rng.standard_normal(shape)  # x + xi of a retraction
-            want = v.swapaxes(-1, -2) @ v
-            assert np.array_equal(manifold._gram(v), want)
-            assert np.array_equal(v.swapaxes(-1, -2) @ v.copy(), want)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), r=st.integers(1, 14), extra=st.integers(0, 500), seed=st.integers(0, 2**16))
+    @example(n=8, r=5, extra=25, seed=0)  # ring8's slices
+    @example(n=32, r=10, extra=190, seed=0)  # er32's slices
+    @example(n=2, r=11, extra=373, seed=0)  # 384 x 11, the largest slice that takes gemm
+    @example(n=2, r=11, extra=374, seed=0)  # 385 x 11 and
+    @example(n=2, r=12, extra=372, seed=0)  # 384 x 12 keep syrk: gemm's bits differ there
+    def test_gram_has_numpys_own_bits(self, n, r, extra, seed):
+        # polar_retract forms v.T v by gemm on a copy for slices up to 384 x 11, and the
+        # digests hold only while that gives numpy's own v.T @ v (syrk) bit for bit, as
+        # OpenBLAS 0.3.31 does: on another BLAS a failure here points at the BLAS
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, r + extra, r)))
+        v = q + 0.05 * rng.standard_normal(q.shape)  # x + xi of a retraction
+        assert np.array_equal(manifold._gram(v), v.swapaxes(-1, -2) @ v)
 
     def test_second_order_bound_1000_trials(self):
         # ||R_x(xi) - (x + xi)|| <= ||xi||^2 whenever ||xi|| <= 1
