@@ -125,8 +125,9 @@ def _check_rate_inputs(rho_t: float, alpha: float, delta1: float):
 
 
 def _retracted(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """R_x(xi), frozen: the iterate a step returns. polar_retract's conditioning test
-    stands in for an orthonormality check; run checks the iterate at every row."""
+    """R_x(xi), frozen: the iterate a step returns. polar_retract's routes stand in for an
+    orthonormality check (near I by construction, past it by its conditioning test); run
+    checks the iterate at every row."""
     out = polar_retract(x, xi)
     out.flags.writeable = False
     return out
@@ -275,7 +276,8 @@ def run(
     gathered when the epoch starts). One metrics row is recorded per
     round plus an initial row, each handed to on_record(row) first when given.
     Each row first checks the swarm orthonormal, once per round (not per drsgd
-    step: a step's retraction raises itself when its conditioning breaks down). A
+    step: a step's retraction is orthonormal by construction near I, and past it
+    raises itself when its conditioning breaks down). A
     breakdown in the loop (a non-finite value, a retraction that lost its
     conditioning, an iterate that lost orthonormality) raises NumericalError naming
     its round, a KeyboardInterrupt the last recorded round. Early stop on d_s(mean,

@@ -25,13 +25,17 @@ TANGENCY_TOL = 1e-10
 # Smallest-to-largest singular value ratio below which the Euclidean mean is
 # treated as rank deficient.
 DEGENERACY_RATIO = 1e-12
-# Smallest w_min / w_max of a retraction's Gram matrix that polar_retract accepts. The
-# eigenvalues of v.T v carry round-off of about eps * w_max, and w^-1/2 carries it into
-# the polar factor as max |y.T y - I| of about eps * w_max / w_min: measured at most
-# 20 eps * w_max / w_min on (8, d, r) stacks up to d = 1000 and r = 50. So a step above this
-# ratio, 32 eps / ORTHONORMALITY_TOL (about 7.1e-3), returns columns within
-# ORTHONORMALITY_TOL, and one at or below it has broken down.
+# Smallest w_min / w_max of a retraction's Gram matrix that polar_retract's eigh route
+# accepts (the Newton-Schulz route only takes w_min / w_max >= 1/3). The eigenvalues of
+# v.T v carry round-off of about eps * w_max, and w^-1/2 carries it into the polar factor
+# as max |y.T y - I| of about eps * w_max / w_min: measured at most 20 eps * w_max / w_min
+# on (8, d, r) stacks up to d = 1000 and r = 50. So a step above this ratio,
+# 32 eps / ORTHONORMALITY_TOL (about 7.1e-3), returns columns within ORTHONORMALITY_TOL,
+# and one at or below it has broken down.
 RETRACTION_CONDITIONING = 32 * np.finfo(float).eps / ORTHONORMALITY_TOL
+# Largest ||G - I||_F from which k = 1, ..., 6 Newton-Schulz steps take the residual bound
+# r <- (3 r^2 + r^3) / 4 to eps / 2, rounded down; the sixth (0.6535) is capped at 1/2.
+_NEWTON_SCHULZ_BOUNDS = np.array([1.2166e-8, 1.2736e-4, 1.3003e-2, 1.2893e-1, 3.9003e-1, 0.5])
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -269,22 +273,10 @@ def project_to_tangent(x, y) -> np.ndarray:
     return np.subtract(y, out, out=out)
 
 
-def polar_retract(x, xi) -> np.ndarray:
-    """Polar retraction: the orthogonal projection of x + xi back onto St(d, r).
-
-    Equals (x + xi)(I + xi.T xi)^{-1/2} for tangent xi, slice by slice for
-    (..., d, r) arrays. The inverse square root comes from a symmetric
-    eigendecomposition G = Q diag(w) Q.T of the r x r Gram matrix of v = x + xi,
-    formed as the r x r factor Z = Q diag(w^{-1/2}) Q.T, so v is read once more,
-    for v @ Z. A step whose Gram matrix is not finite raises NumericalError, and
-    so does one whose w_min / w_max is not above RETRACTION_CONDITIONING (a zero
-    or indefinite Gram matrix among them): above it the result is orthonormal
-    within ORTHONORMALITY_TOL, so the caller need not check it. Outside np.errstate, an
-    infinite step may also bring numpy's "invalid value encountered in matmul" warning.
-    """
-    x, xi = _same_shape(x, xi)
-    v = x + xi
-    gram = _gram(v)
+def _eigh_inv_sqrt(gram: np.ndarray) -> np.ndarray:
+    """G^{-1/2} = Q diag(w^{-1/2}) Q.T of every G = Q diag(w) Q.T of an (n, r, r) stack; raises
+    NumericalError unless the stack is finite and each w_min / w_max is above
+    RETRACTION_CONDITIONING (a zero or indefinite Gram matrix is not)."""
     if not np.isfinite(gram).all():
         raise NumericalError("retraction step is not finite")
     w, q = np.linalg.eigh(gram)
@@ -294,7 +286,62 @@ def polar_retract(x, xi) -> np.ndarray:
         cause = (f"is ill-conditioned (w_min/w_max = {ratio:.3e} <= {RETRACTION_CONDITIONING:.3e})"
                  if ratio > 0.0 else f"lost positive definiteness (w_min/w_max = {ratio:.3e})")  # NaN too
         raise NumericalError(f"retraction Gram matrix {cause}")
-    return v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2))
+    return (q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
+
+
+def _newton_schulz_inv_sqrt(gram: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """G^{-1/2} of every G of an (n, r, r) stack with delta = ||G - I||_F <= 1/2 by coupled
+    Newton-Schulz steps T = (3I - ZY) / 2, Y <- Y T, Z <- T Z from Y = G, Z = I (Higham,
+    Functions of Matrices, SIAM 2008, ch. 6), carrying H = Y / 2, so that T = 1.5 I - Z H
+    takes one op less with the same bits. The residual I - ZY goes as R <- (3R^2 + R^3) / 4,
+    so slice i takes 1 + searchsorted(_NEWTON_SCHULZ_BOUNDS, delta_i) steps, then T = I,
+    which leaves its Z bit for bit: each slice gets its bits alone."""
+    eye = _identity(gram.shape[-1])
+    steps = 1 + np.searchsorted(_NEWTON_SCHULZ_BOUNDS, delta)
+    counts = steps.tolist()  # min and max of a short list cost less in Python
+    first, last = min(counts), max(counts)
+    eye15 = 1.5 * eye
+    h = 0.5 * gram
+    z = t = eye15 - h  # the first step, from Z = I, takes no product
+    for k in range(2, last + 1):
+        h = h @ t  # the previous step's Y / 2, which the last step never needs
+        t = eye15 - z @ h
+        if k > first:
+            t[steps < k] = eye
+        z = t @ z
+    return z
+
+
+def polar_retract(x, xi) -> np.ndarray:
+    """Polar retraction: the orthogonal projection of x + xi back onto St(d, r).
+
+    Equals (x + xi)(I + xi.T xi)^{-1/2} for tangent xi, slice by slice for
+    (..., d, r) arrays: v @ Z for v = x + xi and the r x r factor Z = G^{-1/2} of its
+    Gram matrix G. A slice with ||G - I||_F <= 1/2 takes Z from matmuls alone, by
+    Newton-Schulz steps; any other (NaN and inf too) from the eigendecomposition of G,
+    which raises NumericalError on a step whose Gram matrix is not finite or whose
+    w_min / w_max is not above RETRACTION_CONDITIONING (near I it is at least 1/3).
+    So the result is orthonormal within ORTHONORMALITY_TOL, and the caller need not
+    check it. Each slice takes the route and the bits it takes alone. Outside
+    np.errstate, an infinite step may also bring numpy's "invalid value encountered in
+    matmul" warning.
+    """
+    x, xi = _same_shape(x, xi)
+    v = x + xi
+    gram = _gram(v)
+    r = gram.shape[-1]
+    stack = gram.reshape(-1, r, r)
+    with np.errstate(over="ignore"):  # a finite G far from I may square to inf: eigh takes it
+        delta = frobenius_norms(stack - _identity(r))
+    near = delta <= _NEWTON_SCHULZ_BOUNDS[-1]  # NaN is not
+    if near.all():
+        factor = _newton_schulz_inv_sqrt(stack, delta)
+    else:
+        factor = np.empty_like(stack)
+        factor[~near] = _eigh_inv_sqrt(stack[~near])
+        if near.any():
+            factor[near] = _newton_schulz_inv_sqrt(stack[near], delta[near])
+    return v @ factor.reshape(gram.shape)
 
 
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> StiefelPoint:

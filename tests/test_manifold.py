@@ -162,6 +162,40 @@ class TestPolarRetract:
         with pytest.raises(NumericalError, match=r"^retraction Gram matrix is ill-conditioned \(w_min/w_max = 1\.000e-08 <= 7\.105e-03\)$"):
             manifold.polar_retract(x.data, xi)
 
+    def test_gram_past_the_range_takes_eigh_without_a_warning(self):
+        # the Gram of a finite step x 1e80 stays finite, but ||G - I||_F squares past the
+        # range: the route's norm must not warn "overflow", and inf takes the eigh route
+        rng = np.random.default_rng(7)
+        x, _ = np.linalg.qr(rng.standard_normal((8, 30, 5)))
+        xi = 1e80 * manifold.project_to_tangent(x, rng.standard_normal(x.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = manifold.polar_retract(x, xi)
+        v = x + xi
+        w, q = np.linalg.eigh(v.swapaxes(-1, -2) @ v)
+        assert np.array_equal(out, v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)))
+
+    def test_newton_schulz_bounds_follow_the_residual_recursion(self):
+        # bound k is the largest ||G - I||_F from which k steps of the residual bound
+        # r <- (3 r^2 + r^3) / 4 reach eps / 2, rounded down by less than 0.1%; the sixth
+        # is capped at 1/2, where the eigh route takes over
+        def residual(delta, k):
+            for _ in range(k):
+                delta = (3.0 * delta**2 + delta**3) / 4.0
+            return delta
+
+        half_eps = np.finfo(float).eps / 2.0
+        bounds = manifold._NEWTON_SCHULZ_BOUNDS
+        assert len(bounds) == 6 and bounds[-1] == 0.5
+        for k, bound in enumerate(bounds, start=1):
+            lo, hi = 0.0, 1.0
+            for _ in range(200):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if residual(mid, k) <= half_eps else (lo, mid)
+            assert residual(bound, k) <= half_eps
+            assert min(lo, 0.5) * (1.0 - 1e-3) <= bound <= lo
+        assert lo > 0.5  # the cap, not the recursion, ends the route
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), r=st.integers(1, 14), extra=st.integers(0, 500), seed=st.integers(0, 2**16))
     @example(n=8, r=5, extra=25, seed=0)  # ring8's slices

@@ -43,6 +43,27 @@ def tangent_stack(rng, x, scale):
     return manifold.project_to_tangent(x, rng.standard_normal(x.shape) * (scale / np.sqrt(x.shape[1])))
 
 
+def gram_distance(shape, seed, scale):
+    """||G - I||_F of the retraction Gram G of every slice, drawn as the retraction tests draw."""
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, *shape)
+    v = x + tangent_stack(rng, x, scale)
+    return frobenius_norms(v.swapaxes(-1, -2) @ v - np.eye(shape[2]))
+
+
+def at_the_retraction_routes(test):
+    """@examples on both sides of the retraction's routes: one (1, 6, 3) slice whose
+    ||G - I||_F lies 0.1% below and 0.1% above each Newton-Schulz bound (past the last one,
+    eigh takes it), and a (6, 20, 4) stack whose slices straddle 1/2, so that one call runs
+    both routes, with 5 and 6 steps on the first. ||G - I||_F grows as scale^2."""
+    one = gram_distance((1, 6, 3), 0, 1.0)[0]
+    for bound in manifold._NEWTON_SCHULZ_BOUNDS:
+        for side in (1.0 - 1e-3, 1.0 + 1e-3):
+            test = example(shape=(1, 6, 3), seed=0, scale=float(np.sqrt(bound * side / one)))(test)
+    middle = np.sort(gram_distance((6, 20, 4), 0, 1.0))[2:4].mean()
+    return example(shape=(6, 20, 4), seed=0, scale=float(np.sqrt(0.5 / middle)))(test)
+
+
 def gradient_instance(n, d, r, seed):
     """A problem with n * m >= d rows, n random points, uniform mixing and a stepsize."""
     m = max(2, -(-d // n))
@@ -79,6 +100,7 @@ def test_synthesized_profile_and_oracle_match_the_rows_svd(shape, gap, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
+@at_the_retraction_routes
 def test_stack_equals_slices_bit_for_bit(shape, seed, scale):
     rng = np.random.default_rng(seed)
     x = random_stack(rng, *shape)
@@ -138,9 +160,11 @@ def test_retraction_is_orthonormal(shape, seed, scale):
 
 @settings(max_examples=40, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
+@at_the_retraction_routes
 def test_retraction_factor_matches_three_pass_formula(shape, seed, scale):
-    # polar_retract forms the r x r factor Q diag(w^-1/2) Q.T first and returns v @ Z;
-    # the reference is the formula it replaced, two more passes over the (n, d, r) stack
+    # polar_retract forms the r x r factor Z = G^-1/2 first, by Newton-Schulz steps near I
+    # and by eigh past them, and returns v @ Z; the reference is the eigh formula it
+    # replaced, two more passes over the (n, d, r) stack
     n, d, r = shape
     rng = np.random.default_rng(seed)
     x = random_stack(rng, n, d, r)
