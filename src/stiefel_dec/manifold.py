@@ -9,6 +9,8 @@ induced arithmetic mean, the consensus errors and the consensus-region radii.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -35,7 +37,8 @@ DEGENERACY_RATIO = 1e-12
 RETRACTION_CONDITIONING = 32 * np.finfo(float).eps / ORTHONORMALITY_TOL
 # Largest ||G - I||_F from which k = 1, ..., 6 Newton-Schulz steps take the residual bound
 # r <- (3 r^2 + r^3) / 4 to eps / 2, rounded down; the sixth (0.6535) is capped at 1/2.
-_NEWTON_SCHULZ_BOUNDS = np.array([1.2166e-8, 1.2736e-4, 1.3003e-2, 1.2893e-1, 3.9003e-1, 0.5])
+# Floats in a tuple, which bisect reads faster than an array.
+_NEWTON_SCHULZ_BOUNDS = (1.2166e-8, 1.2736e-4, 1.3003e-2, 1.2893e-1, 3.9003e-1, 0.5)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -64,7 +67,7 @@ def frobenius_norms(a) -> np.ndarray:
     """||a_i||_F of every slice of an (n, ...) stack, as one batched (1, K) @ (K, 1)
     product over C-ordered rows: the dot product np.linalg.norm takes, so each equals
     np.linalg.norm(a_i) bit for bit (a strided view would fall back to another sum)."""
-    flat = np.ascontiguousarray(a, dtype=float).reshape(len(a), 1, -1)
+    flat = np.ascontiguousarray(a, dtype=float).reshape(len(a), 1, math.prod(np.shape(a)[1:]))  # n may be 0
     return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
 
 
@@ -78,9 +81,10 @@ def _gram(v: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _identity(r: int) -> np.ndarray:
-    """The r x r identity, built once per r; read-only, since every check shares it."""
-    eye = np.eye(r)
+def _identity(r: int, scale: float = 1.0) -> np.ndarray:
+    """scale times the r x r identity, built once per (r, scale); read-only, since every
+    caller shares it."""
+    eye = scale * np.eye(r)
     eye.flags.writeable = False
     return eye
 
@@ -153,17 +157,21 @@ class TangentVector:
 def consensus_measures(x: np.ndarray) -> tuple:
     """(mean, consensus_error_sq, linf_error) of an orthonormal (n, d, r) stack, from one
     pass: the induced mean and the deviations ||x_i - mean||_F in agent order, as (1/n)
-    sum of their squares and their maximum. A rank-deficient Euclidean mean raises
-    NumericalError. The mean is orthonormal without a check: it is x[0] of the checked
-    stack, or the polar factor u @ vt of a thin SVD that passed the rank test."""
+    sum of their squares and their maximum. The mean, orthonormal without a check, is x[0]
+    of the checked stack or the polar factor of the Euclidean mean m: by Newton-Schulz steps
+    when ||m.T m - I||_F <= 1/2, where no rank test could fire, else u @ vt of the thin SVD
+    m = u diag(s) vt, where s_min <= DEGENERACY_RATIO s_max raises NumericalError."""
     n = len(x)
     if x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all():  # one entry rules most swarms out
         mean = x[0]  # exact consensus, no round-off from the projection
     else:
-        u, sv, vt = np.linalg.svd(x.sum(axis=0) / n, full_matrices=False)
-        if sv[-1] <= DEGENERACY_RATIO * sv[0]:
-            raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
-        mean = u @ vt
+        m = x.sum(axis=0) / n
+        mean = _polar_factor_near_identity(m)
+        if mean is None:
+            u, sv, vt = np.linalg.svd(m, full_matrices=False)
+            if sv[-1] <= DEGENERACY_RATIO * sv[0]:
+                raise NumericalError(f"euclidean mean is rank deficient (s_min = {sv[-1]:.3e})")
+            mean = u @ vt
     norms = frobenius_norms(x - mean)
     return mean, float(norms @ norms / n), float(norms.max())
 
@@ -289,27 +297,39 @@ def _eigh_inv_sqrt(gram: np.ndarray) -> np.ndarray:
     return (q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
 
 
-def _newton_schulz_inv_sqrt(gram: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """G^{-1/2} of every G of an (n, r, r) stack with delta = ||G - I||_F <= 1/2 by coupled
-    Newton-Schulz steps T = (3I - ZY) / 2, Y <- Y T, Z <- T Z from Y = G, Z = I (Higham,
-    Functions of Matrices, SIAM 2008, ch. 6), carrying H = Y / 2, so that T = 1.5 I - Z H
-    takes one op less with the same bits. The residual I - ZY goes as R <- (3R^2 + R^3) / 4,
-    so slice i takes 1 + searchsorted(_NEWTON_SCHULZ_BOUNDS, delta_i) steps, then T = I,
-    which leaves its Z bit for bit: each slice gets its bits alone."""
+def _newton_schulz_inv_sqrt(gram: np.ndarray, delta: list) -> np.ndarray:
+    """G^{-1/2} of every G of an (n, r, r) stack, or of one r x r G, with delta = ||G - I||_F
+    <= 1/2 given as floats, by coupled Newton-Schulz steps T = (3I - ZY) / 2, Y <- Y T,
+    Z <- T Z from Y = G, Z = I (Higham, Functions of Matrices, SIAM 2008, ch. 6), carrying
+    H = Y / 2, so that T = 1.5 I - Z H takes one op less with the same bits. The residual
+    I - ZY goes as R <- (3R^2 + R^3) / 4, so slice i takes 1 + bisect_left(
+    _NEWTON_SCHULZ_BOUNDS, delta_i) steps, then T = I, which leaves its Z bit for bit: each
+    slice gets its bits alone."""
     eye = _identity(gram.shape[-1])
-    steps = 1 + np.searchsorted(_NEWTON_SCHULZ_BOUNDS, delta)
-    counts = steps.tolist()  # min and max of a short list cost less in Python
-    first, last = min(counts), max(counts)
-    eye15 = 1.5 * eye
+    steps = [1 + bisect_left(_NEWTON_SCHULZ_BOUNDS, d) for d in delta]
+    first, last = min(steps, default=1), max(steps, default=1)
+    counts = np.array(steps) if first < last else None  # for the mask, once some slice is done
+    eye15 = _identity(gram.shape[-1], 1.5)
     h = 0.5 * gram
     z = t = eye15 - h  # the first step, from Z = I, takes no product
     for k in range(2, last + 1):
         h = h @ t  # the previous step's Y / 2, which the last step never needs
         t = eye15 - z @ h
         if k > first:
-            t[steps < k] = eye
+            t[counts < k] = eye
         z = t @ z
     return z
+
+
+def _polar_factor_near_identity(m: np.ndarray) -> np.ndarray | None:
+    """The polar factor m (m.T m)^{-1/2} of a d x r matrix m by Newton-Schulz steps if
+    delta = ||m.T m - I||_F <= 1/2, else None (NaN and inf too), for the caller's SVD. Its
+    delta is sqrt(e . e), the dot of np.linalg.norm and frobenius_norms, as a slice of a
+    stack gets. Near I the singular values of m lie in [sqrt(1/2), sqrt(3/2)]."""
+    gram = _gram(m)
+    e = (gram - _identity(m.shape[-1])).ravel()
+    delta = math.sqrt(e.dot(e))
+    return m @ _newton_schulz_inv_sqrt(gram, [delta]) if delta <= _NEWTON_SCHULZ_BOUNDS[-1] else None
 
 
 def polar_retract(x, xi) -> np.ndarray:
@@ -335,12 +355,12 @@ def polar_retract(x, xi) -> np.ndarray:
         delta = frobenius_norms(stack - _identity(r))
     near = delta <= _NEWTON_SCHULZ_BOUNDS[-1]  # NaN is not
     if near.all():
-        factor = _newton_schulz_inv_sqrt(stack, delta)
+        factor = _newton_schulz_inv_sqrt(stack, delta.tolist())
     else:
         factor = np.empty_like(stack)
         factor[~near] = _eigh_inv_sqrt(stack[~near])
         if near.any():
-            factor[near] = _newton_schulz_inv_sqrt(stack[near], delta[near])
+            factor[near] = _newton_schulz_inv_sqrt(stack[near], delta[near].tolist())
     return v @ factor.reshape(gram.shape)
 
 

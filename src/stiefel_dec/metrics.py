@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .manifold import _same_shape, project_to_tangent
+from .manifold import _polar_factor_near_identity, _same_shape, project_to_tangent
 
 
 _NONNEGATIVE = ("k", "consensus_err_sq", "linf_err", "grad_norm_sq", "ds_oracle")
@@ -47,16 +47,21 @@ def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:
     matrices with orthonormal columns, such as two StiefelPoint.data.
 
     For the bases u, v this is min over orthogonal Q of ||u Q - v||_F,
-    solved by the orthogonal Procrustes alignment: for u.T v = P S Q.T the
-    optimal rotation is P Q.T and the value equals sqrt(max(0, 2r - 2 trace(S))).
+    solved by the orthogonal Procrustes alignment: for M = u.T v = P S Q.T the optimal
+    rotation is the polar factor P Q.T of M, by Newton-Schulz steps when ||M.T M - I||_F
+    <= 1/2, else by that SVD, and the value equals sqrt(max(0, 2r - 2 trace(S))).
     The norm is evaluated directly on u (P Q.T) - v, which avoids the
     cancellation the trace expression suffers near zero distance. Zero iff the
     column spaces coincide.
     """
     if u.shape != v.shape:
         raise ParameterError(f"shape mismatch: {u.shape} vs {v.shape}")
-    p, _, qt = np.linalg.svd(u.T @ v)
-    return float(np.linalg.norm(u @ (p @ qt) - v))
+    m = u.T @ v
+    rotation = _polar_factor_near_identity(m)
+    if rotation is None:
+        p, _, qt = np.linalg.svd(m)
+        rotation = p @ qt
+    return float(np.linalg.norm(u @ rotation - v))
 
 
 def stationarity_measure(xbar: np.ndarray, egrad) -> float:

@@ -475,6 +475,24 @@ class TestRun:
             assert abs(rec.ds_oracle - metrics.subspace_distance(StiefelPoint(mean).data, xstar.data)) <= bound
         assert np.array_equal(out.final.x, swarms[-1].x)
 
+    def test_near_consensus_snapshot_takes_no_svd(self, monkeypatch):
+        # a swarm near consensus about the oracle has both polar factors of a metrics row,
+        # the induced mean and the Procrustes rotation of d_s, within 1/2 of I: they come
+        # from Newton-Schulz steps, and a far pair still reaches the SVD
+        locals_, xstar, w, s = self._instance(seed=24, n=6, d=12, r=3)
+        s = manifold.perturbed_swarm(xstar, s.n, 0.05, np.random.default_rng(24))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        out = run("drgta", s, w, alpha=1.0, locals_=locals_, schedule=StepsizeSchedule(2e-3),
+                  oracle=xstar, max_rounds=5)
+        assert len(out.records) == 6 and all(0.0 < rec.ds_oracle < 1.0 for rec in out.records)
+        far = manifold.random_stiefel(12, 3, np.random.default_rng(25))
+        with pytest.raises(AssertionError, match="^np.linalg.svd called$"):
+            metrics.subspace_distance(far.data, xstar.data)
+
     @pytest.mark.parametrize("algo", ["drcs", "drdgd", "drgta", "drsgd"])
     def test_records_equal_a_loop_of_the_array_steps(self, algo):
         # run's records, final swarm and trackers, bit for bit, against the public

@@ -175,6 +175,12 @@ class TestPolarRetract:
         w, q = np.linalg.eigh(v.swapaxes(-1, -2) @ v)
         assert np.array_equal(out, v @ ((q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)))
 
+    def test_empty_stack_returns_empty(self):
+        # a zero-length stack has no slice to route: the norms and the retraction are empty
+        empty = np.zeros((0, 5, 3))
+        assert manifold.frobenius_norms(empty).shape == (0,)
+        assert manifold.polar_retract(empty, empty).shape == (0, 5, 3)
+
     def test_newton_schulz_bounds_follow_the_residual_recursion(self):
         # bound k is the largest ||G - I||_F from which k steps of the residual bound
         # r <- (3 r^2 + r^3) / 4 reach eps / 2, rounded down by less than 0.1%; the sixth

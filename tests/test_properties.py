@@ -1,5 +1,6 @@
 """Property-based checks of the batched manifold kernels, of the per-agent norm
-kernel and the stacked perturbed start, of the one-projection gradient steps,
+kernel and the stacked perturbed start, of the snapshot's two polar factors (the
+induced mean and the Procrustes rotation), of the one-projection gradient steps,
 of the metrics computed from the mean gradient, of the stacked problem's
 gradients and of the drsgd epochs whose batches are gathered at once.
 
@@ -7,6 +8,8 @@ Shapes are drawn over n in 1..6, d up to 120 and r in 1..d, with the edge
 cases r = 1 and r = d drawn on purpose. The synthesized data are drawn down to
 a square draw, M = d.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from stiefel_dec import algorithms, manifold, metrics, network, problems
 from stiefel_dec.algorithms import _epoch_batches, steps_per_epoch
 from stiefel_dec.errors import NumericalError
-from stiefel_dec.manifold import frobenius_norms
+from stiefel_dec.manifold import consensus_measures, frobenius_norms
 from stiefel_dec.metrics import average_value
 
 from manifold_helpers import random_tangent
@@ -62,6 +65,42 @@ def at_the_retraction_routes(test):
             test = example(shape=(1, 6, 3), seed=0, scale=float(np.sqrt(bound * side / one)))(test)
     middle = np.sort(gram_distance((6, 20, 4), 0, 1.0))[2:4].mean()
     return example(shape=(6, 20, 4), seed=0, scale=float(np.sqrt(0.5 / middle)))(test)
+
+
+def scattered(shape, seed, scale):
+    """n + 1 points retracted from one random x0 by tangent steps of norm about scale * sqrt(r):
+    a swarm x of n points and a target v."""
+    n, d, r = shape
+    rng = np.random.default_rng(seed)
+    base = np.broadcast_to(random_stack(rng, 1, d, r), (n + 1, d, r))
+    y = manifold.polar_retract(base, tangent_stack(rng, base, scale))
+    return y[:n], y[n]
+
+
+def snapshot_grams(x, v):
+    """The r x r Grams whose distance to I routes the snapshot's two polar factors: m.T m of
+    the Euclidean mean m of x, and M.T M of the Procrustes matrix M = mean.T v."""
+    m = x.sum(axis=0) / len(x)
+    big_m = consensus_measures(x)[0].T @ v
+    return np.stack([manifold._gram(m), manifold._gram(big_m)])
+
+
+def at_the_snapshot_routes(test):
+    """@examples whose mean Gram, and then whose Procrustes Gram, lies 0.1% below and 0.1%
+    above each Newton-Schulz bound, for a (4, 8, 3) swarm; the scale is found by bisection."""
+    for which in (0, 1):
+        def delta(scale):
+            grams = snapshot_grams(*scattered((4, 8, 3), 0, scale))
+            return frobenius_norms(grams - np.eye(3))[which]
+
+        for bound in manifold._NEWTON_SCHULZ_BOUNDS:
+            for side in (1.0 - 1e-3, 1.0 + 1e-3):
+                lo, hi = 0.0, 2.0
+                for _ in range(60):
+                    mid = (lo + hi) / 2.0
+                    lo, hi = (mid, hi) if delta(mid) <= bound * side else (lo, mid)
+                test = example(shape=(4, 8, 3), seed=0, scale=lo)(test)
+    return test
 
 
 def gradient_instance(n, d, r, seed):
@@ -175,6 +214,61 @@ def test_retraction_factor_matches_three_pass_formula(shape, seed, scale):
     reference = ((v @ q) * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
     assert np.abs(out.swapaxes(-1, -2) @ out - np.eye(r)).max() <= 16 * EPS * (d + r)
     assert np.abs(out - reference).max() <= 4 * EPS * (d + r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(max_d=40), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
+@at_the_snapshot_routes
+def test_snapshot_polar_factors_take_newton_schulz_near_identity(shape, seed, scale):
+    # the induced mean and the Procrustes rotation of subspace_distance are polar factors:
+    # by Newton-Schulz steps when their Gram lies within 1/2 of I, with the delta, and so
+    # the step count, and the factor's bits its slice of a stack gets; by the SVD, bit
+    # for bit, otherwise
+    n, d, r = shape
+    x, v = scattered(shape, seed, scale)
+    m = x.sum(axis=0) / n
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    inv_sqrt, calls = manifold._newton_schulz_inv_sqrt, []
+
+    def recorded(gram, delta):
+        calls.append((delta, inv_sqrt(gram, delta)))
+        return calls[-1][1]
+
+    with mock.patch.object(manifold, "_newton_schulz_inv_sqrt", recorded):
+        same = np.repeat(x[:1], n, axis=0)
+        assert np.array_equal(consensus_measures(same)[0], same[0]) and not calls
+        if not sv[-1] > manifold.DEGENERACY_RATIO * sv[0]:
+            with pytest.raises(NumericalError, match="^euclidean mean is rank deficient"):
+                consensus_measures(x)
+            return
+        mean = consensus_measures(x)[0]
+        mean_calls = calls[:]
+        ds = metrics.subspace_distance(mean, v)
+        ds_calls = calls[len(mean_calls):]
+    grams = snapshot_grams(x, v)
+    deltas = frobenius_norms(grams - np.eye(r))
+    near = deltas <= 0.5
+    factors = inv_sqrt(grams, deltas.tolist()) if near.all() else None
+    p, _, qt = np.linalg.svd(mean.T @ v)
+    ds_svd = float(np.linalg.norm(mean @ (p @ qt) - v))
+    if (x == x[0]).all():
+        assert np.array_equal(mean, x[0]) and not mean_calls
+    elif near[0]:
+        ((delta, factor),) = mean_calls
+        assert delta == [deltas[0]]
+        assert factors is None or np.array_equal(factor, factors[0])
+        assert np.abs(mean.T @ mean - np.eye(r)).max() <= manifold.ORTHONORMALITY_TOL
+        # the SVD's own u @ vt is off orthonormal by up to about 15 eps here
+        assert np.linalg.norm(mean - u @ vt) <= 32 * EPS * np.sqrt(r)
+    else:
+        assert not mean_calls and np.array_equal(mean, u @ vt)
+    if near[1]:
+        ((delta, factor),) = ds_calls
+        assert delta == [deltas[1]]
+        assert factors is None or np.array_equal(factor, factors[1])
+        assert abs(ds - ds_svd) <= 8 * EPS * np.sqrt(r)
+    else:
+        assert not ds_calls and ds == ds_svd
 
 
 @settings(max_examples=60, deadline=None)
